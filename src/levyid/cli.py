@@ -68,9 +68,9 @@ from .permanental import (
     spec_to_chain,
     verify_permanental_identity,
 )
-from .processes import sample_ensemble, values_at
+from .processes import _resolve_cutoff, sample_ensemble, values_at
 from .randkit import RngStream
-from .statlab import IdentityReport
+from .statlab import IdentityReport, compare
 
 SCHEMA = "levy-id/1"
 DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0)
@@ -191,11 +191,13 @@ def parse_process(obj) -> ProcessSpec:
             rates = _get(obj, "rates", required=True)
             kill = _get(obj, "kill", required=True)
             beta = _num(obj.get("beta", 1.0), "beta")
-            return PermanentalSpec(
+            spec = PermanentalSpec(
                 tuple(tuple(float(r) for r in row) for row in rates),
                 tuple(float(k) for k in kill),
                 beta,
             )
+            spec_to_chain(spec)  # raises unless the chain is transient
+            return spec
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -257,6 +259,15 @@ def _parse_mc(cfg):
     return n, b, z
 
 
+def _resolved_mc(n, b, z_crit) -> dict:
+    """The resolved mc block. B is still parsed and echoed, but standard
+    errors are linearized and do not resample; n None leaves N out."""
+    mc = {"B": b, "z_crit": z_crit, "se": "linearized"}
+    if n is not None:
+        mc["N"] = n
+    return mc
+
+
 def _parse_grid(cfg) -> TimeGrid:
     pts = cfg.get("grid", list(DEFAULT_GRID))
     try:
@@ -280,6 +291,34 @@ def _grid_spec(cfg) -> ProcessSpec:
         raise ConfigError("this command works on time-indexed families; "
                           "use the 'permanental' subcommand")
     return spec
+
+
+def _check_cutoff(spec: ProcessSpec, points) -> None:
+    """A fixed Sato cutoff must cover the times the command samples."""
+    if isinstance(spec, SatoSpec):
+        try:
+            _resolve_cutoff(spec, points)
+        except ValueError as exc:
+            raise ConfigError(f"sato {exc}") from exc
+
+
+def _sampler_notes(spec: ProcessSpec) -> dict:
+    """Report notes for paths the sampler draws only approximately."""
+    if isinstance(spec, ConvSpec) and spec.approximate:
+        return {"approximate": True}
+    return {}
+
+
+def _moment_check(draws, expected, key, labels, z_crit):
+    """Column means of draws against exact expectations, one z-test each."""
+    mean = draws.mean(axis=0)
+    se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
+    rows = []
+    for j, label in enumerate(labels):
+        z, ok = compare((mean[j], se[j]), (expected[j], 0.0), z_crit)
+        rows.append({key: label, "sample_mean": float(mean[j]), "se": float(se[j]),
+                     "expected": float(expected[j]), "z": float(z), "pass": bool(ok)})
+    return rows, all(r["pass"] for r in rows)
 
 
 def _panel_dicts(panel: LevyFunctionalPanel) -> list:
@@ -314,30 +353,20 @@ def _cmd_simulate(cfg, seed, workers):
         labels = [f"state_{j}" for j in range(chain.n)]
     else:
         grid = _parse_grid(cfg)
+        _check_cutoff(spec, grid.points)
         draws = sample_ensemble(
             lambda s, m: values_at(s, spec, grid.points, m), rng.substream(0), n, workers
         )
         expected = np.array([mean_function(spec, t) for t in grid.points])
         labels = [f"t_{t:g}" for t in grid.points]
-    mean = draws.mean(axis=0)
-    se = draws.std(axis=0, ddof=1) / math.sqrt(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, (mean - expected) / se,
-                     np.where(mean == expected, 0.0, np.inf))
-    ok = bool(np.all(np.abs(z) <= z_crit))
-    results = {
-        "moments": [
-            {"point": labels[j], "sample_mean": float(mean[j]), "se": float(se[j]),
-             "expected": float(expected[j]), "z": float(z[j]),
-             "pass": bool(abs(z[j]) <= z_crit)}
-            for j in range(len(labels))
-        ],
-        "n": n,
-        "pass": ok,
-    }
+    moments, ok = _moment_check(draws, expected, "point", labels, z_crit)
+    results = {"moments": moments, "n": n, "pass": ok}
+    notes = _sampler_notes(spec)
+    if notes:
+        results["notes"] = notes
     resolved = {
         "process": cfg["process"],
-        "mc": {"N": n, "B": b, "z_crit": z_crit},
+        "mc": _resolved_mc(n, b, z_crit),
     }
     if not isinstance(spec, PermanentalSpec):
         resolved["grid"] = [float(t) for t in grid.points]
@@ -358,12 +387,13 @@ def _identity_command(cfg, seed, workers, verifier):
                           n, z_crit=z_crit, b=b, workers=workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    report.notes.update(_sampler_notes(spec))
     resolved = {
         "process": cfg["process"],
         "grid": [float(t) for t in grid.points],
         "identity": {"a": a},
         "panel": _panel_dicts(panel),
-        "mc": {"N": n, "B": b, "z_crit": z_crit},
+        "mc": _resolved_mc(n, b, z_crit),
     }
     return resolved, report.to_dict(), report.overall_pass, _report_csv(report)
 
@@ -387,10 +417,15 @@ def _cmd_levy_check(cfg, seed, workers):
     mixing_mean = _num(_get(levy, "mixing_mean", MIXING_MEANS[0]), "mixing_mean")
     theta = _num(_get(levy, "theta", 1.0), "theta")
     split_a = [_num(x, "split_a") for x in _get(levy, "split_a", list(SPLIT_POINTS))]
+    if any(a_s <= 0 for a_s in split_a):
+        raise ConfigError("levy.split_a pin times must be positive")
+    # the Laplace exponent is sampled at the panel's times only
+    _check_cutoff(spec, sorted({t for e in panel for t in e.times}))
     rng = RngStream(seed)
 
     lap = laplace_exponent_check(rng.substream(0), spec, panel, n,
                                  z_crit=z_crit, b=b, workers=workers)
+    lap.notes.update(_sampler_notes(spec))
     conds = validate_levy_conditions(spec, grid)
 
     reprs = []
@@ -399,11 +434,7 @@ def _cmd_levy_check(cfg, seed, workers):
         quad = levy_functional_quadrature(spec, entry)
         mc = levy_functional_mc(rng.substream(10, k), spec, entry, n_mc,
                                 mixing_mean=mixing_mean, theta=theta, b=b)
-        if mc.se > 0:
-            zk = (mc.value - quad.value) / mc.se
-        else:
-            zk = 0.0 if mc.value == quad.value else math.inf
-        ok_k = abs(zk) <= REPR_Z
+        zk, ok_k = compare((mc.value, mc.se), (quad.value, quad.se), REPR_Z)
         reprs_ok &= ok_k
         reprs.append({
             "alphas": list(entry.alphas), "times": list(entry.times),
@@ -443,9 +474,7 @@ def _cmd_levy_check(cfg, seed, workers):
                                     mixing_mean=MIXING_MEANS[0], b=b)
             e2 = levy_functional_mc(rng.substream(12, k), spec, entry, n_mc,
                                     mixing_mean=MIXING_MEANS[1], b=b)
-            pooled = math.hypot(e1.se, e2.se)
-            zk = (e1.value - e2.value) / pooled if pooled > 0 else 0.0
-            ok_k = abs(zk) <= REPR_Z
+            zk, ok_k = compare((e1.value, e1.se), (e2.value, e2.se), REPR_Z)
             mix_ok &= ok_k
             mix.append({"alphas": list(entry.alphas), "times": list(entry.times),
                         "means": list(MIXING_MEANS), "lhs": e1.value, "rhs": e2.value,
@@ -458,7 +487,7 @@ def _cmd_levy_check(cfg, seed, workers):
         "process": cfg["process"],
         "grid": [float(t) for t in grid.points],
         "panel": _panel_dicts(panel),
-        "mc": {"N": n, "B": b, "z_crit": z_crit},
+        "mc": _resolved_mc(n, b, z_crit),
         "levy": {"n": n_mc, "mixing_mean": mixing_mean, "theta": theta,
                  "split_a": split_a},
     }
@@ -489,19 +518,8 @@ def _cmd_permanental(cfg, seed, workers):
                                          n, z_crit=z_crit, b=b)
 
     loc = sample_local_times(rng.substream(1), chain, a, size=n)
-    expected = local_time_mean(green.matrix, a)
-    mean = loc.mean(axis=0)
-    se = loc.std(axis=0, ddof=1) / math.sqrt(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, (mean - expected) / se,
-                     np.where(mean == expected, 0.0, np.inf))
-    loc_ok = bool(np.all(np.abs(z) <= z_crit))
-    loc_rows = [
-        {"state": j, "sample_mean": float(mean[j]), "se": float(se[j]),
-         "expected": float(expected[j]), "z": float(z[j]),
-         "pass": bool(abs(z[j]) <= z_crit)}
-        for j in range(chain.n)
-    ]
+    loc_rows, loc_ok = _moment_check(loc, local_time_mean(green.matrix, a), "state",
+                                     range(chain.n), z_crit)
 
     m_weights = np.ones(chain.n)
     n_nu = min(n, 50_000)
@@ -512,8 +530,7 @@ def _cmd_permanental(cfg, seed, workers):
         est = levy_functional_permanental(rng.substream(2, x), chain,
                                           m_weights, entry, n_nu, b=b)
         oracle = marginal_levy_functional(green.matrix, 1.0, x)
-        zk = (est.value - oracle) / est.se if est.se > 0 else math.inf
-        ok_x = abs(zk) <= REPR_Z
+        zk, ok_x = compare((est.value, est.se), (oracle, 0.0), REPR_Z)
         marg_ok &= ok_x
         marg.append({"state": x, "mc": est.value, "mc_se": est.se,
                      "oracle": float(oracle), "z": float(zk), "pass": bool(ok_x)})
@@ -529,7 +546,7 @@ def _cmd_permanental(cfg, seed, workers):
         "process": cfg["process"],
         "identity": {"a": a},
         "panel": _panel_dicts(panel),
-        "mc": {"N": n, "B": b, "z_crit": z_crit},
+        "mc": _resolved_mc(n, b, z_crit),
     }
     return resolved, results, ok, _report_csv(report)
 
@@ -559,7 +576,7 @@ def _cmd_limit(cfg, seed, workers):
         "grid": [float(t) for t in grid.points],
         "identity": {"a": a},
         "panel": _panel_dicts(panel),
-        "mc": {"B": b, "z_crit": z_crit},
+        "mc": _resolved_mc(None, b, z_crit),
         "limit": {"deltas": deltas, "n": n, "n_max": n_max},
     }
     header = ["delta", "n_used", "distance", "distance_se", "ess"]

@@ -50,8 +50,6 @@ from .statlab import (
 _TAG_LHS = 1
 _TAG_RHS_BASE = 2
 _TAG_RHS_ADD = 3
-_TAG_BOOT_LHS = 11
-_TAG_BOOT_RHS = 12
 
 
 def _kernel_reach(gen, kernel, a: float, n: int) -> np.ndarray:
@@ -223,8 +221,8 @@ def verify_tilting_identity(
         workers,
     )
     rhs_ens = WeightedEnsemble(grid, base + add)
-    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel, b, rng.substream(_TAG_BOOT_LHS))
-    rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel, b, rng.substream(_TAG_BOOT_RHS))
+    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel, b)
+    rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel, b)
     return build_identity_report(
         "tilting", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n
     )
@@ -258,8 +256,8 @@ def verify_decomposition_identity(
     )
     lhs_ens = WeightedEnsemble(grid, lhs_vals)
     rhs_ens = WeightedEnsemble(grid, hid + vis)
-    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel, b, rng.substream(_TAG_BOOT_LHS))
-    rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel, b, rng.substream(_TAG_BOOT_RHS))
+    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel, b)
+    rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel, b)
     return build_identity_report(
         "decomposition", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n
     )

@@ -339,7 +339,7 @@ def levy_functional_mc(
     b: int = 500,
 ) -> LevyEstimate:
     """Monte Carlo evaluation of nu(F) through the size-biased single-jump
-    representations, with bootstrap SE.
+    representations, with the SE of the sample mean.
 
     mixing_mean parametrizes the exponential location mixer in the Poisson
     representation (any positive mean gives the same limit); theta is the
@@ -367,7 +367,7 @@ def levy_functional_mc(
             RuntimeWarning,
             stacklevel=2,
         )
-    se = bootstrap_mean_se(x, b, rng.substream(9))
+    se = bootstrap_mean_se(x, b)
     return LevyEstimate(float(x.mean()), se, "probabilistic")
 
 
@@ -389,7 +389,7 @@ def laplace_exponent_check(
     grid = make_grid(times)
     values = sample_paths(rng.substream(1), spec, grid, n, workers)
     ens = WeightedEnsemble(grid, values)
-    est, se = weighted_laplace_panel(ens, panel, b, rng.substream(2))
+    est, se = weighted_laplace_panel(ens, panel, b)
     lhs = -np.log(est)
     lhs_se = se / est  # delta method for -log
     rhs = np.array([levy_functional_quadrature(spec, e).value for e in panel])

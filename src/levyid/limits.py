@@ -29,7 +29,7 @@ from .core import (
 from .identities import companion_values
 from .processes import sample_ensemble, values_at
 from .randkit import RngStream
-from .statlab import effective_sample_size, weighted_laplace_panel
+from .statlab import compare, effective_sample_size, weighted_laplace_panel
 
 DEFAULT_DELTAS = (1.0, 0.3, 0.1, 0.03)
 
@@ -152,9 +152,7 @@ def verify_thinning_limit(
         n_target,
         workers,
     )
-    t_est, t_se = weighted_laplace_panel(
-        WeightedEnsemble(grid, target_vals), panel, b, rng.substream(100)
-    )
+    t_est, t_se = weighted_laplace_panel(WeightedEnsemble(grid, target_vals), panel, b)
     ia = int(grid.index_of([a])[0])
     distances, distance_ses, n_used, esses = [], [], [], []
     final_z = []
@@ -169,7 +167,7 @@ def verify_thinning_limit(
         )
         weights = vals[:, ia] / (delta * mean_a)
         ens = WeightedEnsemble(grid, vals, weights)
-        est, se = weighted_laplace_panel(ens, panel, b, rng.substream(101 + k))
+        est, se = weighted_laplace_panel(ens, panel, b)
         gaps = np.abs(est - t_est)
         j = int(np.argmax(gaps))
         distances.append(float(gaps[j]))
@@ -180,13 +178,8 @@ def verify_thinning_limit(
         if ess < 0.5 * n:
             collapsed.append(delta)
         if k == len(deltas) - 1:
-            diff = est - t_est
-            pooled = np.hypot(se, t_se)
-            tiny = np.abs(diff) <= 1e-12 * np.maximum(1.0, np.abs(t_est))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = np.where(tiny, 0.0,
-                             np.where(pooled > 0, diff / pooled, np.inf))
-            final_z = list(z)
+            final_z = [compare((e, s), (t, ts), z_crit)[0]
+                       for e, s, t, ts in zip(est, se, t_est, t_se)]
     # the verdict gates the reported distance itself: the worst entry's gap
     # against its own pooled SE (per-entry z values stay in the report as
     # diagnostics)

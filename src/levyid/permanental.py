@@ -290,8 +290,8 @@ def verify_permanental_identity(
     rhs_vals = cond + 2.0 * local
     lhs_ens = WeightedEnsemble(grid, lhs_vals)
     rhs_ens = WeightedEnsemble(grid, rhs_vals)
-    lhs, lhs_se = weighted_laplace_panel(lhs_ens, half, b, rng.substream(11))
-    rhs, rhs_se = weighted_laplace_panel(rhs_ens, half, b, rng.substream(12))
+    lhs, lhs_se = weighted_laplace_panel(lhs_ens, half, b)
+    rhs, rhs_se = weighted_laplace_panel(rhs_ens, half, b)
     return build_identity_report(
         "permanental", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n,
         notes={"a": a},
@@ -340,7 +340,7 @@ def levy_functional_permanental(
         f = -np.expm1(-0.5 * (2.0 * local[:, states] @ alphas))
         contrib = np.where(bad, 0.0, m.sum() * g[a, a] * f / np.where(bad, 1.0, denom))
         x[rows] = contrib
-    se = bootstrap_mean_se(x, b, rng.substream(9))
+    se = bootstrap_mean_se(x, b)
     return LevyEstimate(float(x.mean()), se, "permanental-mc")
 
 

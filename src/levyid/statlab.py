@@ -1,4 +1,10 @@
-"""Weighted empirical Laplace functionals, bootstrap errors, z comparisons."""
+"""Weighted empirical Laplace functionals, linearized errors, z comparisons.
+
+Standard errors are the delta-method (linearized) errors of the
+self-normalized ratio estimator sum(w v) / sum(w) (Owen, Monte Carlo
+theory, methods and examples, ch. 9); a plain mean is the unit-weight case.
+They are closed-form, so they consume no random draws.
+"""
 
 from __future__ import annotations
 
@@ -6,19 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .core import LevyFunctionalPanel, PanelEntry, WeightedEnsemble
 from .randkit import RngStream
-
-# fixed fallback so bootstrap errors are reproducible when no stream is given
-_DEFAULT_BOOT_SEED = 48813007
-
-# half-width of the central 68.27% of the bootstrap distribution
-_PCT_LO = 100.0 * norm.cdf(-1.0)
-_PCT_HI = 100.0 * norm.cdf(1.0)
-
-_BOOT_CELL_BUDGET = 5_000_000
 
 
 def laplace_values(ensemble: WeightedEnsemble, entry: PanelEntry) -> np.ndarray:
@@ -28,46 +25,30 @@ def laplace_values(ensemble: WeightedEnsemble, entry: PanelEntry) -> np.ndarray:
     return np.exp(-expo)
 
 
-def _bootstrap_ratio_se(nums, den, b, gen) -> np.ndarray:
-    """Percentile SE of ratios sum(num[idx]) / sum(den[idx]) over resamples."""
-    n = den.size
-    if n < 2 or b < 2:
-        return np.zeros(len(nums))
-    ests = np.empty((len(nums), b))
-    chunk = max(1, _BOOT_CELL_BUDGET // n)
-    done = 0
-    while done < b:
-        k = min(chunk, b - done)
-        idx = gen.integers(0, n, size=(k, n))
-        dsum = den[idx].sum(axis=1)
-        for j, x in enumerate(nums):
-            ests[j, done : done + k] = x[idx].sum(axis=1) / dsum
-        done += k
-    hi = np.percentile(ests, _PCT_HI, axis=1)
-    lo = np.percentile(ests, _PCT_LO, axis=1)
-    return 0.5 * (hi - lo)
-
-
 def weighted_laplace_panel(
     ensemble: WeightedEnsemble,
     panel: LevyFunctionalPanel,
     b: int = 500,
     rng: RngStream | None = None,
 ):
-    """Self-normalized estimates and bootstrap SEs for every panel entry.
+    """Self-normalized estimates and linearized SEs for every panel entry.
 
-    One set of bootstrap resamples is shared across entries, preserving
-    their cross-correlation.
+    se_k = sqrt(sum_i w_i^2 (v_ik - est_k)^2) / sum_i w_i; fewer than two
+    paths give se 0. `b` and `rng` are accepted for compatibility with the
+    former bootstrap and have no effect.
     """
     w = ensemble.weights
     sw = w.sum()
     if sw <= 0:
         raise ValueError("all ensemble weights are zero")
-    vals = [laplace_values(ensemble, e) for e in panel]
-    est = np.array([(w @ v) / sw for v in vals])
-    if rng is None:
-        rng = RngStream(_DEFAULT_BOOT_SEED)
-    se = _bootstrap_ratio_se([w * v for v in vals], w, b, rng.generator)
+    est = np.empty(len(panel))
+    se = np.zeros(len(panel))
+    for k, entry in enumerate(panel):
+        v = laplace_values(ensemble, entry)
+        est[k] = (w @ v) / sw
+        if w.size >= 2:
+            r = w * (v - est[k])
+            se[k] = math.sqrt(r @ r) / sw
     return est, se
 
 
@@ -77,7 +58,7 @@ def weighted_laplace(
     b: int = 500,
     rng: RngStream | None = None,
 ) -> tuple[float, float]:
-    """Self-normalized weighted Laplace estimate with bootstrap SE.
+    """Self-normalized weighted Laplace estimate with linearized SE.
 
     Invariant under rescaling all weights by a positive constant.
     """
@@ -86,11 +67,15 @@ def weighted_laplace(
 
 
 def bootstrap_mean_se(x: np.ndarray, b: int = 500, rng: RngStream | None = None) -> float:
-    """Bootstrap SE of a plain mean."""
-    if rng is None:
-        rng = RngStream(_DEFAULT_BOOT_SEED)
-    den = np.ones_like(x)
-    return float(_bootstrap_ratio_se([np.asarray(x, float)], den, b, rng.generator)[0])
+    """SE of a plain mean, std(x) / sqrt(n); fewer than two values give 0.
+
+    The name and the ignored `b` and `rng` are kept from the former
+    bootstrap.
+    """
+    x = np.asarray(x, float)
+    if x.size < 2:
+        return 0.0
+    return float(x.std() / math.sqrt(x.size))
 
 
 def compare(lhs: tuple[float, float], rhs: tuple[float, float], z_crit: float = 3.0):
@@ -103,7 +88,7 @@ def compare(lhs: tuple[float, float], rhs: tuple[float, float], z_crit: float = 
     re, rs = rhs
     denom = math.hypot(ls, rs)
     # differences at float-rounding scale carry no statistical information,
-    # even when a degenerate bootstrap SE is equally tiny
+    # even when a degenerate SE is equally tiny
     if abs(le - re) <= 1e-12 * max(1.0, abs(le), abs(re)):
         return 0.0, True
     if denom == 0:
@@ -117,8 +102,8 @@ def bonferroni_crit(z_crit: float, k: int) -> float:
     family-wise level of a single test at z_crit."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    alpha = 2.0 * norm.sf(z_crit)
-    return float(norm.isf(alpha / (2.0 * k)))
+    alpha = 2.0 * ndtr(-z_crit)
+    return float(-ndtri(alpha / (2.0 * k)))
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

@@ -1,0 +1,165 @@
+"""Calibration of the linearized standard errors across seeds.
+
+When an identity holds, its z-scores must behave like standard normals.
+Over SEEDS independent seeds at N = 20k, for tilting, decomposition and the
+final rung of the thinning ladder:
+
+- each entry's |z| > 3 rate and the family-wise (Bonferroni) fail rate stay
+  within binomial error of their nominal levels;
+- each entry's z variance stays within chi-square error of 1;
+- on the first BOOT_SEEDS seeds the SEs agree with a reference percentile
+  bootstrap computed on the same ensembles.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import levyid.identities as identities
+from levyid.cli import default_panel
+from levyid.core import PoissonSpec, TemperedStableSpec, WeightedEnsemble, make_grid
+from levyid.limits import DEFAULT_DELTAS, thinned_values
+from levyid.processes import sample_ensemble
+from levyid.randkit import RngStream
+from levyid.statlab import bonferroni_crit, laplace_values, weighted_laplace_panel
+
+GRID = make_grid([0.5, 1.0, 1.5, 2.0])
+PANEL = default_panel(GRID.points)
+A = 1.0
+N = 20_000
+SEEDS = 200
+BOOT_SEEDS = 4
+Z_CRIT = 3.0
+P_ENTRY = math.erfc(Z_CRIT / math.sqrt(2.0))  # nominal P(|z| > 3)
+
+
+def reference_bootstrap_se(ens, panel, b=500, seed=0, chunk=50):
+    """Half-width of the central 68.27% of b resampled ratio estimates, the
+    standard error the package used before the linearized formula."""
+    gen = np.random.default_rng(seed)
+    w, n = ens.weights, ens.weights.size
+    x = np.column_stack([w] + [w * laplace_values(ens, e) for e in panel])
+    sums = []
+    for _ in range(b // chunk):
+        idx = gen.integers(0, n, (chunk, n)) + n * np.arange(chunk)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=chunk * n).reshape(chunk, n)
+        sums.append(counts @ x)
+    sums = np.concatenate(sums)
+    lo, hi = np.percentile(sums[:, 1:] / sums[:, :1], [15.865525393145708, 84.13447460685429],
+                           axis=0)
+    return 0.5 * (hi - lo)
+
+
+def _exposure_integral(entry, hi, g):
+    """int_0^hi g(A(s)) ds with A(s) the sum of the alphas whose time is >= s."""
+    cuts = sorted({0.0, hi, *(min(t, hi) for t in entry.times)})
+    total = 0.0
+    for lo, up in zip(cuts, cuts[1:]):
+        mid = 0.5 * (lo + up)
+        total += (up - lo) * g(sum(al for al, t in zip(entry.alphas, entry.times) if t >= mid))
+    return total
+
+
+def _tilted_thinned_poisson(entry, rate, a):
+    """Exact Laplace functional of a rate-`rate` Poisson path size-biased at
+    a: the path plus one unit jump at a uniform time in [0, a]."""
+    path = math.exp(-rate * _exposure_integral(entry, max(entry.times), lambda x: -math.expm1(-x)))
+    jump = _exposure_integral(entry, a, lambda x: math.exp(-x)) / a
+    return path * jump
+
+
+def _identity_scan(verifier, spec):
+    zs, fails, ensembles = [], 0, []
+    real = identities.weighted_laplace_panel
+
+    def capture(ens, panel, *args, **kwargs):
+        ensembles.append(ens)
+        return real(ens, panel, *args, **kwargs)
+
+    for s in range(SEEDS):
+        with pytest.MonkeyPatch.context() as mp:
+            if s < BOOT_SEEDS:
+                mp.setattr(identities, "weighted_laplace_panel", capture)
+            report = verifier(RngStream(s), spec, A, GRID, PANEL, N, z_crit=Z_CRIT)
+        zs.append(report.z)
+        fails += not report.overall_pass
+    return np.array(zs), fails, ensembles
+
+
+def _rung_scan():
+    # the final rung of the ladder, weighted as verify_thinning_limit does;
+    # its law is the thinned path plus the companion, known in closed form
+    spec, delta = PoissonSpec(1.0), DEFAULT_DELTAS[-1]
+    ia = int(GRID.index_of([A])[0])
+    truth = np.array([_tilted_thinned_poisson(e, spec.rate * delta, A) for e in PANEL])
+    bz = bonferroni_crit(Z_CRIT, len(PANEL))
+    zs, fails, ensembles = [], 0, []
+    for s in range(SEEDS):
+        vals = sample_ensemble(
+            lambda stream, m: thinned_values(stream, spec, delta, GRID.points, m),
+            RngStream(s), N,
+        )
+        ens = WeightedEnsemble(GRID, vals, vals[:, ia] / (delta * spec.rate * A))
+        est, se = weighted_laplace_panel(ens, PANEL)
+        z = (est - truth) / se
+        zs.append(z)
+        fails += bool(np.any(np.abs(z) > bz))
+        if s < BOOT_SEEDS:
+            ensembles.append(ens)
+    return np.array(zs), fails, ensembles
+
+
+SCANS = {
+    "tilting": lambda: _identity_scan(identities.verify_tilting_identity,
+                                      TemperedStableSpec(0.5)),
+    "decomposition": lambda: _identity_scan(identities.verify_decomposition_identity,
+                                            PoissonSpec(1.0)),
+    "final-rung": _rung_scan,
+}
+
+
+@pytest.fixture(scope="module", params=list(SCANS))
+def scan(request):
+    return SCANS[request.param]()
+
+
+def _within_binomial_error(count, trials, p):
+    """count lies within 3 binomial SDs of trials * p, plus one for rounding
+    to an integer count."""
+    return abs(count - trials * p) <= 3.0 * math.sqrt(trials * p * (1.0 - p)) + 1.0
+
+
+def test_entry_exceedance_rate(scan):
+    # entries of one panel share paths, so each entry is its own binomial
+    # over independent seeds
+    zs, _, _ = scan
+    for k in range(zs.shape[1]):
+        count = int(np.sum(np.abs(zs[:, k]) > Z_CRIT))
+        assert _within_binomial_error(count, SEEDS, P_ENTRY), (k, count)
+
+
+def test_familywise_fail_rate(scan):
+    # Bonferroni keeps the family-wise level at or below the single-test one
+    _, fails, _ = scan
+    assert fails <= SEEDS * P_ENTRY + 3.0 * math.sqrt(SEEDS * P_ENTRY * (1 - P_ENTRY)) + 1.0
+
+
+def test_z_variance_near_one(scan):
+    # the sample variance of SEEDS standard normals has SD sqrt(2 / (SEEDS - 1))
+    zs, _, _ = scan
+    tol = 3.0 * math.sqrt(2.0 / (SEEDS - 1))
+    var = zs.var(axis=0, ddof=1)
+    assert np.all(np.abs(var - 1.0) <= tol), var
+
+
+def test_matches_reference_bootstrap(scan):
+    # per entry within the B = 500 bootstrap's own noise (about 5%); the
+    # geometric mean within the percentile-vs-SD gap on skewed ratios
+    _, _, ensembles = scan
+    ratios = np.array([
+        weighted_laplace_panel(ens, PANEL)[1] / reference_bootstrap_se(ens, PANEL, seed=i)
+        for i, ens in enumerate(ensembles)
+    ])
+    assert np.all((0.85 < ratios) & (ratios < 1.15)), ratios
+    assert 0.95 < math.exp(np.log(ratios).mean()) < 1.05

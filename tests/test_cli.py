@@ -1,9 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import levyid
+from levyid import cli
 from levyid.cli import (
     ConfigError,
     default_panel,
@@ -14,6 +21,8 @@ from levyid.cli import (
     parse_process,
 )
 from levyid.core import ConvSpec, PoissonSpec, SatoSpec, TemperedStableSpec
+from levyid.levymeasure import LevyEstimate, levy_functional_quadrature
+from levyid.permanental import green_matrix, marginal_levy_functional
 
 
 def _write(tmp_path, name, obj):
@@ -393,3 +402,109 @@ class TestSuite:
         jobs = rep["results"]["jobs"]
         assert jobs[0]["verdict"] == "fail"
         assert rep["verdict"] == "fail"
+
+
+SATO = {"family": "sato", "H": 1.0,
+        "bdlp": {"rate": 1.0, "law": {"kind": "exponential", "mean": 1.0}}}
+PERM = {"family": "permanental", "rates": [[0.0, 1.0], [1.0, 0.0]], "kill": [0.5, 0.25]}
+CONV_TS = {"family": "conv", "kernel": {"kind": "exp-decay", "decay": 1.0},
+           "driver": {"family": "tempered-stable", "alpha": 0.5}}
+
+
+class TestBadInputExitsTwo:
+    """Inputs rejected deep inside a sampler are caught while parsing: exit
+    2 with one diagnostic line, run as a separate process so a traceback
+    would show on stderr."""
+
+    @pytest.mark.parametrize("argv,cfg", [
+        (["levy-check"], dict(BASE, mc={"N": 200}, levy={"n": 100, "split_a": [-1]})),
+        (["permanental"], {"process": dict(PERM, kill=[0.0, 0.0]), "mc": {"N": 200}}),
+        (["levy-check"], {"process": dict(SATO, cutoff=0.1), "mc": {"N": 200},
+                          "levy": {"n": 100}}),
+        (["simulate"], {"process": dict(SATO, cutoff=0.1), "mc": {"N": 200}}),
+    ], ids=["split_a-negative", "kill-all-zero", "sato-cutoff-levy", "sato-cutoff-simulate"])
+    def test_exit_two_one_line(self, tmp_path, argv, cfg):
+        src = str(Path(levyid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "levyid", *argv,
+             "--config", _write(tmp_path, "cfg.json", cfg), "--out", os.devnull],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("levyid: config error:")
+
+
+class TestZeroSeVerdicts:
+    """Every verdict goes through statlab.compare: with zero SEs, values that
+    agree to rounding pass and values that differ fail."""
+
+    LEVY = dict(BASE, mc={"N": 2000}, levy={"n": 100})
+
+    def test_representation_equal_to_rounding_passes(self, tmp_path, monkeypatch):
+        def exact(rng, spec, entry, n, mixing_mean=1.0, theta=1.0, b=500):
+            q = levy_functional_quadrature(spec, entry).value
+            return LevyEstimate(float(np.nextafter(q, np.inf)), 0.0, "probabilistic")
+
+        monkeypatch.setattr(cli, "levy_functional_mc", exact)
+        _, rep = _run(tmp_path, ["levy-check"], self.LEVY)
+        reprs = rep["results"]["representation"]
+        assert reprs["pass"]
+        assert all(e["z"] == 0.0 for e in reprs["entries"])
+
+    def test_mixing_invariance_unequal_exact_values_fail(self, tmp_path, monkeypatch):
+        def exact(rng, spec, entry, n, mixing_mean=1.0, theta=1.0, b=500):
+            return LevyEstimate(0.1 * mixing_mean, 0.0, "probabilistic")
+
+        monkeypatch.setattr(cli, "levy_functional_mc", exact)
+        code, rep = _run(tmp_path, ["levy-check"], self.LEVY)
+        mix = rep["results"]["mixing_invariance"]
+        assert code == 1 and not mix["pass"]
+        assert all(e["z"] == "inf" for e in mix["entries"])
+
+    def test_permanental_marginal_equal_to_oracle_passes(self, tmp_path, monkeypatch):
+        def exact(rng, chain, m_weights, entry, n, b=500):
+            g = green_matrix(chain).matrix
+            return LevyEstimate(marginal_levy_functional(g, 1.0, int(entry.times[0])),
+                                0.0, "permanental-mc")
+
+        monkeypatch.setattr(cli, "levy_functional_permanental", exact)
+        cfg = {"process": PERM, "identity": {"a": 0}, "mc": {"N": 2000}, "seed": 4}
+        _, rep = _run(tmp_path, ["permanental"], cfg)
+        marg = rep["results"]["levy_marginals"]
+        assert marg["pass"]
+        assert all(s["z"] == 0.0 for s in marg["states"])
+
+
+class TestApproximateFlag:
+    """A moving average driven by a tempered stable subordinator is sampled
+    from grid increments, and its report says so."""
+
+    @pytest.mark.parametrize("command,block", [
+        ("verify-condition", None), ("simulate", None), ("levy-check", "laplace_exponent"),
+    ])
+    def test_ts_driven_conv_flagged(self, tmp_path, command, block):
+        cfg = dict(BASE, process=CONV_TS, mc={"N": 2000}, levy={"n": 200})
+        code, rep = _run(tmp_path, [command], cfg)
+        assert code in (0, 1)
+        res = rep["results"] if block is None else rep["results"][block]
+        assert res["notes"]["approximate"] is True
+
+    def test_exact_sampler_not_flagged(self, tmp_path):
+        _, rep = _run(tmp_path, ["verify-isonat"], BASE)
+        assert "notes" not in rep["results"]
+
+
+class TestResolvedMc:
+    def test_se_method_recorded_and_b_echoed(self, tmp_path):
+        _, rep = _run(tmp_path, ["verify-isonat"], BASE)
+        assert rep["config"]["mc"]["se"] == "linearized"
+        assert rep["config"]["mc"]["B"] == 150
+
+    def test_b_has_no_effect(self, tmp_path):
+        _, r1 = _run(tmp_path, ["verify-isonat"], BASE)
+        _, r2 = _run(tmp_path, ["verify-isonat"], dict(BASE, mc={"N": 20_000, "B": 7}))
+        assert r1["results"] == r2["results"]
