@@ -108,6 +108,14 @@ def _num(value, key):
         raise ConfigError(f"config key {key!r} must be a number") from exc
 
 
+def _count(value, key):
+    """A positive whole number; integral floats such as 5000.0 are accepted."""
+    x = _num(value, key)
+    if not (math.isfinite(x) and x >= 1 and x == int(x)):
+        raise ConfigError(f"config key {key!r} must be a positive integer")
+    return int(x)
+
+
 def parse_law(obj) -> JumpLaw:
     kind = _get(obj, "kind", required=True)
     try:
@@ -254,8 +262,8 @@ def _parse_mc(cfg):
         z = float(_get(mc, "z_crit", DEFAULT_Z))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad mc section: {exc}") from exc
-    if n < 1 or b < 1 or z <= 0:
-        raise ConfigError("mc requires N >= 1, B >= 1, z_crit > 0")
+    if n < 1 or b < 1 or not (math.isfinite(z) and z > 0):
+        raise ConfigError("mc requires N >= 1, B >= 1, finite z_crit > 0")
     return n, b, z
 
 
@@ -312,7 +320,10 @@ def _sampler_notes(spec: ProcessSpec) -> dict:
 def _moment_check(draws, expected, key, labels, z_crit):
     """Column means of draws against exact expectations, one z-test each."""
     mean = draws.mean(axis=0)
-    se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
+    if len(draws) >= 2:
+        se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
+    else:
+        se = np.zeros_like(mean)
     rows = []
     for j, label in enumerate(labels):
         z, ok = compare((mean[j], se[j]), (expected[j], 0.0), z_crit)
@@ -413,12 +424,15 @@ def _cmd_levy_check(cfg, seed, workers):
     _check_panel_on_grid(panel, grid)
     n, b, z_crit = _parse_mc(cfg)
     levy = cfg.get("levy", {})
-    n_mc = int(_get(levy, "n", max(1, n // 2)))
+    n_mc = _count(_get(levy, "n", max(1, n // 2)), "n")
     mixing_mean = _num(_get(levy, "mixing_mean", MIXING_MEANS[0]), "mixing_mean")
     theta = _num(_get(levy, "theta", 1.0), "theta")
-    split_a = [_num(x, "split_a") for x in _get(levy, "split_a", list(SPLIT_POINTS))]
-    if any(a_s <= 0 for a_s in split_a):
-        raise ConfigError("levy.split_a pin times must be positive")
+    split_a = _get(levy, "split_a", list(SPLIT_POINTS))
+    if not isinstance(split_a, list):
+        raise ConfigError("levy.split_a must be a list of pin times")
+    split_a = [_num(x, "split_a") for x in split_a]
+    if not all(math.isfinite(a_s) and a_s > 0 for a_s in split_a):
+        raise ConfigError("levy.split_a pin times must be positive and finite")
     # the Laplace exponent is sampled at the panel's times only
     _check_cutoff(spec, sorted({t for e in panel for t in e.times}))
     rng = RngStream(seed)
@@ -428,10 +442,11 @@ def _cmd_levy_check(cfg, seed, workers):
     lap.notes.update(_sampler_notes(spec))
     conds = validate_levy_conditions(spec, grid)
 
+    # the unrestricted quadrature is shared by the representation and split blocks
+    quads = [levy_functional_quadrature(spec, entry) for entry in panel]
     reprs = []
     reprs_ok = True
-    for k, entry in enumerate(panel):
-        quad = levy_functional_quadrature(spec, entry)
+    for k, (entry, quad) in enumerate(zip(panel, quads)):
         mc = levy_functional_mc(rng.substream(10, k), spec, entry, n_mc,
                                 mixing_mean=mixing_mean, theta=theta, b=b)
         zk, ok_k = compare((mc.value, mc.se), (quad.value, quad.se), REPR_Z)
@@ -446,11 +461,10 @@ def _cmd_levy_check(cfg, seed, workers):
     splits_ok = True
     for a_s in split_a:
         worst = 0.0
-        for entry in panel:
-            full = levy_functional_quadrature(spec, entry).value
+        for entry, full in zip(panel, quads):
             zero = levy_functional_quadrature(spec, entry, restriction="zero", a=a_s).value
             pos = levy_functional_quadrature(spec, entry, restriction="positive", a=a_s).value
-            worst = max(worst, abs(zero + pos - full))
+            worst = max(worst, abs(zero + pos - full.value))
         ok_s = worst <= SPLIT_TOL
         splits_ok &= ok_s
         splits.append({"a": a_s, "max_residual": worst, "pass": bool(ok_s)})

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import gammainc
 
 _REL_TOL = 1e-9
 
@@ -182,6 +181,8 @@ class JumpLaw:
             tail = math.exp(-u / m)
             return c * (m - (m + u) * tail) + tail
         if self.kind == "gamma":
+            from scipy.special import gammainc
+
             k, r = self.params
             head = (k / r) * gammainc(k + 1.0, r * u)  # E[X; X <= u]
             return c * head + (1.0 - gammainc(k, r * u))

@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import exp1, gamma as gamma_fn
 
 from .core import (
     ConvSpec,
@@ -135,6 +133,8 @@ def _driver_one_minus_exp(z, c):
 
 
 def _sato_nu(spec: SatoSpec, entry: PanelEntry, restriction, a) -> float:
+    from scipy.integrate import quad
+
     H = spec.H
     keep = [(t, al) for t, al in zip(entry.times, entry.alphas) if t > 0 and al > 0]
     if not keep:
@@ -203,6 +203,8 @@ def conv_active_intervals(spec: ConvSpec, a: float) -> list[tuple[float, float]]
 
 
 def _conv_nu(spec: ConvSpec, entry: PanelEntry, restriction, a) -> float:
+    from scipy.integrate import quad
+
     times = np.asarray(entry.times)
     alphas = np.asarray(entry.alphas)
     t_max = float(times.max())
@@ -421,6 +423,9 @@ def _ts_expect_min(alpha: float, c: float) -> float:
     """int min(c v, 1) v^{-alpha-1} e^{-v} dv / |Gamma(-alpha)|."""
     if c <= 0:
         return 0.0
+    from scipy.integrate import quad
+    from scipy.special import gamma as gamma_fn
+
     norm = gamma_fn(1.0 - alpha) / alpha  # |Gamma(-alpha)|
     u = 1.0 / c
     head, _ = quad(lambda v: c * v**-alpha * math.exp(-v), 0.0, u,
@@ -439,6 +444,9 @@ def _driver_expect_min(z, c: float) -> float:
 def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) -> LevyConditionReport:
     """Check int (y(x) ^ 1) nu(dy) < inf at each grid point (each state for
     permanental specs)."""
+    from scipy.integrate import quad
+    from scipy.special import exp1
+
     if isinstance(spec, PermanentalSpec):
         from .permanental import green_matrix, spec_to_chain
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .core import LevyFunctionalPanel, PanelEntry, WeightedEnsemble
 from .randkit import RngStream
@@ -99,11 +99,20 @@ def compare(lhs: tuple[float, float], rhs: tuple[float, float], z_crit: float = 
 
 def bonferroni_crit(z_crit: float, k: int) -> float:
     """Critical value so that k simultaneous two-sided tests keep the
-    family-wise level of a single test at z_crit."""
+    family-wise level of a single test at z_crit.
+
+    The per-test tail probability underflows to 0 for z_crit above about
+    38, where the critical value is inf; it reaches 1 only for k = 1 and
+    z_crit below about -8.3, where it is -inf."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    alpha = 2.0 * ndtr(-z_crit)
-    return float(-ndtri(alpha / (2.0 * k)))
+    alpha = math.erfc(z_crit / math.sqrt(2.0))
+    p = alpha / (2.0 * k)
+    if p <= 0.0:
+        return math.inf
+    if p >= 1.0:
+        return -math.inf
+    return -NormalDist().inv_cdf(p)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,14 @@ def _write(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
     return str(p)
+
+
+def _src_env():
+    """The environment for a child interpreter that imports this checkout's
+    package."""
+    src = str(Path(levyid.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def _run(tmp_path, args, config=None):
@@ -298,6 +307,15 @@ class TestSimulate:
         assert code == 0
         assert len(rep["results"]["moments"]) == 2
 
+    def test_single_draw_gives_zero_se(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, rep = _run(tmp_path, ["simulate"], dict(BASE, mc={"N": 1}))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        moments = rep["results"]["moments"]
+        assert all(m["se"] == 0.0 for m in moments)
+        assert all(m["z"] != "nan" for m in moments)
+
 
 class TestPermanentalCommand:
     def test_full_run(self, tmp_path):
@@ -422,15 +440,22 @@ class TestBadInputExitsTwo:
         (["levy-check"], {"process": dict(SATO, cutoff=0.1), "mc": {"N": 200},
                           "levy": {"n": 100}}),
         (["simulate"], {"process": dict(SATO, cutoff=0.1), "mc": {"N": 200}}),
-    ], ids=["split_a-negative", "kill-all-zero", "sato-cutoff-levy", "sato-cutoff-simulate"])
+        (["levy-check"], dict(BASE, mc={"N": 200}, levy={"n": "abc"})),
+        (["levy-check"], dict(BASE, mc={"N": 200}, levy={"n": 0})),
+        (["levy-check"], dict(BASE, mc={"N": 200}, levy={"n": 2.5})),
+        (["levy-check"], dict(BASE, mc={"N": 200}, levy={"n": 100, "split_a": 2})),
+        # json.dumps writes these as the non-standard Infinity and NaN tokens,
+        # which json.load accepts
+        (["verify-isonat"], dict(BASE, mc={"N": 200, "z_crit": math.inf})),
+        (["verify-isonat"], dict(BASE, mc={"N": 200, "z_crit": math.nan})),
+    ], ids=["split_a-negative", "kill-all-zero", "sato-cutoff-levy", "sato-cutoff-simulate",
+            "levy-n-string", "levy-n-zero", "levy-n-fraction", "split_a-scalar",
+            "z_crit-inf", "z_crit-nan"])
     def test_exit_two_one_line(self, tmp_path, argv, cfg):
-        src = str(Path(levyid.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "levyid", *argv,
              "--config", _write(tmp_path, "cfg.json", cfg), "--out", os.devnull],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_src_env(), timeout=120,
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -508,3 +533,22 @@ class TestResolvedMc:
         _, r1 = _run(tmp_path, ["verify-isonat"], BASE)
         _, r2 = _run(tmp_path, ["verify-isonat"], dict(BASE, mc={"N": 20_000, "B": 7}))
         assert r1["results"] == r2["results"]
+
+
+class TestScipyOffImportPath:
+    def test_isonat_and_permanental_load_no_scipy(self, tmp_path):
+        """scipy is loaded by the levy-check quadrature only."""
+        iso = _write(tmp_path, "iso.json", dict(BASE, mc={"N": 2000}))
+        perm = _write(tmp_path, "perm.json", {"process": PERM, "mc": {"N": 2000}, "seed": 4})
+        code = (
+            "import os, sys\n"
+            "import levyid, levyid.cli\n"
+            "codes = [levyid.cli.main([cmd, '--config', cfg, '--out', os.devnull])\n"
+            "         for cmd, cfg in (('verify-isonat', sys.argv[1]),\n"
+            "                          ('permanental', sys.argv[2]))]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, iso, perm], capture_output=True,
+                              text=True, env=_src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0] []"

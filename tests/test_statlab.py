@@ -148,6 +148,20 @@ class TestBonferroni:
         with pytest.raises(ValueError):
             bonferroni_crit(3.0, 0)
 
+    def test_matches_scipy_formula(self):
+        # the former scipy form of the same gate, to within 16 ulp
+        from scipy.special import ndtr, ndtri
+
+        for z in (0.1, 0.5, 1.0, 2.0, 3.0, 3.5, 4.0, 5.0, 7.5, 10.0, 20.0, 30.0, 37.5):
+            for k in (1, 2, 3, 6, 10, 20, 100, 1000, 10_000):
+                ref = float(-ndtri(2.0 * ndtr(-z) / (2.0 * k)))
+                assert abs(bonferroni_crit(z, k) - ref) <= 16 * math.ulp(ref), (z, k)
+
+    def test_tail_limits_give_inf(self):
+        assert bonferroni_crit(50.0, 1) == math.inf
+        assert bonferroni_crit(50.0, 6) == math.inf
+        assert bonferroni_crit(-50.0, 1) == -math.inf
+
 
 class TestEffectiveSampleSize:
     def test_uniform_weights_full_size(self):
