@@ -16,7 +16,6 @@ from .core import (
     Kernel,
     LevyFunctionalPanel,
     PanelEntry,
-    Path,
     PermanentalSpec,
     PoissonSpec,
     PowerCutoffKernel,
@@ -30,9 +29,6 @@ from .core import (
     mean_function,
 )
 from .identities import (
-    sample_hidden_component,
-    sample_tilt_companion,
-    sample_visible_component,
     tilted_ensemble,
     verify_decomposition_identity,
     verify_tilting_identity,
@@ -45,7 +41,7 @@ from .levymeasure import (
     levy_functional_quadrature,
     validate_levy_conditions,
 )
-from .limits import LimitReport, sample_thinned, verify_thinning_limit
+from .limits import LimitReport, verify_thinning_limit
 from .permanental import (
     GreenMatrix,
     KilledChain,
@@ -55,13 +51,7 @@ from .permanental import (
     sample_permanental,
     verify_permanental_identity,
 )
-from .processes import (
-    sample_conv_path,
-    sample_paths,
-    sample_poisson_path,
-    sample_sato_path,
-    sample_ts_path,
-)
+from .processes import sample_paths
 from .randkit import (
     RngStream,
     sample_exponential,
@@ -70,7 +60,7 @@ from .randkit import (
     sample_tempered_stable_increment,
     sample_uniform,
 )
-from .statlab import IdentityReport, compare, effective_sample_size, weighted_laplace
+from .statlab import IdentityReport, compare, effective_sample_size
 
 __version__ = "0.1.0"
 
@@ -89,7 +79,6 @@ __all__ = [
     "LevyFunctionalPanel",
     "LimitReport",
     "PanelEntry",
-    "Path",
     "PermanentalSpec",
     "PoissonSpec",
     "PowerCutoffKernel",
@@ -109,27 +98,18 @@ __all__ = [
     "levy_functional_quadrature",
     "make_grid",
     "mean_function",
-    "sample_conv_path",
     "sample_exponential",
-    "sample_hidden_component",
     "sample_jump",
     "sample_local_times",
     "sample_paths",
     "sample_permanental",
-    "sample_poisson_path",
     "sample_positive_stable",
-    "sample_sato_path",
     "sample_tempered_stable_increment",
-    "sample_thinned",
-    "sample_tilt_companion",
-    "sample_ts_path",
     "sample_uniform",
-    "sample_visible_component",
     "tilted_ensemble",
     "validate_levy_conditions",
     "verify_decomposition_identity",
     "verify_permanental_identity",
     "verify_thinning_limit",
     "verify_tilting_identity",
-    "weighted_laplace",
 ]

@@ -108,12 +108,28 @@ def _num(value, key):
         raise ConfigError(f"config key {key!r} must be a number") from exc
 
 
-def _count(value, key):
-    """A positive whole number; integral floats such as 5000.0 are accepted."""
-    x = _num(value, key)
-    if not (math.isfinite(x) and x >= 1 and x == int(x)):
-        raise ConfigError(f"config key {key!r} must be a positive integer")
+def _count(value, key, least=1):
+    """A whole number >= least; integral floats such as 5000.0 are accepted
+    and JSON integers stay exact (seeds use all 64 bits)."""
+    x = value if isinstance(value, int) else _num(value, key)
+    if not (x >= least and (isinstance(x, int) or (math.isfinite(x) and x == int(x)))):
+        sign = "positive" if least == 1 else "nonnegative"
+        raise ConfigError(f"config key {key!r} must be a {sign} integer")
     return int(x)
+
+
+def _seed(value):
+    seed = _count(value, "seed", least=0)
+    if seed >= 2**64:
+        raise ConfigError("config key 'seed' must fit in 64 bits")
+    return seed
+
+
+def _positive(value, key):
+    x = _num(value, key)
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"config key {key!r} must be positive and finite")
+    return x
 
 
 def parse_law(obj) -> JumpLaw:
@@ -256,14 +272,9 @@ def _check_panel_on_grid(panel: LevyFunctionalPanel, grid: TimeGrid) -> None:
 
 def _parse_mc(cfg):
     mc = cfg.get("mc", {})
-    try:
-        n = int(_get(mc, "N", DEFAULT_N))
-        b = int(_get(mc, "B", DEFAULT_B))
-        z = float(_get(mc, "z_crit", DEFAULT_Z))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad mc section: {exc}") from exc
-    if n < 1 or b < 1 or not (math.isfinite(z) and z > 0):
-        raise ConfigError("mc requires N >= 1, B >= 1, finite z_crit > 0")
+    n = _count(_get(mc, "N", DEFAULT_N), "N")
+    b = _count(_get(mc, "B", DEFAULT_B), "B")
+    z = _positive(_get(mc, "z_crit", DEFAULT_Z), "z_crit")
     return n, b, z
 
 
@@ -395,7 +406,7 @@ def _identity_command(cfg, seed, workers, verifier):
     n, b, z_crit = _parse_mc(cfg)
     try:
         report = verifier(RngStream(seed), spec, a, grid, panel,
-                          n, z_crit=z_crit, b=b, workers=workers)
+                          n, z_crit=z_crit, workers=workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report.notes.update(_sampler_notes(spec))
@@ -425,20 +436,18 @@ def _cmd_levy_check(cfg, seed, workers):
     n, b, z_crit = _parse_mc(cfg)
     levy = cfg.get("levy", {})
     n_mc = _count(_get(levy, "n", max(1, n // 2)), "n")
-    mixing_mean = _num(_get(levy, "mixing_mean", MIXING_MEANS[0]), "mixing_mean")
-    theta = _num(_get(levy, "theta", 1.0), "theta")
+    mixing_mean = _positive(_get(levy, "mixing_mean", MIXING_MEANS[0]), "mixing_mean")
+    theta = _positive(_get(levy, "theta", 1.0), "theta")
     split_a = _get(levy, "split_a", list(SPLIT_POINTS))
     if not isinstance(split_a, list):
         raise ConfigError("levy.split_a must be a list of pin times")
-    split_a = [_num(x, "split_a") for x in split_a]
-    if not all(math.isfinite(a_s) and a_s > 0 for a_s in split_a):
-        raise ConfigError("levy.split_a pin times must be positive and finite")
+    split_a = [_positive(x, "split_a") for x in split_a]
     # the Laplace exponent is sampled at the panel's times only
     _check_cutoff(spec, sorted({t for e in panel for t in e.times}))
     rng = RngStream(seed)
 
     lap = laplace_exponent_check(rng.substream(0), spec, panel, n,
-                                 z_crit=z_crit, b=b, workers=workers)
+                                 z_crit=z_crit, workers=workers)
     lap.notes.update(_sampler_notes(spec))
     conds = validate_levy_conditions(spec, grid)
 
@@ -448,7 +457,7 @@ def _cmd_levy_check(cfg, seed, workers):
     reprs_ok = True
     for k, (entry, quad) in enumerate(zip(panel, quads)):
         mc = levy_functional_mc(rng.substream(10, k), spec, entry, n_mc,
-                                mixing_mean=mixing_mean, theta=theta, b=b)
+                                mixing_mean=mixing_mean, theta=theta)
         zk, ok_k = compare((mc.value, mc.se), (quad.value, quad.se), REPR_Z)
         reprs_ok &= ok_k
         reprs.append({
@@ -485,9 +494,9 @@ def _cmd_levy_check(cfg, seed, workers):
         mix_ok = True
         for k, entry in enumerate(panel):
             e1 = levy_functional_mc(rng.substream(11, k), spec, entry, n_mc,
-                                    mixing_mean=MIXING_MEANS[0], b=b)
+                                    mixing_mean=MIXING_MEANS[0])
             e2 = levy_functional_mc(rng.substream(12, k), spec, entry, n_mc,
-                                    mixing_mean=MIXING_MEANS[1], b=b)
+                                    mixing_mean=MIXING_MEANS[1])
             zk, ok_k = compare((e1.value, e1.se), (e2.value, e2.se), REPR_Z)
             mix_ok &= ok_k
             mix.append({"alphas": list(entry.alphas), "times": list(entry.times),
@@ -515,10 +524,9 @@ def _cmd_permanental(cfg, seed, workers):
     chain = spec_to_chain(spec)
     green = green_matrix(chain)
     n, b, z_crit = _parse_mc(cfg)
-    a_raw = _get(cfg.get("identity", {}), "a", 0)
-    a = int(a_raw)
-    if a != a_raw or not 0 <= a < chain.n:
-        raise ConfigError(f"identity state a={a_raw} must be a state index")
+    a = _count(_get(cfg.get("identity", {}), "a", 0), "a", least=0)
+    if a >= chain.n:
+        raise ConfigError(f"identity state a={a} must be a state index")
     panel_cfg = cfg.get("panel")
     panel = (default_state_panel(chain.n, a) if panel_cfg is None
              else parse_panel(panel_cfg, range(chain.n)))
@@ -529,7 +537,7 @@ def _cmd_permanental(cfg, seed, workers):
     rng = RngStream(seed)
 
     report = verify_permanental_identity(rng.substream(0), chain, a, panel,
-                                         n, z_crit=z_crit, b=b)
+                                         n, z_crit=z_crit)
 
     loc = sample_local_times(rng.substream(1), chain, a, size=n)
     loc_rows, loc_ok = _moment_check(loc, local_time_mean(green.matrix, a), "state",
@@ -542,7 +550,7 @@ def _cmd_permanental(cfg, seed, workers):
     for x in range(chain.n):
         entry = PanelEntry((1.0,), (float(x),))
         est = levy_functional_permanental(rng.substream(2, x), chain,
-                                          m_weights, entry, n_nu, b=b)
+                                          m_weights, entry, n_nu)
         oracle = marginal_levy_functional(green.matrix, 1.0, x)
         zk, ok_x = compare((est.value, est.se), (oracle, 0.0), REPR_Z)
         marg_ok &= ok_x
@@ -576,13 +584,16 @@ def _cmd_limit(cfg, seed, workers):
     # the ladder has its own base size: per-rung samples grow as n/delta, and
     # mc.N (sized for direct identity checks) would swamp the O(delta)
     # residual the final rung is allowed to carry
-    n = int(_get(lim, "n", DEFAULT_LIMIT_N))
-    deltas = [_num(d, "deltas") for d in _get(lim, "deltas", list(DEFAULT_DELTAS))]
-    n_max = int(_get(lim, "n_max", 2_000_000))
+    n = _count(_get(lim, "n", DEFAULT_LIMIT_N), "n")
+    deltas = _get(lim, "deltas", list(DEFAULT_DELTAS))
+    if not isinstance(deltas, list):
+        raise ConfigError("limit.deltas must be a list of thinning factors")
+    deltas = [_num(d, "deltas") for d in deltas]
+    n_max = _count(_get(lim, "n_max", 2_000_000), "n_max")
     try:
         report = verify_thinning_limit(RngStream(seed), spec, a, grid, panel, n,
                                        deltas=deltas, n_max=n_max,
-                                       z_crit=z_crit, b=b, workers=workers)
+                                       z_crit=z_crit, workers=workers)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     resolved = {
@@ -612,10 +623,10 @@ def _cmd_suite(cfg, seed, workers):
     for j, job in enumerate(jobs):
         name = str(_get(job, "name", f"job{j}"))
         command = _get(job, "command", required=True)
-        if command not in _JOB_HANDLERS:
+        if not isinstance(command, str) or command not in _JOB_HANDLERS:
             raise ConfigError(f"job {name!r}: unknown command {command!r}")
         jcfg = _get(job, "config", required=True)
-        jseed = int(_get(jcfg, "seed", seed + j + 1))
+        jseed = _seed(_get(jcfg, "seed", seed + j + 1))
         resolved, results, ok, _ = _JOB_HANDLERS[command](jcfg, jseed, workers)
         all_ok &= ok
         job_results.append({"name": name, "command": command, "seed": jseed,
@@ -713,9 +724,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        if seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        seed = _seed(args.seed if args.seed is not None else cfg.get("seed", 0))
         workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
         resolved, results, ok, csv_payload = _HANDLERS[args.command](cfg, seed, workers)
     except ConfigError as exc:

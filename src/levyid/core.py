@@ -1,4 +1,4 @@
-"""Shared domain types: time grids, paths, jump laws, kernels, process specs, panels.
+"""Shared domain types: time grids, jump laws, kernels, process specs, panels.
 
 Conventions used throughout the package:
 
@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -79,25 +79,6 @@ class TimeGrid:
 def make_grid(points) -> TimeGrid:
     """Build a TimeGrid, validating order and sign."""
     return TimeGrid(tuple(points))
-
-
-@dataclass(frozen=True)
-class Path:
-    """One realization sampled on a grid. Values are nonnegative."""
-
-    grid: TimeGrid
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_tuple(self.values))
-        if len(self.values) != len(self.grid):
-            raise ValueError("values and grid must have equal length")
-        if any(v < 0 or not math.isfinite(v) for v in self.values):
-            raise ValueError("path values must be finite and nonnegative")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
 
 # ---------- jump laws ----------

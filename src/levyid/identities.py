@@ -22,7 +22,6 @@ from .core import (
     IndicatorKernel,
     JumpLawSpec,
     LevyFunctionalPanel,
-    Path,
     PoissonSpec,
     PowerCutoffKernel,
     ProcessSpec,
@@ -33,7 +32,7 @@ from .core import (
     WeightedEnsemble,
     mean_function,
 )
-from .processes import sample_ensemble, sample_paths, values_at
+from .processes import _conv_values, sample_ensemble, sample_paths, values_at
 from .randkit import (
     RngStream,
     sample_gamma,
@@ -145,8 +144,6 @@ def visible_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) 
     if isinstance(spec, (PoissonSpec, TemperedStableSpec, SatoSpec)):
         return values_at(rng, spec, np.minimum(pts, a), n)
     if isinstance(spec, ConvSpec):
-        from .processes import _conv_values
-
         return _conv_values(rng, spec, pts, n, jump_filter=lambda s: spec.kernel(a - s) > 0)
     raise TypeError(f"no decomposition for {type(spec).__name__}")
 
@@ -165,25 +162,8 @@ def hidden_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) -
         vals = values_at(rng, spec, aug, n)
         return vals[:, :-1] - vals[:, -1:]
     if isinstance(spec, ConvSpec):
-        from .processes import _conv_values
-
         return _conv_values(rng, spec, pts, n, jump_filter=lambda s: spec.kernel(a - s) <= 0)
     raise TypeError(f"no decomposition for {type(spec).__name__}")
-
-
-def sample_tilt_companion(rng: RngStream, spec: ProcessSpec, a: float, grid: TimeGrid) -> Path:
-    """One realization of the tilting companion on the grid."""
-    return Path(grid, tuple(companion_values(rng, spec, a, grid.points, 1)[0]))
-
-
-def sample_visible_component(rng: RngStream, spec: ProcessSpec, a: float, grid: TimeGrid) -> Path:
-    """One realization of the component alive at a."""
-    return Path(grid, tuple(visible_values(rng, spec, a, grid.points, 1)[0]))
-
-
-def sample_hidden_component(rng: RngStream, spec: ProcessSpec, a: float, grid: TimeGrid) -> Path:
-    """One realization of the conditional law given psi(a) = 0."""
-    return Path(grid, tuple(hidden_values(rng, spec, a, grid.points, 1)[0]))
 
 
 def tilted_ensemble(
@@ -208,7 +188,6 @@ def verify_tilting_identity(
     panel: LevyFunctionalPanel,
     n: int,
     z_crit: float = 3.0,
-    b: int = 500,
     workers: int = 1,
 ) -> IdentityReport:
     """Size-biased psi against psi + companion, on independent streams."""
@@ -221,8 +200,8 @@ def verify_tilting_identity(
         workers,
     )
     rhs_ens = WeightedEnsemble(grid, base + add)
-    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel, b)
-    rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel, b)
+    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel)
+    rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel)
     return build_identity_report(
         "tilting", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n
     )
@@ -236,7 +215,6 @@ def verify_decomposition_identity(
     panel: LevyFunctionalPanel,
     n: int,
     z_crit: float = 3.0,
-    b: int = 500,
     workers: int = 1,
 ) -> IdentityReport:
     """psi against hidden + visible components drawn independently."""
@@ -256,8 +234,8 @@ def verify_decomposition_identity(
     )
     lhs_ens = WeightedEnsemble(grid, lhs_vals)
     rhs_ens = WeightedEnsemble(grid, hid + vis)
-    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel, b)
-    rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel, b)
+    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel)
+    rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel)
     return build_identity_report(
         "decomposition", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n
     )

@@ -338,7 +338,6 @@ def levy_functional_mc(
     n: int,
     mixing_mean: float = 1.0,
     theta: float = 1.0,
-    b: int = 500,
 ) -> LevyEstimate:
     """Monte Carlo evaluation of nu(F) through the size-biased single-jump
     representations, with the SE of the sample mean.
@@ -369,7 +368,7 @@ def levy_functional_mc(
             RuntimeWarning,
             stacklevel=2,
         )
-    se = bootstrap_mean_se(x, b)
+    se = bootstrap_mean_se(x)
     return LevyEstimate(float(x.mean()), se, "probabilistic")
 
 
@@ -382,7 +381,6 @@ def laplace_exponent_check(
     panel: LevyFunctionalPanel,
     n: int,
     z_crit: float = 3.0,
-    b: int = 500,
     workers: int = 1,
 ) -> IdentityReport:
     """Empirical -log E exp(-sum alpha psi(t)) against the quadrature value
@@ -391,7 +389,7 @@ def laplace_exponent_check(
     grid = make_grid(times)
     values = sample_paths(rng.substream(1), spec, grid, n, workers)
     ens = WeightedEnsemble(grid, values)
-    est, se = weighted_laplace_panel(ens, panel, b)
+    est, se = weighted_laplace_panel(ens, panel)
     lhs = -np.log(est)
     lhs_se = se / est  # delta method for -log
     rhs = np.array([levy_functional_quadrature(spec, e).value for e in panel])

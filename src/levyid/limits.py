@@ -17,7 +17,6 @@ from .core import (
     ConvSpec,
     JumpLawSpec,
     LevyFunctionalPanel,
-    Path,
     PoissonSpec,
     ProcessSpec,
     SatoSpec,
@@ -63,15 +62,6 @@ def thinned_values(rng: RngStream, spec: ProcessSpec, delta: float, points, n: i
     return values_at(rng, thin, points, n)
 
 
-def sample_thinned(rng: RngStream, spec: ProcessSpec, delta: float, grid: TimeGrid) -> Path:
-    """One path of the delta-thinned process on the grid."""
-    return Path(grid, tuple(thinned_values(rng, spec, delta, grid.points, 1)[0]))
-
-
-def thinned_mean(spec: ProcessSpec, delta: float, t: float) -> float:
-    return delta * mean_function(spec, t)
-
-
 @dataclass
 class LimitReport:
     """Gap trajectory along the delta ladder plus the final-step verdict."""
@@ -112,7 +102,6 @@ def verify_thinning_limit(
     deltas=DEFAULT_DELTAS,
     n_max: int = 2_000_000,
     z_crit: float = 3.0,
-    b: int = 500,
     workers: int = 1,
 ) -> LimitReport:
     """Walk the ladder, tilt each thinned ensemble at a, and compare to the
@@ -152,7 +141,7 @@ def verify_thinning_limit(
         n_target,
         workers,
     )
-    t_est, t_se = weighted_laplace_panel(WeightedEnsemble(grid, target_vals), panel, b)
+    t_est, t_se = weighted_laplace_panel(WeightedEnsemble(grid, target_vals), panel)
     ia = int(grid.index_of([a])[0])
     distances, distance_ses, n_used, esses = [], [], [], []
     final_z = []
@@ -167,7 +156,7 @@ def verify_thinning_limit(
         )
         weights = vals[:, ia] / (delta * mean_a)
         ens = WeightedEnsemble(grid, vals, weights)
-        est, se = weighted_laplace_panel(ens, panel, b)
+        est, se = weighted_laplace_panel(ens, panel)
         gaps = np.abs(est - t_est)
         j = int(np.argmax(gaps))
         distances.append(float(gaps[j]))

@@ -162,18 +162,17 @@ def _factor(matrix: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def sample_permanental(rng: RngStream, green: GreenMatrix, beta: float, size=None) -> np.ndarray:
-    """Permanental vectors for beta in {1/2, 1}: one or two independent
-    squared centered Gaussian fields with covariance `green`."""
+def sample_permanental(rng: RngStream, green: GreenMatrix, beta: float, size: int) -> np.ndarray:
+    """(size, n) permanental vectors for beta in {1/2, 1}: one or two
+    independent squared centered Gaussian fields with covariance `green`."""
     if beta not in (0.5, 1.0):
         raise ValueError("beta must be 1/2 or 1")
-    n = 1 if size is None else int(size)
     L = _factor(green.matrix)
     gen = rng.generator
-    out = (gen.standard_normal((n, green.n)) @ L.T) ** 2
+    out = (gen.standard_normal((size, green.n)) @ L.T) ** 2
     if beta == 1.0:
-        out += (gen.standard_normal((n, green.n)) @ L.T) ** 2
-    return out[0] if size is None else out
+        out += (gen.standard_normal((size, green.n)) @ L.T) ** 2
+    return out
 
 
 def _simulate_local_times(rng: RngStream, chain: KilledChain, start: int, n: int):
@@ -219,20 +218,18 @@ def _simulate_local_times(rng: RngStream, chain: KilledChain, start: int, n: int
     raise RuntimeError("chain simulation exceeded the step budget")
 
 
-def sample_total_sojourns(rng: RngStream, chain: KilledChain, start: int, size=None) -> np.ndarray:
+def sample_total_sojourns(rng: RngStream, chain: KilledChain, start: int, size: int) -> np.ndarray:
     """Sojourn times over the full lifetime; E equals the Green row of `start`."""
-    n = 1 if size is None else int(size)
-    full, _ = _simulate_local_times(rng, chain, start, n)
-    return full[0] if size is None else full
+    full, _ = _simulate_local_times(rng, chain, start, size)
+    return full
 
 
-def sample_local_times(rng: RngStream, chain: KilledChain, a: int, size=None) -> np.ndarray:
+def sample_local_times(rng: RngStream, chain: KilledChain, a: int, size: int) -> np.ndarray:
     """Local time field of the chain from a killed at its last visit to a."""
     if not 0 <= a < chain.n:
         raise ValueError("a must be a state index")
-    n = 1 if size is None else int(size)
-    _, pinned = _simulate_local_times(rng, chain, a, n)
-    return pinned[0] if size is None else pinned
+    _, pinned = _simulate_local_times(rng, chain, a, size)
+    return pinned
 
 
 def _green_array(green) -> np.ndarray:
@@ -272,7 +269,6 @@ def verify_permanental_identity(
     panel: LevyFunctionalPanel | None = None,
     n: int = 100_000,
     z_crit: float = 3.0,
-    b: int = 500,
 ) -> IdentityReport:
     """Index-1 permanental field with the Green kernel against the
     conditional field (kernel killed at a) plus twice the pinned local times.
@@ -290,8 +286,8 @@ def verify_permanental_identity(
     rhs_vals = cond + 2.0 * local
     lhs_ens = WeightedEnsemble(grid, lhs_vals)
     rhs_ens = WeightedEnsemble(grid, rhs_vals)
-    lhs, lhs_se = weighted_laplace_panel(lhs_ens, half, b)
-    rhs, rhs_se = weighted_laplace_panel(rhs_ens, half, b)
+    lhs, lhs_se = weighted_laplace_panel(lhs_ens, half)
+    rhs, rhs_se = weighted_laplace_panel(rhs_ens, half)
     return build_identity_report(
         "permanental", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n,
         notes={"a": a},
@@ -304,7 +300,6 @@ def levy_functional_permanental(
     m_weights,
     entry: PanelEntry,
     n: int,
-    b: int = 500,
 ):
     """Monte Carlo evaluation of the permanental Levy functional
 
@@ -340,7 +335,7 @@ def levy_functional_permanental(
         f = -np.expm1(-0.5 * (2.0 * local[:, states] @ alphas))
         contrib = np.where(bad, 0.0, m.sum() * g[a, a] * f / np.where(bad, 1.0, denom))
         x[rows] = contrib
-    se = bootstrap_mean_se(x, b)
+    se = bootstrap_mean_se(x)
     return LevyEstimate(float(x.mean()), se, "permanental-mc")
 
 

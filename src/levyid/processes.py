@@ -18,13 +18,11 @@ import numpy as np
 from .core import (
     ConvSpec,
     JumpLawSpec,
-    Path,
     PoissonSpec,
     ProcessSpec,
     SatoSpec,
     TemperedStableSpec,
     TimeGrid,
-    mean_function,
 )
 from .randkit import DT_MAX, RngStream, _jump_block, _tempered_stable_block
 
@@ -201,37 +199,3 @@ def sample_paths(
     return sample_ensemble(
         lambda stream, m: values_at(stream, spec, grid.points, m), rng, n, workers
     )
-
-
-def _single(spec, rng, grid, monotone: bool) -> Path:
-    vals = values_at(rng, spec, grid.points, 1)[0]
-    if monotone and np.any(np.diff(vals) < 0):
-        raise AssertionError("sampler produced a decreasing path")
-    return Path(grid, tuple(vals))
-
-
-def sample_poisson_path(rng: RngStream, spec: PoissonSpec, grid: TimeGrid) -> Path:
-    """One Poisson counting path on the grid."""
-    return _single(spec, rng, grid, monotone=True)
-
-
-def sample_ts_path(rng: RngStream, spec: TemperedStableSpec, grid: TimeGrid) -> Path:
-    """One tempered stable subordinator path on the grid."""
-    return _single(spec, rng, grid, monotone=True)
-
-
-def sample_sato_path(rng: RngStream, spec: SatoSpec, grid: TimeGrid) -> Path:
-    """One self-similar additive path on the grid."""
-    return _single(spec, rng, grid, monotone=True)
-
-
-def sample_conv_path(rng: RngStream, spec: ConvSpec, grid: TimeGrid) -> Path:
-    """One moving-average path on the grid (not monotone in general)."""
-    return _single(spec, rng, grid, monotone=False)
-
-
-def ensemble_mean_check(spec: ProcessSpec, grid: TimeGrid, values: np.ndarray):
-    """Convenience diagnostic: empirical vs analytic means per grid point."""
-    emp = values.mean(axis=0)
-    ana = np.array([mean_function(spec, t) for t in grid.points])
-    return emp, ana

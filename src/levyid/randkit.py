@@ -49,32 +49,21 @@ class RngStream:
         return RngStream(self.seed, self.stream_id, self.path + tags)
 
 
-def _size(n):
-    return 1 if n is None else int(n)
-
-
-def _ret(x, size):
-    return float(x[0]) if size is None else x
-
-
-def sample_uniform(rng: RngStream, size=None):
+def sample_uniform(rng: RngStream, size: int) -> np.ndarray:
     """Uniform draws on [0, 1)."""
-    x = rng.generator.random(_size(size))
-    return _ret(x, size)
+    return rng.generator.random(size)
 
 
-def sample_exponential(rng: RngStream, mean: float = 1.0, size=None):
+def sample_exponential(rng: RngStream, mean: float, size: int) -> np.ndarray:
     if mean <= 0:
         raise ValueError("mean must be positive")
-    x = mean * rng.generator.standard_exponential(_size(size))
-    return _ret(x, size)
+    return mean * rng.generator.standard_exponential(size)
 
 
-def sample_gamma(rng: RngStream, shape: float, rate: float = 1.0, size=None):
+def sample_gamma(rng: RngStream, shape: float, rate: float, size: int) -> np.ndarray:
     if shape <= 0 or rate <= 0:
         raise ValueError("shape and rate must be positive")
-    x = rng.generator.gamma(shape, 1.0 / rate, _size(size))
-    return _ret(x, size)
+    return rng.generator.gamma(shape, 1.0 / rate, size)
 
 
 def _positive_stable(gen: np.random.Generator, alpha: float, t: float, n: int) -> np.ndarray:
@@ -93,14 +82,13 @@ def _positive_stable(gen: np.random.Generator, alpha: float, t: float, n: int) -
     return t ** (1.0 / alpha) * s
 
 
-def sample_positive_stable(rng: RngStream, alpha: float, t: float = 1.0, size=None):
+def sample_positive_stable(rng: RngStream, alpha: float, t: float, size: int) -> np.ndarray:
     """Positive stable law with E exp(-u X) = exp(-t u^alpha), 0 < alpha < 1."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if t <= 0:
         raise ValueError("t must be positive")
-    x = _positive_stable(rng.generator, alpha, t, _size(size))
-    return _ret(x, size)
+    return _positive_stable(rng.generator, alpha, t, size)
 
 
 def _tempered_stable_block(gen: np.random.Generator, alpha: float, dt: float, n: int) -> np.ndarray:
@@ -116,7 +104,9 @@ def _tempered_stable_block(gen: np.random.Generator, alpha: float, dt: float, n:
     return out
 
 
-def sample_tempered_stable_increment(rng: RngStream, alpha: float, dt: float, size=None):
+def sample_tempered_stable_increment(
+    rng: RngStream, alpha: float, dt: float, size: int
+) -> np.ndarray:
     """Increment with E exp(-u X) = exp(dt (1 - (1+u)^alpha)).
 
     dt must not exceed DT_MAX; subdivide longer steps and sum.
@@ -127,8 +117,7 @@ def sample_tempered_stable_increment(rng: RngStream, alpha: float, dt: float, si
         raise ValueError("dt must be positive")
     if dt > DT_MAX:
         raise ValueError(f"dt={dt} exceeds DT_MAX={DT_MAX}; subdivide the step")
-    x = _tempered_stable_block(rng.generator, alpha, dt, _size(size))
-    return _ret(x, size)
+    return _tempered_stable_block(rng.generator, alpha, dt, size)
 
 
 def _jump_block(gen: np.random.Generator, law: JumpLaw, n: int) -> np.ndarray:
@@ -144,10 +133,9 @@ def _jump_block(gen: np.random.Generator, law: JumpLaw, n: int) -> np.ndarray:
     return gen.choice(xs, size=n, p=ps / ps.sum())
 
 
-def sample_jump(rng: RngStream, law: JumpLaw, size=None):
+def sample_jump(rng: RngStream, law: JumpLaw, size: int) -> np.ndarray:
     """Draw jump sizes from a JumpLaw."""
-    x = _jump_block(rng.generator, law, _size(size))
-    return _ret(x, size)
+    return _jump_block(rng.generator, law, size)
 
 
 def _size_biased_block(gen: np.random.Generator, law, n: int) -> np.ndarray:
@@ -167,7 +155,7 @@ def _size_biased_block(gen: np.random.Generator, law, n: int) -> np.ndarray:
     return gen.choice(xs, size=n, p=w / w.sum())
 
 
-def sample_size_biased_jump(rng: RngStream, law, size=None):
+def sample_size_biased_jump(rng: RngStream, law, size: int) -> np.ndarray:
     """Draw from the size-biased jump law x * law(dx) / mean.
 
     `law` is a JumpLaw or, for the tempered stable jump measure, a
@@ -175,5 +163,4 @@ def sample_size_biased_jump(rng: RngStream, law, size=None):
     """
     if not isinstance(law, (JumpLaw, TemperedStableSpec)):
         raise TypeError("law must be a JumpLaw or TemperedStableSpec")
-    x = _size_biased_block(rng.generator, law, _size(size))
-    return _ret(x, size)
+    return _size_biased_block(rng.generator, law, size)

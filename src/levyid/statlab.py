@@ -15,7 +15,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import LevyFunctionalPanel, PanelEntry, WeightedEnsemble
-from .randkit import RngStream
 
 
 def laplace_values(ensemble: WeightedEnsemble, entry: PanelEntry) -> np.ndarray:
@@ -26,16 +25,14 @@ def laplace_values(ensemble: WeightedEnsemble, entry: PanelEntry) -> np.ndarray:
 
 
 def weighted_laplace_panel(
-    ensemble: WeightedEnsemble,
-    panel: LevyFunctionalPanel,
-    b: int = 500,
-    rng: RngStream | None = None,
+    ensemble: WeightedEnsemble, panel: LevyFunctionalPanel, b: int = 500
 ):
     """Self-normalized estimates and linearized SEs for every panel entry.
 
     se_k = sqrt(sum_i w_i^2 (v_ik - est_k)^2) / sum_i w_i; fewer than two
-    paths give se 0. `b` and `rng` are accepted for compatibility with the
-    former bootstrap and have no effect.
+    paths give se 0. The estimates are invariant under rescaling all
+    weights by a positive constant. `b` is kept from the former bootstrap
+    and has no effect.
     """
     w = ensemble.weights
     sw = w.sum()
@@ -52,25 +49,10 @@ def weighted_laplace_panel(
     return est, se
 
 
-def weighted_laplace(
-    ensemble: WeightedEnsemble,
-    entry: PanelEntry,
-    b: int = 500,
-    rng: RngStream | None = None,
-) -> tuple[float, float]:
-    """Self-normalized weighted Laplace estimate with linearized SE.
-
-    Invariant under rescaling all weights by a positive constant.
-    """
-    est, se = weighted_laplace_panel(ensemble, LevyFunctionalPanel((entry,)), b, rng)
-    return float(est[0]), float(se[0])
-
-
-def bootstrap_mean_se(x: np.ndarray, b: int = 500, rng: RngStream | None = None) -> float:
+def bootstrap_mean_se(x: np.ndarray, b: int = 500) -> float:
     """SE of a plain mean, std(x) / sqrt(n); fewer than two values give 0.
 
-    The name and the ignored `b` and `rng` are kept from the former
-    bootstrap.
+    The name and the ignored `b` are kept from the former bootstrap.
     """
     x = np.asarray(x, float)
     if x.size < 2:

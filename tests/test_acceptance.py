@@ -66,7 +66,7 @@ def test_01_tilting_exact_oracle(capsys):
     panel = LevyFunctionalPanel((PanelEntry(alphas=(1.0,), times=(1.0,)),))
     rep = verify_tilting_identity(
         RngStream(801), PoissonSpec(rate=1.0), 1.0, make_grid([1.0]), panel,
-        n=200_000, b=400,
+        n=200_000,
     )
     # size-biased unit Poisson at t = 1: E[N e^{-N}] / E[N] = e^{1/e - 2}
     want = math.exp(math.exp(-1.0) - 2.0)
@@ -89,7 +89,7 @@ def test_02_decomposition_closed_form(capsys):
     ))
     rep = verify_decomposition_identity(
         RngStream(802), PoissonSpec(rate=1.0), 1.0, make_grid([0.5, 1.0, 1.5]),
-        panel, n=150_000, b=400,
+        panel, n=150_000,
     )
     ok = rep.overall_pass
     for k, e in enumerate(panel):
@@ -116,7 +116,7 @@ def test_03_laplace_exponent_all_families(capsys):
     ok, worst = True, 0.0
     for i, (name, spec) in enumerate(FAMILIES):
         rep = laplace_exponent_check(
-            RngStream(803, i), spec, panel, n=100_000, z_crit=4.0, b=300
+            RngStream(803, i), spec, panel, n=100_000, z_crit=4.0
         )
         worst = max(worst, float(np.max(np.abs(rep.z))))
         ok = ok and bool(np.all(np.abs(rep.z) <= 4.0))
@@ -199,7 +199,7 @@ def test_08_permanental_battery(capsys):
     )
     ok = True
     for i, chain in enumerate(chains):
-        rep = verify_permanental_identity(RngStream(808, i), chain, 0, n=200_000, b=300)
+        rep = verify_permanental_identity(RngStream(808, i), chain, 0, n=200_000)
         ok = ok and bool(np.all(np.abs(rep.z) <= 3.0))
         # pinned sojourn means: E L(x) = g(0, x) g(x, 0) / g(0, 0)
         want = local_time_mean(green_matrix(chain), 0)
@@ -224,7 +224,7 @@ def test_09_thinning_limit(capsys):
         ("poisson", PoissonSpec(rate=1.0), 700),
         ("tempered-stable", TemperedStableSpec(alpha=0.5), 706),
     ):
-        rep = verify_thinning_limit(RngStream(seed), spec, 1.0, grid, panel, n=100, b=400)
+        rep = verify_thinning_limit(RngStream(seed), spec, 1.0, grid, panel, n=100)
         assert tuple(rep.deltas) == (1.0, 0.3, 0.1, 0.03)
         ok = ok and rep.monotone_pass and rep.final_pass and rep.overall_pass
     _stamp(capsys, "09 thinning-limit convergence", ok)

@@ -448,9 +448,30 @@ class TestBadInputExitsTwo:
         # which json.load accepts
         (["verify-isonat"], dict(BASE, mc={"N": 200, "z_crit": math.inf})),
         (["verify-isonat"], dict(BASE, mc={"N": 200, "z_crit": math.nan})),
+        (["simulate"], dict(BASE, mc={"N": 200}, seed="x")),
+        (["simulate"], dict(BASE, mc={"N": 200}, seed=None)),
+        (["simulate"], dict(BASE, mc={"N": 200}, seed=[])),
+        (["simulate"], dict(BASE, mc={"N": 200}, seed=2.5)),
+        (["simulate"], dict(BASE, mc={"N": 200}, seed=2**64)),
+        (["suite"], {"jobs": [{"command": "simulate",
+                               "config": dict(BASE, mc={"N": 200}, seed="x")}]}),
+        (["permanental"], {"process": PERM, "mc": {"N": 200}, "identity": {"a": "x"}}),
+        (["simulate"], dict(BASE, mc={"N": 2.5})),
+        (["simulate"], dict(BASE, mc={"N": 200, "B": 2.5})),
+        (["limit"], dict(BASE, limit={"n": "x"})),
+        (["limit"], dict(BASE, limit={"n": 2.5})),
+        (["limit"], dict(BASE, limit={"n_max": "x"})),
+        (["limit"], dict(BASE, limit={"n_max": 2.5})),
+        (["limit"], dict(BASE, limit={"deltas": 2.5})),
+        (["levy-check"], dict(BASE, mc={"N": 200}, levy={"n": 100, "mixing_mean": -1})),
+        (["levy-check"], dict(BASE, mc={"N": 200}, levy={"n": 100, "theta": -1})),
     ], ids=["split_a-negative", "kill-all-zero", "sato-cutoff-levy", "sato-cutoff-simulate",
             "levy-n-string", "levy-n-zero", "levy-n-fraction", "split_a-scalar",
-            "z_crit-inf", "z_crit-nan"])
+            "z_crit-inf", "z_crit-nan", "seed-string", "seed-null", "seed-list",
+            "seed-fraction", "seed-above-64-bits", "job-seed-string",
+            "permanental-a-string", "N-fraction", "B-fraction", "limit-n-string",
+            "limit-n-fraction", "limit-n_max-string", "limit-n_max-fraction",
+            "limit-deltas-scalar", "mixing_mean-negative", "theta-negative"])
     def test_exit_two_one_line(self, tmp_path, argv, cfg):
         proc = subprocess.run(
             [sys.executable, "-m", "levyid", *argv,
@@ -470,7 +491,7 @@ class TestZeroSeVerdicts:
     LEVY = dict(BASE, mc={"N": 2000}, levy={"n": 100})
 
     def test_representation_equal_to_rounding_passes(self, tmp_path, monkeypatch):
-        def exact(rng, spec, entry, n, mixing_mean=1.0, theta=1.0, b=500):
+        def exact(rng, spec, entry, n, mixing_mean=1.0, theta=1.0):
             q = levy_functional_quadrature(spec, entry).value
             return LevyEstimate(float(np.nextafter(q, np.inf)), 0.0, "probabilistic")
 
@@ -481,7 +502,7 @@ class TestZeroSeVerdicts:
         assert all(e["z"] == 0.0 for e in reprs["entries"])
 
     def test_mixing_invariance_unequal_exact_values_fail(self, tmp_path, monkeypatch):
-        def exact(rng, spec, entry, n, mixing_mean=1.0, theta=1.0, b=500):
+        def exact(rng, spec, entry, n, mixing_mean=1.0, theta=1.0):
             return LevyEstimate(0.1 * mixing_mean, 0.0, "probabilistic")
 
         monkeypatch.setattr(cli, "levy_functional_mc", exact)
@@ -491,7 +512,7 @@ class TestZeroSeVerdicts:
         assert all(e["z"] == "inf" for e in mix["entries"])
 
     def test_permanental_marginal_equal_to_oracle_passes(self, tmp_path, monkeypatch):
-        def exact(rng, chain, m_weights, entry, n, b=500):
+        def exact(rng, chain, m_weights, entry, n):
             g = green_matrix(chain).matrix
             return LevyEstimate(marginal_levy_functional(g, 1.0, int(entry.times[0])),
                                 0.0, "permanental-mc")

@@ -13,7 +13,6 @@ from levyid.core import (
     JumpLawSpec,
     LevyFunctionalPanel,
     PanelEntry,
-    Path,
     PermanentalSpec,
     PoissonSpec,
     PowerCutoffKernel,
@@ -62,20 +61,6 @@ class TestTimeGrid:
     def test_any_sorted_positive_points_accepted(self, pts):
         g = make_grid(sorted(pts))
         assert g.index_of(sorted(pts)).tolist() == list(range(len(pts)))
-
-
-class TestPath:
-    def test_values_match_grid(self, grid):
-        p = Path(grid, (0.0, 1.0, 1.0, 2.0))
-        assert p.values == (0.0, 1.0, 1.0, 2.0)
-
-    def test_rejects_length_mismatch(self, grid):
-        with pytest.raises(ValueError):
-            Path(grid, (1.0,))
-
-    def test_rejects_negative_values(self, grid):
-        with pytest.raises(ValueError):
-            Path(grid, (0.0, -1.0, 0.0, 0.0))
 
 
 class TestJumpLaw:

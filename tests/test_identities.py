@@ -21,9 +21,6 @@ from levyid.core import (
 from levyid.identities import (
     companion_values,
     hidden_values,
-    sample_hidden_component,
-    sample_tilt_companion,
-    sample_visible_component,
     tilted_ensemble,
     verify_decomposition_identity,
     verify_tilting_identity,
@@ -131,9 +128,9 @@ class TestComponentStructure:
 
     def test_path_helpers(self, rng):
         spec = PoissonSpec(rate=1.0)
-        for fn in (sample_tilt_companion, sample_visible_component, sample_hidden_component):
-            p = fn(rng.substream(11), spec, 1.0, GRID)
-            assert len(p.values) == len(GRID)
+        for fn in (companion_values, visible_values, hidden_values):
+            p = fn(rng.substream(11), spec, 1.0, GRID.points, 1)
+            assert p.shape == (1, len(GRID))
 
 
 def _spec_cases():
@@ -157,13 +154,13 @@ def _spec_cases():
 class TestVerifiersAcrossFamilies:
     def test_tilting(self, idx, name, spec):
         rep = verify_tilting_identity(
-            RngStream(101, idx), spec, 1.0, GRID, PANEL, n=40_000, b=200
+            RngStream(101, idx), spec, 1.0, GRID, PANEL, n=40_000
         )
         assert rep.overall_pass, rep.to_dict()
 
     def test_decomposition(self, idx, name, spec):
         rep = verify_decomposition_identity(
-            RngStream(102, idx), spec, 1.0, GRID, PANEL, n=40_000, b=200
+            RngStream(102, idx), spec, 1.0, GRID, PANEL, n=40_000
         )
         assert rep.overall_pass, rep.to_dict()
 
@@ -171,7 +168,7 @@ class TestVerifiersAcrossFamilies:
 class TestReportContents:
     def test_tilting_report_fields(self):
         rep = verify_tilting_identity(
-            RngStream(103), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=10_000, b=100
+            RngStream(103), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=10_000
         )
         assert rep.label == "tilting"
         assert rep.n == 10_000
@@ -186,10 +183,10 @@ class TestReportContents:
 
     def test_deterministic_given_stream(self):
         r1 = verify_tilting_identity(
-            RngStream(105), TemperedStableSpec(0.5), 1.0, GRID, PANEL, n=5000, b=100
+            RngStream(105), TemperedStableSpec(0.5), 1.0, GRID, PANEL, n=5000
         )
         r2 = verify_tilting_identity(
-            RngStream(105), TemperedStableSpec(0.5), 1.0, GRID, PANEL, n=5000, b=100
+            RngStream(105), TemperedStableSpec(0.5), 1.0, GRID, PANEL, n=5000
         )
         assert np.array_equal(r1.lhs, r2.lhs)
         assert np.array_equal(r1.z, r2.z)

@@ -176,7 +176,7 @@ class TestLaplaceExponentCheck:
                 PanelEntry(alphas=(0.5, 1.5), times=(0.5, 2.0)),
             )
         )
-        rep = laplace_exponent_check(RngStream(310, idx), spec, panel, n=60_000, b=200)
+        rep = laplace_exponent_check(RngStream(310, idx), spec, panel, n=60_000)
         assert rep.overall_pass, rep.to_dict()
         assert np.all(rep.rhs_se == 0)
 

@@ -14,11 +14,10 @@ from levyid.core import (
     SatoSpec,
     TemperedStableSpec,
     make_grid,
+    mean_function,
 )
 from levyid.limits import (
     DEFAULT_DELTAS,
-    sample_thinned,
-    thinned_mean,
     thinned_spec,
     thinned_values,
     verify_thinning_limit,
@@ -69,7 +68,7 @@ class TestThinnedValues:
         vals = thinned_values(rng.substream(0), PoissonSpec(rate=1.0), 0.2, [2.0], 100_000)
         se = vals.std() / math.sqrt(vals.size) + 1e-12
         assert abs(vals.mean() - 0.4) <= 4 * se
-        assert thinned_mean(PoissonSpec(rate=1.0), 0.2, 2.0) == pytest.approx(0.4)
+        assert 0.2 * mean_function(PoissonSpec(rate=1.0), 2.0) == pytest.approx(0.4)
 
     def test_ts_clock_scaling(self, rng):
         # the delta-thinned subordinator at t has the original law at delta t:
@@ -84,15 +83,15 @@ class TestThinnedValues:
         assert abs(lap.mean() - want) <= 4 * se_l
 
     def test_sample_thinned_path(self, rng):
-        p = sample_thinned(rng.substream(2), PoissonSpec(rate=1.0), 0.5, GRID)
-        assert len(p.values) == len(GRID)
-        assert all(b >= a for a, b in zip(p.values, p.values[1:]))
+        p = thinned_values(rng.substream(2), PoissonSpec(rate=1.0), 0.5, GRID.points, 1)[0]
+        assert len(p) == len(GRID)
+        assert all(b >= a for a, b in zip(p, p[1:]))
 
 
 class TestVerifyThinningLimit:
     def test_poisson_converges(self):
         rep = verify_thinning_limit(
-            RngStream(500), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=100, b=300
+            RngStream(500), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=100
         )
         assert rep.overall_pass, rep.to_dict()
         assert rep.final_pass and rep.monotone_pass
@@ -105,14 +104,14 @@ class TestVerifyThinningLimit:
 
     def test_ts_converges(self):
         rep = verify_thinning_limit(
-            RngStream(501), TemperedStableSpec(alpha=0.5), 1.0, GRID, PANEL, n=100, b=300
+            RngStream(501), TemperedStableSpec(alpha=0.5), 1.0, GRID, PANEL, n=100
         )
         assert rep.overall_pass, rep.to_dict()
 
     def test_rung_sizes_autoscale(self):
         rep = verify_thinning_limit(
             RngStream(502), PoissonSpec(rate=1.0), 1.0, GRID, PANEL,
-            n=100, deltas=(1.0, 0.25), b=100
+            n=100, deltas=(1.0, 0.25)
         )
         assert rep.n_used == [100, 400]
         # effective sample size stays near the base on both rungs
@@ -121,7 +120,7 @@ class TestVerifyThinningLimit:
     def test_report_shapes(self):
         rep = verify_thinning_limit(
             RngStream(502), PoissonSpec(rate=1.0), 1.0, GRID, PANEL,
-            n=100, deltas=(1.0, 0.5), b=100
+            n=100, deltas=(1.0, 0.5)
         )
         assert rep.deltas == [1.0, 0.5]
         assert len(rep.n_used) == 2 and len(rep.ess) == 2
@@ -135,7 +134,7 @@ class TestVerifyThinningLimit:
     def test_cap_collapse_is_flagged(self):
         rep = verify_thinning_limit(
             RngStream(507), PoissonSpec(rate=1.0), 1.0, GRID, PANEL,
-            n=100, deltas=(1.0, 0.02), n_max=200, b=100
+            n=100, deltas=(1.0, 0.02), n_max=200
         )
         # the cap squeezes the last rung to 200 draws, so its ESS collapses
         assert rep.n_used == [100, 200]
@@ -157,10 +156,10 @@ class TestVerifyThinningLimit:
 
     def test_deterministic(self):
         r1 = verify_thinning_limit(
-            RngStream(506), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=100, b=100
+            RngStream(506), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=100
         )
         r2 = verify_thinning_limit(
-            RngStream(506), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=100, b=100
+            RngStream(506), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=100
         )
         assert r1.distances == r2.distances
         assert r1.final_z == r2.final_z
@@ -179,9 +178,7 @@ class TestVerifyThinningLimit:
                 lambda stream, m: companion_values(stream, spec, 1.0, GRID.points, m),
                 RngStream(seed), 20_000,
             )
-            est, se = weighted_laplace_panel(
-                WeightedEnsemble(GRID, vals), PANEL, 200, RngStream(seed + 10)
-            )
+            est, se = weighted_laplace_panel(WeightedEnsemble(GRID, vals), PANEL)
             ests.append((est, se))
         (e1, s1), (e2, s2) = ests
         assert all(abs(a - b) <= 3 * math.hypot(x, y)

@@ -20,12 +20,8 @@ from levyid.core import (
 )
 from levyid.processes import (
     required_cutoff,
-    sample_conv_path,
     sample_ensemble,
     sample_paths,
-    sample_poisson_path,
-    sample_sato_path,
-    sample_ts_path,
     values_at,
 )
 from levyid.randkit import RngStream
@@ -55,9 +51,9 @@ class TestPoisson:
         assert np.array_equal(vals, np.round(vals))
 
     def test_single_path_helper(self, rng, grid):
-        p = sample_poisson_path(rng.substream(2), PoissonSpec(rate=1.0), grid)
-        assert p.grid is grid
-        assert len(p.values) == len(grid)
+        p = values_at(rng.substream(2), PoissonSpec(rate=1.0), grid.points, 1)
+        assert p.shape == (1, len(grid))
+        assert np.all(np.diff(p[0]) >= 0)
 
 
 class TestTemperedStable:
@@ -80,8 +76,8 @@ class TestTemperedStable:
     def test_monotone(self, rng, grid):
         vals = values_at(rng.substream(6), TemperedStableSpec(alpha=0.4), grid.points, 3000)
         assert np.all(np.diff(vals, axis=1) >= 0)
-        p = sample_ts_path(rng.substream(7), TemperedStableSpec(alpha=0.4), grid)
-        assert all(b >= a for a, b in zip(p.values, p.values[1:]))
+        p = values_at(rng.substream(7), TemperedStableSpec(alpha=0.4), grid.points, 1)[0]
+        assert all(b >= a for a, b in zip(p, p[1:]))
 
 
 class TestSato:
@@ -105,7 +101,8 @@ class TestSato:
         spec = SatoSpec(H=0.8, bdlp=JumpLawSpec(rate=2.0, law=JumpLaw.gamma(1.5, 2.0)))
         vals = values_at(rng.substream(11), spec, grid.points, 3000)
         assert np.all(np.diff(vals, axis=1) >= -1e-12)
-        sample_sato_path(rng.substream(12), spec, grid)
+        p = values_at(rng.substream(12), spec, grid.points, 1)[0]
+        assert len(p) == len(grid) and np.all(np.diff(p) >= 0)
 
     def test_cutoff_too_small_rejected(self, rng, grid):
         spec = SatoSpec(
@@ -147,7 +144,8 @@ class TestConv:
         )
         vals = values_at(rng.substream(16), spec, grid.points, 3000)
         assert np.all(vals >= 0)
-        sample_conv_path(rng.substream(17), spec, grid)
+        p = values_at(rng.substream(17), spec, grid.points, 1)[0]
+        assert len(p) == len(grid) and np.all(np.isfinite(p) & (p >= 0))
 
     def test_ts_driver_mean(self, rng):
         spec = ConvSpec(kernel=IndicatorKernel(length=2.0), z=TemperedStableSpec(alpha=0.6))

@@ -43,10 +43,6 @@ class TestStreams:
         y = sample_uniform(r.substream(1), 100_000)
         assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
 
-    def test_scalar_when_size_none(self):
-        u = sample_uniform(RngStream(1))
-        assert np.isscalar(u) or u.shape == ()
-
 
 class TestBasicLaws:
     def test_uniform_mean(self, rng):

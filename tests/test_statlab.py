@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levyid.core import LevyFunctionalPanel, PanelEntry, TimeGrid, WeightedEnsemble
-from levyid.randkit import RngStream
 from levyid.statlab import (
     IdentityReport,
     bonferroni_crit,
@@ -15,7 +14,6 @@ from levyid.statlab import (
     compare,
     effective_sample_size,
     laplace_values,
-    weighted_laplace,
     weighted_laplace_panel,
 )
 
@@ -27,6 +25,11 @@ def _ensemble(seed=5, n=4000, weights=None):
     vals = np.cumsum(incs, axis=1)
     w = np.ones(n) if weights is None else weights
     return WeightedEnsemble(grid=grid, values=vals, weights=w)
+
+
+def _single_entry(ens, entry):
+    est, se = weighted_laplace_panel(ens, LevyFunctionalPanel((entry,)))
+    return est[0], se[0]
 
 
 class TestLaplaceValues:
@@ -47,7 +50,7 @@ class TestWeightedLaplace:
     def test_unit_weights_reduce_to_mean(self):
         ens = _ensemble()
         entry = PanelEntry(alphas=(1.0,), times=(1.0,))
-        est, se = weighted_laplace(ens, entry, b=200, rng=RngStream(3))
+        est, se = _single_entry(ens, entry)
         direct = laplace_values(ens, entry).mean()
         assert est == pytest.approx(direct, abs=1e-14)
         assert 0 < se < 0.05
@@ -59,15 +62,15 @@ class TestWeightedLaplace:
             grid=ens.grid, values=ens.values, weights=c * ens.weights
         )
         entry = PanelEntry(alphas=(1.0,), times=(2.0,))
-        e1, _ = weighted_laplace(ens, entry, b=10, rng=RngStream(4))
-        e2, _ = weighted_laplace(scaled, entry, b=10, rng=RngStream(4))
+        e1, _ = _single_entry(ens, entry)
+        e2, _ = _single_entry(scaled, entry)
         assert e1 == pytest.approx(e2, rel=1e-12)
 
     def test_rejects_zero_weights(self):
         ens = _ensemble(n=10, weights=np.zeros(10))
         entry = PanelEntry(alphas=(1.0,), times=(1.0,))
         with pytest.raises(ValueError, match="weights"):
-            weighted_laplace(ens, entry, b=10)
+            _single_entry(ens, entry)
 
     def test_panel_shares_resamples(self):
         ens = _ensemble()
@@ -77,7 +80,7 @@ class TestWeightedLaplace:
                 PanelEntry(alphas=(1.0,), times=(1.0,)),
             )
         )
-        est, se = weighted_laplace_panel(ens, panel, b=100, rng=RngStream(6))
+        est, se = weighted_laplace_panel(ens, panel)
         # identical entries must get identical estimates and SEs
         assert est[0] == est[1]
         assert se[0] == se[1]
@@ -88,7 +91,7 @@ class TestWeightedLaplace:
         entry = PanelEntry(alphas=(1.0,), times=(0.5,))
         vals = laplace_values(ens, entry)
         want = vals.std() / math.sqrt(vals.size)
-        _, se = weighted_laplace(ens, entry, b=400, rng=RngStream(8))
+        _, se = _single_entry(ens, entry)
         assert 0.6 * want < se < 1.6 * want
 
 
@@ -96,13 +99,13 @@ class TestBootstrapMeanSe:
     def test_matches_classical_rate(self):
         gen = np.random.default_rng(11)
         x = gen.normal(0.0, 2.0, size=10_000)
-        se = bootstrap_mean_se(x, b=400, rng=RngStream(12))
+        se = bootstrap_mean_se(x)
         want = x.std() / math.sqrt(x.size)
         assert 0.7 * want < se < 1.4 * want
 
     def test_deterministic_with_default_stream(self):
         x = np.arange(100, dtype=float)
-        assert bootstrap_mean_se(x, b=50) == bootstrap_mean_se(x, b=50)
+        assert bootstrap_mean_se(x) == bootstrap_mean_se(x)
 
 
 class TestCompare:

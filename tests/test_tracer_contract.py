@@ -1,0 +1,93 @@
+"""The benchmark tracer binds package functions by name from outside.
+
+`perfbench/tracer.py` wraps every `TARGETS` function of each `levyid`
+module and reads the work each call was handed from its bound arguments
+(`WORK`). A deleted function or a renamed parameter would break `--trace 1`
+runs without touching any other test, so this checks the names here.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from levyid import cli
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no __pycache__ next to the tracer
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+tracer = _load_tracer()
+
+
+class _Any:
+    """Stand-in argument value: sized, multipliable, with any attribute."""
+
+    def __len__(self):
+        return 1
+
+    def __getattr__(self, name):
+        return self
+
+    def __mul__(self, other):
+        return 1
+
+    __rmul__ = __mul__
+
+
+class _Recorder(dict):
+    """Bound-argument mapping that records the names a work measure reads:
+    `args[k]` must be a parameter, of `args.get(k, ...)` names one must be."""
+
+    def __init__(self):
+        super().__init__()
+        self.required, self.optional = set(), set()
+
+    def __getitem__(self, key):
+        self.required.add(key)
+        return _Any()
+
+    def get(self, key, default=None):
+        self.optional.add(key)
+        return default
+
+
+TARGETS = [(layer, name) for layer, names in tracer.TARGETS.items() for name in names]
+
+
+@pytest.mark.parametrize("layer,name", TARGETS, ids=[f"{lay}.{n}" for lay, n in TARGETS])
+def test_target_exists_with_bound_arguments(layer, name):
+    fn = getattr(importlib.import_module(f"levyid.{layer}"), name, None)
+    assert callable(fn), f"levyid.{layer}.{name} is gone"
+    params = set(inspect.signature(fn).parameters)
+    if name in tracer.WORK:
+        args = _Recorder()
+        tracer.WORK[name][1](args)
+        assert args.required <= params, (name, args.required - params)
+        assert not args.optional or args.optional & params, (name, args.optional)
+    if name == "sample_ensemble":
+        assert "fn" in params  # the tracer re-parents the chunk function's spans
+
+
+def test_every_work_entry_is_a_target():
+    assert set(tracer.WORK) <= {name for _, name in TARGETS}
+
+
+def test_job_handlers_table():
+    assert isinstance(cli._JOB_HANDLERS, dict) and cli._JOB_HANDLERS
+    assert all(callable(fn) for fn in cli._JOB_HANDLERS.values())
