@@ -82,7 +82,7 @@ class TestThinnedValues:
         want = math.exp(d * t * (1.0 - 2.0**al))
         assert abs(lap.mean() - want) <= 4 * se_l
 
-    def test_sample_thinned_path(self, rng):
+    def test_thinned_single_path(self, rng):
         p = thinned_values(rng.substream(2), PoissonSpec(rate=1.0), 0.5, GRID.points, 1)[0]
         assert len(p) == len(GRID)
         assert all(b >= a for a, b in zip(p, p[1:]))
