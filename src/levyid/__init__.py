@@ -44,7 +44,6 @@ from .levymeasure import (
 from .limits import LimitReport, verify_thinning_limit
 from .permanental import (
     GreenMatrix,
-    KilledChain,
     green_matrix,
     levy_functional_permanental,
     sample_local_times,
@@ -73,7 +72,6 @@ __all__ = [
     "JumpLaw",
     "JumpLawSpec",
     "Kernel",
-    "KilledChain",
     "LevyConditionReport",
     "LevyEstimate",
     "LevyFunctionalPanel",

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
@@ -65,7 +67,6 @@ from .permanental import (
     permanental_mean,
     sample_local_times,
     sample_permanental,
-    spec_to_chain,
     verify_permanental_identity,
 )
 from .processes import _resolve_cutoff, sample_ensemble, values_at
@@ -91,6 +92,16 @@ class ConfigError(Exception):
     """Malformed or inconsistent configuration input."""
 
 
+@contextmanager
+def _config_errors(what=None):
+    """Report a ValueError or TypeError raised while building a config
+    object as a ConfigError, prefixed with `what` when given."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}" if what else str(exc)) from exc
+
+
 def _get(section, key, default=None, required=False):
     if not isinstance(section, dict):
         raise ConfigError(f"expected an object while looking for {key!r}")
@@ -102,20 +113,27 @@ def _get(section, key, default=None, required=False):
 
 
 def _num(value, key):
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} must be a number") from exc
+    if not isinstance(value, bool):  # float(True) is 1.0, but JSON true is no number
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"config key {key!r} must be a number")
 
 
 def _count(value, key, least=1):
     """A whole number >= least; integral floats such as 5000.0 are accepted
     and JSON integers stay exact (seeds use all 64 bits)."""
-    x = value if isinstance(value, int) else _num(value, key)
+    exact = isinstance(value, int) and not isinstance(value, bool)
+    x = value if exact else _num(value, key)
     if not (x >= least and (isinstance(x, int) or (math.isfinite(x) and x == int(x)))):
         sign = "positive" if least == 1 else "nonnegative"
         raise ConfigError(f"config key {key!r} must be a {sign} integer")
     return int(x)
+
+
+def _nums(values, key) -> tuple:
+    return tuple(_num(v, key) for v in values)
 
 
 def _seed(value):
@@ -132,55 +150,48 @@ def _positive(value, key):
     return x
 
 
+# kind -> (constructor, numeric keys in argument order)
+_LAWS = {
+    "exponential": (JumpLaw.exponential, ("mean",)),
+    "gamma": (JumpLaw.gamma, ("shape", "rate")),
+    "constant": (JumpLaw.constant, ("value",)),
+}
+_KERNELS = {
+    "indicator": (IndicatorKernel, ("length",)),
+    "exp-decay": (ExpDecayKernel, ("decay",)),
+    "power-cutoff": (PowerCutoffKernel, ("power", "length")),
+}
+
+
+def _from_table(obj, kind, table, what):
+    if kind not in table:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    make, keys = table[kind]
+    return make(*(_num(_get(obj, k, required=True), k) for k in keys))
+
+
 def parse_law(obj) -> JumpLaw:
     kind = _get(obj, "kind", required=True)
-    try:
-        if kind == "exponential":
-            return JumpLaw.exponential(_num(_get(obj, "mean", required=True), "mean"))
-        if kind == "gamma":
-            return JumpLaw.gamma(
-                _num(_get(obj, "shape", required=True), "shape"),
-                _num(_get(obj, "rate", required=True), "rate"),
-            )
-        if kind == "constant":
-            return JumpLaw.constant(_num(_get(obj, "value", required=True), "value"))
+    with _config_errors("bad jump law"):
         if kind == "discrete":
             atoms = _get(obj, "atoms", required=True)
-            return JumpLaw.discrete(tuple((float(x), float(p)) for x, p in atoms))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad jump law: {exc}") from exc
-    raise ConfigError(f"unknown jump-law kind {kind!r}")
+            return JumpLaw.discrete(tuple((_num(x, "atoms"), _num(p, "atoms"))
+                                          for x, p in atoms))
+        return _from_table(obj, kind, _LAWS, "jump-law")
 
 
 def parse_kernel(obj) -> Kernel:
     kind = _get(obj, "kind", required=True)
-    try:
-        if kind == "indicator":
-            return IndicatorKernel(_num(_get(obj, "length", required=True), "length"))
-        if kind == "exp-decay":
-            return ExpDecayKernel(_num(_get(obj, "decay", required=True), "decay"))
-        if kind == "power-cutoff":
-            return PowerCutoffKernel(
-                _num(_get(obj, "power", required=True), "power"),
-                _num(_get(obj, "length", required=True), "length"),
-            )
+    with _config_errors("bad kernel"):
         if kind == "tabulated":
-            return TabulatedKernel(
-                tuple(float(x) for x in _get(obj, "knots", required=True)),
-                tuple(float(v) for v in _get(obj, "values", required=True)),
-            )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kernel: {exc}") from exc
-    raise ConfigError(f"unknown kernel kind {kind!r}")
+            return TabulatedKernel(_nums(_get(obj, "knots", required=True), "knots"),
+                                   _nums(_get(obj, "values", required=True), "values"))
+        return _from_table(obj, kind, _KERNELS, "kernel")
 
 
 def parse_process(obj) -> ProcessSpec:
     family = _get(obj, "family", required=True)
-    try:
+    with _config_errors("bad process spec"):
         if family == "poisson":
             rate = obj.get("lambda", obj.get("rate"))
             if rate is None:
@@ -198,7 +209,7 @@ def parse_process(obj) -> ProcessSpec:
             return SatoSpec(
                 _num(_get(obj, "H", required=True), "H"),
                 bdlp,
-                None if cutoff is None else _num(cutoff, "cutoff"),
+                None if cutoff is None else _positive(cutoff, "cutoff"),
             )
         if family == "conv":
             kernel = parse_kernel(_get(obj, "kernel", required=True))
@@ -212,20 +223,11 @@ def parse_process(obj) -> ProcessSpec:
                 )
             return ConvSpec(kernel, z)
         if family == "permanental":
-            rates = _get(obj, "rates", required=True)
-            kill = _get(obj, "kill", required=True)
-            beta = _num(obj.get("beta", 1.0), "beta")
-            spec = PermanentalSpec(
-                tuple(tuple(float(r) for r in row) for row in rates),
-                tuple(float(k) for k in kill),
-                beta,
+            return PermanentalSpec(
+                tuple(_nums(row, "rates") for row in _get(obj, "rates", required=True)),
+                _nums(_get(obj, "kill", required=True), "kill"),
+                _num(obj.get("beta", 1.0), "beta"),
             )
-            spec_to_chain(spec)  # raises unless the chain is transient
-            return spec
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad process spec: {exc}") from exc
     raise ConfigError(f"unknown process family {family!r}")
 
 
@@ -248,77 +250,66 @@ def default_panel(points) -> LevyFunctionalPanel:
 def parse_panel(obj, points) -> LevyFunctionalPanel:
     if obj is None:
         return default_panel(points)
-    try:
-        entries = tuple(
-            PanelEntry(
-                tuple(float(a) for a in _get(e, "alphas", required=True)),
-                tuple(float(t) for t in _get(e, "times", required=True)),
-            )
+    with _config_errors("bad panel"):
+        return LevyFunctionalPanel(tuple(
+            PanelEntry(_nums(_get(e, "alphas", required=True), "alphas"),
+                       _nums(_get(e, "times", required=True), "times"))
             for e in obj
-        )
-        return LevyFunctionalPanel(entries)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad panel: {exc}") from exc
-
-
-def _check_panel_on_grid(panel: LevyFunctionalPanel, grid: TimeGrid) -> None:
-    for entry in panel:
-        for t in entry.times:
-            if not grid.contains(t):
-                raise ConfigError(f"panel time {t} is not a grid point")
+        ))
 
 
 def _parse_mc(cfg):
+    """N, z_crit and the resolved mc block. B is still parsed and echoed,
+    but standard errors are linearized and do not resample."""
     mc = cfg.get("mc", {})
     n = _count(_get(mc, "N", DEFAULT_N), "N")
     b = _count(_get(mc, "B", DEFAULT_B), "B")
-    z = _positive(_get(mc, "z_crit", DEFAULT_Z), "z_crit")
-    return n, b, z
-
-
-def _resolved_mc(n, b, z_crit) -> dict:
-    """The resolved mc block. B is still parsed and echoed, but standard
-    errors are linearized and do not resample; n None leaves N out."""
-    mc = {"B": b, "z_crit": z_crit, "se": "linearized"}
-    if n is not None:
-        mc["N"] = n
-    return mc
+    z_crit = _positive(_get(mc, "z_crit", DEFAULT_Z), "z_crit")
+    return n, z_crit, {"N": n, "B": b, "z_crit": z_crit, "se": "linearized"}
 
 
 def _parse_grid(cfg) -> TimeGrid:
-    pts = cfg.get("grid", list(DEFAULT_GRID))
-    try:
-        return make_grid([float(p) for p in pts])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
+    with _config_errors("bad grid"):
+        return make_grid(_nums(cfg.get("grid", DEFAULT_GRID), "grid"))
 
 
 def _parse_a(cfg, grid: TimeGrid) -> float:
     pts = list(grid.points)
     a = _get(cfg.get("identity", {}), "a", pts[(len(pts) - 1) // 2])
     a = _num(a, "a")
-    if not grid.contains(a):
+    # an infinite a would match the last grid point: the tolerance scales with |a|
+    if not (math.isfinite(a) and grid.contains(a)):
         raise ConfigError(f"identity point a={a} is not a grid point")
     return a
 
 
-def _grid_spec(cfg) -> ProcessSpec:
+def _grid_job(cfg, pinned):
+    """Parse the sections every time-indexed job shares: process, grid, the
+    pin a (when `pinned`, else None), panel and mc. Returns (spec, grid, a,
+    panel, N, z_crit, resolved), resolved being their report config block."""
     spec = parse_process(_get(cfg, "process", required=True))
     if isinstance(spec, PermanentalSpec):
         raise ConfigError("this command works on time-indexed families; "
                           "use the 'permanental' subcommand")
-    return spec
+    grid = _parse_grid(cfg)
+    a = _parse_a(cfg, grid) if pinned else None
+    panel = parse_panel(cfg.get("panel"), grid.points)
+    off_grid = [t for e in panel for t in e.times if not grid.contains(t)]
+    if off_grid:
+        raise ConfigError(f"panel time {off_grid[0]} is not a grid point")
+    n, z_crit, mc = _parse_mc(cfg)
+    resolved = {"process": cfg["process"], "grid": list(grid.points),
+                "panel": _panel_dicts(panel), "mc": mc}
+    if pinned:
+        resolved["identity"] = {"a": a}
+    return spec, grid, a, panel, n, z_crit, resolved
 
 
 def _check_cutoff(spec: ProcessSpec, points) -> None:
     """A fixed Sato cutoff must cover the times the command samples."""
     if isinstance(spec, SatoSpec):
-        try:
+        with _config_errors("sato"):
             _resolve_cutoff(spec, points)
-        except ValueError as exc:
-            raise ConfigError(f"sato {exc}") from exc
 
 
 def _sampler_notes(spec: ProcessSpec) -> dict:
@@ -365,14 +356,14 @@ def _report_csv(report: IdentityReport):
 
 def _cmd_simulate(cfg, seed, workers):
     spec = parse_process(_get(cfg, "process", required=True))
-    n, b, z_crit = _parse_mc(cfg)
+    n, z_crit, mc = _parse_mc(cfg)
+    resolved = {"process": cfg["process"], "mc": mc}
     rng = RngStream(seed)
     if isinstance(spec, PermanentalSpec):
-        chain = spec_to_chain(spec)
-        green = green_matrix(chain)
+        green = green_matrix(spec)
         draws = sample_permanental(rng.substream(0), green, spec.beta, size=n)
         expected = permanental_mean(green.matrix, spec.beta)
-        labels = [f"state_{j}" for j in range(chain.n)]
+        labels = [f"state_{j}" for j in range(spec.n)]
     else:
         grid = _parse_grid(cfg)
         _check_cutoff(spec, grid.points)
@@ -381,59 +372,32 @@ def _cmd_simulate(cfg, seed, workers):
         )
         expected = np.array([mean_function(spec, t) for t in grid.points])
         labels = [f"t_{t:g}" for t in grid.points]
+        resolved["grid"] = list(grid.points)
     moments, ok = _moment_check(draws, expected, "point", labels, z_crit)
     results = {"moments": moments, "n": n, "pass": ok}
     notes = _sampler_notes(spec)
     if notes:
         results["notes"] = notes
-    resolved = {
-        "process": cfg["process"],
-        "mc": _resolved_mc(n, b, z_crit),
-    }
-    if not isinstance(spec, PermanentalSpec):
-        resolved["grid"] = [float(t) for t in grid.points]
     csv_payload = (["path"] + labels,
                    [[i] + list(row) for i, row in enumerate(draws)])
     return resolved, results, ok, csv_payload
 
 
-def _identity_command(cfg, seed, workers, verifier):
-    spec = _grid_spec(cfg)
-    grid = _parse_grid(cfg)
-    a = _parse_a(cfg, grid)
-    panel = parse_panel(cfg.get("panel"), grid.points)
-    _check_panel_on_grid(panel, grid)
-    n, b, z_crit = _parse_mc(cfg)
-    try:
+def _identity_command(cfg, seed, workers, identity):
+    spec, grid, a, panel, n, z_crit, resolved = _grid_job(cfg, pinned=True)
+    # looked up per call, so a rebinding of the module attribute (a test
+    # double, the benchmark tracer) takes effect
+    verifier = {"tilting": verify_tilting_identity,
+                "decomposition": verify_decomposition_identity}[identity]
+    with _config_errors():
         report = verifier(RngStream(seed), spec, a, grid, panel,
                           n, z_crit=z_crit, workers=workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     report.notes.update(_sampler_notes(spec))
-    resolved = {
-        "process": cfg["process"],
-        "grid": [float(t) for t in grid.points],
-        "identity": {"a": a},
-        "panel": _panel_dicts(panel),
-        "mc": _resolved_mc(n, b, z_crit),
-    }
     return resolved, report.to_dict(), report.overall_pass, _report_csv(report)
 
 
-def _cmd_verify_isonat(cfg, seed, workers):
-    return _identity_command(cfg, seed, workers, verify_tilting_identity)
-
-
-def _cmd_verify_condition(cfg, seed, workers):
-    return _identity_command(cfg, seed, workers, verify_decomposition_identity)
-
-
 def _cmd_levy_check(cfg, seed, workers):
-    spec = _grid_spec(cfg)
-    grid = _parse_grid(cfg)
-    panel = parse_panel(cfg.get("panel"), grid.points)
-    _check_panel_on_grid(panel, grid)
-    n, b, z_crit = _parse_mc(cfg)
+    spec, grid, _, panel, n, z_crit, resolved = _grid_job(cfg, pinned=False)
     levy = cfg.get("levy", {})
     n_mc = _count(_get(levy, "n", max(1, n // 2)), "n")
     mixing_mean = _positive(_get(levy, "mixing_mean", MIXING_MEANS[0]), "mixing_mean")
@@ -506,14 +470,8 @@ def _cmd_levy_check(cfg, seed, workers):
                                         "pass": bool(mix_ok)}
         ok = ok and mix_ok
 
-    resolved = {
-        "process": cfg["process"],
-        "grid": [float(t) for t in grid.points],
-        "panel": _panel_dicts(panel),
-        "mc": _resolved_mc(n, b, z_crit),
-        "levy": {"n": n_mc, "mixing_mean": mixing_mean, "theta": theta,
-                 "split_a": split_a},
-    }
+    resolved["levy"] = {"n": n_mc, "mixing_mean": mixing_mean, "theta": theta,
+                        "split_a": split_a}
     return resolved, results, ok, _report_csv(lap)
 
 
@@ -521,35 +479,34 @@ def _cmd_permanental(cfg, seed, workers):
     spec = parse_process(_get(cfg, "process", required=True))
     if not isinstance(spec, PermanentalSpec):
         raise ConfigError("the permanental command needs a permanental process")
-    chain = spec_to_chain(spec)
-    green = green_matrix(chain)
-    n, b, z_crit = _parse_mc(cfg)
+    green = green_matrix(spec)
+    n, z_crit, mc = _parse_mc(cfg)
     a = _count(_get(cfg.get("identity", {}), "a", 0), "a", least=0)
-    if a >= chain.n:
+    if a >= spec.n:
         raise ConfigError(f"identity state a={a} must be a state index")
     panel_cfg = cfg.get("panel")
-    panel = (default_state_panel(chain.n, a) if panel_cfg is None
-             else parse_panel(panel_cfg, range(chain.n)))
+    panel = (default_state_panel(spec.n, a) if panel_cfg is None
+             else parse_panel(panel_cfg, range(spec.n)))
     for entry in panel:
         for t in entry.times:
-            if t != int(t) or not 0 <= int(t) < chain.n:
+            if t not in range(spec.n):  # NaN and infinity are in no range
                 raise ConfigError(f"panel state {t} out of range")
     rng = RngStream(seed)
 
-    report = verify_permanental_identity(rng.substream(0), chain, a, panel,
+    report = verify_permanental_identity(rng.substream(0), spec, a, panel,
                                          n, z_crit=z_crit)
 
-    loc = sample_local_times(rng.substream(1), chain, a, size=n)
+    loc = sample_local_times(rng.substream(1), spec, a, size=n)
     loc_rows, loc_ok = _moment_check(loc, local_time_mean(green.matrix, a), "state",
-                                     range(chain.n), z_crit)
+                                     range(spec.n), z_crit)
 
-    m_weights = np.ones(chain.n)
+    m_weights = np.ones(spec.n)
     n_nu = min(n, 50_000)
     marg = []
     marg_ok = True
-    for x in range(chain.n):
+    for x in range(spec.n):
         entry = PanelEntry((1.0,), (float(x),))
-        est = levy_functional_permanental(rng.substream(2, x), chain,
+        est = levy_functional_permanental(rng.substream(2, x), spec,
                                           m_weights, entry, n_nu)
         oracle = marginal_levy_functional(green.matrix, 1.0, x)
         zk, ok_x = compare((est.value, est.se), (oracle, 0.0), REPR_Z)
@@ -564,46 +521,29 @@ def _cmd_permanental(cfg, seed, workers):
         "levy_marginals": {"states": marg, "z_crit": REPR_Z, "n": n_nu,
                            "pass": bool(marg_ok)},
     }
-    resolved = {
-        "process": cfg["process"],
-        "identity": {"a": a},
-        "panel": _panel_dicts(panel),
-        "mc": _resolved_mc(n, b, z_crit),
-    }
+    resolved = {"process": cfg["process"], "identity": {"a": a},
+                "panel": _panel_dicts(panel), "mc": mc}
     return resolved, results, ok, _report_csv(report)
 
 
 def _cmd_limit(cfg, seed, workers):
-    spec = _grid_spec(cfg)
-    grid = _parse_grid(cfg)
-    a = _parse_a(cfg, grid)
-    panel = parse_panel(cfg.get("panel"), grid.points)
-    _check_panel_on_grid(panel, grid)
-    _, b, z_crit = _parse_mc(cfg)
-    lim = cfg.get("limit", {})
+    spec, grid, a, panel, _, z_crit, resolved = _grid_job(cfg, pinned=True)
     # the ladder has its own base size: per-rung samples grow as n/delta, and
     # mc.N (sized for direct identity checks) would swamp the O(delta)
-    # residual the final rung is allowed to carry
+    # residual the final rung is allowed to carry; so N is not echoed
+    del resolved["mc"]["N"]
+    lim = cfg.get("limit", {})
     n = _count(_get(lim, "n", DEFAULT_LIMIT_N), "n")
     deltas = _get(lim, "deltas", list(DEFAULT_DELTAS))
     if not isinstance(deltas, list):
         raise ConfigError("limit.deltas must be a list of thinning factors")
     deltas = [_num(d, "deltas") for d in deltas]
     n_max = _count(_get(lim, "n_max", 2_000_000), "n_max")
-    try:
+    with _config_errors():
         report = verify_thinning_limit(RngStream(seed), spec, a, grid, panel, n,
                                        deltas=deltas, n_max=n_max,
                                        z_crit=z_crit, workers=workers)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    resolved = {
-        "process": cfg["process"],
-        "grid": [float(t) for t in grid.points],
-        "identity": {"a": a},
-        "panel": _panel_dicts(panel),
-        "mc": _resolved_mc(None, b, z_crit),
-        "limit": {"deltas": deltas, "n": n, "n_max": n_max},
-    }
+    resolved["limit"] = {"deltas": deltas, "n": n, "n_max": n_max}
     header = ["delta", "n_used", "distance", "distance_se", "ess"]
     rows = [[report.deltas[k], report.n_used[k], report.distances[k],
              report.distance_ses[k], report.ess[k]]
@@ -642,8 +582,8 @@ def _cmd_suite(cfg, seed, workers):
 
 _JOB_HANDLERS.update({
     "simulate": _cmd_simulate,
-    "verify-isonat": _cmd_verify_isonat,
-    "verify-condition": _cmd_verify_condition,
+    "verify-isonat": functools.partial(_identity_command, identity="tilting"),
+    "verify-condition": functools.partial(_identity_command, identity="decomposition"),
     "levy-check": _cmd_levy_check,
     "permanental": _cmd_permanental,
     "limit": _cmd_limit,

@@ -437,7 +437,12 @@ class ConvSpec:
 
 @dataclass(frozen=True)
 class PermanentalSpec:
-    """Finite-state permanental process: symmetric killed chain plus index beta."""
+    """Finite-state permanental process: a symmetric killed chain on
+    {0..n-1} (jump rates and killing rates) plus the index beta.
+
+    Transience is required: from every state some positive killing rate
+    must be reachable through the jump graph.
+    """
 
     rates: tuple[tuple[float, ...], ...]
     kill: tuple[float, ...]
@@ -455,10 +460,34 @@ class PermanentalSpec:
             raise ValueError("kill vector length must match the state count")
         if self.beta not in (0.5, 1.0):
             raise ValueError("beta must be 1/2 or 1")
+        if any(rates[i][i] != 0 for i in range(n)):
+            raise ValueError("diagonal jump rates must be zero")
+        flat = [v for row in rates for v in row] + list(kill)
+        if not all(0 <= v < math.inf for v in flat):  # NaN fails too
+            raise ValueError("rates must be nonnegative and finite")
+        if any(rates[i][j] != rates[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("jump rates must be symmetric")
+        # killing must be reachable from every state
+        good = {i for i in range(n) if kill[i] > 0}
+        frontier = good
+        while frontier:
+            frontier = {j for j in range(n) if j not in good
+                        and any(rates[j][k] > 0 for k in good)}
+            good |= frontier
+        if len(good) < n:
+            raise ValueError("chain is not transient: killing unreachable from some state")
 
     @property
     def n(self) -> int:
         return len(self.rates)
+
+    @property
+    def rate_matrix(self) -> np.ndarray:
+        return np.asarray(self.rates, dtype=float)
+
+    @property
+    def total_rates(self) -> np.ndarray:
+        return self.rate_matrix.sum(axis=1) + np.asarray(self.kill)
 
 
 ProcessSpec = Union[PoissonSpec, TemperedStableSpec, SatoSpec, ConvSpec, PermanentalSpec]

@@ -446,9 +446,9 @@ def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) ->
     from scipy.special import exp1
 
     if isinstance(spec, PermanentalSpec):
-        from .permanental import green_matrix, spec_to_chain
+        from .permanental import green_matrix
 
-        g = green_matrix(spec_to_chain(spec)).matrix
+        g = green_matrix(spec).matrix
         points = list(range(spec.n)) if grid is None else [int(p) for p in grid.points]
         values = []
         for x in points:

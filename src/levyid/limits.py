@@ -169,13 +169,10 @@ def verify_thinning_limit(
         if k == len(deltas) - 1:
             final_z = [compare((e, s), (t, ts), z_crit)[0]
                        for e, s, t, ts in zip(est, se, t_est, t_se)]
-    # the verdict gates the reported distance itself: the worst entry's gap
-    # against its own pooled SE (per-entry z values stay in the report as
-    # diagnostics)
-    if distance_ses[-1] > 0:
-        final_pass = bool(distances[-1] <= z_crit * distance_ses[-1])
-    else:
-        final_pass = bool(distances[-1] <= 1e-12 * max(1.0, float(np.max(np.abs(t_est)))))
+            # the verdict gates the reported distance itself: the worst
+            # entry's gap against its own pooled SE (per-entry z values stay
+            # in the report as diagnostics)
+            final_pass = bool(compare((est[j], se[j]), (t_est[j], t_se[j]), z_crit)[1])
     monotone = True
     for k in range(len(deltas) - 1):
         slack = 2.0 * float(np.hypot(distance_ses[k], distance_ses[k + 1]))

@@ -38,65 +38,6 @@ _PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class KilledChain:
-    """Continuous-time chain on {0..n-1} with jump rates and killing rates.
-
-    Transience is required: from every state some positive killing rate
-    must be reachable through the jump graph.
-    """
-
-    rates: tuple[tuple[float, ...], ...]
-    kill: tuple[float, ...]
-
-    def __post_init__(self):
-        rates = tuple(tuple(float(v) for v in row) for row in self.rates)
-        kill = tuple(float(v) for v in self.kill)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "kill", kill)
-        n = len(rates)
-        if n == 0 or any(len(row) != n for row in rates):
-            raise ValueError("rates must be a square matrix")
-        if len(kill) != n:
-            raise ValueError("kill must have one rate per state")
-        if any(rates[i][i] != 0 for i in range(n)):
-            raise ValueError("diagonal jump rates must be zero")
-        if any(v < 0 for row in rates for v in row) or any(v < 0 for v in kill):
-            raise ValueError("rates must be nonnegative")
-        if any(rates[i][j] != rates[j][i] for i in range(n) for j in range(i)):
-            raise ValueError("jump rates must be symmetric")
-        # killing must be reachable from every state
-        good = {i for i in range(n) if kill[i] > 0}
-        frontier = set(good)
-        while frontier:
-            nxt = set()
-            for j in range(n):
-                if j in good:
-                    continue
-                if any(rates[j][k] > 0 and k in good for k in range(n)):
-                    nxt.add(j)
-            good |= nxt
-            frontier = nxt
-        if len(good) < n:
-            raise ValueError("chain is not transient: killing unreachable from some state")
-
-    @property
-    def n(self) -> int:
-        return len(self.rates)
-
-    @property
-    def rate_matrix(self) -> np.ndarray:
-        return np.asarray(self.rates, dtype=float)
-
-    @property
-    def total_rates(self) -> np.ndarray:
-        return self.rate_matrix.sum(axis=1) + np.asarray(self.kill)
-
-
-def spec_to_chain(spec: PermanentalSpec) -> KilledChain:
-    return KilledChain(spec.rates, spec.kill)
-
-
-@dataclass(frozen=True)
 class GreenMatrix:
     """Symmetric positive semidefinite kernel with its state count."""
 
@@ -119,16 +60,13 @@ class GreenMatrix:
         return self.matrix.shape[0]
 
 
-def green_matrix(chain: KilledChain) -> GreenMatrix:
+def green_matrix(chain: PermanentalSpec) -> GreenMatrix:
     """Expected sojourn times g(x, y) = E_x[time spent at y], as a matrix.
 
-    Only symmetric rate matrices are accepted; the Green matrix is then
-    symmetric and positive definite.
+    The chain's jump rates are symmetric, so the Green matrix is symmetric
+    and positive definite.
     """
-    r = chain.rate_matrix
-    if not np.allclose(r, r.T, atol=1e-12 * max(1.0, r.max(initial=0.0))):
-        raise ValueError("jump rates must be symmetric")
-    m = np.diag(chain.total_rates) - r
+    m = np.diag(chain.total_rates) - chain.rate_matrix
     try:
         g = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
@@ -175,7 +113,7 @@ def sample_permanental(rng: RngStream, green: GreenMatrix, beta: float, size: in
     return out
 
 
-def _simulate_local_times(rng: RngStream, chain: KilledChain, start: int, n: int):
+def _simulate_local_times(rng: RngStream, chain: PermanentalSpec, start: int, n: int):
     """Lockstep simulation of n independent chains from `start`.
 
     Returns (full, pinned): total sojourn times over the whole lifetime, and
@@ -218,13 +156,13 @@ def _simulate_local_times(rng: RngStream, chain: KilledChain, start: int, n: int
     raise RuntimeError("chain simulation exceeded the step budget")
 
 
-def sample_total_sojourns(rng: RngStream, chain: KilledChain, start: int, size: int) -> np.ndarray:
+def sample_total_sojourns(rng: RngStream, chain: PermanentalSpec, start: int, size: int) -> np.ndarray:
     """Sojourn times over the full lifetime; E equals the Green row of `start`."""
     full, _ = _simulate_local_times(rng, chain, start, size)
     return full
 
 
-def sample_local_times(rng: RngStream, chain: KilledChain, a: int, size: int) -> np.ndarray:
+def sample_local_times(rng: RngStream, chain: PermanentalSpec, a: int, size: int) -> np.ndarray:
     """Local time field of the chain from a killed at its last visit to a."""
     if not 0 <= a < chain.n:
         raise ValueError("a must be a state index")
@@ -264,7 +202,7 @@ def _state_grid(n: int):
 
 def verify_permanental_identity(
     rng: RngStream,
-    chain: KilledChain,
+    chain: PermanentalSpec,
     a: int,
     panel: LevyFunctionalPanel | None = None,
     n: int = 100_000,
@@ -296,7 +234,7 @@ def verify_permanental_identity(
 
 def levy_functional_permanental(
     rng: RngStream,
-    chain: KilledChain,
+    chain: PermanentalSpec,
     m_weights,
     entry: PanelEntry,
     n: int,

@@ -18,9 +18,9 @@ from levyid import (
     ExpDecayKernel,
     JumpLaw,
     JumpLawSpec,
-    KilledChain,
     LevyFunctionalPanel,
     PanelEntry,
+    PermanentalSpec,
     PoissonSpec,
     RngStream,
     SatoSpec,
@@ -190,9 +190,9 @@ def test_07_self_similar_scaling(capsys):
 def test_08_permanental_battery(capsys):
     t0 = time.perf_counter()
     chains = (
-        KilledChain(rates=((0.0,),), kill=(2.0,)),
-        KilledChain(rates=((0.0, 1.0), (1.0, 0.0)), kill=(0.5, 0.25)),
-        KilledChain(
+        PermanentalSpec(rates=((0.0,),), kill=(2.0,)),
+        PermanentalSpec(rates=((0.0, 1.0), (1.0, 0.0)), kill=(0.5, 0.25)),
+        PermanentalSpec(
             rates=((0.0, 1.0, 0.5), (1.0, 0.0, 1.0), (0.5, 1.0, 0.0)),
             kill=(0.25, 0.5, 0.75),
         ),

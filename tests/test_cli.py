@@ -465,13 +465,36 @@ class TestBadInputExitsTwo:
         (["limit"], dict(BASE, limit={"deltas": 2.5})),
         (["levy-check"], dict(BASE, mc={"N": 200}, levy={"n": 100, "mixing_mean": -1})),
         (["levy-check"], dict(BASE, mc={"N": 200}, levy={"n": 100, "theta": -1})),
+        # float(True) and isinstance(True, int) would read a JSON true as 1
+        (["simulate"], dict(BASE, process={"family": "poisson", "lambda": True},
+                            mc={"N": 200})),
+        (["simulate"], dict(BASE, mc={"N": True})),
+        (["simulate"], dict(BASE, mc={"N": 200}, seed=True)),
+        (["verify-isonat"], dict(BASE, grid=[True, 2.0], mc={"N": 200})),
+        # the chain checks live in PermanentalSpec, which parse_process builds
+        (["permanental"], {"process": dict(PERM, rates=[[1.0, 1.0], [1.0, 0.0]]),
+                           "mc": {"N": 200}}),
+        (["permanental"], {"process": dict(PERM, rates=[[0.0, 1.0], [2.0, 0.0]]),
+                           "mc": {"N": 200}}),
+        (["simulate"], {"process": dict(PERM, kill=[0.5, -0.25]), "mc": {"N": 200}}),
+        (["simulate"], {"process": dict(PERM, kill=[math.nan, 0.25]), "mc": {"N": 200}}),
+        (["permanental"], {"process": dict(PERM, rates=[[0.0, math.inf], [math.inf, 0.0]]),
+                           "mc": {"N": 200}}),
+        (["simulate"], {"process": dict(SATO, cutoff=math.nan), "mc": {"N": 200}}),
+        (["verify-condition"], dict(BASE, process={"family": "tempered-stable", "alpha": 0.5},
+                                    identity={"a": math.inf}, mc={"N": 200})),
+        (["permanental"], {"process": PERM, "mc": {"N": 200},
+                           "panel": [{"alphas": [1.0], "times": [math.nan]}]}),
     ], ids=["split_a-negative", "kill-all-zero", "sato-cutoff-levy", "sato-cutoff-simulate",
             "levy-n-string", "levy-n-zero", "levy-n-fraction", "split_a-scalar",
             "z_crit-inf", "z_crit-nan", "seed-string", "seed-null", "seed-list",
             "seed-fraction", "seed-above-64-bits", "job-seed-string",
             "permanental-a-string", "N-fraction", "B-fraction", "limit-n-string",
             "limit-n-fraction", "limit-n_max-string", "limit-n_max-fraction",
-            "limit-deltas-scalar", "mixing_mean-negative", "theta-negative"])
+            "limit-deltas-scalar", "mixing_mean-negative", "theta-negative",
+            "lambda-true", "N-true", "seed-true", "grid-entry-true", "chain-diagonal-nonzero",
+            "chain-asymmetric", "chain-kill-negative", "chain-kill-nan", "chain-rates-inf",
+            "sato-cutoff-nan", "identity-a-inf", "permanental-panel-state-nan"])
     def test_exit_two_one_line(self, tmp_path, argv, cfg):
         proc = subprocess.run(
             [sys.executable, "-m", "levyid", *argv,
@@ -554,6 +577,36 @@ class TestResolvedMc:
         _, r1 = _run(tmp_path, ["verify-isonat"], BASE)
         _, r2 = _run(tmp_path, ["verify-isonat"], dict(BASE, mc={"N": 20_000, "B": 7}))
         assert r1["results"] == r2["results"]
+
+
+class TestResolvedConfigFixedPoint:
+    """The config a report echoes is complete: run back with the same seed it
+    gives the same report."""
+
+    # every value differs from its default, so a section left out of the
+    # echo changes the second report
+    SMALL = dict(BASE, grid=[0.5, 1.0, 2.0], identity={"a": 0.5},
+                 mc={"N": 500, "B": 10, "z_crit": 2.5})
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("simulate", SMALL),
+        ("simulate", {"process": PERM, "mc": {"N": 500}}),
+        ("verify-isonat", SMALL),
+        ("verify-condition", dict(SMALL, process=SATO)),
+        ("levy-check", dict(SMALL, levy={"n": 200, "mixing_mean": 2.0, "theta": 0.5,
+                                         "split_a": [1.0]})),
+        ("permanental", {"process": dict(PERM, beta=0.5), "identity": {"a": 1},
+                         "mc": {"N": 500, "z_crit": 2.5}}),
+        ("limit", dict(SMALL, limit={"n": 20, "n_max": 400, "deltas": [1.0, 0.5]})),
+        ("suite", {"jobs": [{"name": "j", "command": "verify-isonat", "config": SMALL}]}),
+    ], ids=["simulate", "simulate-permanental", "isonat", "condition", "levy",
+            "permanental", "limit", "suite"])
+    def test_echoed_config_reproduces_report(self, tmp_path, command, cfg):
+        code1, rep1 = _run(tmp_path, [command, "--seed", "5"], cfg)
+        code2, rep2 = _run(tmp_path, [command, "--seed", "5"], rep1["config"])
+        rep1.pop("timestamp")
+        rep2.pop("timestamp")
+        assert code1 == code2 and rep1 == rep2
 
 
 class TestScipyOffImportPath:

@@ -6,7 +6,6 @@ import pytest
 from levyid.core import PanelEntry, PermanentalSpec
 from levyid.permanental import (
     GreenMatrix,
-    KilledChain,
     conditional_kernel,
     default_state_panel,
     green_matrix,
@@ -17,39 +16,42 @@ from levyid.permanental import (
     sample_local_times,
     sample_permanental,
     sample_total_sojourns,
-    spec_to_chain,
     verify_permanental_identity,
 )
 from levyid.randkit import RngStream
 
-CHAIN1 = KilledChain(rates=((0.0,),), kill=(2.0,))
-CHAIN2 = KilledChain(rates=((0.0, 1.0), (1.0, 0.0)), kill=(0.5, 0.25))
-CHAIN3 = KilledChain(
+CHAIN1 = PermanentalSpec(rates=((0.0,),), kill=(2.0,))
+CHAIN2 = PermanentalSpec(rates=((0.0, 1.0), (1.0, 0.0)), kill=(0.5, 0.25))
+CHAIN3 = PermanentalSpec(
     rates=((0.0, 1.0, 0.5), (1.0, 0.0, 1.0), (0.5, 1.0, 0.0)),
     kill=(0.25, 0.5, 0.75),
 )
 
 
 class TestKilledChain:
+    """PermanentalSpec is the killed chain: it validates the rates itself."""
+
     def test_validation(self):
         with pytest.raises(ValueError, match="square"):
-            KilledChain(rates=((0.0, 1.0),), kill=(1.0,))
+            PermanentalSpec(rates=((0.0, 1.0),), kill=(1.0,))
         with pytest.raises(ValueError, match="kill"):
-            KilledChain(rates=((0.0,),), kill=(1.0, 2.0))
+            PermanentalSpec(rates=((0.0,),), kill=(1.0, 2.0))
         with pytest.raises(ValueError, match="diagonal"):
-            KilledChain(rates=((1.0,),), kill=(1.0,))
+            PermanentalSpec(rates=((1.0,),), kill=(1.0,))
         with pytest.raises(ValueError, match="symmetric"):
-            KilledChain(rates=((0.0, 1.0), (2.0, 0.0)), kill=(1.0, 1.0))
+            PermanentalSpec(rates=((0.0, 1.0), (2.0, 0.0)), kill=(1.0, 1.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            PermanentalSpec(rates=((0.0,),), kill=(-1.0,))
 
     def test_transient_required(self):
         with pytest.raises(ValueError, match="transient"):
-            KilledChain(rates=((0.0, 1.0), (1.0, 0.0)), kill=(0.0, 0.0))
+            PermanentalSpec(rates=((0.0, 1.0), (1.0, 0.0)), kill=(0.0, 0.0))
 
-    def test_spec_roundtrip(self):
+    def test_rate_matrix_and_total_rates(self):
         spec = PermanentalSpec(rates=((0.0, 1.0), (1.0, 0.0)), kill=(0.5, 0.25), beta=1.0)
-        chain = spec_to_chain(spec)
-        assert chain.n == 2
-        assert np.array_equal(chain.rate_matrix, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert spec.n == 2
+        assert np.array_equal(spec.rate_matrix, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(spec.total_rates, np.array([1.5, 1.25]))
 
 
 class TestGreenMatrix:
