@@ -69,7 +69,7 @@ from .permanental import (
     sample_permanental,
     verify_permanental_identity,
 )
-from .processes import _resolve_cutoff, sample_ensemble, values_at
+from .processes import sample_paths
 from .randkit import RngStream
 from .statlab import IdentityReport, compare
 
@@ -201,16 +201,14 @@ def parse_process(obj) -> ProcessSpec:
             return TemperedStableSpec(_num(_get(obj, "alpha", required=True), "alpha"))
         if family == "sato":
             bd = _get(obj, "bdlp", required=True)
+            if "cutoff" in obj:
+                raise ConfigError("sato: 'cutoff' is derived from the sampled times "
+                                  "and cannot be set")
             bdlp = JumpLawSpec(
                 _num(_get(bd, "rate", required=True), "rate"),
                 parse_law(_get(bd, "law", required=True)),
             )
-            cutoff = obj.get("cutoff")
-            return SatoSpec(
-                _num(_get(obj, "H", required=True), "H"),
-                bdlp,
-                None if cutoff is None else _positive(cutoff, "cutoff"),
-            )
+            return SatoSpec(_num(_get(obj, "H", required=True), "H"), bdlp)
         if family == "conv":
             kernel = parse_kernel(_get(obj, "kernel", required=True))
             drv = _get(obj, "driver", required=True)
@@ -277,8 +275,7 @@ def _parse_a(cfg, grid: TimeGrid) -> float:
     pts = list(grid.points)
     a = _get(cfg.get("identity", {}), "a", pts[(len(pts) - 1) // 2])
     a = _num(a, "a")
-    # an infinite a would match the last grid point: the tolerance scales with |a|
-    if not (math.isfinite(a) and grid.contains(a)):
+    if not grid.contains(a):
         raise ConfigError(f"identity point a={a} is not a grid point")
     return a
 
@@ -303,13 +300,6 @@ def _grid_job(cfg, pinned):
     if pinned:
         resolved["identity"] = {"a": a}
     return spec, grid, a, panel, n, z_crit, resolved
-
-
-def _check_cutoff(spec: ProcessSpec, points) -> None:
-    """A fixed Sato cutoff must cover the times the command samples."""
-    if isinstance(spec, SatoSpec):
-        with _config_errors("sato"):
-            _resolve_cutoff(spec, points)
 
 
 def _sampler_notes(spec: ProcessSpec) -> dict:
@@ -366,10 +356,7 @@ def _cmd_simulate(cfg, seed, workers):
         labels = [f"state_{j}" for j in range(spec.n)]
     else:
         grid = _parse_grid(cfg)
-        _check_cutoff(spec, grid.points)
-        draws = sample_ensemble(
-            lambda s, m: values_at(s, spec, grid.points, m), rng.substream(0), n, workers
-        )
+        draws = sample_paths(rng.substream(0), spec, grid, n, workers)
         expected = np.array([mean_function(spec, t) for t in grid.points])
         labels = [f"t_{t:g}" for t in grid.points]
         resolved["grid"] = list(grid.points)
@@ -406,8 +393,6 @@ def _cmd_levy_check(cfg, seed, workers):
     if not isinstance(split_a, list):
         raise ConfigError("levy.split_a must be a list of pin times")
     split_a = [_positive(x, "split_a") for x in split_a]
-    # the Laplace exponent is sampled at the panel's times only
-    _check_cutoff(spec, sorted({t for e in panel for t in e.times}))
     rng = RngStream(seed)
 
     lap = laplace_exponent_check(rng.substream(0), spec, panel, n,
@@ -665,7 +650,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         seed = _seed(args.seed if args.seed is not None else cfg.get("seed", 0))
-        workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
+        if args.workers < 0:
+            raise ConfigError("--workers must be nonnegative (0 uses every core)")
+        workers = args.workers or os.cpu_count() or 1
         resolved, results, ok, csv_payload = _HANDLERS[args.command](cfg, seed, workers)
     except ConfigError as exc:
         print(f"levyid: config error: {exc}", file=sys.stderr)

@@ -58,6 +58,8 @@ class TimeGrid:
         pts = self.array
         out = np.empty(len(times), dtype=int)
         for k, t in enumerate(times):
+            if not math.isfinite(t):  # the tolerance scales with |t|
+                raise ValueError(f"time {t} is not on the grid")
             i = int(np.searchsorted(pts, t))
             hit = -1
             for j in (i - 1, i):
@@ -395,12 +397,11 @@ class TemperedStableSpec:
 @dataclass(frozen=True)
 class SatoSpec:
     """Self-similar additive process of exponent H built from a compound Poisson
-    background driver; `cutoff` truncates the driver's integration domain
-    (None means: choose automatically from the grid, see processes.required_cutoff)."""
+    background driver; the sampler truncates the driver's domain at
+    processes.required_cutoff of the sampled times."""
 
     H: float
     bdlp: JumpLawSpec
-    cutoff: float | None = None
 
     def __post_init__(self):
         if self.H <= 0 or not math.isfinite(self.H):

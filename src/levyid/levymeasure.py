@@ -72,20 +72,27 @@ def _check_restriction(restriction, a):
             raise ValueError("a restriction needs a positive pin time a")
 
 
-def _piecewise_indicator_value(
-    times: np.ndarray, alphas: np.ndarray, mass_of_level, domain_hi, restriction, a
-) -> float:
-    """Sum over s-pieces for families whose path shape is x * 1[s, inf).
+def _quad(f, lo, hi) -> float:
+    """int_lo^hi f(s) ds by adaptive quadrature; scipy loads on first use."""
+    from scipy.integrate import quad
 
-    mass_of_level(A) is the inner x-integral at exposure level A(s);
-    membership of each time is constant between consecutive boundaries.
+    return quad(f, lo, hi, epsabs=_QUAD_EPS, limit=_QUAD_LIMIT)[0]
+
+
+def _indicator_nu(entry: PanelEntry, mass_of_level, restriction, a) -> float:
+    """nu(F) for families whose jumps have path shape x * 1[s, inf), the
+    location s having unit density on [0, t_max].
+
+    mass_of_level(A) is the inner x-integral at exposure level A(s), which
+    is constant between consecutive panel times (and a).
     """
+    times = np.asarray(entry.times)
+    alphas = np.asarray(entry.alphas)
+    t_max = float(times.max())
     bounds = {0.0, *times}
-    if restriction is not None and 0.0 < a < domain_hi:
+    if restriction is not None and 0.0 < a < t_max:
         bounds.add(a)
-    bs = sorted(b for b in bounds if b <= domain_hi)
-    if bs[-1] < domain_hi:
-        bs.append(domain_hi)
+    bs = sorted(bounds)
     total = 0.0
     for lo, hi in zip(bs[:-1], bs[1:]):
         if restriction == "positive" and lo >= a:
@@ -100,29 +107,13 @@ def _piecewise_indicator_value(
 
 
 def _poisson_nu(spec: PoissonSpec, entry: PanelEntry, restriction, a) -> float:
-    times = np.asarray(entry.times)
-    alphas = np.asarray(entry.alphas)
-    t_max = float(times.max())
-    if t_max == 0:
-        return 0.0
-    val = _piecewise_indicator_value(
-        times, alphas, lambda A: -math.expm1(-A), t_max, restriction, a
-    )
-    return spec.rate * val
+    return spec.rate * _indicator_nu(entry, lambda A: -math.expm1(-A), restriction, a)
 
 
 def _ts_nu(spec: TemperedStableSpec, entry: PanelEntry, restriction, a) -> float:
     # inner integral over jump sizes is exact:
     # int (1 - e^{-Ax}) x^{-alpha-1} e^{-x} dx / |Gamma(-alpha)| = (1+A)^alpha - 1
-    times = np.asarray(entry.times)
-    alphas = np.asarray(entry.alphas)
-    t_max = float(times.max())
-    if t_max == 0:
-        return 0.0
-    al = spec.alpha
-    return _piecewise_indicator_value(
-        times, alphas, lambda A: (1.0 + A) ** al - 1.0, t_max, restriction, a
-    )
+    return _indicator_nu(entry, lambda A: (1.0 + A) ** spec.alpha - 1.0, restriction, a)
 
 
 def _driver_one_minus_exp(z, c):
@@ -133,8 +124,6 @@ def _driver_one_minus_exp(z, c):
 
 
 def _sato_nu(spec: SatoSpec, entry: PanelEntry, restriction, a) -> float:
-    from scipy.integrate import quad
-
     H = spec.H
     keep = [(t, al) for t, al in zip(entry.times, entry.alphas) if t > 0 and al > 0]
     if not keep:
@@ -156,14 +145,9 @@ def _sato_nu(spec: SatoSpec, entry: PanelEntry, restriction, a) -> float:
         level = float(alphas[thetas <= ref].sum())
         if level <= 0:
             continue
-        val, _ = quad(
-            lambda s: _driver_one_minus_exp(spec.bdlp, level * math.exp(-s)),
-            lo,
-            hi,
-            epsabs=_QUAD_EPS,
-            limit=_QUAD_LIMIT,
+        total += _quad(
+            lambda s: _driver_one_minus_exp(spec.bdlp, level * math.exp(-s)), lo, hi
         )
-        total += val
     return total
 
 
@@ -203,8 +187,6 @@ def conv_active_intervals(spec: ConvSpec, a: float) -> list[tuple[float, float]]
 
 
 def _conv_nu(spec: ConvSpec, entry: PanelEntry, restriction, a) -> float:
-    from scipy.integrate import quad
-
     times = np.asarray(entry.times)
     alphas = np.asarray(entry.alphas)
     t_max = float(times.max())
@@ -236,8 +218,7 @@ def _conv_nu(spec: ConvSpec, entry: PanelEntry, restriction, a) -> float:
     for dlo, dhi in domain:
         bs = [dlo] + [c for c in cut_arr if dlo < c < dhi] + [dhi]
         for lo, hi in zip(bs[:-1], bs[1:]):
-            val, _ = quad(integrand, lo, hi, epsabs=_QUAD_EPS, limit=_QUAD_LIMIT)
-            total += val
+            total += _quad(integrand, lo, hi)
     return total
 
 
@@ -421,15 +402,12 @@ def _ts_expect_min(alpha: float, c: float) -> float:
     """int min(c v, 1) v^{-alpha-1} e^{-v} dv / |Gamma(-alpha)|."""
     if c <= 0:
         return 0.0
-    from scipy.integrate import quad
     from scipy.special import gamma as gamma_fn
 
     norm = gamma_fn(1.0 - alpha) / alpha  # |Gamma(-alpha)|
     u = 1.0 / c
-    head, _ = quad(lambda v: c * v**-alpha * math.exp(-v), 0.0, u,
-                   epsabs=_QUAD_EPS, limit=_QUAD_LIMIT)
-    tail, _ = quad(lambda v: v ** (-alpha - 1.0) * math.exp(-v), u, math.inf,
-                   epsabs=_QUAD_EPS, limit=_QUAD_LIMIT)
+    head = _quad(lambda v: c * v**-alpha * math.exp(-v), 0.0, u)
+    tail = _quad(lambda v: v ** (-alpha - 1.0) * math.exp(-v), u, math.inf)
     return (head + tail) / norm
 
 
@@ -442,7 +420,6 @@ def _driver_expect_min(z, c: float) -> float:
 def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) -> LevyConditionReport:
     """Check int (y(x) ^ 1) nu(dy) < inf at each grid point (each state for
     permanental specs)."""
-    from scipy.integrate import quad
     from scipy.special import exp1
 
     if isinstance(spec, PermanentalSpec):
@@ -474,24 +451,14 @@ def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) ->
                 values.append(x * _ts_expect_min(spec.alpha, 1.0))
             elif isinstance(spec, SatoSpec):
                 law = spec.bdlp.law
-                v, _ = quad(
-                    lambda s: law.expect_min_cx_one(math.exp(-s)),
-                    -spec.H * math.log(x),
-                    math.inf,
-                    epsabs=_QUAD_EPS,
-                    limit=_QUAD_LIMIT,
-                )
+                v = _quad(lambda s: law.expect_min_cx_one(math.exp(-s)),
+                          -spec.H * math.log(x), math.inf)
                 values.append(spec.bdlp.rate * v)
             elif isinstance(spec, ConvSpec):
                 lo = max(0.0, x - spec.kernel.support_end)
-                v, _ = quad(
-                    lambda s: _driver_expect_min(spec.z, float(spec.kernel(x - s))),
-                    lo,
-                    x,
-                    epsabs=_QUAD_EPS,
-                    limit=_QUAD_LIMIT,
-                )
-                values.append(v)
+                values.append(_quad(
+                    lambda s: _driver_expect_min(spec.z, float(spec.kernel(x - s))), lo, x
+                ))
             else:
                 raise TypeError(f"unsupported spec {type(spec).__name__}")
     finite = [bool(math.isfinite(v)) for v in values]

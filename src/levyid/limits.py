@@ -46,7 +46,7 @@ def thinned_spec(spec: ProcessSpec, delta: float) -> ProcessSpec:
         return PoissonSpec(spec.rate * delta)
     if isinstance(spec, SatoSpec):
         bd = spec.bdlp
-        return SatoSpec(spec.H, JumpLawSpec(bd.rate * delta, bd.law), spec.cutoff)
+        return SatoSpec(spec.H, JumpLawSpec(bd.rate * delta, bd.law))
     if isinstance(spec, ConvSpec) and isinstance(spec.z, JumpLawSpec):
         return ConvSpec(spec.kernel, JumpLawSpec(spec.z.rate * delta, spec.z.law))
     if isinstance(spec, TemperedStableSpec):

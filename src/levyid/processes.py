@@ -24,7 +24,7 @@ from .core import (
     TemperedStableSpec,
     TimeGrid,
 )
-from .randkit import DT_MAX, RngStream, _jump_block, _tempered_stable_block
+from .randkit import DT_MAX, RngStream, sample_jump, sample_tempered_stable_increment
 
 # replicates per independent stream chunk; fixed so results do not depend on
 # the worker count
@@ -38,10 +38,11 @@ _CONV_TS_STEPS = 256
 
 
 def required_cutoff(spec: SatoSpec, points) -> float:
-    """Smallest admissible truncation bound for the driver's domain.
+    """Truncation bound of the Sato driver's location domain for `points`.
 
-    Large enough that every requested time is covered and the neglected
-    tail mean kappa * exp(-cutoff) is below _TAIL_FRACTION of E psi(t_max).
+    The smallest bound that covers every requested time and keeps the
+    neglected tail mean kappa * exp(-cutoff) below _TAIL_FRACTION of
+    E psi(t_max); the sampler always truncates here.
     """
     pts = np.asarray(points, dtype=float)
     pos = pts[pts > 0]
@@ -54,43 +55,45 @@ def required_cutoff(spec: SatoSpec, points) -> float:
     )
 
 
-def _resolve_cutoff(spec: SatoSpec, points) -> float:
-    need = required_cutoff(spec, points)
-    if spec.cutoff is None:
-        return need
-    if spec.cutoff < need - 1e-9:
-        raise ValueError(
-            f"cutoff {spec.cutoff} too small for this grid; need at least {need:.6g}"
-        )
-    return float(spec.cutoff)
+def _cumulative(points, increments) -> np.ndarray:
+    """Running sums of independent increments over the sorted distinct
+    points, read back at `points`; increments(steps) draws the (n, k)
+    increment matrix for the k step lengths."""
+    uniq, inv = np.unique(np.asarray(points, dtype=float), return_inverse=True)
+    steps = np.diff(np.concatenate([[0.0], uniq]))
+    return np.cumsum(increments(steps), axis=1, dtype=float)[:, inv]
 
 
 def _poisson_values(rng: RngStream, rate: float, points, n: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    uniq, inv = np.unique(pts, return_inverse=True)
-    steps = np.diff(np.concatenate([[0.0], uniq]))
-    inc = rng.generator.poisson(rate * steps, size=(n, steps.size))
-    cum = np.cumsum(inc, axis=1, dtype=float)
-    return cum[:, inv]
+    return _cumulative(
+        points, lambda steps: rng.generator.poisson(rate * steps, size=(n, steps.size))
+    )
 
 
 def _ts_values(rng: RngStream, alpha: float, points, n: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    uniq, inv = np.unique(pts, return_inverse=True)
-    steps = np.diff(np.concatenate([[0.0], uniq]))
-    gen = rng.generator
-    inc = np.zeros((n, steps.size))
-    for j, dt in enumerate(steps):
-        if dt <= 0:
-            continue
-        m = int(math.ceil(dt / DT_MAX))
-        sub = dt / m
-        col = np.zeros(n)
-        for _ in range(m):
-            col += _tempered_stable_block(gen, alpha, sub, n)
-        inc[:, j] = col
-    cum = np.cumsum(inc, axis=1)
-    return cum[:, inv]
+    def increments(steps):
+        inc = np.zeros((n, steps.size))
+        for j, dt in enumerate(steps):
+            if dt <= 0:
+                continue
+            m = int(math.ceil(dt / DT_MAX))
+            for _ in range(m):
+                inc[:, j] += sample_tempered_stable_increment(rng, alpha, dt / m, n)
+        return inc
+
+    return _cumulative(points, increments)
+
+
+def _jump_set(rng: RngStream, driver: JumpLawSpec, lo: float, hi: float, n: int):
+    """The driver's jumps on locations [lo, hi) for n independent paths, as
+    (path index, location, size) arrays; None when no path has a jump."""
+    counts = rng.generator.poisson(driver.rate * (hi - lo), n)
+    m = int(counts.sum())
+    if m == 0:
+        return None
+    rep = np.repeat(np.arange(n), counts)
+    s = rng.generator.uniform(lo, hi, m)
+    return rep, s, sample_jump(rng, driver.law, m)
 
 
 def _sato_values(rng: RngStream, spec: SatoSpec, points, n: int) -> np.ndarray:
@@ -103,20 +106,13 @@ def _sato_values(rng: RngStream, spec: SatoSpec, points, n: int) -> np.ndarray:
     # psi(t) exactly when s >= -H log t
     thresholds = np.full(pts.size, np.inf)
     thresholds[pos] = -spec.H * np.log(pts[pos])
-    s_lo = float(thresholds[pos].min())
-    s_hi = _resolve_cutoff(spec, pts)
-    gen = rng.generator
-    counts = gen.poisson(spec.bdlp.rate * (s_hi - s_lo), n)
-    m = int(counts.sum())
-    if m == 0:
+    jumps = _jump_set(rng, spec.bdlp, float(thresholds[pos].min()),
+                      required_cutoff(spec, pts), n)
+    if jumps is None:
         return out
-    rep = np.repeat(np.arange(n), counts)
-    s = gen.uniform(s_lo, s_hi, m)
-    x = _jump_block(gen, spec.bdlp.law, m)
+    rep, s, x = jumps
     v = x * np.exp(-s)
-    for j in range(pts.size):
-        if not np.isfinite(thresholds[j]):
-            continue
+    for j in np.flatnonzero(pos):
         mask = s >= thresholds[j]
         out[:, j] = np.bincount(rep[mask], weights=v[mask], minlength=n)
     return out
@@ -132,15 +128,11 @@ def _conv_values(
     t_max = float(pts.max(initial=0.0))
     if t_max <= 0:
         return out
-    gen = rng.generator
     if isinstance(spec.z, JumpLawSpec):
-        counts = gen.poisson(spec.z.rate * t_max, n)
-        m = int(counts.sum())
-        if m == 0:
+        jumps = _jump_set(rng, spec.z, 0.0, t_max, n)
+        if jumps is None:
             return out
-        rep = np.repeat(np.arange(n), counts)
-        s = gen.uniform(0.0, t_max, m)
-        x = _jump_block(gen, spec.z.law, m)
+        rep, s, x = jumps
         if jump_filter is not None:
             keep = jump_filter(s)
             rep, s, x = rep[keep], s[keep], x[keep]
@@ -155,7 +147,7 @@ def _conv_values(
         steps *= 2
         h = t_max / steps
     mids = (np.arange(steps) + 0.5) * h
-    dz = _tempered_stable_block(gen, spec.z.alpha, h, n * steps).reshape(n, steps)
+    dz = sample_tempered_stable_increment(rng, spec.z.alpha, h, n * steps).reshape(n, steps)
     fmat = spec.kernel(pts[None, :] - mids[:, None])
     if jump_filter is not None:
         fmat = fmat * jump_filter(mids)[:, None]

@@ -66,12 +66,18 @@ def sample_gamma(rng: RngStream, shape: float, rate: float, size: int) -> np.nda
     return rng.generator.gamma(shape, 1.0 / rate, size)
 
 
-def _positive_stable(gen: np.random.Generator, alpha: float, t: float, n: int) -> np.ndarray:
+def sample_positive_stable(rng: RngStream, alpha: float, t: float, size: int) -> np.ndarray:
+    """Positive stable law with E exp(-u X) = exp(-t u^alpha), 0 < alpha < 1."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if t <= 0:
+        raise ValueError("t must be positive")
     # Kanter's representation, evaluated in log space for stability near the
     # endpoints of theta.
-    theta = np.pi * gen.random(n)
+    gen = rng.generator
+    theta = np.pi * gen.random(size)
     np.clip(theta, _THETA_EPS, np.pi - _THETA_EPS, out=theta)
-    w = np.maximum(gen.standard_exponential(n), 1e-300)
+    w = np.maximum(gen.standard_exponential(size), 1e-300)
     frac = alpha / (1.0 - alpha)
     log_a = (
         frac * np.log(np.sin(alpha * theta))
@@ -82,28 +88,6 @@ def _positive_stable(gen: np.random.Generator, alpha: float, t: float, n: int) -
     return t ** (1.0 / alpha) * s
 
 
-def sample_positive_stable(rng: RngStream, alpha: float, t: float, size: int) -> np.ndarray:
-    """Positive stable law with E exp(-u X) = exp(-t u^alpha), 0 < alpha < 1."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return _positive_stable(rng.generator, alpha, t, size)
-
-
-def _tempered_stable_block(gen: np.random.Generator, alpha: float, dt: float, n: int) -> np.ndarray:
-    # exponential tilting by rejection: accept a stable draw S with prob e^{-S};
-    # overall acceptance rate is exp(-dt), hence the DT_MAX guard upstream
-    out = np.empty(n)
-    pending = np.arange(n)
-    while pending.size:
-        cand = _positive_stable(gen, alpha, dt, pending.size)
-        acc = gen.random(pending.size) < np.exp(-cand)
-        out[pending[acc]] = cand[acc]
-        pending = pending[~acc]
-    return out
-
-
 def sample_tempered_stable_increment(
     rng: RngStream, alpha: float, dt: float, size: int
 ) -> np.ndarray:
@@ -111,48 +95,33 @@ def sample_tempered_stable_increment(
 
     dt must not exceed DT_MAX; subdivide longer steps and sum.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if dt > DT_MAX:
         raise ValueError(f"dt={dt} exceeds DT_MAX={DT_MAX}; subdivide the step")
-    return _tempered_stable_block(rng.generator, alpha, dt, size)
-
-
-def _jump_block(gen: np.random.Generator, law: JumpLaw, n: int) -> np.ndarray:
-    if law.kind == "exponential":
-        return law.params[0] * gen.standard_exponential(n)
-    if law.kind == "gamma":
-        k, r = law.params
-        return gen.gamma(k, 1.0 / r, n)
-    if law.kind == "constant":
-        return np.full(n, law.params[0])
-    xs = np.array([x for x, _ in law.params])
-    ps = np.array([p for _, p in law.params])
-    return gen.choice(xs, size=n, p=ps / ps.sum())
+    # exponential tilting by rejection: accept a stable draw S with prob e^{-S};
+    # the acceptance rate is exp(-dt), hence the DT_MAX guard
+    out = np.empty(size)
+    pending = np.arange(size)
+    while pending.size:
+        cand = sample_positive_stable(rng, alpha, dt, pending.size)
+        acc = rng.generator.random(pending.size) < np.exp(-cand)
+        out[pending[acc]] = cand[acc]
+        pending = pending[~acc]
+    return out
 
 
 def sample_jump(rng: RngStream, law: JumpLaw, size: int) -> np.ndarray:
     """Draw jump sizes from a JumpLaw."""
-    return _jump_block(rng.generator, law, size)
-
-
-def _size_biased_block(gen: np.random.Generator, law, n: int) -> np.ndarray:
-    if isinstance(law, TemperedStableSpec):
-        # x^{-alpha-1} e^{-x} dx size-biases to Gamma(1 - alpha, 1)
-        return gen.gamma(1.0 - law.alpha, 1.0, n)
+    gen = rng.generator
     if law.kind == "exponential":
-        return gen.gamma(2.0, law.params[0], n)
+        return law.params[0] * gen.standard_exponential(size)
     if law.kind == "gamma":
         k, r = law.params
-        return gen.gamma(k + 1.0, 1.0 / r, n)
+        return gen.gamma(k, 1.0 / r, size)
     if law.kind == "constant":
-        return np.full(n, law.params[0])
+        return np.full(size, law.params[0])
     xs = np.array([x for x, _ in law.params])
     ps = np.array([p for _, p in law.params])
-    w = xs * ps
-    return gen.choice(xs, size=n, p=w / w.sum())
+    return gen.choice(xs, size=size, p=ps / ps.sum())
 
 
 def sample_size_biased_jump(rng: RngStream, law, size: int) -> np.ndarray:
@@ -161,6 +130,20 @@ def sample_size_biased_jump(rng: RngStream, law, size: int) -> np.ndarray:
     `law` is a JumpLaw or, for the tempered stable jump measure, a
     TemperedStableSpec.
     """
-    if not isinstance(law, (JumpLaw, TemperedStableSpec)):
+    gen = rng.generator
+    if isinstance(law, TemperedStableSpec):
+        # x^{-alpha-1} e^{-x} dx size-biases to Gamma(1 - alpha, 1)
+        return gen.gamma(1.0 - law.alpha, 1.0, size)
+    if not isinstance(law, JumpLaw):
         raise TypeError("law must be a JumpLaw or TemperedStableSpec")
-    return _size_biased_block(rng.generator, law, size)
+    if law.kind == "exponential":
+        return gen.gamma(2.0, law.params[0], size)
+    if law.kind == "gamma":
+        k, r = law.params
+        return gen.gamma(k + 1.0, 1.0 / r, size)
+    if law.kind == "constant":
+        return np.full(size, law.params[0])
+    xs = np.array([x for x, _ in law.params])
+    ps = np.array([p for _, p in law.params])
+    w = xs * ps
+    return gen.choice(xs, size=size, p=w / w.sum())

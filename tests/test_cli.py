@@ -485,6 +485,7 @@ class TestBadInputExitsTwo:
                                     identity={"a": math.inf}, mc={"N": 200})),
         (["permanental"], {"process": PERM, "mc": {"N": 200},
                            "panel": [{"alphas": [1.0], "times": [math.nan]}]}),
+        (["simulate", "--workers", "-3"], dict(BASE, mc={"N": 200})),
     ], ids=["split_a-negative", "kill-all-zero", "sato-cutoff-levy", "sato-cutoff-simulate",
             "levy-n-string", "levy-n-zero", "levy-n-fraction", "split_a-scalar",
             "z_crit-inf", "z_crit-nan", "seed-string", "seed-null", "seed-list",
@@ -494,7 +495,8 @@ class TestBadInputExitsTwo:
             "limit-deltas-scalar", "mixing_mean-negative", "theta-negative",
             "lambda-true", "N-true", "seed-true", "grid-entry-true", "chain-diagonal-nonzero",
             "chain-asymmetric", "chain-kill-negative", "chain-kill-nan", "chain-rates-inf",
-            "sato-cutoff-nan", "identity-a-inf", "permanental-panel-state-nan"])
+            "sato-cutoff-nan", "identity-a-inf", "permanental-panel-state-nan",
+            "workers-negative"])
     def test_exit_two_one_line(self, tmp_path, argv, cfg):
         proc = subprocess.run(
             [sys.executable, "-m", "levyid", *argv,

@@ -23,7 +23,7 @@ BASE = {"seed": 3, "process": {"family": "poisson", "lambda": 1.0},
 PERM = {"seed": 3, "mc": MC, "identity": {"a": 0},
         "process": {"family": "permanental", "rates": [[0, 1], [1, 0]],
                     "kill": [1.0, 0.5], "beta": 1.0}}
-SATO = {"family": "sato", "H": 1.0, "cutoff": 20.0,
+SATO = {"family": "sato", "H": 1.0,
         "bdlp": {"rate": 1.0, "law": {"kind": "gamma", "shape": 2.0, "rate": 1.0}}}
 CONV = {"family": "conv",
         "kernel": {"kind": "tabulated", "knots": [0.0, 1.0, 2.0], "values": [1.0, 0.5, 0.0]},

@@ -57,6 +57,15 @@ class TestTimeGrid:
         g = make_grid([0.5, 1.0])
         assert g.contains(1.0) and not g.contains(0.75)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_time_is_not_on_the_grid(self, t):
+        # the match tolerance scales with |t|, so an infinite time would
+        # otherwise match the last grid point
+        g = make_grid([0.5, 1.0, 2.0])
+        with pytest.raises(ValueError, match="not on the grid"):
+            g.index_of([t])
+        assert not g.contains(t)
+
     @given(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=8, unique=True))
     def test_any_sorted_positive_points_accepted(self, pts):
         g = make_grid(sorted(pts))

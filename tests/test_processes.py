@@ -18,6 +18,7 @@ from levyid.core import (
     TimeGrid,
     mean_function,
 )
+from levyid.identities import companion_values, hidden_values, visible_values
 from levyid.processes import (
     required_cutoff,
     sample_ensemble,
@@ -25,6 +26,16 @@ from levyid.processes import (
     values_at,
 )
 from levyid.randkit import RngStream
+
+# one spec per sampler branch of values_at
+SAMPLERS = {
+    "poisson": PoissonSpec(rate=1.0),
+    "tempered-stable": TemperedStableSpec(0.5),
+    "sato": SatoSpec(H=0.8, bdlp=JumpLawSpec(rate=2.0, law=JumpLaw.gamma(1.5, 2.0))),
+    "conv-jump": ConvSpec(kernel=ExpDecayKernel(decay=0.7),
+                          z=JumpLawSpec(rate=1.5, law=JumpLaw.exponential(1.0))),
+    "conv-ts": ConvSpec(kernel=IndicatorKernel(length=1.0), z=TemperedStableSpec(alpha=0.6)),
+}
 
 
 def _laplace_check(vals, want_fn, us=(0.5, 1.0, 2.0), z=3.5):
@@ -104,13 +115,6 @@ class TestSato:
         p = values_at(rng.substream(12), spec, grid.points, 1)[0]
         assert len(p) == len(grid) and np.all(np.diff(p) >= 0)
 
-    def test_cutoff_too_small_rejected(self, rng, grid):
-        spec = SatoSpec(
-            H=1.0, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)), cutoff=0.1
-        )
-        with pytest.raises(ValueError, match="cutoff"):
-            values_at(rng.substream(13), spec, grid.points, 100)
-
     def test_required_cutoff_covers_small_times(self):
         spec = SatoSpec(H=2.0, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.constant(1.0)))
         c = required_cutoff(spec, [0.01, 1.0])
@@ -165,11 +169,25 @@ class TestEnsembles:
         b = sample_paths(RngStream(5).substream(0), TemperedStableSpec(0.5), grid, 500)
         assert np.array_equal(a, b)
 
-    def test_worker_count_invariance(self, grid):
-        # chunked substreams make the ensemble independent of parallelism
-        spec = TemperedStableSpec(0.5)
+    @pytest.mark.parametrize("spec", list(SAMPLERS.values()), ids=list(SAMPLERS))
+    def test_worker_count_invariance(self, grid, spec):
+        # chunked substreams make the ensemble independent of parallelism;
+        # 120k rows make three chunks, so the pool runs
         a = sample_paths(RngStream(9).substream(0), spec, grid, 120_000, workers=1)
-        b = sample_paths(RngStream(9).substream(0), spec, grid, 120_000, workers=4)
+        b = sample_paths(RngStream(9).substream(0), spec, grid, 120_000, workers=2)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("construct", [companion_values, hidden_values, visible_values],
+                             ids=["companion", "hidden", "visible"])
+    @pytest.mark.parametrize("family", ["poisson", "sato", "conv-jump"])
+    def test_companion_hidden_visible_worker_count_invariance(self, grid, construct, family):
+        spec = SAMPLERS[family]
+
+        def fn(stream, m):
+            return construct(stream, spec, 1.0, grid.points, m)
+
+        a = sample_ensemble(fn, RngStream(9).substream(1), 120_000, workers=1)
+        b = sample_ensemble(fn, RngStream(9).substream(1), 120_000, workers=2)
         assert np.array_equal(a, b)
 
     def test_rejects_nonpositive_n(self, rng, grid):
