@@ -94,8 +94,8 @@ class ConfigError(Exception):
 
 @contextmanager
 def _config_errors(what=None):
-    """Report a ValueError or TypeError raised while building a config
-    object as a ConfigError, prefixed with `what` when given."""
+    """Report a ValueError or TypeError raised on config input as a
+    ConfigError, prefixed with `what` when given."""
     try:
         yield
     except (TypeError, ValueError) as exc:
@@ -193,10 +193,7 @@ def parse_process(obj) -> ProcessSpec:
     family = _get(obj, "family", required=True)
     with _config_errors("bad process spec"):
         if family == "poisson":
-            rate = obj.get("lambda", obj.get("rate"))
-            if rate is None:
-                raise ConfigError("poisson needs 'lambda' (or 'rate')")
-            return PoissonSpec(_num(rate, "lambda"))
+            return PoissonSpec(_num(_get(obj, "lambda", required=True), "lambda"))
         if family == "tempered-stable":
             return TemperedStableSpec(_num(_get(obj, "alpha", required=True), "alpha"))
         if family == "sato":
@@ -352,7 +349,7 @@ def _cmd_simulate(cfg, seed, workers):
     if isinstance(spec, PermanentalSpec):
         green = green_matrix(spec)
         draws = sample_permanental(rng.substream(0), green, spec.beta, size=n)
-        expected = permanental_mean(green.matrix, spec.beta)
+        expected = permanental_mean(green, spec.beta)
         labels = [f"state_{j}" for j in range(spec.n)]
     else:
         grid = _parse_grid(cfg)
@@ -376,9 +373,8 @@ def _identity_command(cfg, seed, workers, identity):
     # double, the benchmark tracer) takes effect
     verifier = {"tilting": verify_tilting_identity,
                 "decomposition": verify_decomposition_identity}[identity]
-    with _config_errors():
-        report = verifier(RngStream(seed), spec, a, grid, panel,
-                          n, z_crit=z_crit, workers=workers)
+    report = verifier(RngStream(seed), spec, a, grid, panel,
+                      n, z_crit=z_crit, workers=workers)
     report.notes.update(_sampler_notes(spec))
     return resolved, report.to_dict(), report.overall_pass, _report_csv(report)
 
@@ -400,18 +396,17 @@ def _cmd_levy_check(cfg, seed, workers):
     lap.notes.update(_sampler_notes(spec))
     conds = validate_levy_conditions(spec, grid)
 
-    # the unrestricted quadrature is shared by the representation and split blocks
-    quads = [levy_functional_quadrature(spec, entry) for entry in panel]
+    # lap.rhs holds the unrestricted quadrature of each entry, with SE 0
     reprs = []
     reprs_ok = True
-    for k, (entry, quad) in enumerate(zip(panel, quads)):
+    for k, (entry, quad) in enumerate(zip(panel, lap.rhs)):
         mc = levy_functional_mc(rng.substream(10, k), spec, entry, n_mc,
                                 mixing_mean=mixing_mean, theta=theta)
-        zk, ok_k = compare((mc.value, mc.se), (quad.value, quad.se), REPR_Z)
+        zk, ok_k = compare((mc.value, mc.se), (quad, 0.0), REPR_Z)
         reprs_ok &= ok_k
         reprs.append({
             "alphas": list(entry.alphas), "times": list(entry.times),
-            "mc": mc.value, "mc_se": mc.se, "quadrature": quad.value,
+            "mc": mc.value, "mc_se": mc.se, "quadrature": quad,
             "z": float(zk), "pass": bool(ok_k),
         })
 
@@ -419,10 +414,10 @@ def _cmd_levy_check(cfg, seed, workers):
     splits_ok = True
     for a_s in split_a:
         worst = 0.0
-        for entry, full in zip(panel, quads):
+        for entry, full in zip(panel, lap.rhs):
             zero = levy_functional_quadrature(spec, entry, restriction="zero", a=a_s).value
             pos = levy_functional_quadrature(spec, entry, restriction="positive", a=a_s).value
-            worst = max(worst, abs(zero + pos - full.value))
+            worst = max(worst, abs(zero + pos - full))
         ok_s = worst <= SPLIT_TOL
         splits_ok &= ok_s
         splits.append({"a": a_s, "max_residual": worst, "pass": bool(ok_s)})
@@ -482,7 +477,7 @@ def _cmd_permanental(cfg, seed, workers):
                                          n, z_crit=z_crit)
 
     loc = sample_local_times(rng.substream(1), spec, a, size=n)
-    loc_rows, loc_ok = _moment_check(loc, local_time_mean(green.matrix, a), "state",
+    loc_rows, loc_ok = _moment_check(loc, local_time_mean(green, a), "state",
                                      range(spec.n), z_crit)
 
     m_weights = np.ones(spec.n)
@@ -493,7 +488,7 @@ def _cmd_permanental(cfg, seed, workers):
         entry = PanelEntry((1.0,), (float(x),))
         est = levy_functional_permanental(rng.substream(2, x), spec,
                                           m_weights, entry, n_nu)
-        oracle = marginal_levy_functional(green.matrix, 1.0, x)
+        oracle = marginal_levy_functional(green, 1.0, x)
         zk, ok_x = compare((est.value, est.se), (oracle, 0.0), REPR_Z)
         marg_ok &= ok_x
         marg.append({"state": x, "mc": est.value, "mc_se": est.se,
@@ -524,19 +519,15 @@ def _cmd_limit(cfg, seed, workers):
         raise ConfigError("limit.deltas must be a list of thinning factors")
     deltas = [_num(d, "deltas") for d in deltas]
     n_max = _count(_get(lim, "n_max", 2_000_000), "n_max")
-    with _config_errors():
-        report = verify_thinning_limit(RngStream(seed), spec, a, grid, panel, n,
-                                       deltas=deltas, n_max=n_max,
-                                       z_crit=z_crit, workers=workers)
+    report = verify_thinning_limit(RngStream(seed), spec, a, grid, panel, n,
+                                   deltas=deltas, n_max=n_max,
+                                   z_crit=z_crit, workers=workers)
     resolved["limit"] = {"deltas": deltas, "n": n, "n_max": n_max}
     header = ["delta", "n_used", "distance", "distance_se", "ess"]
     rows = [[report.deltas[k], report.n_used[k], report.distances[k],
              report.distance_ses[k], report.ess[k]]
             for k in range(len(report.deltas))]
     return resolved, report.to_dict(), report.overall_pass, (header, rows)
-
-
-_JOB_HANDLERS = {}
 
 
 def _cmd_suite(cfg, seed, workers):
@@ -565,14 +556,14 @@ def _cmd_suite(cfg, seed, workers):
     return resolved, results, bool(all_ok), (["job", "command", "verdict"], rows)
 
 
-_JOB_HANDLERS.update({
+_JOB_HANDLERS = {
     "simulate": _cmd_simulate,
     "verify-isonat": functools.partial(_identity_command, identity="tilting"),
     "verify-condition": functools.partial(_identity_command, identity="decomposition"),
     "levy-check": _cmd_levy_check,
     "permanental": _cmd_permanental,
     "limit": _cmd_limit,
-})
+}
 _HANDLERS = {**_JOB_HANDLERS, "suite": _cmd_suite}
 
 
@@ -630,9 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
         "limit": "thinning-limit convergence to the tilt companion",
         "suite": "run a batch of jobs from one config",
     }
-    for name in ("simulate", "verify-isonat", "verify-condition", "levy-check",
-                 "permanental", "limit", "suite"):
-        q = sub.add_parser(name, help=helps[name])
+    for name, text in helps.items():
+        q = sub.add_parser(name, help=text)
         q.add_argument("--config", metavar="PATH", help="JSON config file")
         q.add_argument("--seed", metavar="U64", type=int,
                        help="master seed; overrides the config's seed")
@@ -653,7 +643,9 @@ def main(argv=None) -> int:
         if args.workers < 0:
             raise ConfigError("--workers must be nonnegative (0 uses every core)")
         workers = args.workers or os.cpu_count() or 1
-        resolved, results, ok, csv_payload = _HANDLERS[args.command](cfg, seed, workers)
+        # the library raises ValueError/TypeError on inputs it cannot run
+        with _config_errors():
+            resolved, results, ok, csv_payload = _HANDLERS[args.command](cfg, seed, workers)
     except ConfigError as exc:
         print(f"levyid: config error: {exc}", file=sys.stderr)
         return 2
@@ -670,13 +662,17 @@ def main(argv=None) -> int:
         },
     }
     text = json.dumps(_to_jsonable(report), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.csv and csv_payload is not None:
-        _write_csv(args.csv, csv_payload)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if args.csv:
+            _write_csv(args.csv, csv_payload)
+    except OSError as exc:
+        print(f"levyid: cannot write output: {exc}", file=sys.stderr)
+        return 2
     if not ok:
         print(f"levyid: {args.command}: verification failed", file=sys.stderr)
         return 1

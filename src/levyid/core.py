@@ -525,11 +525,7 @@ class LevyFunctionalPanel:
     entries: tuple[PanelEntry, ...]
 
     def __post_init__(self):
-        entries = tuple(
-            e if isinstance(e, PanelEntry) else PanelEntry(*e) for e in self.entries
-        )
-        object.__setattr__(self, "entries", entries)
-        if not entries:
+        if not self.entries:
             raise ValueError("panel must contain at least one entry")
 
     def __len__(self) -> int:

@@ -170,19 +170,14 @@ def sample_local_times(rng: RngStream, chain: PermanentalSpec, a: int, size: int
     return pinned
 
 
-def _green_array(green) -> np.ndarray:
-    """Accept a GreenMatrix or a plain symmetric array."""
-    return green.matrix if isinstance(green, GreenMatrix) else np.asarray(green, float)
-
-
-def permanental_mean(green, beta: float) -> np.ndarray:
+def permanental_mean(green: GreenMatrix, beta: float) -> np.ndarray:
     """Per-state means 2 beta g(x, x)."""
-    return 2.0 * beta * np.diag(_green_array(green))
+    return 2.0 * beta * np.diag(green.matrix)
 
 
-def local_time_mean(green, a: int) -> np.ndarray:
+def local_time_mean(green: GreenMatrix, a: int) -> np.ndarray:
     """E of the pinned local time field: g(a, x) g(x, a) / g(a, a)."""
-    g = _green_array(green)
+    g = green.matrix
     return g[a, :] * g[:, a] / g[a, a]
 
 
@@ -277,7 +272,7 @@ def levy_functional_permanental(
     return LevyEstimate(float(x.mean()), se, "permanental-mc")
 
 
-def marginal_levy_functional(green, alpha: float, x: int) -> float:
+def marginal_levy_functional(green: GreenMatrix, alpha: float, x: int) -> float:
     """Closed form for the single-coordinate functional:
     -log E exp(-alpha psi(x) / 2) = log(1 + alpha g(x, x))."""
-    return math.log1p(alpha * _green_array(green)[x, x])
+    return math.log1p(alpha * green.matrix[x, x])

@@ -84,7 +84,6 @@ class TestParsers:
 
     def test_parse_process_families(self):
         assert isinstance(parse_process({"family": "poisson", "lambda": 1.0}), PoissonSpec)
-        assert isinstance(parse_process({"family": "poisson", "rate": 2.0}), PoissonSpec)
         assert isinstance(parse_process({"family": "tempered-stable", "alpha": 0.5}), TemperedStableSpec)
         sato = parse_process({
             "family": "sato", "H": 1.0,
@@ -430,9 +429,9 @@ CONV_TS = {"family": "conv", "kernel": {"kind": "exp-decay", "decay": 1.0},
 
 
 class TestBadInputExitsTwo:
-    """Inputs rejected deep inside a sampler are caught while parsing: exit
-    2 with one diagnostic line, run as a separate process so a traceback
-    would show on stderr."""
+    """Bad input, whether caught while parsing or raised by the library
+    while running, exits 2 with one diagnostic line; each case runs as a
+    separate process so a traceback would show on stderr."""
 
     @pytest.mark.parametrize("argv,cfg", [
         (["levy-check"], dict(BASE, mc={"N": 200}, levy={"n": 100, "split_a": [-1]})),
@@ -486,6 +485,18 @@ class TestBadInputExitsTwo:
         (["permanental"], {"process": PERM, "mc": {"N": 200},
                            "panel": [{"alphas": [1.0], "times": [math.nan]}]}),
         (["simulate", "--workers", "-3"], dict(BASE, mc={"N": 200})),
+        # library ValueErrors raised while sampling: numpy's Poisson draw
+        # rejects the rate lambda * t (lambda * t^H for Sato)
+        (["simulate"], dict(BASE, process={"family": "poisson", "lambda": 1e300},
+                            mc={"N": 10})),
+        (["levy-check"], dict(BASE, process={"family": "poisson", "lambda": 1e300},
+                              mc={"N": 10})),
+        (["simulate"], {"process": dict(SATO, H=1e300), "mc": {"N": 10}}),
+        (["simulate"], dict(BASE, grid=[1e300], mc={"N": 10})),
+        (["simulate"], dict(BASE, process={"family": "poisson", "rate": 1.0},
+                            mc={"N": 10})),
+        # TypeError: a TS-driven moving average has no thinning rule
+        (["limit"], dict(BASE, process=CONV_TS, limit={"n": 10})),
     ], ids=["split_a-negative", "kill-all-zero", "sato-cutoff-levy", "sato-cutoff-simulate",
             "levy-n-string", "levy-n-zero", "levy-n-fraction", "split_a-scalar",
             "z_crit-inf", "z_crit-nan", "seed-string", "seed-null", "seed-list",
@@ -496,7 +507,8 @@ class TestBadInputExitsTwo:
             "lambda-true", "N-true", "seed-true", "grid-entry-true", "chain-diagonal-nonzero",
             "chain-asymmetric", "chain-kill-negative", "chain-kill-nan", "chain-rates-inf",
             "sato-cutoff-nan", "identity-a-inf", "permanental-panel-state-nan",
-            "workers-negative"])
+            "workers-negative", "lambda-overflow-simulate", "lambda-overflow-levy",
+            "sato-H-overflow", "grid-overflow", "poisson-rate-alias", "limit-ts-conv"])
     def test_exit_two_one_line(self, tmp_path, argv, cfg):
         proc = subprocess.run(
             [sys.executable, "-m", "levyid", *argv,
@@ -507,6 +519,18 @@ class TestBadInputExitsTwo:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("levyid: config error:")
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_path(self, tmp_path, flag):
+        argv = ["--out", os.devnull, flag, str(tmp_path / "missing" / "r.json")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "levyid", "simulate",
+             "--config", _write(tmp_path, "cfg.json", dict(BASE, mc={"N": 10})), *argv],
+            capture_output=True, text=True, env=_src_env(), timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("levyid: cannot write output:")
 
 
 class TestZeroSeVerdicts:
@@ -538,7 +562,7 @@ class TestZeroSeVerdicts:
 
     def test_permanental_marginal_equal_to_oracle_passes(self, tmp_path, monkeypatch):
         def exact(rng, chain, m_weights, entry, n):
-            g = green_matrix(chain).matrix
+            g = green_matrix(chain)
             return LevyEstimate(marginal_levy_functional(g, 1.0, int(entry.times[0])),
                                 0.0, "permanental-mc")
 

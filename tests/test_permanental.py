@@ -207,4 +207,3 @@ class TestLevyFunctional:
         g = green_matrix(CHAIN1)
         # -log E exp(-alpha psi(0)/2) with psi(0) ~ 2 beta=1 exponential modes
         assert marginal_levy_functional(g, 2.0, 0) == pytest.approx(math.log(2.0))
-        assert marginal_levy_functional(g.matrix, 2.0, 0) == pytest.approx(math.log(2.0))

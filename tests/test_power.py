@@ -1,0 +1,92 @@
+"""Power: each verifier fails when the identity it checks is broken.
+
+Every mutation rebinds one module attribute that a verifier looks up at call
+time, then runs the command in-process through cli.main at the smoke suite's
+N. Unmutated, these configs pass with max |z| below 2.7 (seeds 1-3 and the
+one below); every mutation reads max |z| of 36 to 145 there, so MARGIN
+leaves room on both sides of the Bonferroni gate (3.4 to 3.5).
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from levyid import identities, permanental, randkit
+from levyid.cli import main
+
+N = 20_000
+SEED = 20260501
+MARGIN = 10.0
+
+EXP1 = {"kind": "exponential", "mean": 1.0}
+FAMILIES = {
+    "poisson": {"family": "poisson", "lambda": 1.0},
+    "tempered-stable": {"family": "tempered-stable", "alpha": 0.5},
+    "sato": {"family": "sato", "H": 1.0, "bdlp": {"rate": 1.0, "law": EXP1}},
+    "conv": {"family": "conv", "kernel": {"kind": "indicator", "length": 1.0},
+             "driver": {"rate": 1.0, "law": EXP1}},
+}
+PERM = {"family": "permanental", "rates": [[0.0, 1.0], [1.0, 0.0]],
+        "kill": [0.7, 0.4], "beta": 1.0}
+
+
+def _run(tmp_path, command, process):
+    if command == "permanental":
+        cfg = {"process": process, "identity": {"a": 0}}
+    else:
+        cfg = {"process": process, "grid": [0.5, 1.0, 1.5, 2.0], "identity": {"a": 1.0}}
+    cfg.update(mc={"N": N}, seed=SEED)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    code = main([command, "--config", str(path), "--out", str(out), "--workers", "1"])
+    return code, json.loads(out.read_text())
+
+
+def _max_abs_z(block):
+    return max(abs(float(e["z"])) for e in block["entries"])  # "inf" parses too
+
+
+def _zeros(rng, spec, a, points, n):
+    return np.zeros((n, len(points)))
+
+
+@pytest.mark.parametrize("command", ["verify-isonat", "verify-condition"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_unmutated_passes(tmp_path, command, family):
+    assert _run(tmp_path, command, FAMILIES[family])[0] == 0
+
+
+def test_unmutated_permanental_passes(tmp_path):
+    assert _run(tmp_path, "permanental", PERM)[0] == 0
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_tilting_without_companion_fails(tmp_path, monkeypatch, family):
+    monkeypatch.setattr(identities, "companion_values", _zeros)
+    code, rep = _run(tmp_path, "verify-isonat", FAMILIES[family])
+    assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
+
+
+@pytest.mark.parametrize("family", ["sato", "conv"])
+def test_companion_from_plain_jump_law_fails(tmp_path, monkeypatch, family):
+    monkeypatch.setattr(identities, "sample_size_biased_jump", randkit.sample_jump)
+    code, rep = _run(tmp_path, "verify-isonat", FAMILIES[family])
+    assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_decomposition_without_hidden_part_fails(tmp_path, monkeypatch, family):
+    monkeypatch.setattr(identities, "hidden_values", _zeros)
+    code, rep = _run(tmp_path, "verify-condition", FAMILIES[family])
+    assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
+
+
+def test_permanental_local_times_once_fails(tmp_path, monkeypatch):
+    # halving the pinned local times turns cond + 2 L into cond + L
+    real = permanental.sample_local_times
+    monkeypatch.setattr(permanental, "sample_local_times",
+                        lambda *args, **kw: 0.5 * real(*args, **kw))
+    code, rep = _run(tmp_path, "permanental", PERM)
+    assert code == 1 and _max_abs_z(rep["results"]["identity"]) > MARGIN
