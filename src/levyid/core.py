@@ -24,6 +24,21 @@ def _as_float_tuple(xs) -> tuple[float, ...]:
     return tuple(float(x) for x in xs)
 
 
+def _matvec(matrix, coefs) -> np.ndarray:
+    """matrix @ coefs over the last axis, summed one column at a time in
+    index order.
+
+    Per-path reductions go through this rather than BLAS: threaded BLAS
+    splits a long sum by thread count, so its last bits depend on the
+    machine, and its idle workers spin after every call.
+    """
+    matrix = np.asarray(matrix)
+    out = np.zeros(matrix.shape[:-1])
+    for j, c in enumerate(np.asarray(coefs, dtype=float)):
+        out += c * matrix[..., j]
+    return out
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing evaluation times, all >= 0."""
@@ -151,7 +166,7 @@ class JumpLaw:
         else:
             xs = np.array([x for x, _ in self.params])
             ps = np.array([p for _, p in self.params])
-            out = -np.expm1(-np.multiply.outer(c, xs)) @ ps
+            out = _matvec(-np.expm1(-np.multiply.outer(c, xs)), ps)
         return out if out.shape else float(out)
 
     def expect_min_cx_one(self, c: float) -> float:

@@ -30,6 +30,7 @@ from .core import (
     TemperedStableSpec,
     TimeGrid,
     WeightedEnsemble,
+    _matvec,
     make_grid,
 )
 from .processes import sample_paths
@@ -211,6 +212,7 @@ def _conv_nu(spec: ConvSpec, entry: PanelEntry, restriction, a) -> float:
     cut_arr = sorted(cuts)
 
     def integrand(s):
+        # a k-vector dot per quadrature node, far below BLAS's threading size
         c = float(alphas @ spec.kernel(times - s))
         return _driver_one_minus_exp(spec.z, c) if c > 0 else 0.0
 
@@ -265,7 +267,7 @@ def _mc_integrand_poisson(rng, spec, entry, n, mixing_mean):
     u = sample_uniform(rng.substream(1), n)
     y = sample_exponential(rng.substream(2), mixing_mean, n)
     loc = u * y
-    level = (times[None, :] >= loc[:, None]) @ alphas
+    level = _matvec(times[None, :] >= loc[:, None], alphas)
     f = _one_minus_exp(level)
     return spec.rate * y * np.exp(loc / mixing_mean) * f
 
@@ -278,7 +280,7 @@ def _mc_integrand_ts(rng, spec, entry, n):
     y = sample_exponential(rng.substream(2), 1.0, n)
     g = sample_gamma(rng.substream(3), 1.0 - al, 1.0, n)
     loc = u * y
-    level = (times[None, :] >= loc[:, None]) @ alphas
+    level = _matvec(times[None, :] >= loc[:, None], alphas)
     # (1 - e^{-gA})/g stays finite as g -> 0
     small = g < 1e-12
     ratio = np.where(small, level, _one_minus_exp(g * level) / np.where(small, 1.0, g))
@@ -295,7 +297,7 @@ def _mc_integrand_sato(rng, spec, entry, n):
     g = sample_exponential(rng.substream(3), 1.0, n)
     birth = g * u ** (1.0 / H)
     scale = g**H * u * v
-    level = (times[None, :] >= birth[:, None]) @ alphas
+    level = _matvec(times[None, :] >= birth[:, None], alphas)
     f = _one_minus_exp(scale * level)
     return spec.bdlp.kappa * np.exp(birth) / (u * v) * f
 
@@ -306,7 +308,7 @@ def _mc_integrand_conv(rng, spec, entry, n, theta):
     y = sample_exponential(rng.substream(1), 1.0 / theta, n)
     law = spec.z.law if isinstance(spec.z, JumpLawSpec) else spec.z
     v = sample_size_biased_jump(rng.substream(2), law, n)
-    resp = spec.kernel(times[None, :] - y[:, None]) @ alphas
+    resp = _matvec(spec.kernel(times[None, :] - y[:, None]), alphas)
     f = _one_minus_exp(v * resp)
     kappa = spec.kappa
     return (kappa / theta) * np.exp(theta * y) / v * f

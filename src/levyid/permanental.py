@@ -23,6 +23,7 @@ from .core import (
     PanelEntry,
     PermanentalSpec,
     WeightedEnsemble,
+    _matvec,
     make_grid,
 )
 from .randkit import RngStream
@@ -107,9 +108,14 @@ def sample_permanental(rng: RngStream, green: GreenMatrix, beta: float, size: in
         raise ValueError("beta must be 1/2 or 1")
     L = _factor(green.matrix)
     gen = rng.generator
-    out = (gen.standard_normal((size, green.n)) @ L.T) ** 2
+
+    def field():
+        z = gen.standard_normal((size, green.n))
+        return np.column_stack([_matvec(z, row) for row in L])  # z @ L.T
+
+    out = field() ** 2
     if beta == 1.0:
-        out += (gen.standard_normal((size, green.n)) @ L.T) ** 2
+        out += field() ** 2
     return out
 
 
@@ -260,12 +266,12 @@ def levy_functional_permanental(
     for a in np.unique(starts):
         rows = np.where(starts == a)[0]
         local = sample_local_times(rng.substream(2, int(a)), chain, int(a), rows.size)
-        denom = local @ m
+        denom = _matvec(local, m)
         bad = denom <= 0
         if bad.any():
             warnings.warn(f"rejected {int(bad.sum())} replicates with zero denominator",
                           RuntimeWarning, stacklevel=2)
-        f = -np.expm1(-0.5 * (2.0 * local[:, states] @ alphas))
+        f = -np.expm1(-0.5 * (2.0 * _matvec(local[:, states], alphas)))
         contrib = np.where(bad, 0.0, m.sum() * g[a, a] * f / np.where(bad, 1.0, denom))
         x[rows] = contrib
     se = bootstrap_mean_se(x)

@@ -151,6 +151,7 @@ def _conv_values(
     fmat = spec.kernel(pts[None, :] - mids[:, None])
     if jump_filter is not None:
         fmat = fmat * jump_filter(mids)[:, None]
+    # BLAS threads split this gemm's output, not its inner sums: thread-count-free
     return dz @ fmat
 
 

@@ -14,14 +14,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import LevyFunctionalPanel, PanelEntry, WeightedEnsemble
+from .core import LevyFunctionalPanel, PanelEntry, WeightedEnsemble, _matvec
 
 
 def laplace_values(ensemble: WeightedEnsemble, entry: PanelEntry) -> np.ndarray:
     """Per-path values of exp(-sum_i alphas[i] * path(times[i]))."""
     idx = ensemble.grid.index_of(entry.times)
-    expo = ensemble.values[:, idx] @ np.asarray(entry.alphas)
-    return np.exp(-expo)
+    return np.exp(-_matvec(ensemble.values[:, idx], entry.alphas))
 
 
 def weighted_laplace_panel(
@@ -42,10 +41,10 @@ def weighted_laplace_panel(
     se = np.zeros(len(panel))
     for k, entry in enumerate(panel):
         v = laplace_values(ensemble, entry)
-        est[k] = (w @ v) / sw
+        est[k] = np.sum(w * v) / sw
         if w.size >= 2:
             r = w * (v - est[k])
-            se[k] = math.sqrt(r @ r) / sw
+            se[k] = math.sqrt(np.sum(r * r)) / sw
     return est, se
 
 

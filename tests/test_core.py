@@ -20,6 +20,7 @@ from levyid.core import (
     TabulatedKernel,
     TemperedStableSpec,
     WeightedEnsemble,
+    _matvec,
     make_grid,
     mean_function,
 )
@@ -98,6 +99,15 @@ class TestJumpLaw:
         want = 0.25 * (1 - math.exp(-1)) + 0.75 * (1 - math.exp(-2))
         assert law.one_minus_exp_moment(1.0) == pytest.approx(want)
 
+    def test_discrete_moment_keeps_the_shape_of_c(self):
+        law = JumpLaw.discrete(((1.0, 0.25), (2.0, 0.75)))
+        assert type(law.one_minus_exp_moment(1.0)) is float
+        for c in (np.linspace(0.1, 3.0, 5), np.linspace(0.1, 3.0, 6).reshape(2, 3)):
+            out = law.one_minus_exp_moment(c)
+            assert out.shape == c.shape
+            want = [law.one_minus_exp_moment(float(x)) for x in c.ravel()]
+            np.testing.assert_allclose(out.ravel(), want, rtol=1e-15)
+
     def test_discrete_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
             JumpLaw.discrete(((1.0, 0.5), (2.0, 0.2)))
@@ -126,6 +136,32 @@ class TestJumpLaw:
                     JumpLaw.constant(0.4), JumpLaw.discrete(((0.5, 0.5), (3.0, 0.5)))):
             v = float(law.one_minus_exp_moment(c))
             assert 0.0 < v < 1.0
+
+
+class TestMatvec:
+    """The fixed-order product that stands in for BLAS on per-path arrays."""
+
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_matches_matmul(self, dtype):
+        gen = np.random.default_rng(5)
+        matrix = gen.random((5_000, 7))
+        if dtype is bool:
+            matrix = matrix < 0.5
+        coefs = gen.random(7)
+        want = matrix @ coefs
+        got = _matvec(matrix, coefs)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_contracts_the_last_axis(self):
+        matrix = np.random.default_rng(6).random((3, 4, 5))
+        coefs = np.arange(1.0, 6.0)
+        np.testing.assert_allclose(_matvec(matrix, coefs), matrix @ coefs, rtol=1e-12)
+
+    def test_empty_coefs_give_zeros(self):
+        out = _matvec(np.empty((4, 0)), [])
+        assert out.shape == (4,)
+        assert not out.any()
 
 
 class TestKernels:
