@@ -543,11 +543,14 @@ def _cmd_suite(cfg, seed, workers):
             raise ConfigError(f"job {name!r}: unknown command {command!r}")
         jcfg = _get(job, "config", required=True)
         jseed = _seed(_get(jcfg, "seed", seed + j + 1))
+        started = time.perf_counter()
         resolved, results, ok, _ = _JOB_HANDLERS[command](jcfg, jseed, workers)
         all_ok &= ok
+        # main moves the runtime into the timestamp block
         job_results.append({"name": name, "command": command, "seed": jseed,
                             "results": results,
-                            "verdict": "pass" if ok else "fail"})
+                            "verdict": "pass" if ok else "fail",
+                            "runtime_seconds": round(time.perf_counter() - started, 3)})
         resolved_jobs.append({"name": name, "command": command,
                               "config": {**resolved, "seed": jseed}})
         rows.append([name, command, "pass" if ok else "fail"])
@@ -649,6 +652,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"levyid: config error: {exc}", file=sys.stderr)
         return 2
+    timestamp = {
+        "utc": datetime.now(timezone.utc).isoformat(),
+        "runtime_seconds": round(time.perf_counter() - started, 3),
+    }
+    if args.command == "suite":
+        # wall times differ from run to run, so they stay out of the results
+        timestamp["jobs"] = [{"name": job["name"], "runtime_seconds": job.pop("runtime_seconds")}
+                             for job in results["jobs"]]
     report = {
         "schema": SCHEMA,
         "command": args.command,
@@ -656,10 +667,7 @@ def main(argv=None) -> int:
         "seed": seed,
         "results": results,
         "verdict": "pass" if ok else "fail",
-        "timestamp": {
-            "utc": datetime.now(timezone.utc).isoformat(),
-            "runtime_seconds": round(time.perf_counter() - started, 3),
-        },
+        "timestamp": timestamp,
     }
     text = json.dumps(_to_jsonable(report), indent=2, sort_keys=True) + "\n"
     try:

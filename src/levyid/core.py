@@ -24,18 +24,28 @@ def _as_float_tuple(xs) -> tuple[float, ...]:
     return tuple(float(x) for x in xs)
 
 
-def _matvec(matrix, coefs) -> np.ndarray:
-    """matrix @ coefs over the last axis, summed one column at a time in
-    index order.
+def _matvec(matrix, coefs, cols=None, out=None, work=None) -> np.ndarray:
+    """matrix[..., cols] @ coefs over the last axis, summed one column at a
+    time in coefs order.
 
     Per-path reductions go through this rather than BLAS: threaded BLAS
     splits a long sum by thread count, so its last bits depend on the
-    machine, and its idle workers spin after every call.
+    machine, and its idle workers spin after every call. `cols` picks the
+    columns in place of a gather (default: the first len(coefs)); `out` and
+    `work` are optional float buffers of the result's shape, so a caller
+    that runs many products allocates nothing per product.
     """
     matrix = np.asarray(matrix)
-    out = np.zeros(matrix.shape[:-1])
-    for j, c in enumerate(np.asarray(coefs, dtype=float)):
-        out += c * matrix[..., j]
+    coefs = np.asarray(coefs, dtype=float)
+    if out is None:
+        out = np.zeros(matrix.shape[:-1])
+    else:
+        out.fill(0.0)
+    if work is None:
+        work = np.empty_like(out)
+    for j, c in zip(range(coefs.size) if cols is None else cols, coefs):
+        np.multiply(c, matrix[..., j], out=work)
+        out += work
     return out
 
 
@@ -567,8 +577,8 @@ class WeightedEnsemble:
         self.weights = np.ascontiguousarray(self.weights, dtype=float)
         if self.weights.shape != (self.values.shape[0],):
             raise ValueError("weights must be one per path")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
+            raise ValueError("weights must be finite and nonnegative")
         if self.values.shape[0] == 0:
             raise ValueError("ensemble must contain at least one path")
         if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):

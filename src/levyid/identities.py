@@ -199,7 +199,8 @@ def verify_tilting_identity(
         n,
         workers,
     )
-    rhs_ens = WeightedEnsemble(grid, base + add)
+    base += add
+    rhs_ens = WeightedEnsemble(grid, base)
     lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel)
     rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel)
     return build_identity_report(
@@ -233,7 +234,8 @@ def verify_decomposition_identity(
         workers,
     )
     lhs_ens = WeightedEnsemble(grid, lhs_vals)
-    rhs_ens = WeightedEnsemble(grid, hid + vis)
+    hid += vis
+    rhs_ens = WeightedEnsemble(grid, hid)
     lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel)
     rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel)
     return build_identity_report(

@@ -61,13 +61,28 @@ def _cumulative(points, increments) -> np.ndarray:
     increment matrix for the k step lengths."""
     uniq, inv = np.unique(np.asarray(points, dtype=float), return_inverse=True)
     steps = np.diff(np.concatenate([[0.0], uniq]))
-    return np.cumsum(increments(steps), axis=1, dtype=float)[:, inv]
+    out = increments(steps).astype(float, copy=False)
+    # column by column in place: the same additions, in the same order, as
+    # np.cumsum along rows, without its copy
+    for j in range(1, out.shape[1]):
+        out[:, j] += out[:, j - 1]
+    if np.array_equal(inv, np.arange(inv.size)):
+        return out  # the points were already sorted and distinct
+    # column copies keep C order; out[:, inv] returns Fortran order, and
+    # take along axis 1 is slower
+    return np.column_stack([out[:, i] for i in inv])
 
 
 def _poisson_values(rng: RngStream, rate: float, points, n: int) -> np.ndarray:
-    return _cumulative(
-        points, lambda steps: rng.generator.poisson(rate * steps, size=(n, steps.size))
-    )
+    def increments(steps):
+        lam = rate * steps
+        # a scalar mean draws the same variates as an all-equal vector of
+        # means, without numpy's per-variate broadcast
+        if lam.size and np.all(lam == lam[0]):
+            lam = float(lam[0])
+        return rng.generator.poisson(lam, size=(n, steps.size))
+
+    return _cumulative(points, increments)
 
 
 def _ts_values(rng: RngStream, alpha: float, points, n: int) -> np.ndarray:
@@ -182,7 +197,7 @@ def sample_ensemble(fn, rng: RngStream, n: int, workers: int = 1) -> np.ndarray:
             parts = list(pool.map(lambda km: fn(rng.substream(km[0]), km[1]), sizes))
     else:
         parts = [fn(rng.substream(k), m) for k, m in sizes]
-    return np.vstack(parts)
+    return parts[0] if len(parts) == 1 else np.vstack(parts)
 
 
 def sample_paths(

@@ -77,15 +77,30 @@ def sample_positive_stable(rng: RngStream, alpha: float, t: float, size: int) ->
     gen = rng.generator
     theta = np.pi * gen.random(size)
     np.clip(theta, _THETA_EPS, np.pi - _THETA_EPS, out=theta)
-    w = np.maximum(gen.standard_exponential(size), 1e-300)
-    frac = alpha / (1.0 - alpha)
-    log_a = (
-        frac * np.log(np.sin(alpha * theta))
-        + np.log(np.sin((1.0 - alpha) * theta))
-        - (1.0 + frac) * np.log(np.sin(theta))
-    )
-    s = np.exp((log_a - np.log(w)) / frac)
-    return t ** (1.0 / alpha) * s
+    w = gen.standard_exponential(size)
+    np.maximum(w, 1e-300, out=w)
+    beta = 1.0 - alpha
+    frac = alpha / beta
+    log_a = _log_sin(alpha * theta)
+    # at alpha = 1/2 both sines take the same argument: compute it once
+    log_b = log_a.copy() if beta == alpha else _log_sin(beta * theta)
+    log_c = _log_sin(theta)  # theta is not needed after this
+    # log_a <- frac * log_a + log_b - (1 + frac) * log_c
+    log_a *= frac
+    log_a += log_b
+    log_c *= 1.0 + frac
+    log_a -= log_c
+    log_a -= np.log(w, out=w)
+    log_a /= frac
+    s = np.exp(log_a, out=log_a)
+    s *= t ** (1.0 / alpha)
+    return s
+
+
+def _log_sin(x: np.ndarray) -> np.ndarray:
+    """log(sin(x)), computed in place in x."""
+    np.sin(x, out=x)
+    return np.log(x, out=x)
 
 
 def sample_tempered_stable_increment(

@@ -17,10 +17,17 @@ import numpy as np
 from .core import LevyFunctionalPanel, PanelEntry, WeightedEnsemble, _matvec
 
 
-def laplace_values(ensemble: WeightedEnsemble, entry: PanelEntry) -> np.ndarray:
-    """Per-path values of exp(-sum_i alphas[i] * path(times[i]))."""
+def laplace_values(
+    ensemble: WeightedEnsemble, entry: PanelEntry, out=None, work=None
+) -> np.ndarray:
+    """Per-path values of exp(-sum_i alphas[i] * path(times[i])).
+
+    `out` and `work` are optional n-buffers; the result is written to `out`.
+    """
     idx = ensemble.grid.index_of(entry.times)
-    return np.exp(-_matvec(ensemble.values[:, idx], entry.alphas))
+    v = _matvec(ensemble.values, entry.alphas, cols=idx, out=out, work=work)
+    np.negative(v, out=v)
+    return np.exp(v, out=v)
 
 
 def weighted_laplace_panel(
@@ -39,12 +46,15 @@ def weighted_laplace_panel(
         raise ValueError("all ensemble weights are zero")
     est = np.empty(len(panel))
     se = np.zeros(len(panel))
+    # every entry is evaluated into the same two n-buffers
+    v, tmp = np.empty(w.size), np.empty(w.size)
     for k, entry in enumerate(panel):
-        v = laplace_values(ensemble, entry)
-        est[k] = np.sum(w * v) / sw
+        laplace_values(ensemble, entry, out=v, work=tmp)
+        est[k] = np.sum(np.multiply(w, v, out=tmp)) / sw
         if w.size >= 2:
-            r = w * (v - est[k])
-            se[k] = math.sqrt(np.sum(r * r)) / sw
+            np.subtract(v, est[k], out=v)
+            r = np.multiply(w, v, out=v)
+            se[k] = math.sqrt(np.sum(np.multiply(r, r, out=tmp))) / sw
     return est, se
 
 

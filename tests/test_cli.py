@@ -393,8 +393,12 @@ class TestSuite:
         code1, rep1 = _run(tmp_path, ["suite"], self._suite_cfg())
         code2, rep2 = _run(tmp_path, ["suite"], self._suite_cfg())
         assert code1 == code2 == 0
-        rep1.pop("timestamp")
-        rep2.pop("timestamp")
+        for rep in (rep1, rep2):
+            # per-job wall times live in the timestamp block only
+            stamps = rep.pop("timestamp")["jobs"]
+            assert [s["name"] for s in stamps] == ["tilt", "lim"]
+            assert all(s["runtime_seconds"] >= 0 for s in stamps)
+            assert all("runtime_seconds" not in j for j in rep["results"]["jobs"])
         assert rep1 == rep2
 
     def test_suite_csv(self, tmp_path):

@@ -308,3 +308,8 @@ class TestWeightedEnsemble:
     def test_rejects_weight_length_mismatch(self, grid):
         with pytest.raises(ValueError):
             WeightedEnsemble(grid, np.zeros((2, 4)), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, grid, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedEnsemble(grid, np.zeros((2, 4)), np.array([1.0, bad]))
