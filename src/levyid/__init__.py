@@ -53,11 +53,9 @@ from .permanental import (
 from .processes import sample_paths
 from .randkit import (
     RngStream,
-    sample_exponential,
     sample_jump,
     sample_positive_stable,
     sample_tempered_stable_increment,
-    sample_uniform,
 )
 from .statlab import IdentityReport, compare, effective_sample_size
 
@@ -96,14 +94,12 @@ __all__ = [
     "levy_functional_quadrature",
     "make_grid",
     "mean_function",
-    "sample_exponential",
     "sample_jump",
     "sample_local_times",
     "sample_paths",
     "sample_permanental",
     "sample_positive_stable",
     "sample_tempered_stable_increment",
-    "sample_uniform",
     "tilted_ensemble",
     "validate_levy_conditions",
     "verify_decomposition_identity",

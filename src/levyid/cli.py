@@ -22,7 +22,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -341,7 +340,7 @@ def _report_csv(report: IdentityReport):
 
 # one handler per subcommand; each returns (resolved_config, results, ok, csv)
 
-def _cmd_simulate(cfg, seed, workers):
+def _cmd_simulate(cfg, seed):
     spec = parse_process(_get(cfg, "process", required=True))
     n, z_crit, mc = _parse_mc(cfg)
     resolved = {"process": cfg["process"], "mc": mc}
@@ -353,7 +352,7 @@ def _cmd_simulate(cfg, seed, workers):
         labels = [f"state_{j}" for j in range(spec.n)]
     else:
         grid = _parse_grid(cfg)
-        draws = sample_paths(rng.substream(0), spec, grid, n, workers)
+        draws = sample_paths(rng.substream(0), spec, grid, n)
         expected = np.array([mean_function(spec, t) for t in grid.points])
         labels = [f"t_{t:g}" for t in grid.points]
         resolved["grid"] = list(grid.points)
@@ -367,19 +366,18 @@ def _cmd_simulate(cfg, seed, workers):
     return resolved, results, ok, csv_payload
 
 
-def _identity_command(cfg, seed, workers, identity):
+def _identity_command(cfg, seed, identity):
     spec, grid, a, panel, n, z_crit, resolved = _grid_job(cfg, pinned=True)
     # looked up per call, so a rebinding of the module attribute (a test
     # double, the benchmark tracer) takes effect
     verifier = {"tilting": verify_tilting_identity,
                 "decomposition": verify_decomposition_identity}[identity]
-    report = verifier(RngStream(seed), spec, a, grid, panel,
-                      n, z_crit=z_crit, workers=workers)
+    report = verifier(RngStream(seed), spec, a, grid, panel, n, z_crit=z_crit)
     report.notes.update(_sampler_notes(spec))
     return resolved, report.to_dict(), report.overall_pass, _report_csv(report)
 
 
-def _cmd_levy_check(cfg, seed, workers):
+def _cmd_levy_check(cfg, seed):
     spec, grid, _, panel, n, z_crit, resolved = _grid_job(cfg, pinned=False)
     levy = cfg.get("levy", {})
     n_mc = _count(_get(levy, "n", max(1, n // 2)), "n")
@@ -391,8 +389,7 @@ def _cmd_levy_check(cfg, seed, workers):
     split_a = [_positive(x, "split_a") for x in split_a]
     rng = RngStream(seed)
 
-    lap = laplace_exponent_check(rng.substream(0), spec, panel, n,
-                                 z_crit=z_crit, workers=workers)
+    lap = laplace_exponent_check(rng.substream(0), spec, panel, n, z_crit=z_crit)
     lap.notes.update(_sampler_notes(spec))
     conds = validate_levy_conditions(spec, grid)
 
@@ -455,7 +452,7 @@ def _cmd_levy_check(cfg, seed, workers):
     return resolved, results, ok, _report_csv(lap)
 
 
-def _cmd_permanental(cfg, seed, workers):
+def _cmd_permanental(cfg, seed):
     spec = parse_process(_get(cfg, "process", required=True))
     if not isinstance(spec, PermanentalSpec):
         raise ConfigError("the permanental command needs a permanental process")
@@ -506,7 +503,7 @@ def _cmd_permanental(cfg, seed, workers):
     return resolved, results, ok, _report_csv(report)
 
 
-def _cmd_limit(cfg, seed, workers):
+def _cmd_limit(cfg, seed):
     spec, grid, a, panel, _, z_crit, resolved = _grid_job(cfg, pinned=True)
     # the ladder has its own base size: per-rung samples grow as n/delta, and
     # mc.N (sized for direct identity checks) would swamp the O(delta)
@@ -520,8 +517,7 @@ def _cmd_limit(cfg, seed, workers):
     deltas = [_num(d, "deltas") for d in deltas]
     n_max = _count(_get(lim, "n_max", 2_000_000), "n_max")
     report = verify_thinning_limit(RngStream(seed), spec, a, grid, panel, n,
-                                   deltas=deltas, n_max=n_max,
-                                   z_crit=z_crit, workers=workers)
+                                   deltas=deltas, n_max=n_max, z_crit=z_crit)
     resolved["limit"] = {"deltas": deltas, "n": n, "n_max": n_max}
     header = ["delta", "n_used", "distance", "distance_se", "ess"]
     rows = [[report.deltas[k], report.n_used[k], report.distances[k],
@@ -530,7 +526,7 @@ def _cmd_limit(cfg, seed, workers):
     return resolved, report.to_dict(), report.overall_pass, (header, rows)
 
 
-def _cmd_suite(cfg, seed, workers):
+def _cmd_suite(cfg, seed):
     jobs = _get(cfg, "jobs", required=True)
     if not isinstance(jobs, list) or not jobs:
         raise ConfigError("suite config needs a nonempty 'jobs' list")
@@ -544,7 +540,7 @@ def _cmd_suite(cfg, seed, workers):
         jcfg = _get(job, "config", required=True)
         jseed = _seed(_get(jcfg, "seed", seed + j + 1))
         started = time.perf_counter()
-        resolved, results, ok, _ = _JOB_HANDLERS[command](jcfg, jseed, workers)
+        resolved, results, ok, _ = _JOB_HANDLERS[command](jcfg, jseed)
         all_ok &= ok
         # main moves the runtime into the timestamp block
         job_results.append({"name": name, "command": command, "seed": jseed,
@@ -631,8 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed; overrides the config's seed")
         q.add_argument("--out", metavar="PATH",
                        help="write the JSON report here instead of stdout")
+        # ignored, since sampler threads follow the core count; kept while
+        # perfbench/run.py still passes it
         q.add_argument("--workers", metavar="N", type=int, default=0,
-                       help="sampler threads (default: machine parallelism)")
+                       help="ignored; kept for compatibility")
         q.add_argument("--csv", metavar="PATH", help="also write result rows as CSV")
     return parser
 
@@ -644,11 +642,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = _seed(args.seed if args.seed is not None else cfg.get("seed", 0))
         if args.workers < 0:
-            raise ConfigError("--workers must be nonnegative (0 uses every core)")
-        workers = args.workers or os.cpu_count() or 1
+            raise ConfigError("--workers must be nonnegative")
         # the library raises ValueError/TypeError on inputs it cannot run
         with _config_errors():
-            resolved, results, ok, csv_payload = _HANDLERS[args.command](cfg, seed, workers)
+            resolved, results, ok, csv_payload = _HANDLERS[args.command](cfg, seed)
     except ConfigError as exc:
         print(f"levyid: config error: {exc}", file=sys.stderr)
         return 2

@@ -33,12 +33,7 @@ from .core import (
     mean_function,
 )
 from .processes import _conv_values, sample_ensemble, sample_paths, values_at
-from .randkit import (
-    RngStream,
-    sample_gamma,
-    sample_size_biased_jump,
-    sample_uniform,
-)
+from .randkit import RngStream, sample_size_biased_jump
 from .statlab import (
     IdentityReport,
     build_identity_report,
@@ -109,14 +104,14 @@ def companion_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int
         raise ValueError("pin time a must be positive")
     pts = np.asarray(points, dtype=float)
     if isinstance(spec, PoissonSpec):
-        u = sample_uniform(rng.substream(1), n)
+        u = rng.substream(1).generator.random(n)
         return (pts[None, :] >= (a * u)[:, None]).astype(float)
     if isinstance(spec, TemperedStableSpec):
-        u = sample_uniform(rng.substream(1), n)
-        g = sample_gamma(rng.substream(2), 1.0 - spec.alpha, 1.0, n)
+        u = rng.substream(1).generator.random(n)
+        g = rng.substream(2).generator.gamma(1.0 - spec.alpha, 1.0, n)
         return g[:, None] * (pts[None, :] >= (a * u)[:, None])
     if isinstance(spec, SatoSpec):
-        u = sample_uniform(rng.substream(1), n)
+        u = rng.substream(1).generator.random(n)
         v = sample_size_biased_jump(rng.substream(2), spec.bdlp.law, n)
         birth = a * u ** (1.0 / spec.H)
         scale = a**spec.H * u * v
@@ -167,7 +162,7 @@ def hidden_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) -
 
 
 def tilted_ensemble(
-    rng: RngStream, spec: ProcessSpec, a: float, grid: TimeGrid, n: int, workers: int = 1
+    rng: RngStream, spec: ProcessSpec, a: float, grid: TimeGrid, n: int
 ) -> WeightedEnsemble:
     """psi-paths weighted by psi(a) / E psi(a); the exact analytic normalizer
     keeps the weights mean-one."""
@@ -175,7 +170,7 @@ def tilted_ensemble(
     mean_a = mean_function(spec, a)
     if mean_a <= 0:
         raise ValueError("E psi(a) must be positive to tilt at a")
-    values = sample_paths(rng, spec, grid, n, workers)
+    values = sample_paths(rng, spec, grid, n)
     weights = values[:, ia] / mean_a
     return WeightedEnsemble(grid, values, weights)
 
@@ -188,16 +183,14 @@ def verify_tilting_identity(
     panel: LevyFunctionalPanel,
     n: int,
     z_crit: float = 3.0,
-    workers: int = 1,
 ) -> IdentityReport:
     """Size-biased psi against psi + companion, on independent streams."""
-    lhs_ens = tilted_ensemble(rng.substream(_TAG_LHS), spec, a, grid, n, workers)
-    base = sample_paths(rng.substream(_TAG_RHS_BASE), spec, grid, n, workers)
+    lhs_ens = tilted_ensemble(rng.substream(_TAG_LHS), spec, a, grid, n)
+    base = sample_paths(rng.substream(_TAG_RHS_BASE), spec, grid, n)
     add = sample_ensemble(
         lambda stream, m: companion_values(stream, spec, a, grid.points, m),
         rng.substream(_TAG_RHS_ADD),
         n,
-        workers,
     )
     base += add
     rhs_ens = WeightedEnsemble(grid, base)
@@ -216,22 +209,19 @@ def verify_decomposition_identity(
     panel: LevyFunctionalPanel,
     n: int,
     z_crit: float = 3.0,
-    workers: int = 1,
 ) -> IdentityReport:
     """psi against hidden + visible components drawn independently."""
     grid.index_of([a])  # the pin must sit on the working grid
-    lhs_vals = sample_paths(rng.substream(_TAG_LHS), spec, grid, n, workers)
+    lhs_vals = sample_paths(rng.substream(_TAG_LHS), spec, grid, n)
     hid = sample_ensemble(
         lambda stream, m: hidden_values(stream, spec, a, grid.points, m),
         rng.substream(_TAG_RHS_BASE),
         n,
-        workers,
     )
     vis = sample_ensemble(
         lambda stream, m: visible_values(stream, spec, a, grid.points, m),
         rng.substream(_TAG_RHS_ADD),
         n,
-        workers,
     )
     lhs_ens = WeightedEnsemble(grid, lhs_vals)
     hid += vis

@@ -34,13 +34,7 @@ from .core import (
     make_grid,
 )
 from .processes import sample_paths
-from .randkit import (
-    RngStream,
-    sample_exponential,
-    sample_gamma,
-    sample_size_biased_jump,
-    sample_uniform,
-)
+from .randkit import RngStream, sample_size_biased_jump
 from .statlab import (
     IdentityReport,
     bootstrap_mean_se,
@@ -264,8 +258,8 @@ def _mc_integrand_poisson(rng, spec, entry, n, mixing_mean):
     # weight exp(U Y / mean) makes the estimator unbiased for any mean
     times = np.asarray(entry.times)
     alphas = np.asarray(entry.alphas)
-    u = sample_uniform(rng.substream(1), n)
-    y = sample_exponential(rng.substream(2), mixing_mean, n)
+    u = rng.substream(1).generator.random(n)
+    y = mixing_mean * rng.substream(2).generator.standard_exponential(n)
     loc = u * y
     level = _matvec(times[None, :] >= loc[:, None], alphas)
     f = _one_minus_exp(level)
@@ -276,9 +270,9 @@ def _mc_integrand_ts(rng, spec, entry, n):
     times = np.asarray(entry.times)
     alphas = np.asarray(entry.alphas)
     al = spec.alpha
-    u = sample_uniform(rng.substream(1), n)
-    y = sample_exponential(rng.substream(2), 1.0, n)
-    g = sample_gamma(rng.substream(3), 1.0 - al, 1.0, n)
+    u = rng.substream(1).generator.random(n)
+    y = rng.substream(2).generator.standard_exponential(n)
+    g = rng.substream(3).generator.gamma(1.0 - al, 1.0, n)
     loc = u * y
     level = _matvec(times[None, :] >= loc[:, None], alphas)
     # (1 - e^{-gA})/g stays finite as g -> 0
@@ -292,9 +286,9 @@ def _mc_integrand_sato(rng, spec, entry, n):
     times = np.asarray(entry.times)
     alphas = np.asarray(entry.alphas)
     H = spec.H
-    u = sample_uniform(rng.substream(1), n)
+    u = rng.substream(1).generator.random(n)
     v = sample_size_biased_jump(rng.substream(2), spec.bdlp.law, n)
-    g = sample_exponential(rng.substream(3), 1.0, n)
+    g = rng.substream(3).generator.standard_exponential(n)
     birth = g * u ** (1.0 / H)
     scale = g**H * u * v
     level = _matvec(times[None, :] >= birth[:, None], alphas)
@@ -305,7 +299,7 @@ def _mc_integrand_sato(rng, spec, entry, n):
 def _mc_integrand_conv(rng, spec, entry, n, theta):
     times = np.asarray(entry.times)
     alphas = np.asarray(entry.alphas)
-    y = sample_exponential(rng.substream(1), 1.0 / theta, n)
+    y = (1.0 / theta) * rng.substream(1).generator.standard_exponential(n)
     law = spec.z.law if isinstance(spec.z, JumpLawSpec) else spec.z
     v = sample_size_biased_jump(rng.substream(2), law, n)
     resp = _matvec(spec.kernel(times[None, :] - y[:, None]), alphas)
@@ -364,13 +358,12 @@ def laplace_exponent_check(
     panel: LevyFunctionalPanel,
     n: int,
     z_crit: float = 3.0,
-    workers: int = 1,
 ) -> IdentityReport:
     """Empirical -log E exp(-sum alpha psi(t)) against the quadrature value
     of nu(F), entry by entry."""
     times = sorted({t for e in panel for t in e.times})
     grid = make_grid(times)
-    values = sample_paths(rng.substream(1), spec, grid, n, workers)
+    values = sample_paths(rng.substream(1), spec, grid, n)
     ens = WeightedEnsemble(grid, values)
     est, se = weighted_laplace_panel(ens, panel)
     lhs = -np.log(est)

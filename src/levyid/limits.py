@@ -102,7 +102,6 @@ def verify_thinning_limit(
     deltas=DEFAULT_DELTAS,
     n_max: int = 2_000_000,
     z_crit: float = 3.0,
-    workers: int = 1,
 ) -> LimitReport:
     """Walk the ladder, tilt each thinned ensemble at a, and compare to the
     companion.
@@ -139,7 +138,6 @@ def verify_thinning_limit(
         lambda stream, m: companion_values(stream, spec, a, grid.points, m),
         rng.substream(0),
         n_target,
-        workers,
     )
     t_est, t_se = weighted_laplace_panel(WeightedEnsemble(grid, target_vals), panel)
     ia = int(grid.index_of([a])[0])
@@ -152,7 +150,6 @@ def verify_thinning_limit(
             lambda stream, m: thinned_values(stream, spec, delta, grid.points, m),
             rng.substream(1 + k),
             n_k,
-            workers,
         )
         weights = vals[:, ia] / (delta * mean_a)
         ens = WeightedEnsemble(grid, vals, weights)

@@ -11,6 +11,7 @@ documented tail truncation for the self-similar family).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,7 +28,7 @@ from .core import (
 from .randkit import DT_MAX, RngStream, sample_jump, sample_tempered_stable_increment
 
 # replicates per independent stream chunk; fixed so results do not depend on
-# the worker count
+# the thread count
 CHUNK = 50_000
 
 # neglected driver tail must stay below this fraction of E psi(t_max)
@@ -35,6 +36,14 @@ _TAIL_FRACTION = 1e-6
 
 # sub-steps for the approximate tempered-stable-driver moving average
 _CONV_TS_STEPS = 256
+
+# most sub-steps of at most DT_MAX a tempered-stable sampler takes over one
+# span (a grid step, or a conv driver's [0, t_max]): spans up to 512; the
+# shipped configs reach 2
+_MAX_SUBSTEPS = 1024
+
+# numpy's Poisson sampler rejects means above about 9.22e18
+_POISSON_MEAN_MAX = 9.2e18
 
 
 def required_cutoff(spec: SatoSpec, points) -> float:
@@ -73,9 +82,28 @@ def _cumulative(points, increments) -> np.ndarray:
     return np.column_stack([out[:, i] for i in inv])
 
 
+def _poisson_mean(mean):
+    """`mean`, a jump count's Poisson mean or an array of them; raises when
+    numpy cannot draw it."""
+    if not np.all(mean <= _POISSON_MEAN_MAX):  # also rejects NaN
+        raise ValueError(
+            f"a jump count's Poisson mean exceeds {_POISSON_MEAN_MAX:.3g}; lower the "
+            "jump rate ('lambda' or 'rate'), 'H' or the largest 'grid' time")
+    return mean
+
+
+def _substeps(span: float) -> int:
+    """How many tempered-stable sub-steps of at most DT_MAX cover `span`."""
+    if not span / DT_MAX <= _MAX_SUBSTEPS:
+        raise ValueError(
+            f"tempered-stable sampling over a span of {span:g} needs more than "
+            f"{_MAX_SUBSTEPS} sub-steps of {DT_MAX}; lower the largest 'grid' time")
+    return math.ceil(span / DT_MAX)
+
+
 def _poisson_values(rng: RngStream, rate: float, points, n: int) -> np.ndarray:
     def increments(steps):
-        lam = rate * steps
+        lam = _poisson_mean(rate * steps)
         # a scalar mean draws the same variates as an all-equal vector of
         # means, without numpy's per-variate broadcast
         if lam.size and np.all(lam == lam[0]):
@@ -87,11 +115,9 @@ def _poisson_values(rng: RngStream, rate: float, points, n: int) -> np.ndarray:
 
 def _ts_values(rng: RngStream, alpha: float, points, n: int) -> np.ndarray:
     def increments(steps):
+        subs = [_substeps(dt) for dt in steps]
         inc = np.zeros((n, steps.size))
-        for j, dt in enumerate(steps):
-            if dt <= 0:
-                continue
-            m = int(math.ceil(dt / DT_MAX))
+        for j, (dt, m) in enumerate(zip(steps, subs)):
             for _ in range(m):
                 inc[:, j] += sample_tempered_stable_increment(rng, alpha, dt / m, n)
         return inc
@@ -102,7 +128,7 @@ def _ts_values(rng: RngStream, alpha: float, points, n: int) -> np.ndarray:
 def _jump_set(rng: RngStream, driver: JumpLawSpec, lo: float, hi: float, n: int):
     """The driver's jumps on locations [lo, hi) for n independent paths, as
     (path index, location, size) arrays; None when no path has a jump."""
-    counts = rng.generator.poisson(driver.rate * (hi - lo), n)
+    counts = rng.generator.poisson(_poisson_mean(driver.rate * (hi - lo)), n)
     m = int(counts.sum())
     if m == 0:
         return None
@@ -156,11 +182,11 @@ def _conv_values(
             out[:, j] = np.bincount(rep, weights=contrib, minlength=n)
         return out
     # tempered stable driver: approximate by increments on a fine sub-grid
+    need = _substeps(t_max)
     steps = _CONV_TS_STEPS
-    h = t_max / steps
-    while h > DT_MAX:
+    while steps < need:
         steps *= 2
-        h = t_max / steps
+    h = t_max / steps
     mids = (np.arange(steps) + 0.5) * h
     dz = sample_tempered_stable_increment(rng, spec.z.alpha, h, n * steps).reshape(n, steps)
     fmat = spec.kernel(pts[None, :] - mids[:, None])
@@ -183,27 +209,29 @@ def values_at(rng: RngStream, spec: ProcessSpec, points, n: int) -> np.ndarray:
     raise TypeError(f"no path sampler for {type(spec).__name__}")
 
 
-def sample_ensemble(fn, rng: RngStream, n: int, workers: int = 1) -> np.ndarray:
+def sample_ensemble(fn, rng: RngStream, n: int) -> np.ndarray:
     """Stack fn(stream, m) over fixed-size chunks with per-chunk substreams.
 
-    The chunking is independent of `workers`, so the result depends only on
-    the stream identity.
+    Chunks run on a thread pool sized by the chunk count and the core
+    count; the chunking is fixed, so the result depends only on the stream
+    identity.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     sizes = [(k, min(CHUNK, n - k * CHUNK)) for k in range((n + CHUNK - 1) // CHUNK)]
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda km: fn(rng.substream(km[0]), km[1]), sizes))
-    else:
-        parts = [fn(rng.substream(k), m) for k, m in sizes]
-    return parts[0] if len(parts) == 1 else np.vstack(parts)
+    if len(sizes) == 1:
+        return fn(rng.substream(0), n)
+    with ThreadPoolExecutor(max_workers=min(len(sizes), os.cpu_count() or 1)) as pool:
+        return np.vstack(list(pool.map(lambda km: fn(rng.substream(km[0]), km[1]), sizes)))
 
 
 def sample_paths(
     rng: RngStream, spec: ProcessSpec, grid: TimeGrid, n: int, workers: int = 1
 ) -> np.ndarray:
-    """(n, len(grid)) ensemble of independent paths."""
+    """(n, len(grid)) ensemble of independent paths.
+
+    `workers` is ignored; it stays for callers that still pass it.
+    """
     return sample_ensemble(
-        lambda stream, m: values_at(stream, spec, grid.points, m), rng, n, workers
+        lambda stream, m: values_at(stream, spec, grid.points, m), rng, n
     )

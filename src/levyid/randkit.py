@@ -49,23 +49,6 @@ class RngStream:
         return RngStream(self.seed, self.stream_id, self.path + tags)
 
 
-def sample_uniform(rng: RngStream, size: int) -> np.ndarray:
-    """Uniform draws on [0, 1)."""
-    return rng.generator.random(size)
-
-
-def sample_exponential(rng: RngStream, mean: float, size: int) -> np.ndarray:
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-    return mean * rng.generator.standard_exponential(size)
-
-
-def sample_gamma(rng: RngStream, shape: float, rate: float, size: int) -> np.ndarray:
-    if shape <= 0 or rate <= 0:
-        raise ValueError("shape and rate must be positive")
-    return rng.generator.gamma(shape, 1.0 / rate, size)
-
-
 def sample_positive_stable(rng: RngStream, alpha: float, t: float, size: int) -> np.ndarray:
     """Positive stable law with E exp(-u X) = exp(-t u^alpha), 0 < alpha < 1."""
     if not 0 < alpha < 1:

@@ -431,6 +431,29 @@ PERM = {"family": "permanental", "rates": [[0.0, 1.0], [1.0, 0.0]], "kill": [0.5
 CONV_TS = {"family": "conv", "kernel": {"kind": "exp-decay", "decay": 1.0},
            "driver": {"family": "tempered-stable", "alpha": 0.5}}
 
+# inputs the samplers cannot draw, caught before drawing, each with the config
+# key its diagnostic names: a Poisson jump-count mean past numpy's limit
+# (lambda * t, or the Sato driver's rate over a span set by H and the grid),
+# or a tempered-stable span needing too many sub-steps
+SAMPLER_LIMITS = {
+    "lambda-overflow-simulate": (["simulate"], dict(BASE, process={"family": "poisson",
+                                                                   "lambda": 1e300},
+                                                    mc={"N": 10}), "'lambda'"),
+    "lambda-overflow-levy": (["levy-check"], dict(BASE, process={"family": "poisson",
+                                                                 "lambda": 1e300},
+                                                  mc={"N": 10}), "'lambda'"),
+    "sato-H-overflow": (["simulate"], {"process": dict(SATO, H=1e300), "mc": {"N": 10}}, "'H'"),
+    "grid-overflow": (["simulate"], dict(BASE, grid=[1e300], mc={"N": 10}), "'grid'"),
+    "ts-grid-overflow": (["simulate"], dict(BASE, process={"family": "tempered-stable",
+                                                           "alpha": 0.5},
+                                            grid=[1e300], mc={"N": 10}), "'grid'"),
+    "ts-grid-1e6": (["simulate"], dict(BASE, process={"family": "tempered-stable",
+                                                      "alpha": 0.5},
+                                       grid=[1e6], mc={"N": 10}), "'grid'"),
+    "ts-conv-grid-overflow": (["simulate"], dict(BASE, process=CONV_TS, grid=[1e300],
+                                                 mc={"N": 10}), "'grid'"),
+}
+
 
 class TestBadInputExitsTwo:
     """Bad input, whether caught while parsing or raised by the library
@@ -489,14 +512,7 @@ class TestBadInputExitsTwo:
         (["permanental"], {"process": PERM, "mc": {"N": 200},
                            "panel": [{"alphas": [1.0], "times": [math.nan]}]}),
         (["simulate", "--workers", "-3"], dict(BASE, mc={"N": 200})),
-        # library ValueErrors raised while sampling: numpy's Poisson draw
-        # rejects the rate lambda * t (lambda * t^H for Sato)
-        (["simulate"], dict(BASE, process={"family": "poisson", "lambda": 1e300},
-                            mc={"N": 10})),
-        (["levy-check"], dict(BASE, process={"family": "poisson", "lambda": 1e300},
-                              mc={"N": 10})),
-        (["simulate"], {"process": dict(SATO, H=1e300), "mc": {"N": 10}}),
-        (["simulate"], dict(BASE, grid=[1e300], mc={"N": 10})),
+        *(case[:2] for case in SAMPLER_LIMITS.values()),
         (["simulate"], dict(BASE, process={"family": "poisson", "rate": 1.0},
                             mc={"N": 10})),
         # TypeError: a TS-driven moving average has no thinning rule
@@ -511,8 +527,7 @@ class TestBadInputExitsTwo:
             "lambda-true", "N-true", "seed-true", "grid-entry-true", "chain-diagonal-nonzero",
             "chain-asymmetric", "chain-kill-negative", "chain-kill-nan", "chain-rates-inf",
             "sato-cutoff-nan", "identity-a-inf", "permanental-panel-state-nan",
-            "workers-negative", "lambda-overflow-simulate", "lambda-overflow-levy",
-            "sato-H-overflow", "grid-overflow", "poisson-rate-alias", "limit-ts-conv"])
+            "workers-negative", *SAMPLER_LIMITS, "poisson-rate-alias", "limit-ts-conv"])
     def test_exit_two_one_line(self, tmp_path, argv, cfg):
         proc = subprocess.run(
             [sys.executable, "-m", "levyid", *argv,
@@ -523,6 +538,12 @@ class TestBadInputExitsTwo:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("levyid: config error:")
+
+    @pytest.mark.parametrize("argv,cfg,key", SAMPLER_LIMITS.values(), ids=list(SAMPLER_LIMITS))
+    def test_sampler_limit_names_the_key(self, tmp_path, capsys, argv, cfg, key):
+        cfg_path = _write(tmp_path, "cfg.json", cfg)
+        assert main([*argv, "--config", cfg_path, "--out", os.devnull]) == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_path(self, tmp_path, flag):

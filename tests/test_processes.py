@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from levyid import processes
 from levyid.core import (
     ConvSpec,
     ExpDecayKernel,
@@ -36,6 +37,13 @@ SAMPLERS = {
                           z=JumpLawSpec(rate=1.5, law=JumpLaw.exponential(1.0))),
     "conv-ts": ConvSpec(kernel=IndicatorKernel(length=1.0), z=TemperedStableSpec(alpha=0.6)),
 }
+
+# (family, construction) pairs drawn through sample_ensemble; no construction
+# means plain paths through sample_paths
+CHUNK_CASES = [(f, None) for f in SAMPLERS] + [
+    (f, c) for f in ("poisson", "sato", "conv-jump")
+    for c in (companion_values, hidden_values, visible_values)
+]
 
 
 def _laplace_check(vals, want_fn, us=(0.5, 1.0, 2.0), z=3.5):
@@ -169,26 +177,25 @@ class TestEnsembles:
         b = sample_paths(RngStream(5).substream(0), TemperedStableSpec(0.5), grid, 500)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("spec", list(SAMPLERS.values()), ids=list(SAMPLERS))
-    def test_worker_count_invariance(self, grid, spec):
-        # chunked substreams make the ensemble independent of parallelism;
-        # 120k rows make three chunks, so the pool runs
-        a = sample_paths(RngStream(9).substream(0), spec, grid, 120_000, workers=1)
-        b = sample_paths(RngStream(9).substream(0), spec, grid, 120_000, workers=2)
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("construct", [companion_values, hidden_values, visible_values],
-                             ids=["companion", "hidden", "visible"])
-    @pytest.mark.parametrize("family", ["poisson", "sato", "conv-jump"])
-    def test_companion_hidden_visible_worker_count_invariance(self, grid, construct, family):
+    @pytest.mark.parametrize("family,construct", CHUNK_CASES,
+                             ids=[f if c is None else f"{f}-{c.__name__.removesuffix('_values')}"
+                                  for f, c in CHUNK_CASES])
+    def test_chunk_contract(self, monkeypatch, grid, family, construct):
+        # fixed chunks, one substream each, stacked in order: the ensemble
+        # does not depend on how many threads draw the chunks
         spec = SAMPLERS[family]
 
         def fn(stream, m):
+            if construct is None:
+                return values_at(stream, spec, grid.points, m)
             return construct(stream, spec, 1.0, grid.points, m)
 
-        a = sample_ensemble(fn, RngStream(9).substream(1), 120_000, workers=1)
-        b = sample_ensemble(fn, RngStream(9).substream(1), 120_000, workers=2)
-        assert np.array_equal(a, b)
+        rng = RngStream(9).substream(1)
+        monkeypatch.setattr(processes, "CHUNK", 1_000)
+        got = (sample_paths(rng, spec, grid, 2_500) if construct is None
+               else sample_ensemble(fn, rng, 2_500))
+        want = np.vstack([fn(rng.substream(k), m) for k, m in enumerate((1_000, 1_000, 500))])
+        assert np.array_equal(got, want)
 
     def test_rejects_nonpositive_n(self, rng, grid):
         with pytest.raises(ValueError):
