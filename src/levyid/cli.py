@@ -649,6 +649,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"levyid: config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # an input the size checks let through can still ask for more memory
+        # than the machine has; that is bad input too, not a crash
+        print(f"levyid: config error: out of memory: {exc}", file=sys.stderr)
+        return 2
     timestamp = {
         "utc": datetime.now(timezone.utc).isoformat(),
         "runtime_seconds": round(time.perf_counter() - started, 3),

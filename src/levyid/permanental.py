@@ -119,13 +119,36 @@ def sample_permanental(rng: RngStream, green: GreenMatrix, beta: float, size: in
     return out
 
 
+def _expected_jumps(chain: PermanentalSpec, start: int) -> float:
+    """Expected number of sojourns of the chain from `start` before it is
+    killed: sum_y g(start, y) total(y), with the Green row solved directly."""
+    total = chain.total_rates
+    e = np.zeros(chain.n)
+    e[start] = 1.0
+    try:
+        g = np.linalg.solve(np.diag(total) - chain.rate_matrix, e)
+    except np.linalg.LinAlgError:
+        return math.inf
+    return float(np.sum(g * total))
+
+
+def _step_budget_error(start: int) -> ValueError:
+    return ValueError(
+        f"the killed chain from state {start} outlives the {_MAX_STEPS}-jump "
+        "simulation budget; raise the killing rates ('kill')")
+
+
 def _simulate_local_times(rng: RngStream, chain: PermanentalSpec, start: int, n: int):
     """Lockstep simulation of n independent chains from `start`.
 
     Returns (full, pinned): total sojourn times over the whole lifetime, and
     the snapshot taken at the final departure from `start` (sojourns strictly
     after the last visit are discarded; the last sojourn at `start` counts).
+    Raises ValueError, naming 'kill', when the chain is expected to jump more
+    than _MAX_STEPS times, or when some chain outlives that budget.
     """
+    if not _expected_jumps(chain, start) <= _MAX_STEPS:  # also rejects NaN
+        raise _step_budget_error(start)
     ns = chain.n
     rates = chain.rate_matrix
     kill = np.asarray(chain.kill)
@@ -136,30 +159,36 @@ def _simulate_local_times(rng: RngStream, chain: PermanentalSpec, start: int, n:
                   out=np.zeros_like(rates), where=rates.sum(axis=1, keepdims=True) > 0),
         axis=1,
     )
+    cum_cols = [np.ascontiguousarray(jump_cum[:, k]) for k in range(ns)]
     gen = rng.generator
-    state = np.full(n, start, dtype=int)
-    alive = np.arange(n)
     full = np.zeros((n, ns))
     pinned = np.zeros((n, ns))
+    flat, pflat = full.reshape(-1), pinned.reshape(-1)
+    # compacted to the live chains: current state and flat offset of the row
+    s = np.full(n, start, dtype=np.intp)
+    base = np.arange(0, n * ns, ns, dtype=np.intp)
     for _ in range(_MAX_STEPS):
-        if alive.size == 0:
+        if s.size == 0:
             return full, pinned
-        s = state[alive]
-        dt = gen.standard_exponential(alive.size) / total[s]
-        full[alive, s] += dt
+        dt = gen.standard_exponential(s.size) / total[s]
+        flat[base + s] += dt  # one cell per live row, so no index repeats
         at_start = s == start
         if at_start.any():
-            rows = alive[at_start]
-            pinned[rows] = full[rows]
-        u = gen.random(alive.size)
-        dies = u < kill_prob[s]
-        survivors = alive[~dies]
-        if survivors.size:
-            v = (u[~dies] - kill_prob[s[~dies]]) / (1.0 - kill_prob[s[~dies]])
-            nxt = (v[:, None] > jump_cum[s[~dies]]).sum(axis=1)
-            state[survivors] = nxt
-        alive = survivors
-    raise RuntimeError("chain simulation exceeded the step budget")
+            b = base[at_start]
+            for k in range(ns):
+                idx = b + k
+                pflat[idx] = flat[idx]
+        u = gen.random(s.size)
+        kp = kill_prob[s]
+        keep = np.flatnonzero(u >= kp)
+        s, base, u, kp = s.take(keep), base.take(keep), u.take(keep), kp.take(keep)
+        v = (u - kp) / (1.0 - kp)
+        # the next state counts the cumulative jump probabilities below v
+        nxt = np.zeros(s.size, dtype=np.intp)
+        for col in cum_cols:
+            nxt += v > col[s]
+        s = nxt
+    raise _step_budget_error(start)
 
 
 def sample_total_sojourns(rng: RngStream, chain: PermanentalSpec, start: int, size: int) -> np.ndarray:

@@ -45,6 +45,10 @@ _MAX_SUBSTEPS = 1024
 # numpy's Poisson sampler rejects means above about 9.22e18
 _POISSON_MEAN_MAX = 9.2e18
 
+# most expected driver jumps one _jump_set call may draw (about 1 GB of jump
+# arrays); the desk configs reach about 7e5
+_MAX_JUMPS = 4e7
+
 
 def required_cutoff(spec: SatoSpec, points) -> float:
     """Truncation bound of the Sato driver's location domain for `points`.
@@ -128,7 +132,12 @@ def _ts_values(rng: RngStream, alpha: float, points, n: int) -> np.ndarray:
 def _jump_set(rng: RngStream, driver: JumpLawSpec, lo: float, hi: float, n: int):
     """The driver's jumps on locations [lo, hi) for n independent paths, as
     (path index, location, size) arrays; None when no path has a jump."""
-    counts = rng.generator.poisson(_poisson_mean(driver.rate * (hi - lo)), n)
+    mean = _poisson_mean(driver.rate * (hi - lo))
+    if not mean * n <= _MAX_JUMPS:
+        raise ValueError(
+            f"{n} paths expect {mean * n:.3g} driver jumps, more than {_MAX_JUMPS:.3g}; "
+            "lower the driver's jump rate ('rate'), 'H' or the largest 'grid' time")
+    counts = rng.generator.poisson(mean, n)
     m = int(counts.sum())
     if m == 0:
         return None

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -431,10 +432,16 @@ PERM = {"family": "permanental", "rates": [[0.0, 1.0], [1.0, 0.0]], "kill": [0.5
 CONV_TS = {"family": "conv", "kernel": {"kind": "exp-decay", "decay": 1.0},
            "driver": {"family": "tempered-stable", "alpha": 0.5}}
 
+# a chain from state 0 that is expected to jump about 2e6 times before it is
+# killed, beyond the simulation's step budget
+NEAR_RECURRENT = {"process": dict(PERM, kill=[1e-6, 0.0], beta=1.0), "identity": {"a": 0},
+                  "mc": {"N": 10}}
+
 # inputs the samplers cannot draw, caught before drawing, each with the config
 # key its diagnostic names: a Poisson jump-count mean past numpy's limit
 # (lambda * t, or the Sato driver's rate over a span set by H and the grid),
-# or a tempered-stable span needing too many sub-steps
+# a tempered-stable span needing too many sub-steps, a driver jump set past
+# the jump budget, or a killed chain past the step budget
 SAMPLER_LIMITS = {
     "lambda-overflow-simulate": (["simulate"], dict(BASE, process={"family": "poisson",
                                                                    "lambda": 1e300},
@@ -452,6 +459,9 @@ SAMPLER_LIMITS = {
                                        grid=[1e6], mc={"N": 10}), "'grid'"),
     "ts-conv-grid-overflow": (["simulate"], dict(BASE, process=CONV_TS, grid=[1e300],
                                                  mc={"N": 10}), "'grid'"),
+    "sato-rate-1e12": (["simulate"], {"process": dict(SATO, bdlp=dict(SATO["bdlp"], rate=1e12)),
+                                      "mc": {"N": 10}}, "'rate'"),
+    "chain-near-recurrent": (["permanental"], NEAR_RECURRENT, "'kill'"),
 }
 
 
@@ -544,6 +554,23 @@ class TestBadInputExitsTwo:
         cfg_path = _write(tmp_path, "cfg.json", cfg)
         assert main([*argv, "--config", cfg_path, "--out", os.devnull]) == 2
         assert key in capsys.readouterr().err
+
+    def test_near_recurrent_chain_fails_fast(self, tmp_path):
+        # rejected before drawing, not after the step budget runs out
+        cfg_path = _write(tmp_path, "cfg.json", NEAR_RECURRENT)
+        started = time.perf_counter()
+        assert main(["permanental", "--config", cfg_path, "--out", os.devnull]) == 2
+        assert time.perf_counter() - started < 1.0
+
+    def test_out_of_memory_is_two(self, tmp_path, capsys, monkeypatch):
+        def handler(cfg, seed):
+            raise MemoryError("Unable to allocate 1005. TiB for an array")
+
+        monkeypatch.setitem(cli._HANDLERS, "simulate", handler)
+        cfg_path = _write(tmp_path, "cfg.json", dict(BASE, mc={"N": 10}))
+        assert main(["simulate", "--config", cfg_path, "--out", os.devnull]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("levyid: config error: out of memory:")
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_path(self, tmp_path, flag):

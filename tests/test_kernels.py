@@ -1,10 +1,12 @@
-"""Bitwise references for the in-place ensemble kernels.
+"""Bitwise references for the in-place ensemble and chain kernels.
 
 The samplers and the SE panel write into reused buffers instead of
-allocating a copy per step. They must still perform the same floating-point
-operations, in the same order, on the same draws, so that every report keeps
-its bytes. Each kernel is compared with np.array_equal against the
-expression it replaced, kept here as the reference.
+allocating a copy per step, and the killed-chain loop steps compacted arrays
+of live chains instead of indexing the full matrices. They must still
+perform the same floating-point operations, in the same order, on the same
+draws, so that every report keeps its bytes. Each kernel is compared with
+np.array_equal against the expression it replaced, kept here as the
+reference.
 """
 
 import math
@@ -16,12 +18,14 @@ from levyid import processes
 from levyid.core import (
     LevyFunctionalPanel,
     PanelEntry,
+    PermanentalSpec,
     PoissonSpec,
     TemperedStableSpec,
     TimeGrid,
     WeightedEnsemble,
 )
 from levyid.identities import hidden_values, visible_values
+from levyid.permanental import _MAX_STEPS, _simulate_local_times
 from levyid.processes import _cumulative, _poisson_values, sample_ensemble
 from levyid.randkit import RngStream, sample_positive_stable
 from levyid.statlab import laplace_values, weighted_laplace_panel
@@ -69,6 +73,42 @@ def _kanter_ref(rng, alpha, t, size):
     )
     s = np.exp((log_a - np.log(w)) / frac)
     return t ** (1.0 / alpha) * s
+
+
+def _local_times_ref(rng, chain, start, n):
+    ns = chain.n
+    rates = chain.rate_matrix
+    total = chain.total_rates
+    kill_prob = np.asarray(chain.kill) / total
+    jump_cum = np.cumsum(
+        np.divide(rates, rates.sum(axis=1, keepdims=True),
+                  out=np.zeros_like(rates), where=rates.sum(axis=1, keepdims=True) > 0),
+        axis=1,
+    )
+    gen = rng.generator
+    state = np.full(n, start, dtype=int)
+    alive = np.arange(n)
+    full = np.zeros((n, ns))
+    pinned = np.zeros((n, ns))
+    for _ in range(_MAX_STEPS):
+        if alive.size == 0:
+            return full, pinned
+        s = state[alive]
+        dt = gen.standard_exponential(alive.size) / total[s]
+        full[alive, s] += dt
+        at_start = s == start
+        if at_start.any():
+            rows = alive[at_start]
+            pinned[rows] = full[rows]
+        u = gen.random(alive.size)
+        dies = u < kill_prob[s]
+        survivors = alive[~dies]
+        if survivors.size:
+            v = (u[~dies] - kill_prob[s[~dies]]) / (1.0 - kill_prob[s[~dies]])
+            nxt = (v[:, None] > jump_cum[s[~dies]]).sum(axis=1)
+            state[survivors] = nxt
+        alive = survivors
+    raise AssertionError("reference chain exceeded the step budget")
 
 
 GRID = TimeGrid((0.25, 0.5, 1.0, 2.0))
@@ -190,3 +230,27 @@ def test_one_chunk_ensemble_is_the_chunk_itself():
     assert got is made[0]
     ref = np.vstack([RngStream(2).substream(0).generator.random((1000, 3))])
     assert np.array_equal(got, ref)
+
+
+# the desk's chains: one state with no jump rates, two states, and three
+# states whose state 1 is never killed
+DESK_CHAINS = {
+    "1-state": PermanentalSpec(((0.0,),), (1.0,)),
+    "2-state": PermanentalSpec(((0.0, 1.0), (1.0, 0.0)), (0.7, 0.4)),
+    "3-state": PermanentalSpec(((0.0, 0.6, 0.2), (0.6, 0.0, 0.5), (0.2, 0.5, 0.0)),
+                               (0.4, 0.0, 0.9)),
+}
+CHAIN_STARTS = [(name, start) for name, chain in DESK_CHAINS.items()
+                for start in range(chain.n)]
+
+
+@pytest.mark.parametrize("name,start", CHAIN_STARTS,
+                         ids=[f"{name}-from-{start}" for name, start in CHAIN_STARTS])
+@pytest.mark.parametrize("n", [1, 3333, 60_000])
+def test_local_times_match_reference(name, start, n):
+    chain = DESK_CHAINS[name]
+    full, pinned = _simulate_local_times(RngStream(17), chain, start, n)
+    ref_full, ref_pinned = _local_times_ref(RngStream(17), chain, start, n)
+    assert np.array_equal(full, ref_full)
+    assert np.array_equal(pinned, ref_pinned)
+    assert np.all(pinned[:, start] > 0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levyid import permanental
 from levyid.core import PanelEntry, PermanentalSpec
 from levyid.permanental import (
     GreenMatrix,
@@ -158,6 +159,28 @@ class TestChainSimulation:
     def test_rejects_bad_state(self, rng):
         with pytest.raises(ValueError):
             sample_local_times(rng, CHAIN2, 7, 10)
+
+    def test_expected_jumps_is_green_weighted_total_rate(self):
+        for chain in (CHAIN1, CHAIN2, CHAIN3):
+            g = green_matrix(chain).matrix
+            for a in range(chain.n):
+                want = float(np.sum(g[a] * chain.total_rates))
+                assert permanental._expected_jumps(chain, a) == pytest.approx(want, rel=1e-12)
+
+    def test_near_recurrent_chain_rejected_before_drawing(self):
+        # about 2e6 expected jumps from state 0, beyond the step budget
+        chain = PermanentalSpec(rates=((0.0, 1.0), (1.0, 0.0)), kill=(1e-6, 0.0))
+        rng = RngStream(3)
+        with pytest.raises(ValueError, match="'kill'"):
+            sample_local_times(rng, chain, 0, 10)
+        # nothing was drawn: the stream still starts where a fresh one does
+        assert rng.generator.random() == RngStream(3).generator.random()
+
+    def test_exhausted_budget_names_kill(self, rng, monkeypatch):
+        budget = math.ceil(permanental._expected_jumps(CHAIN2, 0)) + 1
+        monkeypatch.setattr(permanental, "_MAX_STEPS", budget)
+        with pytest.raises(ValueError, match="'kill'"):
+            sample_local_times(rng.substream(7), CHAIN2, 0, 5000)
 
 
 class TestIdentity:
