@@ -54,6 +54,7 @@ from .levymeasure import (
     laplace_exponent_check,
     levy_functional_mc,
     levy_functional_quadrature,
+    quadrature_pieces,
     validate_levy_conditions,
 )
 from .limits import DEFAULT_DELTAS, verify_thinning_limit
@@ -377,6 +378,9 @@ def _identity_command(cfg, seed, identity):
     return resolved, report.to_dict(), report.overall_pass, _report_csv(report)
 
 
+# the Laplace exponent and the splits integrate many of the same pieces;
+# within one job each is integrated once
+@quadrature_pieces()
 def _cmd_levy_check(cfg, seed):
     spec, grid, _, panel, n, z_crit, resolved = _grid_job(cfg, pinned=False)
     levy = cfg.get("levy", {})

@@ -163,8 +163,16 @@ class JumpLaw:
         return sum(x * p for x, p in self.params)
 
     def one_minus_exp_moment(self, c):
-        """E[1 - exp(-c X)] for X with this law; c may be an array."""
-        c = np.asarray(c, dtype=float)
+        """E[1 - exp(-c X)] for X with this law; c is a float or an array,
+        and a float or 0-d c gives a float.
+
+        Quadrature calls this once per node with a float, which is not
+        wrapped in an array: the bits are those of a 0-d c. + - * / are
+        IEEE either way; ** on a scalar is libm's pow, as it was on the
+        numpy scalar that a 0-d array's arithmetic yields; and numpy's ufuncs
+        run the same loop on a float. math.exp/expm1 and np.power would
+        differ from these in the last bits.
+        """
         if self.kind == "exponential":
             m = self.params[0]
             out = 1.0 - 1.0 / (1.0 + c * m)
@@ -177,7 +185,7 @@ class JumpLaw:
             xs = np.array([x for x, _ in self.params])
             ps = np.array([p for _, p in self.params])
             out = _matvec(-np.expm1(-np.multiply.outer(c, xs)), ps)
-        return out if out.shape else float(out)
+        return out if getattr(out, "shape", ()) else float(out)
 
     def expect_min_cx_one(self, c: float) -> float:
         """E[min(c X, 1)] for X with this law; scalar c >= 0."""

@@ -12,8 +12,10 @@ add up to the unrestricted value exactly, which the test-suite exploits.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +69,43 @@ def _check_restriction(restriction, a):
             raise ValueError("a restriction needs a positive pin time a")
 
 
-def _quad(f, lo, hi) -> float:
-    """int_lo^hi f(s) ds by adaptive quadrature; scipy loads on first use."""
+# the pieces integrated so far in the current job, or None outside a job
+_PIECES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "quadrature_pieces", default=None
+)
+
+
+@contextmanager
+def quadrature_pieces():
+    """Scope in which each keyed quadrature piece is integrated once.
+
+    A job enters this block; inside it, _quad returns the stored value of
+    a (key, lo, hi) piece it has integrated before. The scope is per job,
+    not per process, so every job does the same work.
+    """
+    token = _PIECES.set({})
+    try:
+        yield
+    finally:
+        _PIECES.reset(token)
+
+
+def _quad(key, f, lo, hi) -> float:
+    """int_lo^hi f(s) ds by adaptive quadrature; scipy loads on first use.
+
+    key names the integrand f, so that equal keys mean equal integrands; a
+    keyed piece is integrated once per quadrature_pieces() scope. None
+    integrates every time.
+    """
+    pieces = None if key is None else _PIECES.get()
+    if pieces is not None and (key, lo, hi) in pieces:
+        return pieces[key, lo, hi]
     from scipy.integrate import quad
 
-    return quad(f, lo, hi, epsabs=_QUAD_EPS, limit=_QUAD_LIMIT)[0]
+    value = quad(f, lo, hi, epsabs=_QUAD_EPS, limit=_QUAD_LIMIT)[0]
+    if pieces is not None:
+        pieces[key, lo, hi] = value
+    return value
 
 
 def _indicator_nu(entry: PanelEntry, mass_of_level, restriction, a) -> float:
@@ -140,8 +174,10 @@ def _sato_nu(spec: SatoSpec, entry: PanelEntry, restriction, a) -> float:
         level = float(alphas[thetas <= ref].sum())
         if level <= 0:
             continue
+        # the integrand depends on the driver and the level only
         total += _quad(
-            lambda s: _driver_one_minus_exp(spec.bdlp, level * math.exp(-s)), lo, hi
+            (spec.bdlp, level),
+            lambda s: _driver_one_minus_exp(spec.bdlp, level * math.exp(-s)), lo, hi,
         )
     return total
 
@@ -214,7 +250,7 @@ def _conv_nu(spec: ConvSpec, entry: PanelEntry, restriction, a) -> float:
     for dlo, dhi in domain:
         bs = [dlo] + [c for c in cut_arr if dlo < c < dhi] + [dhi]
         for lo, hi in zip(bs[:-1], bs[1:]):
-            total += _quad(integrand, lo, hi)
+            total += _quad((spec, entry), integrand, lo, hi)
     return total
 
 
@@ -401,8 +437,8 @@ def _ts_expect_min(alpha: float, c: float) -> float:
 
     norm = gamma_fn(1.0 - alpha) / alpha  # |Gamma(-alpha)|
     u = 1.0 / c
-    head = _quad(lambda v: c * v**-alpha * math.exp(-v), 0.0, u)
-    tail = _quad(lambda v: v ** (-alpha - 1.0) * math.exp(-v), u, math.inf)
+    head = _quad(None, lambda v: c * v**-alpha * math.exp(-v), 0.0, u)
+    tail = _quad(None, lambda v: v ** (-alpha - 1.0) * math.exp(-v), u, math.inf)
     return (head + tail) / norm
 
 
@@ -415,9 +451,9 @@ def _driver_expect_min(z, c: float) -> float:
 def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) -> LevyConditionReport:
     """Check int (y(x) ^ 1) nu(dy) < inf at each grid point (each state for
     permanental specs)."""
-    from scipy.special import exp1
-
     if isinstance(spec, PermanentalSpec):
+        from scipy.special import exp1
+
         from .permanental import green_matrix
 
         g = green_matrix(spec).matrix
@@ -435,6 +471,9 @@ def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) ->
         if grid is None:
             raise ValueError("time-indexed families need a grid of checkpoints")
         points = [float(t) for t in grid.points]
+        if isinstance(spec, TemperedStableSpec):
+            # nu(y(x) ^ 1) = x * nu(y(1) ^ 1): two integrals serve the whole grid
+            ts_unit = _ts_expect_min(spec.alpha, 1.0)
         values = []
         for x in points:
             if x == 0:
@@ -443,16 +482,16 @@ def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) ->
             if isinstance(spec, PoissonSpec):
                 values.append(spec.rate * x)
             elif isinstance(spec, TemperedStableSpec):
-                values.append(x * _ts_expect_min(spec.alpha, 1.0))
+                values.append(x * ts_unit)
             elif isinstance(spec, SatoSpec):
                 law = spec.bdlp.law
-                v = _quad(lambda s: law.expect_min_cx_one(math.exp(-s)),
+                v = _quad(None, lambda s: law.expect_min_cx_one(math.exp(-s)),
                           -spec.H * math.log(x), math.inf)
                 values.append(spec.bdlp.rate * v)
             elif isinstance(spec, ConvSpec):
                 lo = max(0.0, x - spec.kernel.support_end)
                 values.append(_quad(
-                    lambda s: _driver_expect_min(spec.z, float(spec.kernel(x - s))), lo, x
+                    None, lambda s: _driver_expect_min(spec.z, float(spec.kernel(x - s))), lo, x
                 ))
             else:
                 raise TypeError(f"unsupported spec {type(spec).__name__}")

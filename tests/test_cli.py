@@ -688,19 +688,35 @@ class TestResolvedConfigFixedPoint:
 
 
 class TestScipyOffImportPath:
-    def test_isonat_and_permanental_load_no_scipy(self, tmp_path):
-        """scipy is loaded by the levy-check quadrature only."""
-        iso = _write(tmp_path, "iso.json", dict(BASE, mc={"N": 2000}))
-        perm = _write(tmp_path, "perm.json", {"process": PERM, "mc": {"N": 2000}, "seed": 4})
+    """scipy loads only where a job integrates numerically or needs a
+    special function: the levy-check quadrature of the tempered-stable, Sato
+    and conv families, and the permanental integrability condition. A
+    Poisson levy-check has closed forms for both and loads none."""
+
+    @staticmethod
+    def _run(*jobs):
+        """Run (command, config path) jobs in a fresh interpreter; return its
+        stdout: the exit codes, then the scipy modules loaded."""
         code = (
             "import os, sys\n"
             "import levyid, levyid.cli\n"
+            "args = sys.argv[1:]\n"
             "codes = [levyid.cli.main([cmd, '--config', cfg, '--out', os.devnull])\n"
-            "         for cmd, cfg in (('verify-isonat', sys.argv[1]),\n"
-            "                          ('permanental', sys.argv[2]))]\n"
+            "         for cmd, cfg in zip(args[::2], args[1::2])]\n"
             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code, iso, perm], capture_output=True,
-                              text=True, env=_src_env(), timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code, *(x for job in jobs for x in job)],
+                              capture_output=True, text=True, env=_src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0] []"
+        return proc.stdout.strip()
+
+    def test_isonat_and_permanental_load_no_scipy(self, tmp_path):
+        iso = _write(tmp_path, "iso.json", dict(BASE, mc={"N": 2000}))
+        perm = _write(tmp_path, "perm.json", {"process": PERM, "mc": {"N": 2000}, "seed": 4})
+        assert self._run(("verify-isonat", iso), ("permanental", perm)) == "[0, 0] []"
+
+    def test_poisson_levy_check_loads_no_scipy(self, tmp_path):
+        levy = _write(tmp_path, "levy.json", {"process": BASE["process"], "grid": [0.5, 1.0],
+                                              "mc": {"N": 2000}, "levy": {"n": 1000},
+                                              "seed": 4})
+        assert self._run(("levy-check", levy)) == "[0] []"

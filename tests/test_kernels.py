@@ -1,21 +1,28 @@
-"""Bitwise references for the in-place ensemble and chain kernels.
+"""Bitwise references for the in-place ensemble and chain kernels, the
+jump-law moments and the per-job quadrature pieces.
 
 The samplers and the SE panel write into reused buffers instead of
 allocating a copy per step, and the killed-chain loop steps compacted arrays
-of live chains instead of indexing the full matrices. They must still
-perform the same floating-point operations, in the same order, on the same
-draws, so that every report keeps its bytes. Each kernel is compared with
-np.array_equal against the expression it replaced, kept here as the
+of live chains instead of indexing the full matrices. The jump-law moments
+run on the float they are given instead of a 0-d array, and a levy-check job
+integrates each quadrature piece once. They must still perform the same
+floating-point operations, in the same order, on the same draws, so that
+every report keeps its bytes. Each kernel is compared with np.array_equal
+(or == on floats) against the expression it replaced, kept here as the
 reference.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from levyid import processes
+from levyid import cli, processes
 from levyid.core import (
+    JumpLaw,
     LevyFunctionalPanel,
     PanelEntry,
     PermanentalSpec,
@@ -23,8 +30,10 @@ from levyid.core import (
     TemperedStableSpec,
     TimeGrid,
     WeightedEnsemble,
+    _matvec,
 )
 from levyid.identities import hidden_values, visible_values
+from levyid.levymeasure import levy_functional_quadrature, quadrature_pieces
 from levyid.permanental import _MAX_STEPS, _simulate_local_times
 from levyid.processes import _cumulative, _poisson_values, sample_ensemble
 from levyid.randkit import RngStream, sample_positive_stable
@@ -254,3 +263,89 @@ def test_local_times_match_reference(name, start, n):
     assert np.array_equal(full, ref_full)
     assert np.array_equal(pinned, ref_pinned)
     assert np.all(pinned[:, start] > 0)
+
+
+def _one_minus_exp_ref(law, c):
+    c = np.asarray(c, dtype=float)
+    if law.kind == "exponential":
+        out = 1.0 - 1.0 / (1.0 + c * law.params[0])
+    elif law.kind == "gamma":
+        k, r = law.params
+        out = 1.0 - (1.0 + c / r) ** (-k)
+    elif law.kind == "constant":
+        out = -np.expm1(-c * law.params[0])
+    else:
+        xs = np.array([x for x, _ in law.params])
+        ps = np.array([p for _, p in law.params])
+        out = _matvec(-np.expm1(-np.multiply.outer(c, xs)), ps)
+    return out if out.shape else float(out)
+
+
+JUMP_LAWS = {
+    "exponential": JumpLaw.exponential(1.3),
+    "gamma-1": JumpLaw.gamma(1.0, 0.7),
+    "gamma-2": JumpLaw.gamma(2.0, 1.5),
+    "gamma-0.5": JumpLaw.gamma(0.5, 2.0),
+    "gamma-1.7": JumpLaw.gamma(1.7, 0.9),
+    "constant": JumpLaw.constant(0.8),
+    "discrete": JumpLaw.discrete(((0.5, 0.2), (1.0, 0.5), (3.0, 0.3))),
+}
+
+
+@pytest.mark.parametrize("law", JUMP_LAWS.values(), ids=JUMP_LAWS.keys())
+def test_one_minus_exp_moment_matches_reference(law):
+    # quadrature's levels: a spread of magnitudes, with exact zeros
+    c = np.concatenate([[0.0, 1.0], np.random.default_rng(5).lognormal(0.0, 3.0, 2000)])
+    got = law.one_minus_exp_moment(c)
+    assert got.shape == c.shape
+    assert np.array_equal(got, _one_minus_exp_ref(law, c))
+    for x in c[:300]:
+        want = _one_minus_exp_ref(law, x)
+        for scalar in (float(x), np.asarray(x)):
+            got = law.one_minus_exp_moment(scalar)
+            assert type(got) is float
+            assert got == want
+
+
+def _desk_levy_job(name):
+    suite = json.loads((Path(__file__).resolve().parents[1]
+                        / "configs" / "suite_desk.json").read_text())
+    cfg = next(job["config"] for job in suite["jobs"] if job["name"] == name)
+    return cfg, cli.parse_process(cfg["process"]), cli.default_panel(cfg["grid"])
+
+
+@pytest.mark.parametrize("name", ["sato-levy", "conv-levy"])
+def test_quadrature_pieces_keep_every_bit(name):
+    _, spec, panel = _desk_levy_job(name)
+    cases = [(None, None)] + [(r, a) for a in (0.5, 1.0, 2.0) for r in ("zero", "positive")]
+
+    def values():
+        return [levy_functional_quadrature(spec, entry, r, a).value
+                for entry in panel for r, a in cases]
+
+    outside = values()
+    with quadrature_pieces():
+        inside = values()
+    assert inside == outside
+    assert values() == outside
+
+
+# scipy quad calls per job; one per piece, before pieces were shared, made
+# 48 (Sato) and 59 (conv)
+@pytest.mark.parametrize("name,calls", [("sato-levy", 23), ("conv-levy", 23)])
+def test_levy_check_integrates_each_piece_once_per_job(monkeypatch, name, calls):
+    cfg, _, _ = _desk_levy_job(name)
+    cfg = dict(cfg, mc={"N": 2000}, levy={"n": 500})
+    counts = []
+    quad = scipy.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        counts[-1] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    for _ in range(2):
+        counts.append(0)
+        cli._cmd_levy_check(cfg, 3)
+    # the second job integrates as much as the first: no piece outlives its job
+    assert counts == [calls, calls]
