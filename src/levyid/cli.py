@@ -57,7 +57,7 @@ from .levymeasure import (
     quadrature_pieces,
     validate_levy_conditions,
 )
-from .limits import DEFAULT_DELTAS, verify_thinning_limit
+from .limits import verify_thinning_limit
 from .permanental import (
     default_state_panel,
     green_matrix,
@@ -81,6 +81,8 @@ DEFAULT_Z = 3.0
 REPR_Z = 4.0          # looser gate for the probabilistic nu representations
 SPLIT_TOL = 1e-8      # quadrature additivity of the y(a) split
 SPLIT_POINTS = (0.5, 1.0, 2.0)
+# the representation block draws at the first mean; Poisson's mixing check
+# compares that draw with one at the second
 MIXING_MEANS = (1.0, 5.0)
 # base rung size for the thinning ladder; per-rung samples scale as n/delta,
 # and the base keeps the final comparison's resolution at the level of the
@@ -141,6 +143,16 @@ def _seed(value):
     if seed >= 2**64:
         raise ConfigError("config key 'seed' must fit in 64 bits")
     return seed
+
+
+def _section(cfg, name, fixed):
+    """Config section `name`. The keys in `fixed` name settings every run
+    fixes, and a config that sets one is rejected."""
+    section = cfg.get(name, {})
+    for key in fixed:
+        if isinstance(section, dict) and key in section:
+            raise ConfigError(f"config key '{name}.{key}' is fixed and cannot be set")
+    return section
 
 
 def _positive(value, key):
@@ -362,8 +374,9 @@ def _cmd_simulate(cfg, seed):
     notes = _sampler_notes(spec)
     if notes:
         results["notes"] = notes
+    # rows are built only when --csv writes them
     csv_payload = (["path"] + labels,
-                   [[i] + list(row) for i, row in enumerate(draws)])
+                   ([i] + list(row) for i, row in enumerate(draws)))
     return resolved, results, ok, csv_payload
 
 
@@ -383,14 +396,8 @@ def _identity_command(cfg, seed, identity):
 @quadrature_pieces()
 def _cmd_levy_check(cfg, seed):
     spec, grid, _, panel, n, z_crit, resolved = _grid_job(cfg, pinned=False)
-    levy = cfg.get("levy", {})
+    levy = _section(cfg, "levy", ("mixing_mean", "theta", "split_a"))
     n_mc = _count(_get(levy, "n", max(1, n // 2)), "n")
-    mixing_mean = _positive(_get(levy, "mixing_mean", MIXING_MEANS[0]), "mixing_mean")
-    theta = _positive(_get(levy, "theta", 1.0), "theta")
-    split_a = _get(levy, "split_a", list(SPLIT_POINTS))
-    if not isinstance(split_a, list):
-        raise ConfigError("levy.split_a must be a list of pin times")
-    split_a = [_positive(x, "split_a") for x in split_a]
     rng = RngStream(seed)
 
     lap = laplace_exponent_check(rng.substream(0), spec, panel, n, z_crit=z_crit)
@@ -398,11 +405,11 @@ def _cmd_levy_check(cfg, seed):
     conds = validate_levy_conditions(spec, grid)
 
     # lap.rhs holds the unrestricted quadrature of each entry, with SE 0
-    reprs = []
-    reprs_ok = True
+    reprs, mix = [], []
+    reprs_ok = mix_ok = True
     for k, (entry, quad) in enumerate(zip(panel, lap.rhs)):
         mc = levy_functional_mc(rng.substream(10, k), spec, entry, n_mc,
-                                mixing_mean=mixing_mean, theta=theta)
+                                mixing_mean=MIXING_MEANS[0])
         zk, ok_k = compare((mc.value, mc.se), (quad, 0.0), REPR_Z)
         reprs_ok &= ok_k
         reprs.append({
@@ -410,10 +417,19 @@ def _cmd_levy_check(cfg, seed):
             "mc": mc.value, "mc_se": mc.se, "quadrature": quad,
             "z": float(zk), "pass": bool(ok_k),
         })
+        if isinstance(spec, PoissonSpec):
+            # the representation is invariant in the mixing law
+            alt = levy_functional_mc(rng.substream(12, k), spec, entry, n_mc,
+                                     mixing_mean=MIXING_MEANS[1])
+            zk, ok_k = compare((mc.value, mc.se), (alt.value, alt.se), REPR_Z)
+            mix_ok &= ok_k
+            mix.append({"alphas": list(entry.alphas), "times": list(entry.times),
+                        "means": list(MIXING_MEANS), "lhs": mc.value, "rhs": alt.value,
+                        "z": float(zk), "pass": bool(ok_k)})
 
     splits = []
     splits_ok = True
-    for a_s in split_a:
+    for a_s in SPLIT_POINTS:
         worst = 0.0
         for entry, full in zip(panel, lap.rhs):
             zero = levy_functional_quadrature(spec, entry, restriction="zero", a=a_s).value
@@ -431,28 +447,11 @@ def _cmd_levy_check(cfg, seed):
         "split_additivity": {"cases": splits, "tolerance": SPLIT_TOL,
                              "pass": bool(splits_ok)},
     }
-    ok = lap.overall_pass and conds.ok and reprs_ok and splits_ok
-
+    ok = lap.overall_pass and conds.ok and reprs_ok and splits_ok and mix_ok
     if isinstance(spec, PoissonSpec):
-        # representation is invariant in the mixing law; try a second one
-        mix = []
-        mix_ok = True
-        for k, entry in enumerate(panel):
-            e1 = levy_functional_mc(rng.substream(11, k), spec, entry, n_mc,
-                                    mixing_mean=MIXING_MEANS[0])
-            e2 = levy_functional_mc(rng.substream(12, k), spec, entry, n_mc,
-                                    mixing_mean=MIXING_MEANS[1])
-            zk, ok_k = compare((e1.value, e1.se), (e2.value, e2.se), REPR_Z)
-            mix_ok &= ok_k
-            mix.append({"alphas": list(entry.alphas), "times": list(entry.times),
-                        "means": list(MIXING_MEANS), "lhs": e1.value, "rhs": e2.value,
-                        "z": float(zk), "pass": bool(ok_k)})
         results["mixing_invariance"] = {"entries": mix, "z_crit": REPR_Z,
                                         "pass": bool(mix_ok)}
-        ok = ok and mix_ok
-
-    resolved["levy"] = {"n": n_mc, "mixing_mean": mixing_mean, "theta": theta,
-                        "split_a": split_a}
+    resolved["levy"] = {"n": n_mc}
     return resolved, results, ok, _report_csv(lap)
 
 
@@ -513,16 +512,11 @@ def _cmd_limit(cfg, seed):
     # mc.N (sized for direct identity checks) would swamp the O(delta)
     # residual the final rung is allowed to carry; so N is not echoed
     del resolved["mc"]["N"]
-    lim = cfg.get("limit", {})
+    # the ladder and its rung cap are the library's defaults
+    lim = _section(cfg, "limit", ("deltas", "n_max"))
     n = _count(_get(lim, "n", DEFAULT_LIMIT_N), "n")
-    deltas = _get(lim, "deltas", list(DEFAULT_DELTAS))
-    if not isinstance(deltas, list):
-        raise ConfigError("limit.deltas must be a list of thinning factors")
-    deltas = [_num(d, "deltas") for d in deltas]
-    n_max = _count(_get(lim, "n_max", 2_000_000), "n_max")
-    report = verify_thinning_limit(RngStream(seed), spec, a, grid, panel, n,
-                                   deltas=deltas, n_max=n_max, z_crit=z_crit)
-    resolved["limit"] = {"deltas": deltas, "n": n, "n_max": n_max}
+    report = verify_thinning_limit(RngStream(seed), spec, a, grid, panel, n, z_crit=z_crit)
+    resolved["limit"] = {"n": n}
     header = ["delta", "n_used", "distance", "distance_se", "ess"]
     rows = [[report.deltas[k], report.n_used[k], report.distances[k],
              report.distance_ses[k], report.ess[k]]

@@ -162,30 +162,25 @@ class JumpLaw:
             return self.params[0]
         return sum(x * p for x, p in self.params)
 
-    def one_minus_exp_moment(self, c):
-        """E[1 - exp(-c X)] for X with this law; c is a float or an array,
-        and a float or 0-d c gives a float.
+    def one_minus_exp_moment(self, c: float) -> float:
+        """E[1 - exp(-c X)] for X with this law; scalar c.
 
-        Quadrature calls this once per node with a float, which is not
-        wrapped in an array: the bits are those of a 0-d c. + - * / are
-        IEEE either way; ** on a scalar is libm's pow, as it was on the
-        numpy scalar that a 0-d array's arithmetic yields; and numpy's ufuncs
-        run the same loop on a float. math.exp/expm1 and np.power would
-        differ from these in the last bits.
+        Quadrature calls this once per node. ** on a float is libm's pow,
+        and numpy's expm1 on a float runs the same loop it runs on a 0-d
+        array; math.exp/expm1 and np.power differ from these in the last
+        bits, and so would an array's ** (numpy's pow loop).
         """
         if self.kind == "exponential":
-            m = self.params[0]
-            out = 1.0 - 1.0 / (1.0 + c * m)
-        elif self.kind == "gamma":
+            return float(1.0 - 1.0 / (1.0 + c * self.params[0]))
+        if self.kind == "gamma":
             k, r = self.params
-            out = 1.0 - (1.0 + c / r) ** (-k)
-        elif self.kind == "constant":
-            out = -np.expm1(-c * self.params[0])
-        else:
-            xs = np.array([x for x, _ in self.params])
-            ps = np.array([p for _, p in self.params])
-            out = _matvec(-np.expm1(-np.multiply.outer(c, xs)), ps)
-        return out if getattr(out, "shape", ()) else float(out)
+            return float(1.0 - (1.0 + c / r) ** (-k))
+        if self.kind == "constant":
+            return float(-np.expm1(-c * self.params[0]))
+        total = 0.0
+        for x, p in self.params:
+            total += p * float(-np.expm1(-(c * x)))
+        return total
 
     def expect_min_cx_one(self, c: float) -> float:
         """E[min(c X, 1)] for X with this law; scalar c >= 0."""

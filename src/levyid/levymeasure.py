@@ -142,7 +142,7 @@ def _poisson_nu(spec: PoissonSpec, entry: PanelEntry, restriction, a) -> float:
 def _ts_nu(spec: TemperedStableSpec, entry: PanelEntry, restriction, a) -> float:
     # inner integral over jump sizes is exact:
     # int (1 - e^{-Ax}) x^{-alpha-1} e^{-x} dx / |Gamma(-alpha)| = (1+A)^alpha - 1
-    return _indicator_nu(entry, lambda A: (1.0 + A) ** spec.alpha - 1.0, restriction, a)
+    return _indicator_nu(entry, lambda A: _driver_one_minus_exp(spec, A), restriction, a)
 
 
 def _driver_one_minus_exp(z, c):

@@ -549,6 +549,21 @@ class TestBadInputExitsTwo:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("levyid: config error:")
 
+    # each at the value every run uses: setting a fixed key at all is the error
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("levy-check", "levy", "mixing_mean", 1.0),
+        ("levy-check", "levy", "theta", 1.0),
+        ("levy-check", "levy", "split_a", [0.5, 1.0, 2.0]),
+        ("limit", "limit", "deltas", [1.0, 0.3, 0.1, 0.03]),
+        ("limit", "limit", "n_max", 2_000_000),
+    ], ids=["levy.mixing_mean", "levy.theta", "levy.split_a", "limit.deltas", "limit.n_max"])
+    def test_fixed_key_names_the_key(self, tmp_path, capsys, command, section, key, value):
+        cfg = dict(BASE, mc={"N": 200}, **{section: {"n": 20, key: value}})
+        assert main([command, "--config", _write(tmp_path, "cfg.json", cfg),
+                     "--out", os.devnull]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and f"'{section}.{key}'" in lines[0]
+
     @pytest.mark.parametrize("argv,cfg,key", SAMPLER_LIMITS.values(), ids=list(SAMPLER_LIMITS))
     def test_sampler_limit_names_the_key(self, tmp_path, capsys, argv, cfg, key):
         cfg_path = _write(tmp_path, "cfg.json", cfg)
@@ -612,6 +627,15 @@ class TestZeroSeVerdicts:
         assert code == 1 and not mix["pass"]
         assert all(e["z"] == "inf" for e in mix["entries"])
 
+    def test_mixing_invariance_reuses_the_representation_draw(self, tmp_path):
+        # the mean-1 side is the representation block's estimate, not a
+        # second draw of the same estimator
+        _, rep = _run(tmp_path, ["levy-check"], self.LEVY)
+        reprs = rep["results"]["representation"]["entries"]
+        mix = rep["results"]["mixing_invariance"]["entries"]
+        assert len(mix) == len(reprs) == 6
+        assert all(m["lhs"] == r["mc"] for m, r in zip(mix, reprs))
+
     def test_permanental_marginal_equal_to_oracle_passes(self, tmp_path, monkeypatch):
         def exact(rng, chain, m_weights, entry, n):
             g = green_matrix(chain)
@@ -671,11 +695,10 @@ class TestResolvedConfigFixedPoint:
         ("simulate", {"process": PERM, "mc": {"N": 500}}),
         ("verify-isonat", SMALL),
         ("verify-condition", dict(SMALL, process=SATO)),
-        ("levy-check", dict(SMALL, levy={"n": 200, "mixing_mean": 2.0, "theta": 0.5,
-                                         "split_a": [1.0]})),
+        ("levy-check", dict(SMALL, levy={"n": 200})),
         ("permanental", {"process": dict(PERM, beta=0.5), "identity": {"a": 1},
                          "mc": {"N": 500, "z_crit": 2.5}}),
-        ("limit", dict(SMALL, limit={"n": 20, "n_max": 400, "deltas": [1.0, 0.5]})),
+        ("limit", dict(SMALL, limit={"n": 20})),
         ("suite", {"jobs": [{"name": "j", "command": "verify-isonat", "config": SMALL}]}),
     ], ids=["simulate", "simulate-permanental", "isonat", "condition", "levy",
             "permanental", "limit", "suite"])

@@ -36,10 +36,9 @@ BASES = [
     ("verify-isonat", dict(BASE, process=CONV)),
     ("verify-condition", dict(BASE, process={"family": "tempered-stable", "alpha": 0.5},
                               panel=[{"alphas": [1.0, 0.5], "times": [0.5, 2.0]}])),
-    ("levy-check", dict(BASE, levy={"n": 100, "mixing_mean": 1.0, "theta": 1.0,
-                                    "split_a": [1.0]})),
+    ("levy-check", dict(BASE, levy={"n": 100})),
     ("permanental", dict(PERM, panel=[{"alphas": [1.0], "times": [1]}])),
-    ("limit", dict(BASE, limit={"n": 20, "n_max": 400, "deltas": [1.0, 0.5]})),
+    ("limit", dict(BASE, limit={"n": 20})),
     ("suite", {"seed": 3, "jobs": [{"name": "j", "command": "simulate", "config": BASE}]}),
 ]
 

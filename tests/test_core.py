@@ -99,15 +99,6 @@ class TestJumpLaw:
         want = 0.25 * (1 - math.exp(-1)) + 0.75 * (1 - math.exp(-2))
         assert law.one_minus_exp_moment(1.0) == pytest.approx(want)
 
-    def test_discrete_moment_keeps_the_shape_of_c(self):
-        law = JumpLaw.discrete(((1.0, 0.25), (2.0, 0.75)))
-        assert type(law.one_minus_exp_moment(1.0)) is float
-        for c in (np.linspace(0.1, 3.0, 5), np.linspace(0.1, 3.0, 6).reshape(2, 3)):
-            out = law.one_minus_exp_moment(c)
-            assert out.shape == c.shape
-            want = [law.one_minus_exp_moment(float(x)) for x in c.ravel()]
-            np.testing.assert_allclose(out.ravel(), want, rtol=1e-15)
-
     def test_discrete_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
             JumpLaw.discrete(((1.0, 0.5), (2.0, 0.2)))

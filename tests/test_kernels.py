@@ -296,10 +296,7 @@ JUMP_LAWS = {
 def test_one_minus_exp_moment_matches_reference(law):
     # quadrature's levels: a spread of magnitudes, with exact zeros
     c = np.concatenate([[0.0, 1.0], np.random.default_rng(5).lognormal(0.0, 3.0, 2000)])
-    got = law.one_minus_exp_moment(c)
-    assert got.shape == c.shape
-    assert np.array_equal(got, _one_minus_exp_ref(law, c))
-    for x in c[:300]:
+    for x in c:
         want = _one_minus_exp_ref(law, x)
         for scalar in (float(x), np.asarray(x)):
             got = law.one_minus_exp_moment(scalar)
