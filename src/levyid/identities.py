@@ -161,18 +161,29 @@ def hidden_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) -
     raise TypeError(f"no decomposition for {type(spec).__name__}")
 
 
-def tilted_ensemble(
-    rng: RngStream, spec: ProcessSpec, a: float, grid: TimeGrid, n: int
-) -> WeightedEnsemble:
-    """psi-paths weighted by psi(a) / E psi(a); the exact analytic normalizer
-    keeps the weights mean-one."""
+def _tilt(spec: ProcessSpec, a: float, grid: TimeGrid):
+    """The map from psi-paths on `grid` to their ensemble weighted by
+    psi(a) / E psi(a); the exact analytic normalizer keeps the weights
+    mean-one."""
     ia = int(grid.index_of([a])[0])
     mean_a = mean_function(spec, a)
     if mean_a <= 0:
         raise ValueError("E psi(a) must be positive to tilt at a")
-    values = sample_paths(rng, spec, grid, n)
-    weights = values[:, ia] / mean_a
-    return WeightedEnsemble(grid, values, weights)
+    return lambda values: WeightedEnsemble(grid, values, values[:, ia] / mean_a)
+
+
+def tilted_ensemble(
+    rng: RngStream, spec: ProcessSpec, a: float, grid: TimeGrid, n: int
+) -> WeightedEnsemble:
+    """psi-paths weighted by psi(a) / E psi(a)."""
+    tilt = _tilt(spec, a, grid)
+    return tilt(sample_paths(rng, spec, grid, n))
+
+
+def _verdict(name, grid, panel, lhs_ens, rhs_vals, z_crit, n) -> IdentityReport:
+    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel)
+    rhs, rhs_se = weighted_laplace_panel(WeightedEnsemble(grid, rhs_vals), panel)
+    return build_identity_report(name, panel, lhs, rhs, lhs_se, rhs_se, z_crit, n)
 
 
 def verify_tilting_identity(
@@ -184,21 +195,26 @@ def verify_tilting_identity(
     n: int,
     z_crit: float = 3.0,
 ) -> IdentityReport:
-    """Size-biased psi against psi + companion, on independent streams."""
-    lhs_ens = tilted_ensemble(rng.substream(_TAG_LHS), spec, a, grid, n)
-    base = sample_paths(rng.substream(_TAG_RHS_BASE), spec, grid, n)
-    add = sample_ensemble(
-        lambda stream, m: companion_values(stream, spec, a, grid.points, m),
-        rng.substream(_TAG_RHS_ADD),
-        n,
-    )
-    base += add
-    rhs_ens = WeightedEnsemble(grid, base)
-    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel)
-    rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel)
-    return build_identity_report(
-        "tilting", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n
-    )
+    """Size-biased psi against psi + companion, on independent streams.
+
+    Both sides are drawn in one sample_ensemble call; an RHS chunk adds its
+    companion to its base paths in place.
+    """
+    tilt = _tilt(spec, a, grid)
+
+    def draw(side, stream, m):
+        if side == 0:
+            return values_at(stream, spec, grid.points, m)
+        base, add = stream
+        out = values_at(base, spec, grid.points, m)
+        out += companion_values(add, spec, a, grid.points, m)
+        return out
+
+    lhs_vals, rhs_vals = sample_ensemble(draw, (
+        rng.substream(_TAG_LHS),
+        (rng.substream(_TAG_RHS_BASE), rng.substream(_TAG_RHS_ADD)),
+    ), n)
+    return _verdict("tilting", grid, panel, tilt(lhs_vals), rhs_vals, z_crit, n)
 
 
 def verify_decomposition_identity(
@@ -210,24 +226,24 @@ def verify_decomposition_identity(
     n: int,
     z_crit: float = 3.0,
 ) -> IdentityReport:
-    """psi against hidden + visible components drawn independently."""
+    """psi against hidden + visible components drawn independently.
+
+    Both sides are drawn in one sample_ensemble call; an RHS chunk adds its
+    visible part to its hidden part in place.
+    """
     grid.index_of([a])  # the pin must sit on the working grid
-    lhs_vals = sample_paths(rng.substream(_TAG_LHS), spec, grid, n)
-    hid = sample_ensemble(
-        lambda stream, m: hidden_values(stream, spec, a, grid.points, m),
-        rng.substream(_TAG_RHS_BASE),
-        n,
-    )
-    vis = sample_ensemble(
-        lambda stream, m: visible_values(stream, spec, a, grid.points, m),
-        rng.substream(_TAG_RHS_ADD),
-        n,
-    )
-    lhs_ens = WeightedEnsemble(grid, lhs_vals)
-    hid += vis
-    rhs_ens = WeightedEnsemble(grid, hid)
-    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel)
-    rhs, rhs_se = weighted_laplace_panel(rhs_ens, panel)
-    return build_identity_report(
-        "decomposition", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n
-    )
+
+    def draw(side, stream, m):
+        if side == 0:
+            return values_at(stream, spec, grid.points, m)
+        hid, vis = stream
+        out = hidden_values(hid, spec, a, grid.points, m)
+        out += visible_values(vis, spec, a, grid.points, m)
+        return out
+
+    lhs_vals, rhs_vals = sample_ensemble(draw, (
+        rng.substream(_TAG_LHS),
+        (rng.substream(_TAG_RHS_BASE), rng.substream(_TAG_RHS_ADD)),
+    ), n)
+    return _verdict("decomposition", grid, panel, WeightedEnsemble(grid, lhs_vals),
+                    rhs_vals, z_crit, n)

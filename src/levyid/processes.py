@@ -10,8 +10,11 @@ documented tail truncation for the self-similar family).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -218,20 +221,101 @@ def values_at(rng: RngStream, spec: ProcessSpec, points, n: int) -> np.ndarray:
     raise TypeError(f"no path sampler for {type(spec).__name__}")
 
 
-def sample_ensemble(fn, rng: RngStream, n: int) -> np.ndarray:
-    """Stack fn(stream, m) over fixed-size chunks with per-chunk substreams.
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, which taskset and
+    cpuset pins narrow, where the platform reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Chunks run on a thread pool sized by the chunk count and the core
-    count; the chunking is fixed, so the result depends only on the stream
-    identity.
+
+# helper threads shared by every sample_ensemble call in the process, made
+# on first use: (executor, thread count), or None on a single core
+_pool = None
+_pool_lock = threading.Lock()
+# set in the helper threads: a sample_ensemble call inside a task a helper
+# runs draws its chunks in that helper, whose peers hold the outer tasks
+_helper = threading.local()
+
+
+def _helpers():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            size = _usable_cores() - 1
+            if size < 1:
+                return None
+            _pool = (ThreadPoolExecutor(size, "levyid-sampler", initializer=setattr,
+                                        initargs=(_helper, "inline", True)), size)
+        return _pool
+
+
+def _run(tasks) -> list:
+    """Results of the zero-argument `tasks`, in task order.
+
+    The calling thread and the pool's helpers take tasks from one counter.
+    After a task raises, no new task starts; every earlier task has started
+    by then, so the error raised is the first in task order, whatever the
+    scheduling.
+    """
+    pool = None if getattr(_helper, "inline", False) or len(tasks) < 2 else _helpers()
+    if pool is None:
+        return [task() for task in tasks]
+    results, errors = [None] * len(tasks), {}
+    counter = itertools.count()
+
+    def drain():
+        while not errors:
+            i = next(counter)
+            if i >= len(tasks):
+                return
+            try:
+                results[i] = tasks[i]()
+            except Exception as exc:  # re-raised by the caller below
+                errors[i] = exc
+
+    executor, size = pool
+    futures = [executor.submit(drain) for _ in range(min(size, len(tasks) - 1))]
+    drain()
+    for future in futures:
+        if not future.cancel():  # a helper that never started has nothing to do
+            future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _chunk_stream(stream, k: int):
+    if isinstance(stream, RngStream):
+        return stream.substream(k)
+    return tuple(s.substream(k) for s in stream)
+
+
+def sample_ensemble(fn, rng: RngStream | tuple, n: int):
+    """Stack fn's draws over fixed-size chunks with per-chunk substreams.
+
+    With one stream `rng`, chunk k of m rows is fn(rng.substream(k), m) and
+    the result is one array. With a tuple of streams, one per independent
+    ensemble, chunk k of ensemble s is fn(s, rng[s].substream(k), m) and the
+    result is a list of arrays; an entry of the tuple may itself be a tuple
+    of streams drawn together, and fn then gets the tuple of their chunk-k
+    substreams. Every chunk of every ensemble is one task on the shared
+    pool, and each result is stacked in chunk order: the chunking is fixed,
+    so the result depends only on the streams, not on the core count.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    sizes = [(k, min(CHUNK, n - k * CHUNK)) for k in range((n + CHUNK - 1) // CHUNK)]
-    if len(sizes) == 1:
-        return fn(rng.substream(0), n)
-    with ThreadPoolExecutor(max_workers=min(len(sizes), os.cpu_count() or 1)) as pool:
-        return np.vstack(list(pool.map(lambda km: fn(rng.substream(km[0]), km[1]), sizes)))
+    single = isinstance(rng, RngStream)
+    streams = (rng,) if single else rng
+    draw = (lambda s, stream, m: fn(stream, m)) if single else fn
+    sizes = [min(CHUNK, n - lo) for lo in range(0, n, CHUNK)]
+    chunks = _run([functools.partial(draw, s, _chunk_stream(stream, k), m)
+                   for s, stream in enumerate(streams) for k, m in enumerate(sizes)])
+    out = []
+    for _ in streams:
+        part, chunks = chunks[:len(sizes)], chunks[len(sizes):]
+        out.append(part[0] if len(part) == 1 else np.vstack(part))
+    return out[0] if single else out
 
 
 def sample_paths(

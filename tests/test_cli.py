@@ -431,6 +431,8 @@ SATO = {"family": "sato", "H": 1.0,
 PERM = {"family": "permanental", "rates": [[0.0, 1.0], [1.0, 0.0]], "kill": [0.5, 0.25]}
 CONV_TS = {"family": "conv", "kernel": {"kind": "exp-decay", "decay": 1.0},
            "driver": {"family": "tempered-stable", "alpha": 0.5}}
+CONV_JUMP_1E5 = {"family": "conv", "kernel": {"kind": "exp-decay", "decay": 1.0},
+                 "driver": {"rate": 1e5, "law": {"kind": "exponential", "mean": 1.0}}}
 
 # a chain from state 0 that is expected to jump about 2e6 times before it is
 # killed, beyond the simulation's step budget
@@ -461,6 +463,10 @@ SAMPLER_LIMITS = {
                                                  mc={"N": 10}), "'grid'"),
     "sato-rate-1e12": (["simulate"], {"process": dict(SATO, bdlp=dict(SATO["bdlp"], rate=1e12)),
                                       "mc": {"N": 10}}, "'rate'"),
+    # both sides of an identity check drawn at once, two chunks each
+    **{f"conv-rate-1e5-{argv}": ([argv], {"process": CONV_JUMP_1E5, "identity": {"a": 1.0},
+                                          "mc": {"N": 60_000}}, "'rate'")
+       for argv in ("verify-isonat", "verify-condition")},
     "chain-near-recurrent": (["permanental"], NEAR_RECURRENT, "'kill'"),
 }
 

@@ -5,7 +5,10 @@ The samplers and the SE panel write into reused buffers instead of
 allocating a copy per step, and the killed-chain loop steps compacted arrays
 of live chains instead of indexing the full matrices. The jump-law moments
 run on the float they are given instead of a 0-d array, and a levy-check job
-integrates each quadrature piece once. They must still perform the same
+integrates each quadrature piece once. An identity check draws its two
+sides' chunks as one batch of tasks on the shared sampler pool, adding each
+right-hand-side chunk's two parts inside its task, instead of in three
+sequential ensemble calls. They must still perform the same
 floating-point operations, in the same order, on the same draws, so that
 every report keeps its bytes. Each kernel is compared with np.array_equal
 (or == on floats) against the expression it replaced, kept here as the
@@ -22,20 +25,32 @@ import scipy.integrate
 
 from levyid import cli, processes
 from levyid.core import (
+    ConvSpec,
+    ExpDecayKernel,
+    IndicatorKernel,
     JumpLaw,
+    JumpLawSpec,
     LevyFunctionalPanel,
     PanelEntry,
     PermanentalSpec,
     PoissonSpec,
+    SatoSpec,
     TemperedStableSpec,
     TimeGrid,
     WeightedEnsemble,
     _matvec,
+    mean_function,
 )
-from levyid.identities import hidden_values, visible_values
+from levyid.identities import (
+    companion_values,
+    hidden_values,
+    verify_decomposition_identity,
+    verify_tilting_identity,
+    visible_values,
+)
 from levyid.levymeasure import levy_functional_quadrature, quadrature_pieces
 from levyid.permanental import _MAX_STEPS, _simulate_local_times
-from levyid.processes import _cumulative, _poisson_values, sample_ensemble
+from levyid.processes import _cumulative, _poisson_values, sample_ensemble, values_at
 from levyid.randkit import RngStream, sample_positive_stable
 from levyid.statlab import laplace_values, weighted_laplace_panel
 
@@ -239,6 +254,82 @@ def test_one_chunk_ensemble_is_the_chunk_itself():
     assert got is made[0]
     ref = np.vstack([RngStream(2).substream(0).generator.random((1000, 3))])
     assert np.array_equal(got, ref)
+
+
+def _stack_ref(fn, rng, n):
+    sizes = [min(processes.CHUNK, n - lo) for lo in range(0, n, processes.CHUNK)]
+    return np.vstack([fn(rng.substream(k), m) for k, m in enumerate(sizes)])
+
+
+def _tilting_reference(rng, spec, a, grid, panel, n):
+    # the three sequential ensembles: tilted psi, psi, then the companion
+    ia = int(grid.index_of([a])[0])
+    lhs = _stack_ref(lambda s, m: values_at(s, spec, grid.points, m), rng.substream(1), n)
+    base = _stack_ref(lambda s, m: values_at(s, spec, grid.points, m), rng.substream(2), n)
+    add = _stack_ref(lambda s, m: companion_values(s, spec, a, grid.points, m),
+                     rng.substream(3), n)
+    base += add
+    lhs_ens = WeightedEnsemble(grid, lhs, lhs[:, ia] / mean_function(spec, a))
+    return (*weighted_laplace_panel(lhs_ens, panel),
+            *weighted_laplace_panel(WeightedEnsemble(grid, base), panel))
+
+
+def _decomposition_reference(rng, spec, a, grid, panel, n):
+    # the three sequential ensembles: psi, the hidden part, the visible part
+    lhs = _stack_ref(lambda s, m: values_at(s, spec, grid.points, m), rng.substream(1), n)
+    hid = _stack_ref(lambda s, m: hidden_values(s, spec, a, grid.points, m),
+                     rng.substream(2), n)
+    vis = _stack_ref(lambda s, m: visible_values(s, spec, a, grid.points, m),
+                     rng.substream(3), n)
+    hid += vis
+    return (*weighted_laplace_panel(WeightedEnsemble(grid, lhs), panel),
+            *weighted_laplace_panel(WeightedEnsemble(grid, hid), panel))
+
+
+IDENTITY_SPECS = {
+    "poisson": PoissonSpec(1.3),
+    "tempered-stable": TemperedStableSpec(0.6),
+    "sato": SatoSpec(H=0.8, bdlp=JumpLawSpec(rate=2.0, law=JumpLaw.gamma(1.5, 2.0))),
+    "conv-indicator": ConvSpec(kernel=IndicatorKernel(length=1.5),
+                               z=JumpLawSpec(rate=1.5, law=JumpLaw.exponential(1.0))),
+    "conv-exp-decay": ConvSpec(kernel=ExpDecayKernel(decay=0.7), z=TemperedStableSpec(0.6)),
+}
+VERIFIERS = {
+    "tilting": (verify_tilting_identity, _tilting_reference),
+    "decomposition": (verify_decomposition_identity, _decomposition_reference),
+}
+
+
+@pytest.mark.parametrize("chunk", [50_000, 600], ids=["one-chunk", "two-chunks"])
+@pytest.mark.parametrize("identity", VERIFIERS)
+@pytest.mark.parametrize("family", IDENTITY_SPECS)
+def test_identity_sides_match_reference(monkeypatch, pool_cores, chunk, identity, family):
+    monkeypatch.setattr(processes, "CHUNK", chunk)
+    verify, reference = VERIFIERS[identity]
+    spec = IDENTITY_SPECS[family]
+    rep = verify(RngStream(31), spec, 1.0, GRID, PANEL, 1000)
+    lhs, lhs_se, rhs, rhs_se = reference(RngStream(31), spec, 1.0, GRID, PANEL, 1000)
+    assert np.array_equal(rep.lhs, lhs) and np.array_equal(rep.lhs_se, lhs_se)
+    assert np.array_equal(rep.rhs, rhs) and np.array_equal(rep.rhs_se, rhs_se)
+
+
+@pytest.mark.parametrize("identity", VERIFIERS)
+@pytest.mark.parametrize("family", ["sato", "conv-indicator"])
+def test_jump_budget_error_matches_reference(pool_cores, identity, family):
+    # both chunks of every side exceed the driver-jump budget; the message
+    # names the first chunk's 50,000 paths, as the sequential draws raised
+    base = IDENTITY_SPECS[family]
+    driver = base.bdlp if family == "sato" else base.z
+    big = JumpLawSpec(rate=1e5, law=driver.law)
+    spec = (SatoSpec(H=base.H, bdlp=big) if family == "sato"
+            else ConvSpec(kernel=base.kernel, z=big))
+    verify, reference = VERIFIERS[identity]
+    with pytest.raises(ValueError) as want:
+        reference(RngStream(31), spec, 1.0, GRID, PANEL, 60_000)
+    assert "50000 paths expect" in str(want.value)
+    with pytest.raises(ValueError) as got:
+        verify(RngStream(31), spec, 1.0, GRID, PANEL, 60_000)
+    assert str(got.value) == str(want.value)
 
 
 # the desk's chains: one state with no jump rates, two states, and three

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -213,6 +217,114 @@ class TestEnsembles:
         grid = TimeGrid((1.0,))
         vals = sample_paths(RngStream(42).substream(1), PoissonSpec(rate=1.0), grid, n)
         assert vals.shape == (n, 1)
+
+
+def _within(seconds, call):
+    """call() on a daemon thread, which must finish within `seconds`."""
+    got = []
+    worker = threading.Thread(target=lambda: got.append(call()), daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), "sample_ensemble did not finish"
+    assert got, "sample_ensemble raised"
+    return got[0]
+
+
+class TestPool:
+    """Every chunk of every ensemble in one sample_ensemble call is one task
+    on a pool of (usable cores - 1) helper threads plus the caller."""
+
+    def test_usable_cores_follows_the_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert processes._usable_cores() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert processes._usable_cores() == 5
+
+    def test_streams_keep_the_bits(self, monkeypatch, grid, pool_cores):
+        # two ensembles, the second drawing two streams per chunk, over three
+        # chunks: each is stacked in chunk order from its own substreams
+        spec = SAMPLERS["sato"]
+        monkeypatch.setattr(processes, "CHUNK", 1_000)
+        before = threading.active_count()
+
+        def fn(s, stream, m):
+            if s == 0:
+                return values_at(stream, spec, grid.points, m)
+            out = values_at(stream[0], spec, grid.points, m)
+            out += companion_values(stream[1], spec, 1.0, grid.points, m)
+            return out
+
+        rng = RngStream(9)
+        got = sample_ensemble(fn, (rng.substream(1), (rng.substream(2), rng.substream(3))),
+                              2_500)
+        sizes = (1_000, 1_000, 500)
+        want = [np.vstack([fn(0, rng.substream(1, k), m) for k, m in enumerate(sizes)]),
+                np.vstack([fn(1, (rng.substream(2, k), rng.substream(3, k)), m)
+                           for k, m in enumerate(sizes)])]
+        assert len(got) == 2
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        if pool_cores == 1:
+            assert processes._pool is None  # no helper thread starts
+            assert threading.active_count() == before
+        else:
+            assert processes._pool[1] == pool_cores - 1
+
+    def test_first_error_in_task_order(self, pool_cores):
+        # chunk 0 raises last in time; its error is the one raised
+        def fn(stream, m):
+            k = stream.path[-1]
+            if k == 0:
+                time.sleep(0.2)
+            raise ValueError(f"chunk {k}")
+
+        with pytest.raises(ValueError, match="^chunk 0$"):
+            sample_ensemble(fn, RngStream(4), 3 * processes.CHUNK)
+
+    def test_each_task_runs_once_under_contention(self, monkeypatch, pool_cores):
+        # 500 one-row chunks with a short switch interval: a task taken twice
+        # or skipped, or a result stored in the wrong slot, shows
+        monkeypatch.setattr(processes, "CHUNK", 1)
+        ran = []
+
+        def fn(stream, m):
+            ran.append(stream.path[-1])
+            return np.full((m, 1), float(stream.path[-1]))
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _within(60, lambda: sample_ensemble(fn, RngStream(1), 500))
+        finally:
+            sys.setswitchinterval(saved)
+        assert sorted(ran) == list(range(500))
+        assert np.array_equal(got[:, 0], np.arange(500.0))
+
+    def test_nested_call_in_a_helper_runs_inline(self, monkeypatch, pool_cores):
+        monkeypatch.setattr(processes, "CHUNK", 10)
+        threads = []
+
+        def inner(stream, m):
+            threads.append(threading.current_thread())
+            return stream.generator.random((m, 1))
+
+        def outer(stream, m):
+            return sample_ensemble(inner, stream, 25)[:m]
+
+        got = _within(60, lambda: sample_ensemble(outer, RngStream(6), 30))
+        want = np.vstack([
+            np.vstack([RngStream(6).substream(k, j).generator.random((m, 1))
+                       for j, m in enumerate((10, 10, 5))])[:10]
+            for k in range(3)])
+        assert np.array_equal(got, want)
+        assert len(threads) == 9
+        if pool_cores > 1:
+            # called in a helper, every chunk is drawn in that helper
+            threads.clear()
+            executor, _ = processes._helpers()
+            executor.submit(sample_ensemble, inner, RngStream(6), 25).result(timeout=60)
+            assert len(threads) == 3 and len(set(threads)) == 1
+            assert threads[0] is not threading.current_thread()
 
 
 class TestMeanFunction:

@@ -3,7 +3,9 @@
 `perfbench/tracer.py` wraps every `TARGETS` function of each `levyid`
 module and reads the work each call was handed from its bound arguments
 (`WORK`). A deleted function or a renamed parameter would break `--trace 1`
-runs without touching any other test, so this checks the names here.
+runs without touching any other test, so this checks the names here. It
+also adopts sample_ensemble's chunk function, so that spans opened in pool
+threads keep sample_ensemble as their parent.
 """
 
 import importlib
@@ -14,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from levyid import cli
+from levyid import cli, identities
+from levyid.core import LevyFunctionalPanel, PanelEntry, PoissonSpec, make_grid
+from levyid.randkit import RngStream
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -91,3 +95,24 @@ def test_every_work_entry_is_a_target():
 def test_job_handlers_table():
     assert isinstance(cli._JOB_HANDLERS, dict) and cli._JOB_HANDLERS
     assert all(callable(fn) for fn in cli._JOB_HANDLERS.values())
+
+
+@pytest.mark.parametrize("pool_cores", [3], indirect=True)
+def test_pooled_spans_have_a_sample_ensemble_ancestor(pool_cores):
+    # 60k rows: two chunks per side, drawn as four tasks on the caller and
+    # two helper threads
+    t = tracer.Tracer()
+    panel = LevyFunctionalPanel((PanelEntry((1.0,), (1.0,)),))
+    with tracer.instrument(t):
+        identities.verify_decomposition_identity(
+            RngStream(3), PoissonSpec(1.0), 1.0, make_grid([0.5, 1.0, 2.0]), panel, 60_000)
+    by_id = {s.id: s for s in t.spans}
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            yield span.name
+
+    drawn = [s for s in t.spans if s.name in ("values_at", "hidden_values", "visible_values")]
+    assert sorted({s.name for s in drawn}) == ["hidden_values", "values_at", "visible_values"]
+    assert all("sample_ensemble" in ancestors(s) for s in drawn)
