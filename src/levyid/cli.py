@@ -480,14 +480,15 @@ def _cmd_permanental(cfg, seed):
     loc_rows, loc_ok = _moment_check(loc, local_time_mean(green, a), "state",
                                      range(spec.n), z_crit)
 
-    m_weights = np.ones(spec.n)
+    # one draw, on substream (2, 0), serves every state's marginal
     n_nu = min(n, 50_000)
+    singles = LevyFunctionalPanel(tuple(PanelEntry((1.0,), (float(x),))
+                                        for x in range(spec.n)))
+    ests = levy_functional_permanental(rng.substream(2, 0), spec, np.ones(spec.n),
+                                       singles, n_nu)
     marg = []
     marg_ok = True
-    for x in range(spec.n):
-        entry = PanelEntry((1.0,), (float(x),))
-        est = levy_functional_permanental(rng.substream(2, x), spec,
-                                          m_weights, entry, n_nu)
+    for x, est in enumerate(ests):
         oracle = marginal_levy_functional(green, 1.0, x)
         zk, ok_x = compare((est.value, est.se), (oracle, 0.0), REPR_Z)
         marg_ok &= ok_x

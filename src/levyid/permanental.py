@@ -266,7 +266,7 @@ def levy_functional_permanental(
     rng: RngStream,
     chain: PermanentalSpec,
     m_weights,
-    entry: PanelEntry,
+    panel: LevyFunctionalPanel,
     n: int,
 ):
     """Monte Carlo evaluation of the permanental Levy functional
@@ -274,24 +274,29 @@ def levy_functional_permanental(
         nu(F) = int E[ F(2 L^a) / sum_x L^a(x) m(x) ] g(a, a) m(da)
 
     with F(y) = 1 - exp(-1/2 sum alpha_i y(x_i)) and m a positive weight
-    vector over states. Replicates with a vanishing denominator would be
-    rejected and counted, but cannot occur because L^a(a) > 0.
+    vector over states, at every panel entry: one LevyEstimate per entry.
+    The entries share one draw, the n start states on substream 1 and one
+    local-time ensemble per start state a on substream (2, a). Replicates
+    with a vanishing denominator would be rejected and counted, but cannot
+    occur because L^a(a) > 0.
     """
     from .levymeasure import LevyEstimate
 
     m = np.asarray(m_weights, dtype=float)
     if m.shape != (chain.n,) or np.any(m < 0) or m.sum() <= 0:
         raise ValueError("m_weights must be nonnegative with positive total")
+    entries = []
+    for entry in panel:
+        states = np.asarray(entry.times, dtype=int)
+        if np.any(states < 0) or np.any(states >= chain.n):
+            raise ValueError("entry times must be state indices")
+        entries.append((np.asarray(entry.alphas), states))
     green = green_matrix(chain)
     g = green.matrix
-    alphas = np.asarray(entry.alphas)
-    states = np.asarray(entry.times, dtype=int)
-    if np.any(states < 0) or np.any(states >= chain.n):
-        raise ValueError("entry times must be state indices")
     gen = rng.substream(1).generator
     probs = m / m.sum()
     starts = gen.choice(chain.n, size=n, p=probs)
-    x = np.zeros(n)
+    x = np.zeros((len(entries), n))
     for a in np.unique(starts):
         rows = np.where(starts == a)[0]
         local = sample_local_times(rng.substream(2, int(a)), chain, int(a), rows.size)
@@ -300,11 +305,12 @@ def levy_functional_permanental(
         if bad.any():
             warnings.warn(f"rejected {int(bad.sum())} replicates with zero denominator",
                           RuntimeWarning, stacklevel=2)
-        f = -np.expm1(-0.5 * (2.0 * _matvec(local[:, states], alphas)))
-        contrib = np.where(bad, 0.0, m.sum() * g[a, a] * f / np.where(bad, 1.0, denom))
-        x[rows] = contrib
-    se = bootstrap_mean_se(x)
-    return LevyEstimate(float(x.mean()), se, "permanental-mc")
+        safe = np.where(bad, 1.0, denom)
+        for k, (alphas, states) in enumerate(entries):
+            f = -np.expm1(-0.5 * (2.0 * _matvec(local[:, states], alphas)))
+            x[k, rows] = np.where(bad, 0.0, m.sum() * g[a, a] * f / safe)
+    return [LevyEstimate(float(xk.mean()), bootstrap_mean_se(xk), "permanental-mc")
+            for xk in x]
 
 
 def marginal_levy_functional(green: GreenMatrix, alpha: float, x: int) -> float:

@@ -165,9 +165,12 @@ def _sato_values(rng: RngStream, spec: SatoSpec, points, n: int) -> np.ndarray:
         return out
     rep, s, x = jumps
     v = x * np.exp(-s)
+    # a jump below a point's threshold adds +0.0 to its row's nonnegative
+    # running sum, which is exact: the same bits as summing only the kept jumps
+    kept = np.empty_like(v)
     for j in np.flatnonzero(pos):
-        mask = s >= thresholds[j]
-        out[:, j] = np.bincount(rep[mask], weights=v[mask], minlength=n)
+        np.multiply(v, s >= thresholds[j], out=kept)
+        out[:, j] = np.bincount(rep, weights=kept, minlength=n)
     return out
 
 

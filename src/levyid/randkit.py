@@ -65,12 +65,15 @@ def sample_positive_stable(rng: RngStream, alpha: float, t: float, size: int) ->
     beta = 1.0 - alpha
     frac = alpha / beta
     log_a = _log_sin(alpha * theta)
-    # at alpha = 1/2 both sines take the same argument: compute it once
-    log_b = log_a.copy() if beta == alpha else _log_sin(beta * theta)
-    log_c = _log_sin(theta)  # theta is not needed after this
     # log_a <- frac * log_a + log_b - (1 + frac) * log_c
-    log_a *= frac
-    log_a += log_b
+    if beta == alpha:
+        # at alpha = 1/2 both sines take the same argument and frac is 1, so
+        # frac * log_a + log_b is log_a + log_a, exact in place
+        log_a += log_a
+    else:
+        log_a *= frac
+        log_a += _log_sin(beta * theta)
+    log_c = _log_sin(theta)  # theta is not needed after this
     log_c *= 1.0 + frac
     log_a -= log_c
     log_a -= np.log(w, out=w)

@@ -9,6 +9,11 @@ final rung of the thinning ladder:
 - each entry's z variance stays within chi-square error of 1;
 - on the first BOOT_SEEDS seeds the SEs agree with a reference percentile
   bootstrap computed on the same ensembles.
+
+The permanental job's Levy marginals, which share one draw across states,
+are scanned over the same seeds at their own small size, PERM_N rows, on the
+desk's 2- and 3-state chains: each state's z mean and variance stay within
+normal and chi-square error of 0 and 1.
 """
 
 import math
@@ -18,8 +23,21 @@ import pytest
 
 import levyid.identities as identities
 from levyid.cli import default_panel
-from levyid.core import PoissonSpec, TemperedStableSpec, WeightedEnsemble, make_grid
+from levyid.core import (
+    LevyFunctionalPanel,
+    PanelEntry,
+    PermanentalSpec,
+    PoissonSpec,
+    TemperedStableSpec,
+    WeightedEnsemble,
+    make_grid,
+)
 from levyid.limits import DEFAULT_DELTAS, thinned_values
+from levyid.permanental import (
+    green_matrix,
+    levy_functional_permanental,
+    marginal_levy_functional,
+)
 from levyid.processes import sample_ensemble
 from levyid.randkit import RngStream
 from levyid.statlab import bonferroni_crit, laplace_values, weighted_laplace_panel
@@ -32,6 +50,7 @@ SEEDS = 200
 BOOT_SEEDS = 4
 Z_CRIT = 3.0
 P_ENTRY = math.erfc(Z_CRIT / math.sqrt(2.0))  # nominal P(|z| > 3)
+PERM_N = 2_000
 
 
 def reference_bootstrap_se(ens, panel, b=500, seed=0, chunk=50):
@@ -163,3 +182,38 @@ def test_matches_reference_bootstrap(scan):
     ])
     assert np.all((0.85 < ratios) & (ratios < 1.15)), ratios
     assert 0.95 < math.exp(np.log(ratios).mean()) < 1.05
+
+
+# the desk suite's 2- and 3-state permanental chains
+PERM_CHAINS = {
+    "2-state": PermanentalSpec(((0.0, 1.0), (1.0, 0.0)), (0.7, 0.4)),
+    "3-state": PermanentalSpec(((0.0, 0.6, 0.2), (0.6, 0.0, 0.5), (0.2, 0.5, 0.0)),
+                               (0.4, 0.0, 0.9)),
+}
+
+
+@pytest.fixture(scope="module", params=list(PERM_CHAINS))
+def marginal_scan(request):
+    # every state's marginal from one draw per seed, on the stream the
+    # permanental job gives them, against log(1 + g(x, x))
+    chain = PERM_CHAINS[request.param]
+    green = green_matrix(chain)
+    truth = np.array([marginal_levy_functional(green, 1.0, x) for x in range(chain.n)])
+    panel = LevyFunctionalPanel(tuple(PanelEntry((1.0,), (float(x),)) for x in range(chain.n)))
+    zs = []
+    for s in range(SEEDS):
+        ests = levy_functional_permanental(RngStream(s).substream(2, 0), chain,
+                                           np.ones(chain.n), panel, PERM_N)
+        zs.append([(e.value - t) / e.se for e, t in zip(ests, truth)])
+    return np.array(zs)
+
+
+def test_marginal_z_mean_near_zero(marginal_scan):
+    # the mean of SEEDS standard normals has SD 1 / sqrt(SEEDS)
+    mean = marginal_scan.mean(axis=0)
+    assert np.all(np.abs(mean) <= 3.0 / math.sqrt(SEEDS)), mean
+
+
+def test_marginal_z_variance_near_one(marginal_scan):
+    var = marginal_scan.var(axis=0, ddof=1)
+    assert np.all(np.abs(var - 1.0) <= 3.0 * math.sqrt(2.0 / (SEEDS - 1))), var

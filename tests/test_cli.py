@@ -643,10 +643,10 @@ class TestZeroSeVerdicts:
         assert all(m["lhs"] == r["mc"] for m, r in zip(mix, reprs))
 
     def test_permanental_marginal_equal_to_oracle_passes(self, tmp_path, monkeypatch):
-        def exact(rng, chain, m_weights, entry, n):
+        def exact(rng, chain, m_weights, panel, n):
             g = green_matrix(chain)
-            return LevyEstimate(marginal_levy_functional(g, 1.0, int(entry.times[0])),
-                                0.0, "permanental-mc")
+            return [LevyEstimate(marginal_levy_functional(g, 1.0, int(entry.times[0])),
+                                 0.0, "permanental-mc") for entry in panel]
 
         monkeypatch.setattr(cli, "levy_functional_permanental", exact)
         cfg = {"process": PERM, "identity": {"a": 0}, "mc": {"N": 2000}, "seed": 4}

@@ -8,7 +8,10 @@ run on the float they are given instead of a 0-d array, and a levy-check job
 integrates each quadrature piece once. An identity check draws its two
 sides' chunks as one batch of tasks on the shared sampler pool, adding each
 right-hand-side chunk's two parts inside its task, instead of in three
-sequential ensemble calls. They must still perform the same
+sequential ensemble calls. The permanental Levy marginals are evaluated on
+one shared draw instead of one draw per entry, and the Sato sampler sums
+each point's kept jumps with the others zeroed instead of gathered. They
+must still perform the same
 floating-point operations, in the same order, on the same draws, so that
 every report keeps its bytes. Each kernel is compared with np.array_equal
 (or == on floats) against the expression it replaced, kept here as the
@@ -49,10 +52,24 @@ from levyid.identities import (
     visible_values,
 )
 from levyid.levymeasure import levy_functional_quadrature, quadrature_pieces
-from levyid.permanental import _MAX_STEPS, _simulate_local_times
-from levyid.processes import _cumulative, _poisson_values, sample_ensemble, values_at
+from levyid.permanental import (
+    _MAX_STEPS,
+    _simulate_local_times,
+    green_matrix,
+    levy_functional_permanental,
+    sample_local_times,
+)
+from levyid.processes import (
+    _cumulative,
+    _jump_set,
+    _poisson_values,
+    _sato_values,
+    required_cutoff,
+    sample_ensemble,
+    values_at,
+)
 from levyid.randkit import RngStream, sample_positive_stable
-from levyid.statlab import laplace_values, weighted_laplace_panel
+from levyid.statlab import bootstrap_mean_se, laplace_values, weighted_laplace_panel
 
 
 def _panel_ref(ensemble, panel):
@@ -133,6 +150,44 @@ def _local_times_ref(rng, chain, start, n):
             state[survivors] = nxt
         alive = survivors
     raise AssertionError("reference chain exceeded the step budget")
+
+
+def _permanental_marginal_ref(rng, chain, m, entry, n):
+    # one panel entry on its own draw, as each state's marginal was evaluated
+    g = green_matrix(chain).matrix
+    alphas = np.asarray(entry.alphas)
+    states = np.asarray(entry.times, dtype=int)
+    starts = rng.substream(1).generator.choice(chain.n, size=n, p=m / m.sum())
+    x = np.zeros(n)
+    for a in np.unique(starts):
+        rows = np.where(starts == a)[0]
+        local = sample_local_times(rng.substream(2, int(a)), chain, int(a), rows.size)
+        denom = _matvec(local, m)
+        bad = denom <= 0
+        f = -np.expm1(-0.5 * (2.0 * _matvec(local[:, states], alphas)))
+        x[rows] = np.where(bad, 0.0, m.sum() * g[a, a] * f / np.where(bad, 1.0, denom))
+    return float(x.mean()), bootstrap_mean_se(x)
+
+
+def _sato_ref(rng, spec, points, n):
+    # each point's column summed over the gathered jumps at or past its threshold
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros((n, pts.size))
+    pos = pts > 0
+    if not pos.any():
+        return out
+    thresholds = np.full(pts.size, np.inf)
+    thresholds[pos] = -spec.H * np.log(pts[pos])
+    jumps = _jump_set(rng, spec.bdlp, float(thresholds[pos].min()),
+                      required_cutoff(spec, pts), n)
+    if jumps is None:
+        return out
+    rep, s, x = jumps
+    v = x * np.exp(-s)
+    for j in np.flatnonzero(pos):
+        mask = s >= thresholds[j]
+        out[:, j] = np.bincount(rep[mask], weights=v[mask], minlength=n)
+    return out
 
 
 GRID = TimeGrid((0.25, 0.5, 1.0, 2.0))
@@ -354,6 +409,54 @@ def test_local_times_match_reference(name, start, n):
     assert np.array_equal(full, ref_full)
     assert np.array_equal(pinned, ref_pinned)
     assert np.all(pinned[:, start] > 0)
+
+
+def _singles(n):
+    return LevyFunctionalPanel(tuple(PanelEntry((1.0,), (float(x),)) for x in range(n)))
+
+
+def _marginal_panel(n):
+    # the job's single-state entries, then a pair and a weighted full vector
+    extra = (PanelEntry((0.8, 1.2), (0.0, float(n - 1))),
+             PanelEntry(tuple(0.3 + 0.2 * x for x in range(n)), tuple(float(x) for x in range(n))))
+    return LevyFunctionalPanel((*_singles(n), *extra))
+
+
+@pytest.mark.parametrize("name", DESK_CHAINS)
+def test_marginal_panel_entries_match_one_entry_calls(name):
+    chain = DESK_CHAINS[name]
+    m = np.array([1.0, 0.5, 2.0][:chain.n])
+    panel = _marginal_panel(chain.n)
+    got = levy_functional_permanental(RngStream(19), chain, m, panel, 3000)
+    assert len(got) == len(panel)
+    for est, entry in zip(got, panel):
+        (one,) = levy_functional_permanental(RngStream(19), chain, m,
+                                             LevyFunctionalPanel((entry,)), 3000)
+        assert (est.value, est.se) == (one.value, one.se)
+        assert (est.value, est.se) == _permanental_marginal_ref(RngStream(19), chain, m,
+                                                                entry, 3000)
+
+
+@pytest.mark.parametrize("name", DESK_CHAINS)
+def test_job_state0_marginal_matches_per_state_reference(name):
+    # the job draws every marginal on the stream state 0's own draw had
+    chain = DESK_CHAINS[name]
+    rng = RngStream(23).substream(2, 0)
+    got = levy_functional_permanental(rng, chain, np.ones(chain.n), _singles(chain.n), 5000)
+    want = _permanental_marginal_ref(rng, chain, np.ones(chain.n),
+                                     PanelEntry((1.0,), (0.0,)), 5000)
+    assert (got[0].value, got[0].se) == want
+
+
+SATO_DESK = SatoSpec(H=0.5, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))
+
+
+@pytest.mark.parametrize("points", [(0.0, 0.5, 1.0, 1.5, 2.0), (1.5, 0.0, 2.0, 0.5, 1.0, 0.25)],
+                         ids=["sorted", "unsorted"])
+def test_sato_columns_match_masked_reference(points):
+    got = _sato_values(RngStream(29), SATO_DESK, points, 4000)
+    assert np.array_equal(got, _sato_ref(RngStream(29), SATO_DESK, points, 4000))
+    assert np.all(got[:, list(points).index(0.0)] == 0.0)
 
 
 def _one_minus_exp_ref(law, c):

@@ -1,10 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levyid import permanental
-from levyid.core import PanelEntry, PermanentalSpec
+from levyid import cli, permanental
+from levyid.core import LevyFunctionalPanel, PanelEntry, PermanentalSpec
 from levyid.permanental import (
     GreenMatrix,
     conditional_kernel,
@@ -198,35 +200,80 @@ class TestIdentity:
         assert len(panel) == 5  # three singles, one pair, one full vector
 
 
+def _singles(n):
+    return LevyFunctionalPanel(tuple(PanelEntry((1.0,), (float(x),)) for x in range(n)))
+
+
 class TestLevyFunctional:
     def test_matches_marginal_closed_form(self):
-        # single-coordinate functional vs log(1 + alpha g(x, x))
+        # single-coordinate functionals vs log(1 + alpha g(x, x)), one draw
         chain = CHAIN2
         g = green_matrix(chain)
-        for x in range(chain.n):
-            entry = PanelEntry(alphas=(1.0,), times=(float(x),))
-            m = np.ones(chain.n)
-            est = levy_functional_permanental(RngStream(401, x), chain, m, entry, n=150_000)
+        ests = levy_functional_permanental(RngStream(401), chain, np.ones(chain.n),
+                                           _singles(chain.n), n=150_000)
+        assert len(ests) == chain.n
+        for x, est in enumerate(ests):
             want = marginal_levy_functional(g, 1.0, x)
             assert abs(est.value - want) <= 4 * est.se, (x, est.value, want)
 
     def test_three_state_pair_entry(self):
         # no closed form; check against an independent weight vector run
         chain = CHAIN3
-        entry = PanelEntry(alphas=(0.7, 1.1), times=(0.0, 2.0))
-        e1 = levy_functional_permanental(RngStream(402), chain, np.ones(3), entry, n=150_000)
-        e2 = levy_functional_permanental(RngStream(403), chain, np.array([0.2, 1.0, 2.0]), entry, n=150_000)
+        panel = LevyFunctionalPanel((PanelEntry(alphas=(0.7, 1.1), times=(0.0, 2.0)),))
+        (e1,) = levy_functional_permanental(RngStream(402), chain, np.ones(3), panel, n=150_000)
+        (e2,) = levy_functional_permanental(RngStream(403), chain, np.array([0.2, 1.0, 2.0]),
+                                            panel, n=150_000)
         assert abs(e1.value - e2.value) <= 4 * math.hypot(e1.se, e2.se)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="m_weights"):
-            levy_functional_permanental(RngStream(404), CHAIN2, np.zeros(2), PanelEntry((1.0,), (0.0,)), n=100)
+            levy_functional_permanental(RngStream(404), CHAIN2, np.zeros(2), _singles(2), n=100)
 
     def test_rejects_bad_state_entry(self):
         with pytest.raises(ValueError, match="state"):
-            levy_functional_permanental(RngStream(405), CHAIN2, np.ones(2), PanelEntry((1.0,), (5.0,)), n=100)
+            levy_functional_permanental(
+                RngStream(405), CHAIN2, np.ones(2),
+                LevyFunctionalPanel((PanelEntry((1.0,), (5.0,)),)), n=100)
+
+    def test_bad_last_entry_rejected_before_any_draw(self, monkeypatch):
+        class NoDraw:
+            def substream(self, *tags):
+                raise AssertionError("a stream was drawn from before validation")
+
+        chains = []
+        monkeypatch.setattr(permanental, "_simulate_local_times",
+                            lambda *args: chains.append(args))
+        panel = LevyFunctionalPanel((*_singles(3), PanelEntry((1.0, 1.0), (0.0, 3.0))))
+        with pytest.raises(ValueError, match="state"):
+            levy_functional_permanental(NoDraw(), CHAIN3, np.ones(3), panel, n=100)
+        assert chains == []
 
     def test_marginal_uses_half_convention(self):
         g = green_matrix(CHAIN1)
         # -log E exp(-alpha psi(0)/2) with psi(0) ~ 2 beta=1 exponential modes
         assert marginal_levy_functional(g, 2.0, 0) == pytest.approx(math.log(2.0))
+
+
+# the desk suite's permanental jobs: 1, 2 and 3 states
+DESK_JOBS = {job["name"]: job["config"] for job in json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "suite_desk.json").read_text())["jobs"]
+    if job["command"] == "permanental"}
+
+
+@pytest.mark.parametrize("name", DESK_JOBS)
+def test_job_runs_one_chain_per_start_state(monkeypatch, name):
+    # the identity's and the local-time check's chains from a, then one run
+    # per start state for all the Levy marginals together: 2 + ns
+    calls = []
+    simulate = permanental._simulate_local_times
+
+    def counting(rng, chain, start, n):
+        calls.append(start)
+        return simulate(rng, chain, start, n)
+
+    monkeypatch.setattr(permanental, "_simulate_local_times", counting)
+    cfg = dict(DESK_JOBS[name], mc={"N": 2000})
+    ns = len(cfg["process"]["kill"])
+    cli._cmd_permanental(cfg, 5)
+    assert len(calls) == 2 + ns
+    assert sorted(calls[2:]) == list(range(ns))
