@@ -8,6 +8,7 @@ Subcommands
     permanental       finite-state permanental identity battery
     limit             thinning ladder converging to the tilt companion
     suite             run a list of the above as one batch
+    diff              compare two reports outside their timestamp blocks
 
 Reports are JSON tagged "schema": "levy-id/1" and embed the resolved config.
 Identical config + seed give byte-identical reports apart from the timestamp
@@ -391,6 +392,13 @@ def _identity_command(cfg, seed, identity):
     return resolved, report.to_dict(), report.overall_pass, _report_csv(report)
 
 
+def _gated_row(entry, lhs, rhs, /, **fields) -> dict:
+    """A panel entry's report row: fields, then lhs vs rhs gated at REPR_Z."""
+    z, ok = compare(lhs, rhs, REPR_Z)
+    return {"alphas": list(entry.alphas), "times": list(entry.times), **fields,
+            "z": float(z), "pass": bool(ok)}
+
+
 # the Laplace exponent and the splits integrate many of the same pieces;
 # within one job each is integrated once
 @quadrature_pieces()
@@ -404,53 +412,42 @@ def _cmd_levy_check(cfg, seed):
     lap.notes.update(_sampler_notes(spec))
     conds = validate_levy_conditions(spec, grid)
 
-    # lap.rhs holds the unrestricted quadrature of each entry, with SE 0
-    reprs, mix = [], []
-    reprs_ok = mix_ok = True
-    for k, (entry, quad) in enumerate(zip(panel, lap.rhs)):
-        mc = levy_functional_mc(rng.substream(10, k), spec, entry, n_mc,
-                                mixing_mean=MIXING_MEANS[0])
-        zk, ok_k = compare((mc.value, mc.se), (quad, 0.0), REPR_Z)
-        reprs_ok &= ok_k
-        reprs.append({
-            "alphas": list(entry.alphas), "times": list(entry.times),
-            "mc": mc.value, "mc_se": mc.se, "quadrature": quad,
-            "z": float(zk), "pass": bool(ok_k),
-        })
-        if isinstance(spec, PoissonSpec):
-            # the representation is invariant in the mixing law
-            alt = levy_functional_mc(rng.substream(12, k), spec, entry, n_mc,
-                                     mixing_mean=MIXING_MEANS[1])
-            zk, ok_k = compare((mc.value, mc.se), (alt.value, alt.se), REPR_Z)
-            mix_ok &= ok_k
-            mix.append({"alphas": list(entry.alphas), "times": list(entry.times),
-                        "means": list(MIXING_MEANS), "lhs": mc.value, "rhs": alt.value,
-                        "z": float(zk), "pass": bool(ok_k)})
+    # lap.rhs holds the unrestricted quadrature of each entry, with SE 0; one
+    # draw, on substream (10, 0), serves every entry's representation
+    mcs = levy_functional_mc(rng.substream(10, 0), spec, panel, n_mc,
+                             mixing_mean=MIXING_MEANS[0])
+    reprs = [_gated_row(entry, (mc.value, mc.se), (quad, 0.0),
+                        mc=mc.value, mc_se=mc.se, quadrature=quad)
+             for entry, mc, quad in zip(panel, mcs, lap.rhs)]
 
     splits = []
-    splits_ok = True
     for a_s in SPLIT_POINTS:
         worst = 0.0
         for entry, full in zip(panel, lap.rhs):
             zero = levy_functional_quadrature(spec, entry, restriction="zero", a=a_s).value
             pos = levy_functional_quadrature(spec, entry, restriction="positive", a=a_s).value
             worst = max(worst, abs(zero + pos - full))
-        ok_s = worst <= SPLIT_TOL
-        splits_ok &= ok_s
-        splits.append({"a": a_s, "max_residual": worst, "pass": bool(ok_s)})
+        splits.append({"a": a_s, "max_residual": worst, "pass": bool(worst <= SPLIT_TOL)})
 
     results = {
         "laplace_exponent": lap.to_dict(),
         "conditions": conds.to_dict(),
         "representation": {"entries": reprs, "z_crit": REPR_Z, "n": n_mc,
-                           "pass": bool(reprs_ok)},
+                           "pass": all(r["pass"] for r in reprs)},
         "split_additivity": {"cases": splits, "tolerance": SPLIT_TOL,
-                             "pass": bool(splits_ok)},
+                             "pass": all(c["pass"] for c in splits)},
     }
-    ok = lap.overall_pass and conds.ok and reprs_ok and splits_ok and mix_ok
     if isinstance(spec, PoissonSpec):
+        # the representation is invariant in the mixing law; the second
+        # mean's draw, on substream (12, 0), also serves every entry
+        alts = levy_functional_mc(rng.substream(12, 0), spec, panel, n_mc,
+                                  mixing_mean=MIXING_MEANS[1])
+        mix = [_gated_row(entry, (mc.value, mc.se), (alt.value, alt.se),
+                          means=list(MIXING_MEANS), lhs=mc.value, rhs=alt.value)
+               for entry, mc, alt in zip(panel, mcs, alts)]
         results["mixing_invariance"] = {"entries": mix, "z_crit": REPR_Z,
-                                        "pass": bool(mix_ok)}
+                                        "pass": all(m["pass"] for m in mix)}
+    ok = all(block["pass"] for block in results.values())
     resolved["levy"] = {"n": n_mc}
     return resolved, results, ok, _report_csv(lap)
 
@@ -579,19 +576,45 @@ def _to_jsonable(obj):
     return obj
 
 
-def load_config(path) -> dict:
+def load_config(path, what="config") -> dict:
     if path is None:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ConfigError(f"{what} root must be a JSON object")
     return cfg
+
+
+def _leaves(obj, path="$"):
+    """(path, value) at each leaf of a JSON value, empty containers included."""
+    if isinstance(obj, (dict, list)) and obj:
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _leaves(v, f"{path}.{k}" if isinstance(obj, dict) else f"{path}[{k}]")
+    else:
+        yield path, obj
+
+
+def _diff(path_a, path_b) -> int:
+    """0 when two reports agree outside their timestamp blocks, else 1 with
+    each differing path and both values printed; 1 and 1.0 differ."""
+    try:
+        a, b = (load_config(p, "report") for p in (path_a, path_b))
+    except ConfigError as exc:
+        print(f"levyid: diff: {exc}", file=sys.stderr)
+        return 2
+    for r in (a, b):
+        r.pop("timestamp", None)
+    a, b = ({p: json.dumps(v) for p, v in _leaves(r)} for r in (a, b))
+    changed = [p for p in {**a, **b} if a.get(p) != b.get(p)]
+    for p in changed:
+        print(f"{p}: {a.get(p, '(absent)')} -> {b.get(p, '(absent)')}")
+    return 1 if changed else 0
 
 
 def _write_csv(path, payload):
@@ -631,11 +654,15 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--workers", metavar="N", type=int, default=0,
                        help="ignored; kept for compatibility")
         q.add_argument("--csv", metavar="PATH", help="also write result rows as CSV")
+    sub.add_parser("diff", help="compare two reports outside their timestamp blocks"
+                   ).add_argument("reports", nargs=2, metavar="REPORT")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "diff":
+        return _diff(*args.reports)
     started = time.perf_counter()
     try:
         cfg = load_config(args.config)

@@ -135,16 +135,6 @@ def _indicator_nu(entry: PanelEntry, mass_of_level, restriction, a) -> float:
     return total
 
 
-def _poisson_nu(spec: PoissonSpec, entry: PanelEntry, restriction, a) -> float:
-    return spec.rate * _indicator_nu(entry, lambda A: -math.expm1(-A), restriction, a)
-
-
-def _ts_nu(spec: TemperedStableSpec, entry: PanelEntry, restriction, a) -> float:
-    # inner integral over jump sizes is exact:
-    # int (1 - e^{-Ax}) x^{-alpha-1} e^{-x} dx / |Gamma(-alpha)| = (1+A)^alpha - 1
-    return _indicator_nu(entry, lambda A: _driver_one_minus_exp(spec, A), restriction, a)
-
-
 def _driver_one_minus_exp(z, c):
     """Inner jump-size integral int (1 - e^{-c x}) rho(dx) for a driver."""
     if isinstance(z, JumpLawSpec):
@@ -267,9 +257,11 @@ def levy_functional_quadrature(
     """
     _check_restriction(restriction, a)
     if isinstance(spec, PoissonSpec):
-        v = _poisson_nu(spec, entry, restriction, a)
+        v = spec.rate * _indicator_nu(entry, lambda A: -math.expm1(-A), restriction, a)
     elif isinstance(spec, TemperedStableSpec):
-        v = _ts_nu(spec, entry, restriction, a)
+        # the inner jump-size integral is exact:
+        # int (1 - e^{-Ax}) x^{-alpha-1} e^{-x} dx / |Gamma(-alpha)| = (1+A)^alpha - 1
+        v = _indicator_nu(entry, lambda A: _driver_one_minus_exp(spec, A), restriction, a)
     elif isinstance(spec, SatoSpec):
         v = _sato_nu(spec, entry, restriction, a)
     elif isinstance(spec, ConvSpec):
@@ -289,72 +281,61 @@ def _one_minus_exp(x):
     return -np.expm1(-x)
 
 
-def _mc_integrand_poisson(rng, spec, entry, n, mixing_mean):
-    # mix the jump location as U*Y with Y exponential; the inverse tail
-    # weight exp(U Y / mean) makes the estimator unbiased for any mean
-    times = np.asarray(entry.times)
-    alphas = np.asarray(entry.alphas)
+def _mc_draw(rng, spec, n, mixing_mean, theta):
+    """One draw of a single-jump representation: each row's prefactor, and
+    the map from a panel entry's (times, alphas) to each row's F-value, so
+    that nu(F) = E[pref * F]."""
+    if isinstance(spec, ConvSpec):
+        y = (1.0 / theta) * rng.substream(1).generator.standard_exponential(n)
+        law = spec.z.law if isinstance(spec.z, JumpLawSpec) else spec.z
+        v = sample_size_biased_jump(rng.substream(2), law, n)
+        return ((spec.kappa / theta) * np.exp(theta * y) / v, lambda times, alphas:
+                _one_minus_exp(v * _matvec(spec.kernel(times[None, :] - y[:, None]), alphas)))
+    if not isinstance(spec, (PoissonSpec, TemperedStableSpec, SatoSpec)):
+        raise ValueError("no single-jump representation for this spec")
     u = rng.substream(1).generator.random(n)
-    y = mixing_mean * rng.substream(2).generator.standard_exponential(n)
-    loc = u * y
-    level = _matvec(times[None, :] >= loc[:, None], alphas)
-    f = _one_minus_exp(level)
-    return spec.rate * y * np.exp(loc / mixing_mean) * f
+    if isinstance(spec, PoissonSpec):
+        # mix the jump location as U*Y with Y exponential; the inverse tail
+        # weight exp(U Y / mean) makes the estimator unbiased for any mean
+        y = mixing_mean * rng.substream(2).generator.standard_exponential(n)
+        loc = u * y
+        pref, of_level = spec.rate * y * np.exp(loc / mixing_mean), _one_minus_exp
+    elif isinstance(spec, TemperedStableSpec):
+        y = rng.substream(2).generator.standard_exponential(n)
+        g = rng.substream(3).generator.gamma(1.0 - spec.alpha, 1.0, n)
+        loc = u * y
+        # prefactor alpha is pinned by nu(1 - e^{-u y(t)}) = ((1+u)^alpha - 1) t
+        pref = spec.alpha * y * np.exp(loc)
+        # (1 - e^{-gA})/g stays finite as g -> 0
+        small = g < 1e-12
+        g_safe = np.where(small, 1.0, g)
 
+        def of_level(level):
+            return np.where(small, level, _one_minus_exp(g * level) / g_safe)
+    else:
+        v = sample_size_biased_jump(rng.substream(2), spec.bdlp.law, n)
+        g = rng.substream(3).generator.standard_exponential(n)
+        loc = g * u ** (1.0 / spec.H)  # the birth time
+        scale = g**spec.H * u * v
+        pref = spec.bdlp.kappa * np.exp(loc) / (u * v)
 
-def _mc_integrand_ts(rng, spec, entry, n):
-    times = np.asarray(entry.times)
-    alphas = np.asarray(entry.alphas)
-    al = spec.alpha
-    u = rng.substream(1).generator.random(n)
-    y = rng.substream(2).generator.standard_exponential(n)
-    g = rng.substream(3).generator.gamma(1.0 - al, 1.0, n)
-    loc = u * y
-    level = _matvec(times[None, :] >= loc[:, None], alphas)
-    # (1 - e^{-gA})/g stays finite as g -> 0
-    small = g < 1e-12
-    ratio = np.where(small, level, _one_minus_exp(g * level) / np.where(small, 1.0, g))
-    # prefactor alpha is pinned by nu(1 - e^{-u y(t)}) = ((1+u)^alpha - 1) t
-    return (al * y * np.exp(loc)) * ratio
-
-
-def _mc_integrand_sato(rng, spec, entry, n):
-    times = np.asarray(entry.times)
-    alphas = np.asarray(entry.alphas)
-    H = spec.H
-    u = rng.substream(1).generator.random(n)
-    v = sample_size_biased_jump(rng.substream(2), spec.bdlp.law, n)
-    g = rng.substream(3).generator.standard_exponential(n)
-    birth = g * u ** (1.0 / H)
-    scale = g**H * u * v
-    level = _matvec(times[None, :] >= birth[:, None], alphas)
-    f = _one_minus_exp(scale * level)
-    return spec.bdlp.kappa * np.exp(birth) / (u * v) * f
-
-
-def _mc_integrand_conv(rng, spec, entry, n, theta):
-    times = np.asarray(entry.times)
-    alphas = np.asarray(entry.alphas)
-    y = (1.0 / theta) * rng.substream(1).generator.standard_exponential(n)
-    law = spec.z.law if isinstance(spec.z, JumpLawSpec) else spec.z
-    v = sample_size_biased_jump(rng.substream(2), law, n)
-    resp = _matvec(spec.kernel(times[None, :] - y[:, None]), alphas)
-    f = _one_minus_exp(v * resp)
-    kappa = spec.kappa
-    return (kappa / theta) * np.exp(theta * y) / v * f
+        def of_level(level):
+            return _one_minus_exp(scale * level)
+    return pref, lambda times, alphas: of_level(_matvec(times[None, :] >= loc[:, None], alphas))
 
 
 def levy_functional_mc(
     rng: RngStream,
     spec: ProcessSpec,
-    entry: PanelEntry,
+    panel: LevyFunctionalPanel,
     n: int,
     mixing_mean: float = 1.0,
     theta: float = 1.0,
-) -> LevyEstimate:
-    """Monte Carlo evaluation of nu(F) through the size-biased single-jump
-    representations, with the SE of the sample mean.
+) -> list[LevyEstimate]:
+    """Monte Carlo evaluation of nu(F) at every panel entry through the
+    size-biased single-jump representations, with the SE of the sample mean.
 
+    All entries share one draw of n rows, so their estimates are correlated.
     mixing_mean parametrizes the exponential location mixer in the Poisson
     representation (any positive mean gives the same limit); theta is the
     exponential location rate used for moving averages.
@@ -363,26 +344,17 @@ def levy_functional_mc(
         raise ValueError("n must be positive")
     if mixing_mean <= 0 or theta <= 0:
         raise ValueError("mixing_mean and theta must be positive")
-    if isinstance(spec, PoissonSpec):
-        x = _mc_integrand_poisson(rng, spec, entry, n, mixing_mean)
-    elif isinstance(spec, TemperedStableSpec):
-        x = _mc_integrand_ts(rng, spec, entry, n)
-    elif isinstance(spec, SatoSpec):
-        x = _mc_integrand_sato(rng, spec, entry, n)
-    elif isinstance(spec, ConvSpec):
-        x = _mc_integrand_conv(rng, spec, entry, n, theta)
-    else:
-        raise ValueError("no single-jump representation for this spec")
-    ess = effective_sample_size(x)
-    if 0 < ess < _ESS_FRACTION * n:
-        warnings.warn(
-            f"effective sample size {ess:.1f} below {_ESS_FRACTION:.0%} of n={n}; "
-            "the importance weights are heavy-tailed here",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    se = bootstrap_mean_se(x)
-    return LevyEstimate(float(x.mean()), se, "probabilistic")
+    pref, f = _mc_draw(rng, spec, n, mixing_mean, theta)
+    out = []
+    for entry in panel:
+        x = pref * f(np.asarray(entry.times), np.asarray(entry.alphas))
+        ess = effective_sample_size(x)
+        if 0 < ess < _ESS_FRACTION * n:
+            warnings.warn(f"effective sample size {ess:.1f} below {_ESS_FRACTION:.0%} of "
+                          f"n={n}; the importance weights are heavy-tailed here",
+                          RuntimeWarning, stacklevel=2)
+        out.append(LevyEstimate(float(x.mean()), bootstrap_mean_se(x), "probabilistic"))
+    return out
 
 
 # ---------- Laplace exponent and integrability ----------

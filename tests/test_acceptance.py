@@ -127,18 +127,18 @@ def test_03_laplace_exponent_all_families(capsys):
 
 
 def test_04_sampled_representations_match_quadrature(capsys):
-    entry = PanelEntry(alphas=(0.8, 1.0), times=(0.5, 1.5))
+    panel = LevyFunctionalPanel((PanelEntry(alphas=(0.8, 1.0), times=(0.5, 1.5)),))
     ok = True
     for i, (name, spec) in enumerate(FAMILIES):
-        want = levy_functional_quadrature(spec, entry).value
-        est = levy_functional_mc(RngStream(804, i), spec, entry, n=150_000)
+        want = levy_functional_quadrature(spec, panel.entries[0]).value
+        (est,) = levy_functional_mc(RngStream(804, i), spec, panel, n=150_000)
         ok = ok and abs(est.value - want) <= 4.0 * est.se
     # the location mixer is auxiliary: mean-1 and mean-5 mixing laws must agree
-    e1 = levy_functional_mc(
-        RngStream(805, 0), PoissonSpec(rate=1.0), entry, n=150_000, mixing_mean=1.0
+    (e1,) = levy_functional_mc(
+        RngStream(805, 0), PoissonSpec(rate=1.0), panel, n=150_000, mixing_mean=1.0
     )
-    e5 = levy_functional_mc(
-        RngStream(805, 1), PoissonSpec(rate=1.0), entry, n=150_000, mixing_mean=5.0
+    (e5,) = levy_functional_mc(
+        RngStream(805, 1), PoissonSpec(rate=1.0), panel, n=150_000, mixing_mean=5.0
     )
     ok = ok and abs(e1.value - e5.value) <= 4.0 * math.hypot(e1.se, e5.se)
     _stamp(capsys, "04 sampled jump-measure representations", ok)

@@ -13,16 +13,20 @@ final rung of the thinning ladder:
 The permanental job's Levy marginals, which share one draw across states,
 are scanned over the same seeds at their own small size, PERM_N rows, on the
 desk's 2- and 3-state chains: each state's z mean and variance stay within
-normal and chi-square error of 0 and 1.
+normal and chi-square error of 0 and 1. So are the levy-check job's sampled
+representations, which share one draw across panel entries, on the desk's
+four levy-check specs at LEVY_N rows, against quadrature.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import levyid.identities as identities
-from levyid.cli import default_panel
+from levyid.cli import default_panel, parse_process
 from levyid.core import (
     LevyFunctionalPanel,
     PanelEntry,
@@ -32,6 +36,7 @@ from levyid.core import (
     WeightedEnsemble,
     make_grid,
 )
+from levyid.levymeasure import levy_functional_mc, levy_functional_quadrature
 from levyid.limits import DEFAULT_DELTAS, thinned_values
 from levyid.permanental import (
     green_matrix,
@@ -51,6 +56,7 @@ BOOT_SEEDS = 4
 Z_CRIT = 3.0
 P_ENTRY = math.erfc(Z_CRIT / math.sqrt(2.0))  # nominal P(|z| > 3)
 PERM_N = 2_000
+LEVY_N = 5_000
 
 
 def reference_bootstrap_se(ens, panel, b=500, seed=0, chunk=50):
@@ -216,4 +222,34 @@ def test_marginal_z_mean_near_zero(marginal_scan):
 
 def test_marginal_z_variance_near_one(marginal_scan):
     var = marginal_scan.var(axis=0, ddof=1)
+    assert np.all(np.abs(var - 1.0) <= 3.0 * math.sqrt(2.0 / (SEEDS - 1))), var
+
+
+# the desk suite's four levy-check jobs
+DESK_LEVY = {job["name"]: job["config"] for job in json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "suite_desk.json").read_text())["jobs"]
+    if job["command"] == "levy-check"}
+
+
+@pytest.fixture(scope="module", params=list(DESK_LEVY))
+def representation_scan(request):
+    # every entry's representation from one draw per seed, on the stream the
+    # levy-check job gives them, against the quadrature of nu(F)
+    cfg = DESK_LEVY[request.param]
+    spec, panel = parse_process(cfg["process"]), default_panel(cfg["grid"])
+    truth = [levy_functional_quadrature(spec, e).value for e in panel]
+    zs = []
+    for s in range(SEEDS):
+        ests = levy_functional_mc(RngStream(s).substream(10, 0), spec, panel, LEVY_N)
+        zs.append([(e.value - t) / e.se for e, t in zip(ests, truth)])
+    return np.array(zs)
+
+
+def test_representation_z_mean_near_zero(representation_scan):
+    mean = representation_scan.mean(axis=0)
+    assert np.all(np.abs(mean) <= 3.0 / math.sqrt(SEEDS)), mean
+
+
+def test_representation_z_variance_near_one(representation_scan):
+    var = representation_scan.var(axis=0, ddof=1)
     assert np.all(np.abs(var - 1.0) <= 3.0 * math.sqrt(2.0 / (SEEDS - 1))), var

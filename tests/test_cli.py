@@ -555,6 +555,18 @@ class TestBadInputExitsTwo:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("levyid: config error:")
 
+    def test_config_not_utf8(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "levyid", "simulate", "--config", str(path),
+             "--out", os.devnull],
+            capture_output=True, text=True, env=_src_env(), timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("levyid: config error:")
+
     # each at the value every run uses: setting a fixed key at all is the error
     @pytest.mark.parametrize("command,section,key,value", [
         ("levy-check", "levy", "mixing_mean", 1.0),
@@ -613,9 +625,10 @@ class TestZeroSeVerdicts:
     LEVY = dict(BASE, mc={"N": 2000}, levy={"n": 100})
 
     def test_representation_equal_to_rounding_passes(self, tmp_path, monkeypatch):
-        def exact(rng, spec, entry, n, mixing_mean=1.0, theta=1.0):
-            q = levy_functional_quadrature(spec, entry).value
-            return LevyEstimate(float(np.nextafter(q, np.inf)), 0.0, "probabilistic")
+        def exact(rng, spec, panel, n, mixing_mean=1.0, theta=1.0):
+            return [LevyEstimate(float(np.nextafter(levy_functional_quadrature(spec, e).value,
+                                                    np.inf)), 0.0, "probabilistic")
+                    for e in panel]
 
         monkeypatch.setattr(cli, "levy_functional_mc", exact)
         _, rep = _run(tmp_path, ["levy-check"], self.LEVY)
@@ -624,8 +637,8 @@ class TestZeroSeVerdicts:
         assert all(e["z"] == 0.0 for e in reprs["entries"])
 
     def test_mixing_invariance_unequal_exact_values_fail(self, tmp_path, monkeypatch):
-        def exact(rng, spec, entry, n, mixing_mean=1.0, theta=1.0):
-            return LevyEstimate(0.1 * mixing_mean, 0.0, "probabilistic")
+        def exact(rng, spec, panel, n, mixing_mean=1.0, theta=1.0):
+            return [LevyEstimate(0.1 * mixing_mean, 0.0, "probabilistic") for _ in panel]
 
         monkeypatch.setattr(cli, "levy_functional_mc", exact)
         code, rep = _run(tmp_path, ["levy-check"], self.LEVY)
@@ -654,6 +667,82 @@ class TestZeroSeVerdicts:
         marg = rep["results"]["levy_marginals"]
         assert marg["pass"]
         assert all(s["z"] == 0.0 for s in marg["states"])
+
+
+def _desk_job(name):
+    suite = json.loads((Path(__file__).resolve().parents[1]
+                        / "configs" / "suite_desk.json").read_text())
+    return next(job["config"] for job in suite["jobs"] if job["name"] == name)
+
+
+class TestLevyCheckDraws:
+    """A levy-check job draws its sampled representations once for the whole
+    panel, and a Poisson job once more at the second mixing mean."""
+
+    @pytest.mark.parametrize("name,streams", [
+        ("poisson-levy", [(10, 0), (12, 0)]), ("ts-levy", [(10, 0)]),
+        ("sato-levy", [(10, 0)]), ("conv-levy", [(10, 0)]),
+    ])
+    def test_one_draw_per_mixing_mean(self, monkeypatch, name, streams):
+        calls = []
+        real = cli.levy_functional_mc
+
+        def counting(rng, *args, **kwargs):
+            calls.append(rng.path)
+            return real(rng, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "levy_functional_mc", counting)
+        cfg = dict(_desk_job(name), mc={"N": 2000}, levy={"n": 500})
+        _, results, _, _ = cli._cmd_levy_check(cfg, 3)
+        assert calls == streams
+        assert len(results["representation"]["entries"]) == 6
+
+
+class TestDiff:
+    REPORT = {"schema": "levy-id/1", "results": {"entries": [{"z": 0.5, "pass": True}]},
+              "verdict": "pass", "timestamp": {"utc": "then"}}
+
+    def _diff(self, tmp_path, capsys, a, b):
+        code = main(["diff", _write(tmp_path, "a.json", a), _write(tmp_path, "b.json", b)])
+        out, err = capsys.readouterr()
+        return code, out.splitlines(), err.splitlines()
+
+    def test_equal_outside_timestamp(self, tmp_path, capsys):
+        other = dict(self.REPORT, timestamp={"utc": "now", "runtime_seconds": 1.0})
+        assert self._diff(tmp_path, capsys, self.REPORT, other) == (0, [], [])
+
+    def test_each_changed_path_on_its_own_line(self, tmp_path, capsys):
+        other = dict(self.REPORT, results={"entries": [{"z": 1, "pass": True}, {}]},
+                     verdict="fail")
+        code, out, _ = self._diff(tmp_path, capsys, self.REPORT, other)
+        assert code == 1
+        # the type counts: 0.5 -> 1 and 1.0 -> 1 are both changes
+        assert out == ['$.results.entries[0].z: 0.5 -> 1', '$.verdict: "pass" -> "fail"',
+                       "$.results.entries[1]: (absent) -> {}"]
+
+    def test_two_real_reports(self, tmp_path, capsys):
+        cfg = dict(BASE, mc={"N": 500})
+        paths = [str(tmp_path / f"{k}.json") for k in range(3)]
+        for path, seed in zip(paths, ("5", "5", "6")):
+            main(["verify-isonat", "--config", _write(tmp_path, "cfg.json", cfg),
+                  "--seed", seed, "--out", path])
+        capsys.readouterr()
+        assert main(["diff", paths[0], paths[1]]) == 0
+        assert main(["diff", paths[0], paths[2]]) == 1
+        assert "$.seed: 5 -> 6" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("content", [None, b"{nope", b"\xff\xfe{}", b"[1, 2]"],
+                             ids=["missing", "not-json", "not-utf8", "not-object"])
+    def test_bad_input_exits_two_with_one_line(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_bytes(content)
+        good = _write(tmp_path, "good.json", self.REPORT)
+        for argv in ([str(bad), good], [good, str(bad)]):
+            assert main(["diff", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith("levyid: diff:")
 
 
 class TestApproximateFlag:

@@ -8,8 +8,9 @@ run on the float they are given instead of a 0-d array, and a levy-check job
 integrates each quadrature piece once. An identity check draws its two
 sides' chunks as one batch of tasks on the shared sampler pool, adding each
 right-hand-side chunk's two parts inside its task, instead of in three
-sequential ensemble calls. The permanental Levy marginals are evaluated on
-one shared draw instead of one draw per entry, and the Sato sampler sums
+sequential ensemble calls. The permanental Levy marginals and the sampled
+Levy-measure representations are evaluated on one shared draw instead of
+one draw per entry, and the Sato sampler sums
 each point's kept jumps with the others zeroed instead of gathered. They
 must still perform the same
 floating-point operations, in the same order, on the same draws, so that
@@ -51,7 +52,7 @@ from levyid.identities import (
     verify_tilting_identity,
     visible_values,
 )
-from levyid.levymeasure import levy_functional_quadrature, quadrature_pieces
+from levyid.levymeasure import levy_functional_mc, levy_functional_quadrature, quadrature_pieces
 from levyid.permanental import (
     _MAX_STEPS,
     _simulate_local_times,
@@ -68,7 +69,7 @@ from levyid.processes import (
     sample_ensemble,
     values_at,
 )
-from levyid.randkit import RngStream, sample_positive_stable
+from levyid.randkit import RngStream, sample_positive_stable, sample_size_biased_jump
 from levyid.statlab import bootstrap_mean_se, laplace_values, weighted_laplace_panel
 
 
@@ -540,3 +541,85 @@ def test_levy_check_integrates_each_piece_once_per_job(monkeypatch, name, calls)
         cli._cmd_levy_check(cfg, 3)
     # the second job integrates as much as the first: no piece outlives its job
     assert counts == [calls, calls]
+
+
+def _levy_mc_ref(rng, spec, entry, n, mixing_mean=1.0, theta=1.0):
+    # one panel entry on its own draw, as each representation was evaluated
+    times, alphas = np.asarray(entry.times), np.asarray(entry.alphas)
+    if isinstance(spec, PoissonSpec):
+        u = rng.substream(1).generator.random(n)
+        y = mixing_mean * rng.substream(2).generator.standard_exponential(n)
+        loc = u * y
+        f = -np.expm1(-_matvec(times[None, :] >= loc[:, None], alphas))
+        x = spec.rate * y * np.exp(loc / mixing_mean) * f
+    elif isinstance(spec, TemperedStableSpec):
+        u = rng.substream(1).generator.random(n)
+        y = rng.substream(2).generator.standard_exponential(n)
+        g = rng.substream(3).generator.gamma(1.0 - spec.alpha, 1.0, n)
+        loc = u * y
+        level = _matvec(times[None, :] >= loc[:, None], alphas)
+        small = g < 1e-12
+        ratio = np.where(small, level, -np.expm1(-(g * level)) / np.where(small, 1.0, g))
+        x = (spec.alpha * y * np.exp(loc)) * ratio
+    elif isinstance(spec, SatoSpec):
+        u = rng.substream(1).generator.random(n)
+        v = sample_size_biased_jump(rng.substream(2), spec.bdlp.law, n)
+        g = rng.substream(3).generator.standard_exponential(n)
+        birth = g * u ** (1.0 / spec.H)
+        level = _matvec(times[None, :] >= birth[:, None], alphas)
+        f = -np.expm1(-(g**spec.H * u * v * level))
+        x = spec.bdlp.kappa * np.exp(birth) / (u * v) * f
+    else:
+        y = (1.0 / theta) * rng.substream(1).generator.standard_exponential(n)
+        law = spec.z.law if isinstance(spec.z, JumpLawSpec) else spec.z
+        v = sample_size_biased_jump(rng.substream(2), law, n)
+        resp = _matvec(spec.kernel(times[None, :] - y[:, None]), alphas)
+        x = (spec.kappa / theta) * np.exp(theta * y) / v * -np.expm1(-(v * resp))
+    return float(x.mean()), bootstrap_mean_se(x)
+
+
+# the desk's four levy-check jobs, then Poisson at the second mixing mean
+# and conv at a second location rate
+LEVY_CASES = [(name, {}) for name in ("poisson-levy", "ts-levy", "sato-levy", "conv-levy")]
+LEVY_CASES += [("poisson-levy", {"mixing_mean": 5.0}), ("conv-levy", {"theta": 2.0})]
+LEVY_IDS = [name + "".join(f"-{k}={v:g}" for k, v in kw.items()) for name, kw in LEVY_CASES]
+# the desk specs' unit rates, means and alpha = 1/2 make some regroupings of
+# the prefactor exact, so these non-unit specs are checked as well
+ODD_LEVY = {
+    "poisson-1.3": PoissonSpec(1.3),
+    "ts-0.6": TemperedStableSpec(0.6),
+    "sato-gamma": SatoSpec(0.8, JumpLawSpec(1.3, JumpLaw.gamma(2.0, 1.5))),
+    "conv-discrete": ConvSpec(ExpDecayKernel(0.9),
+                              JumpLawSpec(2.0, JumpLaw.discrete(((0.5, 0.3), (2.0, 0.7))))),
+    "conv-ts": ConvSpec(IndicatorKernel(1.0), TemperedStableSpec(0.5)),
+}
+
+
+def _levy_case(name):
+    if name in ODD_LEVY:
+        return ODD_LEVY[name], cli.default_panel((0.5, 1.0, 1.5, 2.0))
+    return _desk_levy_job(name)[1:]
+
+
+@pytest.mark.parametrize("name,kwargs", LEVY_CASES + [(name, {"mixing_mean": 2.7, "theta": 1.7})
+                                                      for name in ODD_LEVY],
+                         ids=LEVY_IDS + list(ODD_LEVY))
+def test_levy_mc_panel_entries_match_one_entry_calls(name, kwargs):
+    spec, panel = _levy_case(name)
+    got = levy_functional_mc(RngStream(37), spec, panel, 4000, **kwargs)
+    assert len(got) == len(panel)
+    for est, entry in zip(got, panel):
+        (one,) = levy_functional_mc(RngStream(37), spec, LevyFunctionalPanel((entry,)), 4000,
+                                    **kwargs)
+        assert (est.value, est.se) == (one.value, one.se)
+        assert (est.value, est.se) == _levy_mc_ref(RngStream(37), spec, entry, 4000, **kwargs)
+
+
+@pytest.mark.parametrize("name,kwargs", LEVY_CASES, ids=LEVY_IDS)
+def test_levy_job_entry0_matches_per_entry_reference(name, kwargs):
+    # the job draws every entry on the stream entry 0's own draw had
+    _, spec, panel = _desk_levy_job(name)
+    rng = RngStream(41).substream(10, 0)
+    got = levy_functional_mc(rng, spec, panel, 5000, **kwargs)
+    assert (got[0].value, got[0].se) == _levy_mc_ref(rng, spec, panel.entries[0], 5000,
+                                                     **kwargs)

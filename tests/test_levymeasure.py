@@ -116,6 +116,10 @@ class TestRestrictions:
             levy_functional_quadrature(PoissonSpec(rate=1.0), E1, "zero", None)
 
 
+def _one(entry):
+    return LevyFunctionalPanel((entry,))
+
+
 class TestMonteCarloRepresentations:
     CASES = [
         ("poisson", PoissonSpec(rate=1.0)),
@@ -129,41 +133,45 @@ class TestMonteCarloRepresentations:
     def test_matches_quadrature(self, idx, name, spec):
         entry = PanelEntry(alphas=(0.8, 1.0), times=(0.5, 1.5))
         want = levy_functional_quadrature(spec, entry).value
-        est = levy_functional_mc(RngStream(300, idx), spec, entry, n=150_000)
+        (est,) = levy_functional_mc(RngStream(300, idx), spec, _one(entry), n=150_000)
         assert est.se > 0
         assert abs(est.value - want) <= 4 * est.se, (name, est.value, want, est.se)
 
     def test_poisson_mixing_law_invariance(self):
         # the location mixer is auxiliary: any positive mean gives the same nu(F)
         spec = PoissonSpec(rate=1.0)
-        entry = PanelEntry(alphas=(1.0,), times=(1.0,))
-        e1 = levy_functional_mc(RngStream(301), spec, entry, n=150_000, mixing_mean=1.0)
-        e5 = levy_functional_mc(RngStream(302), spec, entry, n=150_000, mixing_mean=5.0)
+        panel = _one(PanelEntry(alphas=(1.0,), times=(1.0,)))
+        (e1,) = levy_functional_mc(RngStream(301), spec, panel, n=150_000, mixing_mean=1.0)
+        (e5,) = levy_functional_mc(RngStream(302), spec, panel, n=150_000, mixing_mean=5.0)
         se = math.hypot(e1.se, e5.se)
         assert abs(e1.value - e5.value) <= 4 * se
 
     def test_conv_theta_invariance(self):
         spec = ConvSpec(kernel=ExpDecayKernel(1.0), z=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))
-        a = levy_functional_mc(RngStream(303), spec, E1, n=100_000, theta=1.0)
-        b = levy_functional_mc(RngStream(304), spec, E1, n=100_000, theta=2.0)
+        (a,) = levy_functional_mc(RngStream(303), spec, _one(E1), n=100_000, theta=1.0)
+        (b,) = levy_functional_mc(RngStream(304), spec, _one(E1), n=100_000, theta=2.0)
         assert abs(a.value - b.value) <= 4 * math.hypot(a.se, b.se)
 
     def test_ess_warning_on_heavy_weights(self):
         # an extreme mixing mean concentrates nearly all weight in few draws
         spec = PoissonSpec(rate=1.0)
         with pytest.warns(RuntimeWarning, match="effective sample size"):
-            levy_functional_mc(RngStream(305), spec, E1, n=50_000, mixing_mean=3000.0)
+            levy_functional_mc(RngStream(305), spec, _one(E1), n=50_000, mixing_mean=3000.0)
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            levy_functional_mc(RngStream(306), PoissonSpec(rate=1.0), E1, n=0)
-        with pytest.raises(ValueError):
-            levy_functional_mc(RngStream(307), PoissonSpec(rate=1.0), E1, n=10, mixing_mean=0.0)
+        # before any draw: the stream raises on its first use
+        class NoDraws(RngStream):
+            def substream(self, *tags):
+                raise AssertionError("drew before checking its arguments")
+
+        for kwargs in ({"n": 0}, {"n": 10, "mixing_mean": 0.0}, {"n": 10, "theta": -1.0}):
+            with pytest.raises(ValueError):
+                levy_functional_mc(NoDraws(306), PoissonSpec(rate=1.0), _one(E1), **kwargs)
 
     def test_deterministic(self):
-        a = levy_functional_mc(RngStream(308), TemperedStableSpec(0.5), E1, n=5000)
-        b = levy_functional_mc(RngStream(308), TemperedStableSpec(0.5), E1, n=5000)
-        assert a.value == b.value and a.se == b.se
+        a = levy_functional_mc(RngStream(308), TemperedStableSpec(0.5), _one(E1), n=5000)
+        b = levy_functional_mc(RngStream(308), TemperedStableSpec(0.5), _one(E1), n=5000)
+        assert [(e.value, e.se) for e in a] == [(e.value, e.se) for e in b]
 
 
 class TestLaplaceExponentCheck:

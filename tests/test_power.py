@@ -4,7 +4,9 @@ Every mutation rebinds one module attribute that a verifier looks up at call
 time, then runs the command in-process through cli.main at the smoke suite's
 N. Unmutated, these configs pass with max |z| below 2.7 (seeds 1-3 and the
 one below); every mutation reads max |z| of 36 to 145 there, so MARGIN
-leaves room on both sides of the Bonferroni gate (3.4 to 3.5).
+leaves room on both sides of the Bonferroni gate (3.4 to 3.5). The
+levy-check mutation, on the desk's Sato and conv processes at levy.n = N/2,
+reads max |z| of 19 and 30 against its REPR_Z = 4 gate.
 """
 
 import json
@@ -12,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from levyid import identities, permanental, randkit
+from levyid import identities, levymeasure, permanental, randkit
 from levyid.cli import main
 
 N = 20_000
@@ -32,7 +34,9 @@ PERM = {"family": "permanental", "rates": [[0.0, 1.0], [1.0, 0.0]],
 
 
 def _run(tmp_path, command, process):
-    if command == "permanental":
+    if command == "levy-check":
+        cfg = {"process": process, "grid": [0.5, 1.0, 1.5, 2.0]}
+    elif command == "permanental":
         cfg = {"process": process, "identity": {"a": 0}}
     else:
         cfg = {"process": process, "grid": [0.5, 1.0, 1.5, 2.0], "identity": {"a": 1.0}}
@@ -74,6 +78,23 @@ def test_companion_from_plain_jump_law_fails(tmp_path, monkeypatch, family):
     monkeypatch.setattr(identities, "sample_size_biased_jump", randkit.sample_jump)
     code, rep = _run(tmp_path, "verify-isonat", FAMILIES[family])
     assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
+
+
+@pytest.mark.parametrize("family", ["sato", "conv"])
+def test_unmutated_levy_check_passes(tmp_path, family):
+    assert _run(tmp_path, "levy-check", FAMILIES[family])[0] == 0
+
+
+@pytest.mark.parametrize("family", ["sato", "conv"])
+def test_representation_from_plain_jump_law_fails(tmp_path, monkeypatch, family):
+    # the single-jump representation draws the size-biased jump law; the
+    # plain law leaves every other levy-check block as it is
+    monkeypatch.setattr(levymeasure, "sample_size_biased_jump", randkit.sample_jump)
+    code, rep = _run(tmp_path, "levy-check", FAMILIES[family])
+    results = rep["results"]
+    assert code == 1 and not results["representation"]["pass"]
+    assert results["laplace_exponent"]["pass"] and results["conditions"]["pass"]
+    assert _max_abs_z(results["representation"]) > MARGIN
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

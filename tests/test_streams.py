@@ -15,6 +15,7 @@ from levyid.core import (
     IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
+    LevyFunctionalPanel,
     PanelEntry,
     PoissonSpec,
     SatoSpec,
@@ -179,7 +180,7 @@ PINNED = {
 
 def _draws(index, spec):
     rng = RngStream(777).substream(index)
-    mc = levy_functional_mc(rng.substream(4), spec, ENTRY, 200)
+    (mc,) = levy_functional_mc(rng.substream(4), spec, LevyFunctionalPanel((ENTRY,)), 200)
     return {
         "values_at": values_at(rng.substream(0), spec, POINTS, ROWS),
         "companion_values": companion_values(rng.substream(1), spec, A, POINTS, ROWS),
