@@ -57,15 +57,15 @@ from .randkit import (
     sample_positive_stable,
     sample_tempered_stable_increment,
 )
-from .statlab import IdentityReport, compare, effective_sample_size
+from .statlab import Check, compare, effective_sample_size
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Check",
     "ConvSpec",
     "ExpDecayKernel",
     "GreenMatrix",
-    "IdentityReport",
     "IndicatorKernel",
     "JumpLaw",
     "JumpLawSpec",

@@ -72,7 +72,7 @@ from .permanental import (
 )
 from .processes import sample_paths
 from .randkit import RngStream
-from .statlab import IdentityReport, compare
+from .statlab import Check
 
 SCHEMA = "levy-id/1"
 DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0)
@@ -306,7 +306,7 @@ def _grid_job(cfg, pinned):
         raise ConfigError(f"panel time {off_grid[0]} is not a grid point")
     n, z_crit, mc = _parse_mc(cfg)
     resolved = {"process": cfg["process"], "grid": list(grid.points),
-                "panel": _panel_dicts(panel), "mc": mc}
+                "panel": panel.rows(), "mc": mc}
     if pinned:
         resolved["identity"] = {"a": a}
     return spec, grid, a, panel, n, z_crit, resolved
@@ -319,36 +319,25 @@ def _sampler_notes(spec: ProcessSpec) -> dict:
     return {}
 
 
-def _moment_check(draws, expected, key, labels, z_crit):
-    """Column means of draws against exact expectations, one z-test each."""
+def _column_means(draws, expected, name, labels, z_crit, **check) -> Check:
+    """Column means of draws against exact expectations, gated per column;
+    row k is labelled {name: labels[k]}."""
     mean = draws.mean(axis=0)
     if len(draws) >= 2:
         se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
     else:
         se = np.zeros_like(mean)
-    rows = []
-    for j, label in enumerate(labels):
-        z, ok = compare((mean[j], se[j]), (expected[j], 0.0), z_crit)
-        rows.append({key: label, "sample_mean": float(mean[j]), "se": float(se[j]),
-                     "expected": float(expected[j]), "z": float(z), "pass": bool(ok)})
-    return rows, all(r["pass"] for r in rows)
+    rows = [{name: label, "sample_mean": m, "se": s, "expected": e} for label, m, s, e
+            in zip(labels, mean.tolist(), se.tolist(), expected.tolist())]
+    return Check(mean, se, expected, 0.0, z_crit, rows=rows, fields={"n": len(draws)},
+                 **check)
 
 
-def _panel_dicts(panel: LevyFunctionalPanel) -> list:
-    return [{"alphas": list(e.alphas), "times": list(e.times)} for e in panel]
-
-
-def _report_csv(report: IdentityReport):
+def _report_csv(check: Check):
     header = ["entry", "alphas", "times", "lhs", "lhs_se", "rhs", "rhs_se", "z", "pass"]
-    rows = []
-    for k, e in enumerate(report.panel):
-        rows.append([
-            k,
-            ";".join(f"{a:g}" for a in e.alphas),
-            ";".join(f"{t:g}" for t in e.times),
-            report.lhs[k], report.lhs_se[k], report.rhs[k], report.rhs_se[k],
-            report.z[k], report.entry_pass[k],
-        ])
+    rows = [[k, *(";".join(f"{x:g}" for x in row[c]) for c in header[1:3]),
+             *(row[c] for c in header[3:])]
+            for k, row in enumerate(check.to_dict()["entries"])]
     return header, rows
 
 
@@ -370,15 +359,12 @@ def _cmd_simulate(cfg, seed):
         expected = np.array([mean_function(spec, t) for t in grid.points])
         labels = [f"t_{t:g}" for t in grid.points]
         resolved["grid"] = list(grid.points)
-    moments, ok = _moment_check(draws, expected, "point", labels, z_crit)
-    results = {"moments": moments, "n": n, "pass": ok}
-    notes = _sampler_notes(spec)
-    if notes:
-        results["notes"] = notes
+    moments = _column_means(draws, expected, "point", labels, z_crit, key="moments",
+                            notes=_sampler_notes(spec))
     # rows are built only when --csv writes them
     csv_payload = (["path"] + labels,
                    ([i] + list(row) for i, row in enumerate(draws)))
-    return resolved, results, ok, csv_payload
+    return resolved, moments.to_dict(), moments.overall_pass, csv_payload
 
 
 def _identity_command(cfg, seed, identity):
@@ -390,13 +376,6 @@ def _identity_command(cfg, seed, identity):
     report = verifier(RngStream(seed), spec, a, grid, panel, n, z_crit=z_crit)
     report.notes.update(_sampler_notes(spec))
     return resolved, report.to_dict(), report.overall_pass, _report_csv(report)
-
-
-def _gated_row(entry, lhs, rhs, /, **fields) -> dict:
-    """A panel entry's report row: fields, then lhs vs rhs gated at REPR_Z."""
-    z, ok = compare(lhs, rhs, REPR_Z)
-    return {"alphas": list(entry.alphas), "times": list(entry.times), **fields,
-            "z": float(z), "pass": bool(ok)}
 
 
 # the Laplace exponent and the splits integrate many of the same pieces;
@@ -416,9 +395,10 @@ def _cmd_levy_check(cfg, seed):
     # draw, on substream (10, 0), serves every entry's representation
     mcs = levy_functional_mc(rng.substream(10, 0), spec, panel, n_mc,
                              mixing_mean=MIXING_MEANS[0])
-    reprs = [_gated_row(entry, (mc.value, mc.se), (quad, 0.0),
-                        mc=mc.value, mc_se=mc.se, quadrature=quad)
-             for entry, mc, quad in zip(panel, mcs, lap.rhs)]
+    mc, mc_se = [m.value for m in mcs], [m.se for m in mcs]
+    reprs = Check(mc, mc_se, lap.rhs, 0.0, REPR_Z, fields={"z_crit": REPR_Z, "n": n_mc},
+                  rows=[{**row, "mc": m.value, "mc_se": m.se, "quadrature": quad}
+                        for row, m, quad in zip(panel.rows(), mcs, lap.rhs.tolist())])
 
     splits = []
     for a_s in SPLIT_POINTS:
@@ -432,8 +412,7 @@ def _cmd_levy_check(cfg, seed):
     results = {
         "laplace_exponent": lap.to_dict(),
         "conditions": conds.to_dict(),
-        "representation": {"entries": reprs, "z_crit": REPR_Z, "n": n_mc,
-                           "pass": all(r["pass"] for r in reprs)},
+        "representation": reprs.to_dict(),
         "split_additivity": {"cases": splits, "tolerance": SPLIT_TOL,
                              "pass": all(c["pass"] for c in splits)},
     }
@@ -442,11 +421,11 @@ def _cmd_levy_check(cfg, seed):
         # mean's draw, on substream (12, 0), also serves every entry
         alts = levy_functional_mc(rng.substream(12, 0), spec, panel, n_mc,
                                   mixing_mean=MIXING_MEANS[1])
-        mix = [_gated_row(entry, (mc.value, mc.se), (alt.value, alt.se),
-                          means=list(MIXING_MEANS), lhs=mc.value, rhs=alt.value)
-               for entry, mc, alt in zip(panel, mcs, alts)]
-        results["mixing_invariance"] = {"entries": mix, "z_crit": REPR_Z,
-                                        "pass": all(m["pass"] for m in mix)}
+        mix = Check(mc, mc_se, [m.value for m in alts], [m.se for m in alts], REPR_Z,
+                    fields={"z_crit": REPR_Z},
+                    rows=[{**row, "means": list(MIXING_MEANS), "lhs": m.value, "rhs": alt.value}
+                          for row, m, alt in zip(panel.rows(), mcs, alts)])
+        results["mixing_invariance"] = mix.to_dict()
     ok = all(block["pass"] for block in results.values())
     resolved["levy"] = {"n": n_mc}
     return resolved, results, ok, _report_csv(lap)
@@ -473,9 +452,9 @@ def _cmd_permanental(cfg, seed):
     report = verify_permanental_identity(rng.substream(0), spec, a, panel,
                                          n, z_crit=z_crit)
 
-    loc = sample_local_times(rng.substream(1), spec, a, size=n)
-    loc_rows, loc_ok = _moment_check(loc, local_time_mean(green, a), "state",
-                                     range(spec.n), z_crit)
+    loc = _column_means(sample_local_times(rng.substream(1), spec, a, size=n),
+                        local_time_mean(green, a), "state", range(spec.n), z_crit,
+                        key="states")
 
     # one draw, on substream (2, 0), serves every state's marginal
     n_nu = min(n, 50_000)
@@ -483,25 +462,17 @@ def _cmd_permanental(cfg, seed):
                                         for x in range(spec.n)))
     ests = levy_functional_permanental(rng.substream(2, 0), spec, np.ones(spec.n),
                                        singles, n_nu)
-    marg = []
-    marg_ok = True
-    for x, est in enumerate(ests):
-        oracle = marginal_levy_functional(green, 1.0, x)
-        zk, ok_x = compare((est.value, est.se), (oracle, 0.0), REPR_Z)
-        marg_ok &= ok_x
-        marg.append({"state": x, "mc": est.value, "mc_se": est.se,
-                     "oracle": float(oracle), "z": float(zk), "pass": bool(ok_x)})
+    oracles = [float(marginal_levy_functional(green, 1.0, x)) for x in range(spec.n)]
+    marg = Check([e.value for e in ests], [e.se for e in ests], oracles, 0.0, REPR_Z,
+                 key="states", fields={"z_crit": REPR_Z, "n": n_nu},
+                 rows=[{"state": x, "mc": e.value, "mc_se": e.se, "oracle": o}
+                       for x, (e, o) in enumerate(zip(ests, oracles))])
 
-    ok = report.overall_pass and loc_ok and marg_ok
-    results = {
-        "identity": report.to_dict(),
-        "local_time_means": {"states": loc_rows, "n": n, "pass": loc_ok},
-        "levy_marginals": {"states": marg, "z_crit": REPR_Z, "n": n_nu,
-                           "pass": bool(marg_ok)},
-    }
+    checks = {"identity": report, "local_time_means": loc, "levy_marginals": marg}
     resolved = {"process": cfg["process"], "identity": {"a": a},
-                "panel": _panel_dicts(panel), "mc": mc}
-    return resolved, results, ok, _report_csv(report)
+                "panel": panel.rows(), "mc": mc}
+    return (resolved, {name: c.to_dict() for name, c in checks.items()},
+            all(c.overall_pass for c in checks.values()), _report_csv(report))
 
 
 def _cmd_limit(cfg, seed):

@@ -24,6 +24,12 @@ def _as_float_tuple(xs) -> tuple[float, ...]:
     return tuple(float(x) for x in xs)
 
 
+def _positive(name: str, *values) -> None:
+    """Raise unless every value is positive and finite (NaN is neither)."""
+    if not all(x > 0 and math.isfinite(x) for x in values):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _matvec(matrix, coefs, cols=None, out=None, work=None) -> np.ndarray:
     """matrix[..., cols] @ coefs over the last axis, summed one column at a
     time in coefs order.
@@ -123,20 +129,18 @@ class JumpLaw:
 
     @staticmethod
     def exponential(mean: float) -> "JumpLaw":
-        if mean <= 0:
-            raise ValueError("exponential mean must be positive")
+        _positive("exponential mean", mean)
         return JumpLaw("exponential", (float(mean),))
 
     @staticmethod
     def gamma(shape: float, rate: float) -> "JumpLaw":
-        if shape <= 0 or rate <= 0:
-            raise ValueError("gamma shape and rate must be positive")
+        _positive("gamma shape", shape)
+        _positive("gamma rate", rate)
         return JumpLaw("gamma", (float(shape), float(rate)))
 
     @staticmethod
     def constant(value: float) -> "JumpLaw":
-        if value <= 0:
-            raise ValueError("constant jump size must be positive")
+        _positive("constant jump value", value)
         return JumpLaw("constant", (float(value),))
 
     @staticmethod
@@ -145,8 +149,7 @@ class JumpLaw:
         pairs = tuple((float(x), float(p)) for x, p in atoms)
         if not pairs:
             raise ValueError("discrete law needs at least one atom")
-        if any(x <= 0 for x, _ in pairs) or any(p <= 0 for _, p in pairs):
-            raise ValueError("atom sizes and probabilities must be positive")
+        _positive("atom sizes and probabilities", *(v for pair in pairs for v in pair))
         if abs(sum(p for _, p in pairs) - 1.0) > 1e-9:
             raise ValueError("atom probabilities must sum to 1")
         return JumpLaw("discrete", pairs)
@@ -210,8 +213,7 @@ class JumpLawSpec:
     law: JumpLaw
 
     def __post_init__(self):
-        if self.rate <= 0 or not math.isfinite(self.rate):
-            raise ValueError("jump rate must be positive and finite")
+        _positive("jump rate", self.rate)
 
     @property
     def kappa(self) -> float:
@@ -252,8 +254,7 @@ class IndicatorKernel(Kernel):
     length: float
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("kernel length must be positive")
+        _positive("kernel length", self.length)
         object.__setattr__(self, "support_end", float(self.length))
 
     def __call__(self, u):
@@ -278,8 +279,7 @@ class ExpDecayKernel(Kernel):
     decay: float
 
     def __post_init__(self):
-        if self.decay <= 0:
-            raise ValueError("decay must be positive")
+        _positive("kernel decay", self.decay)
         object.__setattr__(self, "support_end", math.inf)
 
     def __call__(self, u):
@@ -307,8 +307,8 @@ class PowerCutoffKernel(Kernel):
     length: float
 
     def __post_init__(self):
-        if self.power <= 0 or self.length <= 0:
-            raise ValueError("power and length must be positive")
+        _positive("kernel power", self.power)
+        _positive("kernel length", self.length)
         object.__setattr__(self, "support_end", float(self.length))
 
     def __call__(self, u):
@@ -346,10 +346,10 @@ class TabulatedKernel(Kernel):
         if len(self.knots) != len(self.values) or len(self.knots) < 2:
             raise ValueError("need matching knots and values, at least two points")
         k = np.asarray(self.knots)
-        if k[0] < 0 or np.any(np.diff(k) <= 0):
-            raise ValueError("knots must be nonnegative and strictly increasing")
-        if any(v < 0 for v in self.values):
-            raise ValueError("kernel values must be nonnegative")
+        if not np.all(np.isfinite(k)) or k[0] < 0 or np.any(np.diff(k) <= 0):
+            raise ValueError("kernel knots must be finite, nonnegative and strictly increasing")
+        if not all(v >= 0 and math.isfinite(v) for v in self.values):
+            raise ValueError("kernel values must be nonnegative and finite")
         object.__setattr__(self, "support_end", float(self.knots[-1]))
 
     def __call__(self, u):
@@ -407,8 +407,7 @@ class PoissonSpec:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0 or not math.isfinite(self.rate):
-            raise ValueError("Poisson rate must be positive and finite")
+        _positive("Poisson rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -432,8 +431,7 @@ class SatoSpec:
     bdlp: JumpLawSpec
 
     def __post_init__(self):
-        if self.H <= 0 or not math.isfinite(self.H):
-            raise ValueError("H must be positive and finite")
+        _positive("H", self.H)
 
 
 @dataclass(frozen=True)
@@ -561,6 +559,10 @@ class LevyFunctionalPanel:
 
     def __iter__(self):
         return iter(self.entries)
+
+    def rows(self) -> list[dict]:
+        """Each entry as a report row of its alphas and times."""
+        return [{"alphas": list(e.alphas), "times": list(e.times)} for e in self.entries]
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .core import (
 from .processes import _conv_values, sample_ensemble, sample_paths, values_at
 from .randkit import RngStream, sample_size_biased_jump
 from .statlab import (
-    IdentityReport,
+    Check,
     build_identity_report,
     weighted_laplace_panel,
 )
@@ -180,7 +180,7 @@ def tilted_ensemble(
     return tilt(sample_paths(rng, spec, grid, n))
 
 
-def _verdict(name, grid, panel, lhs_ens, rhs_vals, z_crit, n) -> IdentityReport:
+def _verdict(name, grid, panel, lhs_ens, rhs_vals, z_crit, n) -> Check:
     lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel)
     rhs, rhs_se = weighted_laplace_panel(WeightedEnsemble(grid, rhs_vals), panel)
     return build_identity_report(name, panel, lhs, rhs, lhs_se, rhs_se, z_crit, n)
@@ -194,7 +194,7 @@ def verify_tilting_identity(
     panel: LevyFunctionalPanel,
     n: int,
     z_crit: float = 3.0,
-) -> IdentityReport:
+) -> Check:
     """Size-biased psi against psi + companion, on independent streams.
 
     Both sides are drawn in one sample_ensemble call; an RHS chunk adds its
@@ -225,7 +225,7 @@ def verify_decomposition_identity(
     panel: LevyFunctionalPanel,
     n: int,
     z_crit: float = 3.0,
-) -> IdentityReport:
+) -> Check:
     """psi against hidden + visible components drawn independently.
 
     Both sides are drawn in one sample_ensemble call; an RHS chunk adds its

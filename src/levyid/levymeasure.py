@@ -38,7 +38,7 @@ from .core import (
 from .processes import sample_paths
 from .randkit import RngStream, sample_size_biased_jump
 from .statlab import (
-    IdentityReport,
+    Check,
     bootstrap_mean_se,
     build_identity_report,
     effective_sample_size,
@@ -366,7 +366,7 @@ def laplace_exponent_check(
     panel: LevyFunctionalPanel,
     n: int,
     z_crit: float = 3.0,
-) -> IdentityReport:
+) -> Check:
     """Empirical -log E exp(-sum alpha psi(t)) against the quadrature value
     of nu(F), entry by entry."""
     times = sorted({t for e in panel for t in e.times})

@@ -28,7 +28,7 @@ from .core import (
 from .identities import companion_values
 from .processes import sample_ensemble, values_at
 from .randkit import RngStream
-from .statlab import compare, effective_sample_size, weighted_laplace_panel
+from .statlab import Check, effective_sample_size, weighted_laplace_panel
 
 DEFAULT_DELTAS = (1.0, 0.3, 0.1, 0.03)
 
@@ -142,7 +142,6 @@ def verify_thinning_limit(
     t_est, t_se = weighted_laplace_panel(WeightedEnsemble(grid, target_vals), panel)
     ia = int(grid.index_of([a])[0])
     distances, distance_ses, n_used, esses = [], [], [], []
-    final_z = []
     collapsed = []
     for k, delta in enumerate(deltas):
         n_k = min(n_max, math.ceil(n / delta))
@@ -163,13 +162,11 @@ def verify_thinning_limit(
         esses.append(ess)
         if ess < 0.5 * n:
             collapsed.append(delta)
-        if k == len(deltas) - 1:
-            final_z = [compare((e, s), (t, ts), z_crit)[0]
-                       for e, s, t, ts in zip(est, se, t_est, t_se)]
-            # the verdict gates the reported distance itself: the worst
-            # entry's gap against its own pooled SE (per-entry z values stay
-            # in the report as diagnostics)
-            final_pass = bool(compare((est[j], se[j]), (t_est[j], t_se[j]), z_crit)[1])
+    # the verdict gates the reported distance itself: the last rung's worst
+    # entry against its own pooled SE (per-entry z values stay in the report
+    # as diagnostics)
+    final = Check(est, se, t_est, t_se, z_crit)
+    final_pass = final.entry_pass[j]
     monotone = True
     for k in range(len(deltas) - 1):
         slack = 2.0 * float(np.hypot(distance_ses[k], distance_ses[k + 1]))
@@ -180,7 +177,7 @@ def verify_thinning_limit(
     if collapsed:
         notes["ess_collapse_at"] = collapsed
     return LimitReport(
-        deltas, n_used, distances, distance_ses, [float(z) for z in final_z],
+        deltas, n_used, distances, distance_ses, final.z.tolist(),
         final_pass, monotone, overall, esses,
         notes=notes,
     )

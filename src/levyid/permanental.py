@@ -28,7 +28,7 @@ from .core import (
 )
 from .randkit import RngStream
 from .statlab import (
-    IdentityReport,
+    Check,
     bootstrap_mean_se,
     build_identity_report,
     weighted_laplace_panel,
@@ -237,7 +237,7 @@ def verify_permanental_identity(
     panel: LevyFunctionalPanel | None = None,
     n: int = 100_000,
     z_crit: float = 3.0,
-) -> IdentityReport:
+) -> Check:
     """Index-1 permanental field with the Green kernel against the
     conditional field (kernel killed at a) plus twice the pinned local times.
 

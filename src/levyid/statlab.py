@@ -1,9 +1,16 @@
-"""Weighted empirical Laplace functionals, linearized errors, z comparisons.
+"""Weighted empirical Laplace functionals, linearized errors, and the one
+z-gated Check every statistical verdict goes through.
 
 Standard errors are the delta-method (linearized) errors of the
 self-normalized ratio estimator sum(w v) / sum(w) (Owen, Monte Carlo
 theory, methods and examples, ch. 9); a plain mean is the unit-weight case.
 They are closed-form, so they consume no random draws.
+
+A Check holds one report block: each row's estimate and target with their
+SEs, z-scored by `compare`, and one gate on every |z|. Identity blocks gate
+family-wise at the Bonferroni value over their entries; sampled
+representations, marginals and moment columns gate each row at the
+block's z_crit.
 """
 
 from __future__ import annotations
@@ -115,45 +122,47 @@ def effective_sample_size(weights: np.ndarray) -> float:
 
 
 @dataclass
-class IdentityReport:
-    """Panel-wise two-sided comparison with per-entry and family-wise verdicts."""
+class Check:
+    """One z-gated report block.
 
-    label: str
-    panel: LevyFunctionalPanel
+    Row k compares lhs[k] (an estimate with SE lhs_se[k]) with rhs[k] (its
+    target with SE rhs_se[k]) through `compare`. A row passes when
+    |z| <= z_crit. The block passes when every |z| is at most `crit`: z_crit
+    for a block gated row by row, bonferroni_crit(z_crit, rows) for a
+    family-wise one, which also reports it as `bonferroni_z`. `rows` holds
+    each row's report fields, listed under `key`; `fields` holds the block's.
+    """
+
     lhs: np.ndarray
-    rhs: np.ndarray
     lhs_se: np.ndarray
+    rhs: np.ndarray
     rhs_se: np.ndarray
-    z: np.ndarray
-    entry_pass: list[bool]
-    overall_pass: bool
     z_crit: float
-    bonferroni_z: float
-    n: int
+    family_wise: bool = False
+    rows: list = field(default_factory=list)
+    key: str = "entries"
+    fields: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        sides = np.broadcast_arrays(*(np.asarray(x, float) for x in
+                                      (self.lhs, self.lhs_se, self.rhs, self.rhs_se)))
+        self.lhs, self.lhs_se, self.rhs, self.rhs_se = sides
+        self.z = np.array([compare((le, ls), (re, rs))[0] for le, ls, re, rs
+                           in zip(*(x.tolist() for x in sides))], float)
+        self.crit = (bonferroni_crit(self.z_crit, len(self.z)) if self.family_wise
+                     else self.z_crit)
+        self.entry_pass = [bool(abs(z) <= self.z_crit) for z in self.z]
+        self.overall_pass = bool(np.all(np.abs(self.z) <= self.crit))
+
     def to_dict(self) -> dict:
-        entries = []
-        for k, e in enumerate(self.panel):
-            entries.append(
-                {
-                    "alphas": list(e.alphas),
-                    "times": list(e.times),
-                    "lhs": float(self.lhs[k]),
-                    "lhs_se": float(self.lhs_se[k]),
-                    "rhs": float(self.rhs[k]),
-                    "rhs_se": float(self.rhs_se[k]),
-                    "z": float(self.z[k]),
-                    "pass": bool(self.entry_pass[k]),
-                }
-            )
+        rows = [{**row, "z": float(z), "pass": ok}
+                for row, z, ok in zip(self.rows, self.z, self.entry_pass)]
         return {
-            "label": self.label,
-            "entries": entries,
-            "z_crit": self.z_crit,
-            "bonferroni_z": self.bonferroni_z,
-            "n": self.n,
-            "pass": bool(self.overall_pass),
+            self.key: rows,
+            **self.fields,
+            **({"bonferroni_z": self.crit} if self.family_wise else {}),
+            "pass": self.overall_pass,
             **({"notes": self.notes} if self.notes else {}),
         }
 
@@ -168,19 +177,11 @@ def build_identity_report(
     z_crit: float,
     n: int,
     notes: dict | None = None,
-) -> IdentityReport:
-    """Assemble per-entry z-scores and the Bonferroni family-wise verdict."""
-    lhs, rhs = np.asarray(lhs, float), np.asarray(rhs, float)
-    lhs_se, rhs_se = np.asarray(lhs_se, float), np.asarray(rhs_se, float)
-    z = np.empty(len(panel))
-    entry_pass = []
-    for k in range(len(panel)):
-        zk, ok = compare((lhs[k], lhs_se[k]), (rhs[k], rhs_se[k]), z_crit)
-        z[k] = zk
-        entry_pass.append(ok)
-    bz = bonferroni_crit(z_crit, len(panel))
-    overall = bool(np.all(np.abs(z) <= bz))
-    return IdentityReport(
-        label, panel, lhs, rhs, lhs_se, rhs_se, z, entry_pass, overall,
-        z_crit, bz, n, notes or {},
-    )
+) -> Check:
+    """The family-wise Check of an identity over a panel: lhs against rhs,
+    entry by entry, under one Bonferroni gate."""
+    sides = [np.asarray(x, float).tolist() for x in (lhs, lhs_se, rhs, rhs_se)]
+    rows = [{**row, "lhs": le, "lhs_se": ls, "rhs": re, "rhs_se": rs}
+            for row, le, ls, re, rs in zip(panel.rows(), *sides)]
+    return Check(*sides, z_crit, family_wise=True, rows=rows,
+                 fields={"label": label, "z_crit": z_crit, "n": n}, notes=notes or {})

@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -33,6 +36,18 @@ def assert_close_se(estimate, target, se, z_crit=3.0, label=""):
         f"{label or 'estimate'} {estimate:.6g} vs {target:.6g}: "
         f"|z| = {gap / se if se > 0 else np.inf:.2f} > {z_crit}"
     )
+
+
+def report_diff(path_a, path_b) -> str:
+    """What `levyid diff` prints for two report files: empty when they agree
+    outside their timestamp blocks, else each differing JSON path with both
+    values, or the reason a file cannot be read."""
+    from levyid.cli import _diff
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        _diff(str(path_a), str(path_b))
+    return out.getvalue()
 
 
 @pytest.fixture(params=[1, 3], ids=["pool-1", "pool-3"])

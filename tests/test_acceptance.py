@@ -6,7 +6,6 @@ where one applies, the runtime budget. Oracle values are closed forms
 derived in comments next to their use; nothing here is tuned to the sampler.
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -39,6 +38,8 @@ from levyid import (
 )
 from levyid.cli import main
 from levyid.permanental import local_time_mean
+
+from conftest import report_diff
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -233,13 +234,9 @@ def test_09_thinning_limit(capsys):
 
 def test_10_suite_determinism(tmp_path, capsys):
     cfg = str(REPO / "configs" / "suite_smoke.json")
-    codes, reports = [], []
-    for k in range(2):
-        out = tmp_path / f"suite{k}.json"
-        codes.append(main(["suite", "--config", cfg, "--out", str(out)]))
-        rep = json.loads(out.read_text())
-        rep.pop("timestamp")
-        reports.append(rep)
-    ok = codes == [0, 0] and reports[0] == reports[1]
+    outs = [tmp_path / f"suite{k}.json" for k in range(2)]
+    codes = [main(["suite", "--config", cfg, "--out", str(out)]) for out in outs]
+    drift = report_diff(*outs)
+    ok = codes == [0, 0] and drift == ""
     _stamp(capsys, "10 repeated-run determinism", ok)
-    assert ok
+    assert ok, drift

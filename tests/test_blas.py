@@ -16,6 +16,7 @@ from pathlib import Path
 
 import levyid
 
+from conftest import report_diff
 from test_cli import _src_env
 
 PACKAGE = Path(levyid.__file__).resolve().parent
@@ -87,7 +88,7 @@ def _smoke_with_ts_conv():
 def test_reports_do_not_depend_on_blas_threads(tmp_path):
     cfg = tmp_path / "suite.json"
     cfg.write_text(json.dumps(_smoke_with_ts_conv()))
-    reports = []
+    outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.json"
         env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads)
@@ -97,7 +98,5 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        report = json.loads(out.read_text())
-        report.pop("timestamp")
-        reports.append(report)
-    assert reports[0] == reports[1]
+        outs.append(out)
+    assert report_diff(*outs) == ""

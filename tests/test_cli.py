@@ -22,9 +22,17 @@ from levyid.cli import (
     parse_law,
     parse_process,
 )
-from levyid.core import ConvSpec, PoissonSpec, SatoSpec, TemperedStableSpec
+from levyid.core import (
+    ConvSpec,
+    PoissonSpec,
+    PowerCutoffKernel,
+    SatoSpec,
+    TemperedStableSpec,
+)
 from levyid.levymeasure import LevyEstimate, levy_functional_quadrature
 from levyid.permanental import green_matrix, marginal_levy_functional
+
+from conftest import report_diff
 
 
 def _write(tmp_path, name, obj):
@@ -41,11 +49,11 @@ def _src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def _run(tmp_path, args, config=None):
+def _run(tmp_path, args, config=None, name="report.json"):
     argv = list(args)
     if config is not None:
         argv += ["--config", _write(tmp_path, "cfg.json", config)]
-    out = tmp_path / "report.json"
+    out = tmp_path / name
     argv += ["--out", str(out)]
     code = main(argv)
     report = json.loads(out.read_text()) if out.exists() else None
@@ -207,22 +215,17 @@ class TestDeterminism:
         (["levy-check"], dict(BASE, mc={"N": 10_000, "B": 100}, levy={"n": 10_000})),
     ], ids=["isonat", "condition", "levy"])
     def test_repeat_runs_identical(self, tmp_path, argv, cfg):
-        code1, rep1 = _run(tmp_path, argv, cfg)
-        code2, rep2 = _run(tmp_path, argv, cfg)
+        code1, _ = _run(tmp_path, argv, cfg, "r1.json")
+        code2, _ = _run(tmp_path, argv, cfg, "r2.json")
         assert code1 == code2 == 0
-        rep1.pop("timestamp")
-        rep2.pop("timestamp")
-        assert rep1 == rep2
+        assert report_diff(tmp_path / "r1.json", tmp_path / "r2.json") == ""
 
     def test_worker_flag_does_not_change_results(self, tmp_path):
         cfgp = _write(tmp_path, "cfg.json", BASE)
         o1, o2 = tmp_path / "r1.json", tmp_path / "r2.json"
         assert main(["verify-isonat", "--config", cfgp, "--workers", "1", "--out", str(o1)]) == 0
         assert main(["verify-isonat", "--config", cfgp, "--workers", "4", "--out", str(o2)]) == 0
-        r1, r2 = json.loads(o1.read_text()), json.loads(o2.read_text())
-        r1.pop("timestamp")
-        r2.pop("timestamp")
-        assert r1 == r2
+        assert report_diff(o1, o2) == ""
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfgp = _write(tmp_path, "cfg.json", BASE)
@@ -471,6 +474,32 @@ SAMPLER_LIMITS = {
 }
 
 
+def _conv_kernel(**kernel):
+    return {"family": "conv", "kernel": kernel,
+            "driver": {"rate": 1.0, "law": {"kind": "exponential", "mean": 1.0}}}
+
+
+def _sato_law(**law):
+    return dict(SATO, bdlp={"rate": 1.0, "law": law})
+
+
+# kernel and jump-law kind -> (word the diagnostic names, process with x in
+# that parameter); NaN and infinity pass a bare `<= 0` check
+NONFINITE = {
+    "indicator": ("length", lambda x: _conv_kernel(kind="indicator", length=x)),
+    "exp-decay": ("decay", lambda x: _conv_kernel(kind="exp-decay", decay=x)),
+    "power-cutoff": ("power", lambda x: _conv_kernel(kind="power-cutoff", power=x, length=1.0)),
+    "tabulated-knots": ("knots", lambda x: _conv_kernel(kind="tabulated", knots=[0.0, x],
+                                                        values=[1.0, 1.0])),
+    "tabulated-values": ("values", lambda x: _conv_kernel(kind="tabulated", knots=[0.0, 1.0],
+                                                          values=[1.0, x])),
+    "exponential": ("mean", lambda x: _sato_law(kind="exponential", mean=x)),
+    "gamma": ("shape", lambda x: _sato_law(kind="gamma", shape=x, rate=1.0)),
+    "constant": ("value", lambda x: _sato_law(kind="constant", value=x)),
+    "discrete": ("atom", lambda x: _sato_law(kind="discrete", atoms=[[x, 1.0]])),
+}
+
+
 class TestBadInputExitsTwo:
     """Bad input, whether caught while parsing or raised by the library
     while running, exits 2 with one diagnostic line; each case runs as a
@@ -554,6 +583,28 @@ class TestBadInputExitsTwo:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("levyid: config error:")
+
+    @pytest.mark.parametrize("kind", NONFINITE)
+    @pytest.mark.parametrize("x", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_parameter_names_it(self, tmp_path, kind, x):
+        word, process = NONFINITE[kind]
+        proc = subprocess.run(
+            [sys.executable, "-m", "levyid", "simulate", "--config",
+             _write(tmp_path, "cfg.json", {"process": process(x), "mc": {"N": 10}}),
+             "--out", os.devnull],
+            capture_output=True, text=True, env=_src_env(), timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("levyid: config error:")
+        assert word in lines[0]
+
+    def test_power_cutoff_nan_rejected_when_built(self):
+        # a NaN power would make the reach sampler of verify-isonat reject
+        # every candidate forever, so this is checked on the kernel itself
+        for args in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="power|length"):
+                PowerCutoffKernel(*args)
 
     def test_config_not_utf8(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -667,6 +718,64 @@ class TestZeroSeVerdicts:
         marg = rep["results"]["levy_marginals"]
         assert marg["pass"]
         assert all(s["z"] == 0.0 for s in marg["states"])
+
+
+def _gated_blocks(node, path="$"):
+    """(path, block, rows) for every object in a report that holds a list of
+    rows each carrying z and pass."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        sub = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+        if (isinstance(node, dict) and isinstance(value, list) and value
+                and all(isinstance(r, dict) and {"z", "pass"} <= r.keys() for r in value)):
+            yield sub, node, value
+        if isinstance(value, (dict, list)):
+            yield from _gated_blocks(value, sub)
+
+
+class TestOneVerdictRule:
+    """Every z-gated block of a report follows one rule. A row passes when
+    |z| is at most the block's z_crit, or the job's mc.z_crit where the block
+    reports none. The block passes when every |z| is at most its
+    bonferroni_z, or that row value where it reports none."""
+
+    def _check(self, results, z_crit):
+        blocks = list(_gated_blocks(results))
+        for path, block, rows in blocks:
+            crit = float(block.get("z_crit", z_crit))
+            gate = float(block.get("bonferroni_z", crit))
+            zs = [abs(float(r["z"])) for r in rows]  # inf is written as "inf"
+            assert [r["pass"] for r in rows] == [z <= crit for z in zs], path
+            assert block["pass"] == all(z <= gate for z in zs), path
+        return [path for path, _, _ in blocks]
+
+    def test_smoke_suite(self, tmp_path):
+        out = tmp_path / "smoke.json"
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "suite_smoke.json"
+        assert main(["suite", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        paths = []
+        for job, resolved in zip(rep["results"]["jobs"], rep["config"]["jobs"]):
+            paths += self._check(job["results"], resolved["config"]["mc"]["z_crit"])
+        # two tilting and one decomposition identity, levy-check's
+        # laplace_exponent and representation, and permanental's identity,
+        # local_time_means and levy_marginals
+        assert len(paths) == 8, paths
+
+    # N = 1 and a small z_crit make rows and blocks that fail; at seed 3 the
+    # tight permanental identity passes its Bonferroni gate with failing rows
+    @pytest.mark.parametrize("command,cfg", [
+        ("simulate", dict(BASE, mc={"N": 2000})),
+        ("simulate", dict(BASE, mc={"N": 1})),
+        ("simulate", {"process": PERM, "mc": {"N": 2000, "z_crit": 0.2}}),
+        ("permanental", {"process": PERM, "mc": {"N": 2000}}),
+        ("permanental", {"process": PERM, "mc": {"N": 2000, "z_crit": 0.5}}),
+    ], ids=["simulate", "simulate-one-draw", "simulate-permanental-tight",
+            "permanental", "permanental-tight"])
+    def test_single_report(self, tmp_path, command, cfg):
+        _, rep = _run(tmp_path, [command, "--seed", "3"], cfg)
+        paths = self._check(rep["results"], rep["config"]["mc"]["z_crit"])
+        assert len(paths) == (1 if command == "simulate" else 3), paths
 
 
 def _desk_job(name):
@@ -798,11 +907,10 @@ class TestResolvedConfigFixedPoint:
     ], ids=["simulate", "simulate-permanental", "isonat", "condition", "levy",
             "permanental", "limit", "suite"])
     def test_echoed_config_reproduces_report(self, tmp_path, command, cfg):
-        code1, rep1 = _run(tmp_path, [command, "--seed", "5"], cfg)
-        code2, rep2 = _run(tmp_path, [command, "--seed", "5"], rep1["config"])
-        rep1.pop("timestamp")
-        rep2.pop("timestamp")
-        assert code1 == code2 and rep1 == rep2
+        code1, rep1 = _run(tmp_path, [command, "--seed", "5"], cfg, "r1.json")
+        code2, _ = _run(tmp_path, [command, "--seed", "5"], rep1["config"], "r2.json")
+        assert code1 == code2
+        assert report_diff(tmp_path / "r1.json", tmp_path / "r2.json") == ""
 
 
 class TestScipyOffImportPath:

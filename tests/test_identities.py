@@ -170,8 +170,8 @@ class TestReportContents:
         rep = verify_tilting_identity(
             RngStream(103), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=10_000
         )
-        assert rep.label == "tilting"
-        assert rep.n == 10_000
+        assert rep.fields["label"] == "tilting"
+        assert rep.fields["n"] == 10_000
         assert len(rep.z) == len(PANEL)
         assert np.all(np.isfinite(rep.z))
 

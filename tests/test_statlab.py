@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from levyid.core import LevyFunctionalPanel, PanelEntry, TimeGrid, WeightedEnsemble
 from levyid.statlab import (
-    IdentityReport,
+    Check,
     bonferroni_crit,
     bootstrap_mean_se,
     build_identity_report,
@@ -209,7 +209,8 @@ class TestIdentityReport:
 
     def test_bonferroni_wider_than_entry(self):
         rep = self._report([0.5, 0.4], [0.5, 0.4])
-        assert rep.bonferroni_z > rep.z_crit
+        assert rep.crit > rep.z_crit
+        assert rep.to_dict()["bonferroni_z"] == rep.crit
 
     def test_to_dict_shape(self):
         rep = self._report([0.5, 0.4], [0.5, 0.4])
@@ -228,5 +229,5 @@ class TestIdentityReport:
 
     def test_is_dataclass_with_arrays(self):
         rep = self._report([0.5, 0.4], [0.5, 0.4])
-        assert isinstance(rep, IdentityReport)
+        assert isinstance(rep, Check)
         assert isinstance(rep.z, np.ndarray)
