@@ -30,6 +30,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import permanental
 from .core import (
     ConvSpec,
     ExpDecayKernel,
@@ -66,7 +67,6 @@ from .permanental import (
     local_time_mean,
     marginal_levy_functional,
     permanental_mean,
-    sample_local_times,
     sample_permanental,
     verify_permanental_identity,
 )
@@ -449,11 +449,14 @@ def _cmd_permanental(cfg, seed):
                 raise ConfigError(f"panel state {t} out of range")
     rng = RngStream(seed)
 
+    # the identity's pinned local times, on its own substream 3, serve the
+    # local-time means too; looked up on the module, so a rebinding there (a
+    # test double, the benchmark tracer) reaches both checks
+    local = permanental.sample_local_times(rng.substream(0, 3), spec, a, size=n)
     report = verify_permanental_identity(rng.substream(0), spec, a, panel,
-                                         n, z_crit=z_crit)
+                                         n, z_crit=z_crit, local=local)
 
-    loc = _column_means(sample_local_times(rng.substream(1), spec, a, size=n),
-                        local_time_mean(green, a), "state", range(spec.n), z_crit,
+    loc = _column_means(local, local_time_mean(green, a), "state", range(spec.n), z_crit,
                         key="states")
 
     # one draw, on substream (2, 0), serves every state's marginal

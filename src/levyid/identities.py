@@ -32,7 +32,7 @@ from .core import (
     WeightedEnsemble,
     mean_function,
 )
-from .processes import _conv_values, sample_ensemble, sample_paths, values_at
+from .processes import _conv_values, _sato_values, sample_ensemble, sample_paths, values_at
 from .randkit import RngStream, sample_size_biased_jump
 from .statlab import (
     Check,
@@ -59,16 +59,14 @@ def _kernel_reach(gen, kernel, a: float, n: int) -> np.ndarray:
         u = gen.random(n)
         return -np.log1p(u * np.expm1(-c * a)) / c
     if isinstance(kernel, PowerCutoffKernel):
-        # rejection from uniform with envelope f(0) = 1
+        # exact inverse CDF of (1 + u)^(-p) on [0, b], in one draw whatever p
         b = min(a, kernel.length)
-        out = np.empty(n)
-        pending = np.arange(n)
-        while pending.size:
-            cand = gen.uniform(0.0, b, pending.size)
-            acc = gen.random(pending.size) <= (1.0 + cand) ** (-kernel.power)
-            out[pending[acc]] = cand[acc]
-            pending = pending[~acc]
-        return out
+        q = gen.random(n)
+        c = 1.0 - kernel.power
+        if c == 0.0:
+            return np.expm1(q * np.log1p(b))
+        d = -np.expm1(c * np.log1p(b))
+        return np.expm1(np.log1p(-q * d) / c)
     if isinstance(kernel, TabulatedKernel):
         return _tabulated_reach(gen, kernel, a, n)
     raise TypeError(f"no reach sampler for {type(kernel).__name__}")
@@ -144,18 +142,25 @@ def visible_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) 
 
 
 def hidden_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) -> np.ndarray:
-    """The law of psi conditioned to vanish at a.
+    """The law of psi conditioned to vanish at a: the component carried by
+    jumps invisible at a.
 
-    Cumulative families restart after a (psi(t or a) - psi(a) on one fresh
-    realization); moving averages keep the driver jumps dead at a.
+    For the cumulative families these are the jumps born after a, so the
+    values are exactly 0 at every t <= a. Poisson and tempered stable paths
+    have stationary independent increments, so psi(t or a) - psi(a) is a
+    fresh path at max(t - a, 0); the self-similar family draws only the
+    driver jumps located in [-H log t_max, -H log a), with no truncation.
+    Moving averages keep the driver jumps dead at a.
     """
     if a <= 0:
         raise ValueError("pin time a must be positive")
     pts = np.asarray(points, dtype=float)
-    if isinstance(spec, (PoissonSpec, TemperedStableSpec, SatoSpec)):
-        aug = np.concatenate([np.maximum(pts, a), [a]])
-        vals = values_at(rng, spec, aug, n)
-        return vals[:, :-1] - vals[:, -1:]
+    if isinstance(spec, (PoissonSpec, TemperedStableSpec)):
+        return values_at(rng, spec, np.maximum(pts - a, 0.0), n)
+    if isinstance(spec, SatoSpec):
+        # a time t <= a reads as 0, which sees no jump
+        return _sato_values(rng, spec, np.where(pts > a, pts, 0.0), n,
+                            hi=-spec.H * float(np.log(a)))
     if isinstance(spec, ConvSpec):
         return _conv_values(rng, spec, pts, n, jump_filter=lambda s: spec.kernel(a - s) <= 0)
     raise TypeError(f"no decomposition for {type(spec).__name__}")

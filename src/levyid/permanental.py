@@ -237,11 +237,14 @@ def verify_permanental_identity(
     panel: LevyFunctionalPanel | None = None,
     n: int = 100_000,
     z_crit: float = 3.0,
+    local: np.ndarray | None = None,
 ) -> Check:
     """Index-1 permanental field with the Green kernel against the
     conditional field (kernel killed at a) plus twice the pinned local times.
 
-    Entries use the half convention: exp(-1/2 sum alpha_i psi(x_i)).
+    Entries use the half convention: exp(-1/2 sum alpha_i psi(x_i)). The
+    (n, states) pinned local times are drawn on rng.substream(3) unless the
+    caller passes that draw as `local`.
     """
     green = green_matrix(chain)
     if panel is None:
@@ -250,7 +253,8 @@ def verify_permanental_identity(
     grid = _state_grid(chain.n)
     lhs_vals = sample_permanental(rng.substream(1), green, 1.0, n)
     cond = sample_permanental(rng.substream(2), conditional_kernel(green, a), 1.0, n)
-    local = sample_local_times(rng.substream(3), chain, a, n)
+    if local is None:
+        local = sample_local_times(rng.substream(3), chain, a, n)
     rhs_vals = cond + 2.0 * local
     lhs_ens = WeightedEnsemble(grid, lhs_vals)
     rhs_ens = WeightedEnsemble(grid, rhs_vals)

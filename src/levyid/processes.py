@@ -111,11 +111,20 @@ def _substeps(span: float) -> int:
 def _poisson_values(rng: RngStream, rate: float, points, n: int) -> np.ndarray:
     def increments(steps):
         lam = _poisson_mean(rate * steps)
+        # a zero mean consumes no variate, so zero steps stay out of the draw
+        # without moving the other columns' draws
+        drawn = np.flatnonzero(lam)
+        kept = lam[drawn]
         # a scalar mean draws the same variates as an all-equal vector of
         # means, without numpy's per-variate broadcast
-        if lam.size and np.all(lam == lam[0]):
-            lam = float(lam[0])
-        return rng.generator.poisson(lam, size=(n, steps.size))
+        if kept.size and np.all(kept == kept[0]):
+            kept = float(kept[0])
+        inc = rng.generator.poisson(kept, size=(n, drawn.size))
+        if drawn.size == lam.size:
+            return inc
+        out = np.zeros((n, lam.size))
+        out[:, drawn] = inc
+        return out
 
     return _cumulative(points, increments)
 
@@ -149,7 +158,12 @@ def _jump_set(rng: RngStream, driver: JumpLawSpec, lo: float, hi: float, n: int)
     return rep, s, sample_jump(rng, driver.law, m)
 
 
-def _sato_values(rng: RngStream, spec: SatoSpec, points, n: int) -> np.ndarray:
+def _sato_values(
+    rng: RngStream, spec: SatoSpec, points, n: int, hi: float | None = None
+) -> np.ndarray:
+    """Self-similar values from the driver's jumps on locations [-H log t_max,
+    hi); hi defaults to required_cutoff, and a smaller hi keeps exactly the
+    jumps born after exp(-hi / H)."""
     pts = np.asarray(points, dtype=float)
     out = np.zeros((n, pts.size))
     pos = pts > 0
@@ -159,8 +173,9 @@ def _sato_values(rng: RngStream, spec: SatoSpec, points, n: int) -> np.ndarray:
     # psi(t) exactly when s >= -H log t
     thresholds = np.full(pts.size, np.inf)
     thresholds[pos] = -spec.H * np.log(pts[pos])
-    jumps = _jump_set(rng, spec.bdlp, float(thresholds[pos].min()),
-                      required_cutoff(spec, pts), n)
+    if hi is None:
+        hi = required_cutoff(spec, pts)
+    jumps = _jump_set(rng, spec.bdlp, float(thresholds[pos].min()), hi, n)
     if jumps is None:
         return out
     rep, s, x = jumps

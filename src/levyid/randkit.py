@@ -100,8 +100,10 @@ def sample_tempered_stable_increment(
         raise ValueError(f"dt={dt} exceeds DT_MAX={DT_MAX}; subdivide the step")
     # exponential tilting by rejection: accept a stable draw S with prob e^{-S};
     # the acceptance rate is exp(-dt), hence the DT_MAX guard
-    out = np.empty(size)
-    pending = np.arange(size)
+    # the first round's candidates are the output; later rounds redraw only
+    # the rejected entries, with the same generator calls in the same order
+    out = sample_positive_stable(rng, alpha, dt, size)
+    pending = np.flatnonzero(~(rng.generator.random(size) < np.exp(-out)))
     while pending.size:
         cand = sample_positive_stable(rng, alpha, dt, pending.size)
         acc = rng.generator.random(pending.size) < np.exp(-cand)

@@ -2,7 +2,8 @@
 
 When an identity holds, its z-scores must behave like standard normals.
 Over SEEDS independent seeds at N = 20k, for tilting, decomposition and the
-final rung of the thinning ladder:
+final rung of the thinning ladder, and at DECOMP_N = 5k for the decomposition
+on the tempered-stable and self-similar families:
 
 - each entry's |z| > 3 rate and the family-wise (Bonferroni) fail rate stay
   within binomial error of their nominal levels;
@@ -28,10 +29,13 @@ import pytest
 import levyid.identities as identities
 from levyid.cli import default_panel, parse_process
 from levyid.core import (
+    JumpLaw,
+    JumpLawSpec,
     LevyFunctionalPanel,
     PanelEntry,
     PermanentalSpec,
     PoissonSpec,
+    SatoSpec,
     TemperedStableSpec,
     WeightedEnsemble,
     make_grid,
@@ -57,6 +61,7 @@ Z_CRIT = 3.0
 P_ENTRY = math.erfc(Z_CRIT / math.sqrt(2.0))  # nominal P(|z| > 3)
 PERM_N = 2_000
 LEVY_N = 5_000
+DECOMP_N = 5_000
 
 
 def reference_bootstrap_se(ens, panel, b=500, seed=0, chunk=50):
@@ -94,7 +99,7 @@ def _tilted_thinned_poisson(entry, rate, a):
     return path * jump
 
 
-def _identity_scan(verifier, spec):
+def _identity_scan(verifier, spec, n=N):
     zs, fails, ensembles = [], 0, []
     real = identities.weighted_laplace_panel
 
@@ -106,7 +111,7 @@ def _identity_scan(verifier, spec):
         with pytest.MonkeyPatch.context() as mp:
             if s < BOOT_SEEDS:
                 mp.setattr(identities, "weighted_laplace_panel", capture)
-            report = verifier(RngStream(s), spec, A, GRID, PANEL, N, z_crit=Z_CRIT)
+            report = verifier(RngStream(s), spec, A, GRID, PANEL, n, z_crit=Z_CRIT)
         zs.append(report.z)
         fails += not report.overall_pass
     return np.array(zs), fails, ensembles
@@ -140,6 +145,12 @@ SCANS = {
                                       TemperedStableSpec(0.5)),
     "decomposition": lambda: _identity_scan(identities.verify_decomposition_identity,
                                             PoissonSpec(1.0)),
+    "decomposition-tempered-stable": lambda: _identity_scan(
+        identities.verify_decomposition_identity, TemperedStableSpec(0.5), DECOMP_N),
+    # the desk suite's self-similar process
+    "decomposition-sato": lambda: _identity_scan(
+        identities.verify_decomposition_identity,
+        SatoSpec(0.5, JumpLawSpec(1.0, JumpLaw.exponential(1.0))), DECOMP_N),
     "final-rung": _rung_scan,
 }
 

@@ -606,6 +606,24 @@ class TestBadInputExitsTwo:
             with pytest.raises(ValueError, match="power|length"):
                 PowerCutoffKernel(*args)
 
+    def test_power_cutoff_large_power_ends(self, tmp_path):
+        # the companion's reach comes from its inverse CDF in one draw; a
+        # rejection sampler from a uniform envelope would almost never accept
+        # at this power. At N = 1000 no path sees a jump close enough to a to
+        # weigh more than 0, so the run may also exit 2, saying so on one line
+        cfg = {"process": _conv_kernel(kind="power-cutoff", power=1e7, length=1.0),
+               "grid": [0.5, 1.0, 1.5, 2.0], "identity": {"a": 1.0}, "mc": {"N": 1000}}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "levyid", "verify-isonat",
+             "--config", _write(tmp_path, "cfg.json", cfg), "--out", os.devnull],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert time.perf_counter() - start < 30
+        assert proc.returncode in (0, 1, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) <= 1
+
     def test_config_not_utf8(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_bytes(b"\xff\xfe{}")

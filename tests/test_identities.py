@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levyid import processes
 from levyid.core import (
     ConvSpec,
     ExpDecayKernel,
@@ -19,6 +20,7 @@ from levyid.core import (
     TimeGrid,
 )
 from levyid.identities import (
+    _kernel_reach,
     companion_values,
     hidden_values,
     tilted_ensemble,
@@ -131,6 +133,62 @@ class TestComponentStructure:
         for fn in (companion_values, visible_values, hidden_values):
             p = fn(rng.substream(11), spec, 1.0, GRID.points, 1)
             assert p.shape == (1, len(GRID))
+
+
+SATO_H08 = SatoSpec(H=0.8, bdlp=JumpLawSpec(rate=1.5, law=JumpLaw.gamma(2.0, 1.5)))
+
+
+class TestHiddenBirthsAfterPin:
+    @pytest.mark.parametrize("spec", [PoissonSpec(rate=1.3), TemperedStableSpec(0.6), SATO_H08],
+                             ids=["poisson", "tempered-stable", "sato"])
+    def test_exactly_zero_up_to_pin(self, spec):
+        pts = (0.0, 0.25, 1.0, 1.5, 0.5, 2.0)
+        hid = hidden_values(RngStream(31), spec, 1.0, pts, 4000)
+        assert np.all(hid[:, [0, 1, 2, 4]] == 0.0)
+        assert np.all(hid[:, 5] >= hid[:, 3]) and np.any(hid[:, 5] > 0)
+
+    @pytest.mark.parametrize("a", [1.0, 1.5])
+    def test_sato_draws_only_the_locations_born_after_pin(self, monkeypatch, a):
+        # a jump at location s is born at exp(-s / H): after a exactly when
+        # s < -H log a, and by t_max = 2 exactly when s >= -H log 2
+        windows = []
+        real = processes._jump_set
+
+        def spy(rng, driver, lo, hi, n):
+            windows.append((lo, hi))
+            return real(rng, driver, lo, hi, n)
+
+        monkeypatch.setattr(processes, "_jump_set", spy)
+        hidden_values(RngStream(32), SATO_H08, a, GRID.points, 500)
+        assert windows == [(pytest.approx(-0.8 * math.log(2.0)),
+                            pytest.approx(-0.8 * math.log(a)))]
+
+    @pytest.mark.parametrize("a", [2.0, 3.0])
+    def test_sato_draws_nothing_from_pin_past_last_time(self, monkeypatch, a):
+        monkeypatch.setattr(processes, "_jump_set", None)  # any call raises
+        hid = hidden_values(RngStream(33), SATO_H08, a, GRID.points, 500)
+        assert np.array_equal(hid, np.zeros((500, len(GRID))))
+
+
+class TestPowerCutoffReach:
+    @pytest.mark.parametrize("power", [0.5, 1.0, 3.0])
+    def test_matches_cdf(self, power):
+        # density (1 + u)^(-p) on [0, b], b = min(a, length): its CDF is the
+        # kernel's own integral over [0, u], normalized
+        kernel, a, n = PowerCutoffKernel(power=power, length=1.5), 2.0, 40_000
+        reach = _kernel_reach(np.random.default_rng(7), kernel, a, n)
+        assert np.all((reach >= 0.0) & (reach <= 1.5))
+        for u in (0.05, 0.2, 0.5, 0.9, 1.3):
+            cdf = kernel.integral(u) / kernel.integral(a)
+            got = np.mean(reach <= u)
+            assert abs(got - cdf) <= 4.0 * math.sqrt(cdf * (1.0 - cdf) / n), (u, got, cdf)
+
+    def test_large_power_draws_at_once(self):
+        # nearly all mass sits within a few 1/p of 0; a rejection sampler
+        # from a uniform envelope would almost never accept
+        reach = _kernel_reach(np.random.default_rng(8), PowerCutoffKernel(1e7, 1.0), 1.0, 10_000)
+        assert np.all((reach >= 0.0) & (reach <= 1.0))
+        assert abs(reach.mean() * 1e7 - 1.0) < 0.1
 
 
 def _spec_cases():

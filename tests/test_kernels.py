@@ -11,8 +11,10 @@ right-hand-side chunk's two parts inside its task, instead of in three
 sequential ensemble calls. The permanental Levy marginals and the sampled
 Levy-measure representations are evaluated on one shared draw instead of
 one draw per entry, and the Sato sampler sums
-each point's kept jumps with the others zeroed instead of gathered. They
-must still perform the same
+each point's kept jumps with the others zeroed instead of gathered. The
+tempered-stable rejection sampler keeps its first round's candidates as the
+output instead of scattering them, and the Poisson sampler leaves zero steps
+out of its draw. They must still perform the same
 floating-point operations, in the same order, on the same draws, so that
 every report keeps its bytes. Each kernel is compared with np.array_equal
 (or == on floats) against the expression it replaced, kept here as the
@@ -69,7 +71,12 @@ from levyid.processes import (
     sample_ensemble,
     values_at,
 )
-from levyid.randkit import RngStream, sample_positive_stable, sample_size_biased_jump
+from levyid.randkit import (
+    RngStream,
+    sample_positive_stable,
+    sample_size_biased_jump,
+    sample_tempered_stable_increment,
+)
 from levyid.statlab import bootstrap_mean_se, laplace_values, weighted_laplace_panel
 
 
@@ -115,6 +122,18 @@ def _kanter_ref(rng, alpha, t, size):
     )
     s = np.exp((log_a - np.log(w)) / frac)
     return t ** (1.0 / alpha) * s
+
+
+def _ts_increment_ref(rng, alpha, dt, size):
+    # every round, the first included, scatters its accepted candidates
+    out = np.empty(size)
+    pending = np.arange(size)
+    while pending.size:
+        cand = sample_positive_stable(rng, alpha, dt, pending.size)
+        acc = rng.generator.random(pending.size) < np.exp(-cand)
+        out[pending[acc]] = cand[acc]
+        pending = pending[~acc]
+    return out
 
 
 def _local_times_ref(rng, chain, start, n):
@@ -275,8 +294,15 @@ class TestCumulative:
         assert np.array_equal(got, _cumulative_ref(points, draw(257)))
         assert got.dtype == float and got.flags.c_contiguous
 
-    @pytest.mark.parametrize("points", [(0.5, 1.0, 1.5, 2.0), (0.3, 0.5, 1.7)],
-                             ids=["equal-steps", "unequal-steps"])
+    # a zero step draws nothing: zero times, repeated or unsorted, and the
+    # points the hidden part used to draw, ending in the pin a = 1
+    @pytest.mark.parametrize("points", [(0.5, 1.0, 1.5, 2.0), (0.3, 0.5, 1.7),
+                                        (0.0, 0.5, 1.0, 1.5), (0.0, 0.0, 0.0, 0.5, 1.0),
+                                        (1.0, 0.0, 0.3, 0.0), (0.0,),
+                                        POINT_SETS["repeated"], POINT_SETS["hidden-augmented"]],
+                             ids=["equal-steps", "unequal-steps", "zero-then-equal",
+                                  "zeros-then-equal", "zeros-unsorted", "only-zero",
+                                  "repeated", "hidden-augmented"])
     def test_poisson_matches_reference(self, points):
         got = _poisson_values(RngStream(3), 1.3, points, 2000)
         assert np.array_equal(got, _poisson_ref(RngStream(3), 1.3, points, 2000))
@@ -291,6 +317,13 @@ class TestCumulative:
         monkeypatch.setattr(processes, "_cumulative", _cumulative_ref)
         monkeypatch.setattr(processes, "_poisson_values", _poisson_ref)
         assert np.array_equal(got, part(RngStream(12), spec, a, points, 300))
+
+
+@pytest.mark.parametrize("size", [1, 5_000, 50_000])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_tempered_stable_increment_matches_reference(alpha, size):
+    got = sample_tempered_stable_increment(RngStream(22), alpha, 0.5, size)
+    assert np.array_equal(got, _ts_increment_ref(RngStream(22), alpha, 0.5, size))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])

@@ -195,6 +195,15 @@ class TestIdentity:
         assert rep.overall_pass, rep.to_dict()
         assert rep.notes["a"] == a
 
+    def test_passed_local_times_are_its_own_draw(self):
+        # the job draws the pinned local times once, on the identity's
+        # substream 3, and hands them in: the same check as drawing them there
+        rng = RngStream(402)
+        local = sample_local_times(rng.substream(3), CHAIN3, 1, 3000)
+        got = verify_permanental_identity(rng, CHAIN3, 1, n=3000, local=local)
+        want = verify_permanental_identity(rng, CHAIN3, 1, n=3000)
+        assert got.to_dict() == want.to_dict()
+
     def test_default_panel_shape(self):
         panel = default_state_panel(3, 1)
         assert len(panel) == 5  # three singles, one pair, one full vector
@@ -262,8 +271,9 @@ DESK_JOBS = {job["name"]: job["config"] for job in json.loads(
 
 @pytest.mark.parametrize("name", DESK_JOBS)
 def test_job_runs_one_chain_per_start_state(monkeypatch, name):
-    # the identity's and the local-time check's chains from a, then one run
-    # per start state for all the Levy marginals together: 2 + ns
+    # one chain run from a, whose pinned local times serve the identity and
+    # the local-time check, then one run per start state for all the Levy
+    # marginals together: 1 + ns
     calls = []
     simulate = permanental._simulate_local_times
 
@@ -275,5 +285,5 @@ def test_job_runs_one_chain_per_start_state(monkeypatch, name):
     cfg = dict(DESK_JOBS[name], mc={"N": 2000})
     ns = len(cfg["process"]["kill"])
     cli._cmd_permanental(cfg, 5)
-    assert len(calls) == 2 + ns
-    assert sorted(calls[2:]) == list(range(ns))
+    assert len(calls) == 1 + ns
+    assert sorted(calls[1:]) == list(range(ns))

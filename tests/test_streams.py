@@ -54,10 +54,10 @@ PINNED = {
             [0.0, 1.0, 1.0],
         ],
         "hidden_values": [
-            [0.0, 0.0, 1.0],
-            [0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0],
             [0.0, 0.0, 1.0],
             [0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0],
         ],
         "visible_values": [
             [1.0, 2.0, 2.0],
@@ -81,10 +81,10 @@ PINNED = {
             [1.2851250737086604, 1.2851250737086604, 1.2851250737086604],
         ],
         "hidden_values": [
-            [0.0, 0.0, 0.6320036735315049],
-            [0.0, 0.0, 0.5141540248541123],
-            [0.0, 0.0, 0.33741106981715396],
-            [0.0, 0.0, 0.5055221703211714],
+            [0.0, 0.0, 0.19689283943958785],
+            [0.0, 0.0, 0.3809427245177729],
+            [0.0, 0.0, 0.5718662197968265],
+            [0.0, 0.0, 0.39597800311843345],
         ],
         "visible_values": [
             [0.11199881225296097, 0.31389805137870525, 0.31389805137870525],
@@ -108,10 +108,10 @@ PINNED = {
             [0.0, 0.25577619315075645, 0.25577619315075645],
         ],
         "hidden_values": [
-            [0.0, 0.0, 0.5927994471353917],
-            [0.0, 0.0, 0.6876802842223735],
-            [0.0, 0.0, 0.5193838682766896],
+            [0.0, 0.0, 2.4678384715443493],
             [0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.9719179743439263],
+            [0.0, 0.0, 1.050446463429817],
         ],
         "visible_values": [
             [0.3367181910400594, 0.3367181910400594, 0.3367181910400594],
