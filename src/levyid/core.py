@@ -165,44 +165,48 @@ class JumpLaw:
             return self.params[0]
         return sum(x * p for x, p in self.params)
 
-    def one_minus_exp_moment(self, c: float) -> float:
-        """E[1 - exp(-c X)] for X with this law; scalar c.
+    def one_minus_exp_moment(self, c) -> np.ndarray:
+        """E[1 - exp(-c X)] for X with this law, at each c >= 0 of an array.
 
-        Quadrature calls this once per node. ** on a float is libm's pow,
-        and numpy's expm1 on a float runs the same loop it runs on a 0-d
-        array; math.exp/expm1 and np.power differ from these in the last
-        bits, and so would an array's ** (numpy's pow loop).
+        Each form keeps its relative accuracy as c -> 0, where the Sato
+        quadrature divides it by c.
         """
+        c = np.asarray(c, dtype=float)
         if self.kind == "exponential":
-            return float(1.0 - 1.0 / (1.0 + c * self.params[0]))
+            x = c * self.params[0]
+            return x / (1.0 + x)
         if self.kind == "gamma":
             k, r = self.params
-            return float(1.0 - (1.0 + c / r) ** (-k))
+            return -np.expm1(-k * np.log1p(c / r))
         if self.kind == "constant":
-            return float(-np.expm1(-c * self.params[0]))
-        total = 0.0
-        for x, p in self.params:
-            total += p * float(-np.expm1(-(c * x)))
-        return total
+            return -np.expm1(-c * self.params[0])
+        xs, ps = zip(*self.params)
+        return _matvec(-np.expm1(-np.multiply.outer(c, xs)), ps)
 
-    def expect_min_cx_one(self, c: float) -> float:
-        """E[min(c X, 1)] for X with this law; scalar c >= 0."""
-        if c <= 0:
-            return 0.0
-        u = 1.0 / c
+    def expect_min_cx_one(self, c) -> np.ndarray:
+        """E[min(c X, 1)] for X with this law, at each c >= 0 of an array."""
+        c = np.asarray(c, dtype=float)
         if self.kind == "exponential":
+            # int_0^1 P(c X > t) dt
             m = self.params[0]
-            tail = math.exp(-u / m)
-            return c * (m - (m + u) * tail) + tail
+            with np.errstate(divide="ignore"):
+                return c * m * -np.expm1(-1.0 / (c * m))
         if self.kind == "gamma":
-            from scipy.special import gammainc
+            from .levymeasure import _incomplete_gamma
 
             k, r = self.params
-            head = (k / r) * gammainc(k + 1.0, r * u)  # E[X; X <= u]
-            return c * head + (1.0 - gammainc(k, r * u))
+            out = np.zeros(c.shape)
+            pos = c > 0
+            x = r / c[pos]  # r u, u = 1 / c
+            # c E[X; X <= u] + P(X > u), E[X; X <= u] = (k/r) P(Gamma(k+1) <= r u)
+            head = _incomplete_gamma(k + 1.0, x)[0] / math.gamma(k + 1.0)
+            tail = _incomplete_gamma(k, x)[1] / math.gamma(k)
+            out[pos] = c[pos] * (k / r) * head + tail
+            return out
         if self.kind == "constant":
-            return min(c * self.params[0], 1.0)
-        return sum(p * min(c * x, 1.0) for x, p in self.params)
+            return np.minimum(c * self.params[0], 1.0)
+        xs, ps = zip(*self.params)
+        return _matvec(np.minimum(np.multiply.outer(c, xs), 1.0), ps)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,19 @@ alpha_i at times t_i the functional evaluated everywhere here is
 
 optionally restricted to {y(a) = 0} or {y(a) > 0}. The restricted pieces
 add up to the unrestricted value exactly, which the test-suite exploits.
+
+Every integral here goes through one adaptive Gauss-Legendre integrator on
+numpy arrays, _integrate. Infinite ranges and endpoint singularities are
+removed by exact substitutions, never by truncation: u = e^{-s} for the Sato
+pieces and conditions, and t = x w^{1/s} or t = x + w / (1 - w) for the
+incomplete gamma integrals behind the gamma-law, tempered-stable and
+permanental integrability conditions.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import warnings
 from contextlib import contextmanager
@@ -45,8 +53,9 @@ from .statlab import (
     weighted_laplace_panel,
 )
 
-_QUAD_EPS = 1e-10
-_QUAD_LIMIT = 200
+_GL_ORDER = 20
+_QUAD_RTOL = 1e-14
+_QUAD_LIMIT = 200  # subintervals of one integral
 _ESS_FRACTION = 0.01
 
 _RESTRICTIONS = (None, "zero", "positive")
@@ -90,8 +99,62 @@ def quadrature_pieces():
         _PIECES.reset(token)
 
 
+@functools.cache
+def _gl_rule():
+    # built on first use, so that importing levyid loads no numpy.polynomial
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
+
+
+def _gauss_legendre(f, a, b):
+    """The Gauss-Legendre rule on each interval [a[i], b[i]], with every
+    node of every interval in one call of f."""
+    x, w = _gl_rule()
+    half = 0.5 * (b - a)
+    values = f((np.multiply.outer(half, x) + (a + half)[:, None]).ravel())
+    return (values.reshape(values.shape[:-1] + (a.size, x.size)) * w).sum(-1) * half
+
+
+def _integrate(f, lo, hi):
+    """int_lo^hi f(x) dx by adaptive Gauss-Legendre bisection, lo < hi finite.
+
+    f maps a 1-d array of nodes to values of shape (..., nodes), so one
+    call integrates a batch of integrands that share their nodes. Each
+    interval is ruled whole and in two halves; it is kept when the two
+    values agree to _QUAD_RTOL of the running total in every component,
+    and otherwise each half is ruled in two in turn. Every node of a level
+    goes to f in one call.
+    """
+    mid = 0.5 * (lo + hi)
+    v = _gauss_legendre(f, np.array([lo, lo, mid]), np.array([hi, mid, hi]))
+    # halves[..., 2i] and halves[..., 2i + 1] are the halves [a, b] of the
+    # open interval i, whose one-rule value is whole[..., i]
+    whole, halves = v[..., :1], v[..., 1:]
+    a, b = np.array([lo, mid]), np.array([mid, hi])
+    done, kept = 0.0, 0
+    while True:
+        pair = halves[..., 0::2] + halves[..., 1::2]
+        total = done + pair.sum(-1)
+        split = np.abs(whole - pair) > _QUAD_RTOL * np.abs(total)[..., None]
+        if split.ndim > 1:
+            split = split.any(tuple(range(split.ndim - 1)))
+        if not split.any():
+            return total
+        done = done + pair[..., ~split].sum(-1)
+        kept += split.size - int(split.sum())
+        if kept + 2 * int(split.sum()) > _QUAD_LIMIT:
+            warnings.warn(f"quadrature reached its {_QUAD_LIMIT}-interval limit on "
+                          f"[{lo:g}, {hi:g}]; the value may be inexact",
+                          RuntimeWarning, stacklevel=2)
+            return done + pair[..., split].sum(-1)
+        two = np.repeat(split, 2)
+        whole, a, b = halves[..., two], a[two], b[two]
+        mid = 0.5 * (a + b)
+        a, b = np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel()
+        halves = _gauss_legendre(f, a, b)
+
+
 def _quad(key, f, lo, hi) -> float:
-    """int_lo^hi f(s) ds by adaptive quadrature; scipy loads on first use.
+    """int_lo^hi f by _integrate, for an array-valued integrand f.
 
     key names the integrand f, so that equal keys mean equal integrands; a
     keyed piece is integrated once per quadrature_pieces() scope. None
@@ -100,9 +163,7 @@ def _quad(key, f, lo, hi) -> float:
     pieces = None if key is None else _PIECES.get()
     if pieces is not None and (key, lo, hi) in pieces:
         return pieces[key, lo, hi]
-    from scipy.integrate import quad
-
-    value = quad(f, lo, hi, epsabs=_QUAD_EPS, limit=_QUAD_LIMIT)[0]
+    value = float(_integrate(f, lo, hi))
     if pieces is not None:
         pieces[key, lo, hi] = value
     return value
@@ -136,7 +197,8 @@ def _indicator_nu(entry: PanelEntry, mass_of_level, restriction, a) -> float:
 
 
 def _driver_one_minus_exp(z, c):
-    """Inner jump-size integral int (1 - e^{-c x}) rho(dx) for a driver."""
+    """Inner jump-size integral int (1 - e^{-c x}) rho(dx) for a driver, at
+    each c of an array (or at a float c for the tempered-stable law)."""
     if isinstance(z, JumpLawSpec):
         return z.rate * z.law.one_minus_exp_moment(c)
     return (1.0 + c) ** z.alpha - 1.0
@@ -164,10 +226,13 @@ def _sato_nu(spec: SatoSpec, entry: PanelEntry, restriction, a) -> float:
         level = float(alphas[thetas <= ref].sum())
         if level <= 0:
             continue
-        # the integrand depends on the driver and the level only
+        # the integrand depends on the driver and the level only; u = e^{-s}
+        # takes the piece [lo, hi] in s to [e^{-hi}, e^{-lo}], and [lo, inf)
+        # to [0, e^{-lo}]
         total += _quad(
             (spec.bdlp, level),
-            lambda s: _driver_one_minus_exp(spec.bdlp, level * math.exp(-s)), lo, hi,
+            lambda u: _driver_one_minus_exp(spec.bdlp, level * u) / u,
+            math.exp(-hi), math.exp(-lo),
         )
     return total
 
@@ -232,9 +297,7 @@ def _conv_nu(spec: ConvSpec, entry: PanelEntry, restriction, a) -> float:
     cut_arr = sorted(cuts)
 
     def integrand(s):
-        # a k-vector dot per quadrature node, far below BLAS's threading size
-        c = float(alphas @ spec.kernel(times - s))
-        return _driver_one_minus_exp(spec.z, c) if c > 0 else 0.0
+        return _driver_one_minus_exp(spec.z, _matvec(spec.kernel(times - s[:, None]), alphas))
 
     total = 0.0
     for dlo, dhi in domain:
@@ -401,20 +464,57 @@ class LevyConditionReport:
         }
 
 
-def _ts_expect_min(alpha: float, c: float) -> float:
-    """int min(c v, 1) v^{-alpha-1} e^{-v} dv / |Gamma(-alpha)|."""
-    if c <= 0:
-        return 0.0
-    from scipy.special import gamma as gamma_fn
-
-    norm = gamma_fn(1.0 - alpha) / alpha  # |Gamma(-alpha)|
-    u = 1.0 / c
-    head = _quad(None, lambda v: c * v**-alpha * math.exp(-v), 0.0, u)
-    tail = _quad(None, lambda v: v ** (-alpha - 1.0) * math.exp(-v), u, math.inf)
-    return (head + tail) / norm
+def _lower_gamma(s, x):
+    """int_0^x t^{s-1} e^{-t} dt at each x of a 1-d array, s > 0."""
+    # t = x w^{1/s} takes [0, x] to w in [0, 1] and t^{s-1} dt to x^s / s dw
+    return x**s / s * _integrate(lambda w: np.exp(-np.multiply.outer(x, w ** (1.0 / s))),
+                                 0.0, 1.0)
 
 
-def _driver_expect_min(z, c: float) -> float:
+def _upper_gamma(s, x):
+    """int_x^inf t^{s-1} e^{-t} dt at each x > 0 of a 1-d array, s >= 0."""
+
+    # t = x + w / (1 - w) takes [x, inf) to w in [0, 1), where the integrand
+    # x^{s-1} e^{-x} (1 + y/x)^{s-1} e^{-y} dy, y = w / (1 - w), vanishes
+    # to every order as w -> 1
+    def f(w):
+        y = w / (1.0 - w)
+        return (1.0 + np.multiply.outer(1.0 / x, y)) ** (s - 1.0) * (np.exp(-y) / (1.0 - w) ** 2)
+
+    return np.exp((s - 1.0) * np.log(x) - x) * _integrate(f, 0.0, 1.0)
+
+
+def _incomplete_gamma(s, x):
+    """(int_0^x, int_x^inf) of t^{s-1} e^{-t} dt at each x > 0 of a 1-d
+    array, s > 0. The side that holds at most about half of Gamma(s) is
+    integrated and the other is Gamma(s) minus it, so no difference loses
+    more than a bit."""
+    small = x <= s
+    lower, upper = np.empty_like(x), np.empty_like(x)
+    if small.any():
+        lower[small] = _lower_gamma(s, x[small])
+        upper[small] = math.gamma(s) - lower[small]
+    if not small.all():
+        upper[~small] = _upper_gamma(s, x[~small])
+        lower[~small] = math.gamma(s) - upper[~small]
+    return lower, upper
+
+
+def _ts_expect_min(alpha: float, c):
+    """int min(c v, 1) v^{-alpha-1} e^{-v} dv / |Gamma(-alpha)| at each c of
+    an array; 0 where c <= 0."""
+    c = np.asarray(c, dtype=float)
+    out = np.zeros(c.shape)
+    pos = c > 0
+    u = 1.0 / c[pos]
+    head, upper = _incomplete_gamma(1.0 - alpha, u)  # of v^{-alpha} e^{-v}
+    # by parts, int_u^inf v^{-alpha-1} e^{-v} dv = (u^{-alpha} e^{-u} - upper) / alpha
+    tail = (u**-alpha * np.exp(-u) - upper) / alpha
+    out[pos] = (c[pos] * head + tail) * (alpha / math.gamma(1.0 - alpha))
+    return out
+
+
+def _driver_expect_min(z, c):
     if isinstance(z, JumpLawSpec):
         return z.rate * z.law.expect_min_cx_one(c)
     return _ts_expect_min(z.alpha, c)
@@ -424,28 +524,22 @@ def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) ->
     """Check int (y(x) ^ 1) nu(dy) < inf at each grid point (each state for
     permanental specs)."""
     if isinstance(spec, PermanentalSpec):
-        from scipy.special import exp1
-
         from .permanental import green_matrix
 
         g = green_matrix(spec).matrix
         points = list(range(spec.n)) if grid is None else [int(p) for p in grid.points]
-        values = []
-        for x in points:
-            theta = 2.0 * g[x, x]
-            # marginal is Gamma(beta, scale theta); its jump density is
-            # beta v^{-1} e^{-v/theta}
-            values.append(
-                spec.beta * (theta * -math.expm1(-1.0 / theta) + exp1(1.0 / theta))
-            )
+        # marginal is Gamma(beta, scale theta); its jump density is
+        # beta v^{-1} e^{-v/theta}, and E1(z) = int_z^inf e^{-t} / t dt
+        theta = 2.0 * np.array([g[x, x] for x in points])
+        values = spec.beta * (theta * -np.expm1(-1.0 / theta) + _upper_gamma(0.0, 1.0 / theta))
         points = [float(p) for p in points]
     else:
         if grid is None:
             raise ValueError("time-indexed families need a grid of checkpoints")
         points = [float(t) for t in grid.points]
         if isinstance(spec, TemperedStableSpec):
-            # nu(y(x) ^ 1) = x * nu(y(1) ^ 1): two integrals serve the whole grid
-            ts_unit = _ts_expect_min(spec.alpha, 1.0)
+            # nu(y(x) ^ 1) = x * nu(y(1) ^ 1): one integral serves the whole grid
+            ts_unit = float(_ts_expect_min(spec.alpha, [1.0])[0])
         values = []
         for x in points:
             if x == 0:
@@ -456,14 +550,14 @@ def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) ->
             elif isinstance(spec, TemperedStableSpec):
                 values.append(x * ts_unit)
             elif isinstance(spec, SatoSpec):
+                # u = e^{-s} takes [-H log x, inf) to [0, x^H]
                 law = spec.bdlp.law
-                v = _quad(None, lambda s: law.expect_min_cx_one(math.exp(-s)),
-                          -spec.H * math.log(x), math.inf)
+                v = _quad(None, lambda u: law.expect_min_cx_one(u) / u, 0.0, x**spec.H)
                 values.append(spec.bdlp.rate * v)
             elif isinstance(spec, ConvSpec):
                 lo = max(0.0, x - spec.kernel.support_end)
                 values.append(_quad(
-                    None, lambda s: _driver_expect_min(spec.z, float(spec.kernel(x - s))), lo, x
+                    None, lambda s: _driver_expect_min(spec.z, spec.kernel(x - s)), lo, x
                 ))
             else:
                 raise TypeError(f"unsupported spec {type(spec).__name__}")

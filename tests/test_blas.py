@@ -27,8 +27,7 @@ BLAS_CALLS = {"dot", "inner", "vdot", "matmul", "einsum", "tensordot", "multi_do
 # (module, enclosing function) of the only products left on BLAS; the source
 # says why next to each
 ALLOWED = [
-    ("levymeasure.py", "_conv_nu.integrand"),  # k-vector dot per quadrature node
-    ("processes.py", "_conv_values"),          # gemm threaded over rows only
+    ("processes.py", "_conv_values"),  # gemm threaded over rows only
 ]
 
 

@@ -932,21 +932,22 @@ class TestResolvedConfigFixedPoint:
 
 
 class TestScipyOffImportPath:
-    """scipy loads only where a job integrates numerically or needs a
-    special function: the levy-check quadrature of the tempered-stable, Sato
-    and conv families, and the permanental integrability condition. A
-    Poisson levy-check has closed forms for both and loads none."""
+    """No levyid code path loads scipy: levy-check integrates its quadrature
+    and integrability conditions on numpy, and a Poisson job has closed
+    forms for both."""
 
     @staticmethod
-    def _run(*jobs):
-        """Run (command, config path) jobs in a fresh interpreter; return its
-        stdout: the exit codes, then the scipy modules loaded."""
+    def _run(*jobs, then=""):
+        """Run (command, config path) jobs in a fresh interpreter, then the
+        code `then`; return its stdout: the exit codes, then the scipy
+        modules loaded."""
         code = (
             "import os, sys\n"
             "import levyid, levyid.cli\n"
             "args = sys.argv[1:]\n"
             "codes = [levyid.cli.main([cmd, '--config', cfg, '--out', os.devnull])\n"
             "         for cmd, cfg in zip(args[::2], args[1::2])]\n"
+            + then +
             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code, *(x for job in jobs for x in job)],
@@ -964,3 +965,30 @@ class TestScipyOffImportPath:
                                               "mc": {"N": 2000}, "levy": {"n": 1000},
                                               "seed": 4})
         assert self._run(("levy-check", levy)) == "[0] []"
+
+    def test_integrating_levy_checks_load_no_scipy(self, tmp_path):
+        gamma = {"rate": 1.0, "law": {"kind": "gamma", "shape": 0.5, "rate": 2.0}}
+        processes = {
+            "ts": {"family": "tempered-stable", "alpha": 0.5},
+            "sato": {"family": "sato", "H": 1.0,
+                     "bdlp": {"rate": 1.0, "law": {"kind": "exponential", "mean": 1.0}}},
+            "conv": {"family": "conv", "kernel": {"kind": "indicator", "length": 1.0},
+                     "driver": {"rate": 1.0, "law": {"kind": "exponential", "mean": 1.0}}},
+            "conv-ts": CONV_TS,
+            # the gamma law's integrability condition, through the incomplete
+            # gamma integrals
+            "sato-gamma": {"family": "sato", "H": 0.8, "bdlp": gamma},
+        }
+        jobs = [("levy-check", _write(tmp_path, f"{name}.json", {
+            "process": process, "grid": [0.5, 1.0, 2.0], "mc": {"N": 2000},
+            "levy": {"n": 1000}, "seed": 4})) for name, process in processes.items()]
+        assert self._run(*jobs) == "[0, 0, 0, 0, 0] []"
+
+    def test_permanental_conditions_load_no_scipy(self):
+        then = (
+            "from levyid.core import PermanentalSpec\n"
+            "from levyid.levymeasure import validate_levy_conditions\n"
+            "spec = PermanentalSpec(rates=((0.0, 1.0), (1.0, 0.0)), kill=(0.5, 0.25))\n"
+            "assert validate_levy_conditions(spec).ok\n"
+        )
+        assert self._run(then=then) == "[] []"

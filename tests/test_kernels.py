@@ -3,9 +3,9 @@ jump-law moments and the per-job quadrature pieces.
 
 The samplers and the SE panel write into reused buffers instead of
 allocating a copy per step, and the killed-chain loop steps compacted arrays
-of live chains instead of indexing the full matrices. The jump-law moments
-run on the float they are given instead of a 0-d array, and a levy-check job
-integrates each quadrature piece once. An identity check draws its two
+of live chains instead of indexing the full matrices. A jump-law moment's
+value at a level does not depend on the array it comes in, and a levy-check
+job integrates each quadrature piece once. An identity check draws its two
 sides' chunks as one batch of tasks on the shared sampler pool, adding each
 right-hand-side chunk's two parts inside its task, instead of in three
 sequential ensemble calls. The permanental Levy marginals and the sampled
@@ -27,9 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
-
-from levyid import cli, processes
+from levyid import cli, levymeasure, processes
 from levyid.core import (
     ConvSpec,
     ExpDecayKernel,
@@ -494,19 +492,19 @@ def test_sato_columns_match_masked_reference(points):
 
 
 def _one_minus_exp_ref(law, c):
-    c = np.asarray(c, dtype=float)
+    # the same forms on one plain float through math
     if law.kind == "exponential":
-        out = 1.0 - 1.0 / (1.0 + c * law.params[0])
-    elif law.kind == "gamma":
+        x = c * law.params[0]
+        return x / (1.0 + x)
+    if law.kind == "gamma":
         k, r = law.params
-        out = 1.0 - (1.0 + c / r) ** (-k)
-    elif law.kind == "constant":
-        out = -np.expm1(-c * law.params[0])
-    else:
-        xs = np.array([x for x, _ in law.params])
-        ps = np.array([p for _, p in law.params])
-        out = _matvec(-np.expm1(-np.multiply.outer(c, xs)), ps)
-    return out if out.shape else float(out)
+        return -math.expm1(-k * math.log1p(c / r))
+    if law.kind == "constant":
+        return -math.expm1(-c * law.params[0])
+    total = 0.0
+    for x, p in law.params:
+        total += p * -math.expm1(-(c * x))
+    return total
 
 
 JUMP_LAWS = {
@@ -522,14 +520,19 @@ JUMP_LAWS = {
 
 @pytest.mark.parametrize("law", JUMP_LAWS.values(), ids=JUMP_LAWS.keys())
 def test_one_minus_exp_moment_matches_reference(law):
-    # quadrature's levels: a spread of magnitudes, with exact zeros
-    c = np.concatenate([[0.0, 1.0], np.random.default_rng(5).lognormal(0.0, 3.0, 2000)])
-    for x in c:
-        want = _one_minus_exp_ref(law, x)
-        for scalar in (float(x), np.asarray(x)):
-            got = law.one_minus_exp_moment(scalar)
-            assert type(got) is float
-            assert got == want
+    # quadrature's levels: a spread of magnitudes down to the Sato substitution's
+    # u -> 0, with exact zeros
+    gen = np.random.default_rng(5)
+    c = np.concatenate([[0.0, 1.0, 1e-300], gen.lognormal(0.0, 3.0, 2000),
+                        10.0 ** gen.uniform(-18, -6, 200)])
+    got = law.one_minus_exp_moment(c)
+    assert got.shape == c.shape
+    for i, x in enumerate(c):
+        assert got[i] == pytest.approx(_one_minus_exp_ref(law, float(x)), rel=1e-15, abs=0)
+        # a level's value does not depend on the array around it, so a
+        # piece keeps its bits however the integrator batches its nodes
+        assert law.one_minus_exp_moment(c[i : i + 1])[0] == got[i]
+        assert law.one_minus_exp_moment(float(x)) == got[i]
 
 
 def _desk_levy_job(name):
@@ -555,20 +558,21 @@ def test_quadrature_pieces_keep_every_bit(name):
     assert values() == outside
 
 
-# scipy quad calls per job; one per piece, before pieces were shared, made
-# 48 (Sato) and 59 (conv)
+# integrations per job, counted on the integrator: one per piece and one
+# per nonzero condition point; one per piece, before pieces were shared,
+# made 48 (Sato) and 59 (conv)
 @pytest.mark.parametrize("name,calls", [("sato-levy", 23), ("conv-levy", 23)])
 def test_levy_check_integrates_each_piece_once_per_job(monkeypatch, name, calls):
     cfg, _, _ = _desk_levy_job(name)
     cfg = dict(cfg, mc={"N": 2000}, levy={"n": 500})
     counts = []
-    quad = scipy.integrate.quad
+    integrate = levymeasure._integrate
 
-    def counting_quad(*args, **kwargs):
+    def counting_integrate(*args, **kwargs):
         counts[-1] += 1
-        return quad(*args, **kwargs)
+        return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    monkeypatch.setattr(levymeasure, "_integrate", counting_integrate)
     for _ in range(2):
         counts.append(0)
         cli._cmd_levy_check(cfg, 3)

@@ -1,10 +1,16 @@
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+from levyid import cli
 from levyid.core import (
     ConvSpec,
     ExpDecayKernel,
@@ -15,7 +21,9 @@ from levyid.core import (
     PanelEntry,
     PermanentalSpec,
     PoissonSpec,
+    PowerCutoffKernel,
     SatoSpec,
+    TabulatedKernel,
     TemperedStableSpec,
     make_grid,
 )
@@ -234,3 +242,236 @@ class TestLevyConditions:
         rep = validate_levy_conditions(PoissonSpec(rate=1.0), make_grid([1.0]))
         d = rep.to_dict()
         assert set(d) == {"points", "values", "finite", "pass"}
+
+
+# ---------- accuracy of the integrator against independent references ----------
+
+QUAD_RTOL = 1e-12
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _scipy_quad(f, lo, hi, points=()):
+    """int_lo^hi f by scipy's quad at 1e-14, split at the points inside."""
+    cuts = sorted({lo, hi, *(p for p in points if lo < p < hi)})
+    with warnings.catch_warnings():
+        # at 1e-14 quad reports the roundoff floor it reaches
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        return sum(scipy.integrate.quad(f, l, r, epsabs=1e-14, epsrel=1e-14, limit=500)[0]
+                   for l, r in zip(cuts[:-1], cuts[1:]))
+
+
+def _one_minus_exp_closed(law, c):
+    """E[1 - exp(-c X)], written out for each law."""
+    if law.kind == "exponential":
+        return 1.0 - 1.0 / (1.0 + c * law.params[0])
+    if law.kind == "gamma":
+        k, r = law.params
+        return 1.0 - (1.0 + c / r) ** -k
+    if law.kind == "constant":
+        return 1.0 - math.exp(-c * law.params[0])
+    return sum(p * (1.0 - math.exp(-c * x)) for x, p in law.params)
+
+
+def _expect_min_closed(law, c):
+    """E[min(c X, 1)], from scipy's regularized incomplete gamma for gamma laws."""
+    if c <= 0:
+        return 0.0
+    if law.kind == "exponential":
+        m = law.params[0]
+        return c * m * -math.expm1(-1.0 / (c * m))
+    if law.kind == "gamma":
+        k, r = law.params
+        return c * (k / r) * special.gammainc(k + 1.0, r / c) + special.gammaincc(k, r / c)
+    if law.kind == "constant":
+        return min(c * law.params[0], 1.0)
+    return sum(p * min(c * x, 1.0) for x, p in law.params)
+
+
+def _ts_expect_min_closed(alpha, c):
+    """int min(c v, 1) v^{-alpha-1} e^{-v} dv / |Gamma(-alpha)|: the head is a
+    regularized lower incomplete gamma, the tail Gamma(-alpha, u) by parts."""
+    if c <= 0:
+        return 0.0
+    s, u = 1.0 - alpha, 1.0 / c
+    return (alpha * c * special.gammainc(s, u)
+            + u**-alpha * math.exp(-u) / special.gamma(s) - special.gammaincc(s, u))
+
+
+def _driver(z, c, moment):
+    if isinstance(z, JumpLawSpec):
+        return z.rate * moment(z.law, c)
+    if moment is _one_minus_exp_closed:
+        return (1.0 + c) ** z.alpha - 1.0
+    return _ts_expect_min_closed(z.alpha, c)
+
+
+def _nu_reference(spec, entry, restriction=None, a=None):
+    """nu(F) as one integral over the jump location s, integrand built
+    pointwise from the path shape, split at every jump of its level."""
+    times, alphas = np.asarray(entry.times), np.asarray(entry.alphas)
+    keep = {None: lambda s: True}
+    if isinstance(spec, SatoSpec):
+        # a jump at location s reaches y(t) for s >= -H log t, scaled by e^{-s}
+        theta = -spec.H * np.log(times)
+        theta_a = None if a is None else -spec.H * math.log(a)
+        keep.update(positive=lambda s: s >= theta_a, zero=lambda s: s < theta_a)
+
+        def f(s):
+            level = float(alphas[theta <= s].sum()) * math.exp(-s)
+            return spec.bdlp.rate * _one_minus_exp_closed(spec.bdlp.law, level)
+
+        points = [*theta] + ([] if a is None else [theta_a])
+        lo, hi = min(points), math.inf
+    elif isinstance(spec, ConvSpec):
+        kern = spec.kernel
+        keep.update(positive=lambda s: s <= a and kern(a - s) > 0,
+                    zero=lambda s: not (s <= a and kern(a - s) > 0))
+
+        def f(s):
+            return _driver(spec.z, float(alphas @ kern(times - s)), _one_minus_exp_closed)
+
+        ends = [*times] + ([] if a is None else [a])
+        points = ends + [t - b for t in ends for b in kern.breakpoints()]
+        lo, hi = 0.0, float(times.max())
+    else:
+        # Poisson and tempered stable: unit-rate locations s, shape 1[t >= s]
+        keep.update(positive=lambda s: s <= a, zero=lambda s: s > a)
+
+        def f(s):
+            level = float(alphas[times >= s].sum())
+            if isinstance(spec, PoissonSpec):
+                return spec.rate * -math.expm1(-level)
+            return (1.0 + level) ** spec.alpha - 1.0
+
+        points = [*times] + ([] if a is None else [a])
+        lo, hi = 0.0, float(times.max())
+    return _scipy_quad(lambda s: f(s) if keep[restriction](s) else 0.0, lo, hi, points)
+
+
+def _levy_specs():
+    """Each desk and smoke levy-check job's process, with its panel."""
+    out = {}
+    for suite in ("suite_desk.json", "suite_smoke.json"):
+        for job in json.loads((REPO / "configs" / suite).read_text())["jobs"]:
+            if job["command"] == "levy-check":
+                cfg = job["config"]
+                out[f"{suite[6:-5]}-{job['name']}"] = (cli.parse_process(cfg["process"]),
+                                                       cfg["grid"])
+    return out
+
+
+LEVY_SPECS = _levy_specs()
+EXP1 = JumpLawSpec(rate=1.3, law=JumpLaw.exponential(0.8))
+# every kernel kind, and gamma, constant, discrete and tempered-stable drivers
+OTHER_SPECS = {
+    "conv-exp-decay": ConvSpec(ExpDecayKernel(0.9), EXP1),
+    "conv-power-cutoff": ConvSpec(PowerCutoffKernel(1.5, 1.2), EXP1),
+    "conv-tabulated": ConvSpec(TabulatedKernel((0.0, 0.4, 0.9, 1.6), (1.0, 0.2, 0.6, 0.0)),
+                               JumpLawSpec(0.7, JumpLaw.gamma(0.5, 2.0))),
+    "conv-indicator-ts": ConvSpec(IndicatorKernel(1.2), TemperedStableSpec(0.3)),
+    "conv-exp-decay-ts": ConvSpec(ExpDecayKernel(0.6), TemperedStableSpec(0.7)),
+    "conv-constant": ConvSpec(ExpDecayKernel(0.9), JumpLawSpec(1.0, JumpLaw.constant(1.7))),
+    "sato-gamma-0.5": SatoSpec(0.8, JumpLawSpec(1.3, JumpLaw.gamma(0.5, 1.5))),
+    "sato-gamma-2": SatoSpec(1.4, JumpLawSpec(0.6, JumpLaw.gamma(2.0, 0.7))),
+    "sato-constant": SatoSpec(0.7, JumpLawSpec(1.0, JumpLaw.constant(1.7))),
+    "sato-discrete": SatoSpec(1.2, JumpLawSpec(2.0, JumpLaw.discrete(((0.5, 0.3), (2.0, 0.7))))),
+}
+ALL_SPECS = {**{k: v[0] for k, v in LEVY_SPECS.items()}, **OTHER_SPECS}
+GRID = (0.5, 1.0, 1.5, 2.0)
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= QUAD_RTOL * abs(want), (got, want)
+
+
+class TestQuadratureAccuracy:
+    @pytest.mark.parametrize("name", LEVY_SPECS)
+    @pytest.mark.parametrize("a", (None, *cli.SPLIT_POINTS))
+    def test_levy_check_entries(self, name, a):
+        spec, grid = LEVY_SPECS[name]
+        for entry in cli.default_panel(grid):
+            for r in ((None,) if a is None else ("zero", "positive")):
+                _assert_close(levy_functional_quadrature(spec, entry, r, a).value,
+                              _nu_reference(spec, entry, r, a))
+
+    @pytest.mark.parametrize("name", OTHER_SPECS)
+    @pytest.mark.parametrize("a", (None, 0.7, 1.5))
+    def test_kernels_and_laws(self, name, a):
+        spec = OTHER_SPECS[name]
+        for entry in cli.default_panel(GRID):
+            for r in ((None,) if a is None else ("zero", "positive")):
+                _assert_close(levy_functional_quadrature(spec, entry, r, a).value,
+                              _nu_reference(spec, entry, r, a))
+
+    @pytest.mark.parametrize("H", (0.5, 1.0, 1.7))
+    def test_sato_exponential_closed_form(self, H):
+        # each piece [lo, hi) at level l integrates to
+        # rate (log(1 + l m e^{-lo}) - log(1 + l m e^{-hi})); a single time t
+        # is the one piece [-H log t, inf) at level alpha, u = t^H
+        spec = SatoSpec(H, EXP1)
+        m = EXP1.law.mean
+        for alpha, t in ((1.0, 1.0), (0.3, 0.2), (4.0, 3.0)):
+            want = EXP1.rate * math.log1p(alpha * m * t**H)
+            _assert_close(levy_functional_quadrature(spec, PanelEntry((alpha,), (t,))).value,
+                          want)
+        entry = PanelEntry((0.7, 0.9, 0.4), (0.5, 1.5, 2.0))
+        theta = [-H * math.log(t) for t in entry.times]
+        bounds = sorted(theta) + [math.inf]
+        want = 0.0
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            level = sum(al for al, th in zip(entry.alphas, theta) if th <= lo)
+            want += EXP1.rate * (math.log1p(level * m * math.exp(-lo))
+                                 - math.log1p(level * m * math.exp(-hi)))
+        _assert_close(levy_functional_quadrature(spec, entry).value, want)
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.7))
+    def test_tempered_stable_conditions(self, alpha):
+        rep = validate_levy_conditions(TemperedStableSpec(alpha), make_grid(GRID))
+        for x, got in zip(GRID, rep.values):
+            _assert_close(got, x * _ts_expect_min_closed(alpha, 1.0))
+
+    @pytest.mark.parametrize("name", ["desk-sato-levy", "desk-conv-levy", *OTHER_SPECS])
+    def test_sato_and_conv_conditions(self, name):
+        spec = ALL_SPECS[name]
+        rep = validate_levy_conditions(spec, make_grid(GRID))
+        for x, got in zip(GRID, rep.values):
+            if isinstance(spec, SatoSpec):
+                # c = e^{-s} x_j crosses 1 at s = log x_j for a law's atom sizes
+                law = spec.bdlp.law
+                kinks = ([law.params[0]] if law.kind == "constant"
+                         else [v for v, _ in law.params] if law.kind == "discrete" else [])
+                want = spec.bdlp.rate * _scipy_quad(
+                    lambda s: _expect_min_closed(law, math.exp(-s)), -spec.H * math.log(x),
+                    math.inf, [math.log(v) for v in kinks])
+            else:
+                kern, z = spec.kernel, spec.z
+                points = [x - b for b in kern.breakpoints()]
+                if isinstance(z, JumpLawSpec) and z.law.kind == "constant":
+                    # the exp-decay response e^{-d (x - s)} times x_0 crosses 1
+                    points.append(x - math.log(z.law.params[0]) / kern.decay)
+                want = _scipy_quad(lambda s: _driver(z, float(kern(x - s)), _expect_min_closed),
+                                   max(0.0, x - kern.support_end), x, points)
+            _assert_close(got, want)
+
+    @pytest.mark.parametrize("law", [JumpLaw.exponential(0.8), JumpLaw.gamma(0.5, 2.0),
+                                     JumpLaw.gamma(2.0, 0.7), JumpLaw.constant(1.7),
+                                     JumpLaw.discrete(((0.5, 0.3), (2.0, 0.7)))],
+                             ids=["exponential", "gamma-0.5", "gamma-2", "constant", "discrete"])
+    def test_expect_min_cx_one(self, law):
+        c = np.concatenate([[0.0], 10.0 ** np.linspace(-8, 6, 57)])
+        got = law.expect_min_cx_one(c)
+        assert got.shape == c.shape
+        for x, g in zip(c, got):
+            _assert_close(g, _expect_min_closed(law, float(x)))
+
+    def test_permanental_conditions(self):
+        spec = PermanentalSpec(rates=((0.0, 0.5, 0.2), (0.5, 0.0, 1.0), (0.2, 1.0, 0.0)),
+                               kill=(0.3, 0.1, 2.0), beta=0.5)
+        from levyid.permanental import green_matrix
+
+        g = green_matrix(spec).matrix
+        rep = validate_levy_conditions(spec)
+        for x, got in enumerate(rep.values):
+            theta = 2.0 * g[x, x]
+            _assert_close(got, 0.5 * (theta * -math.expm1(-1.0 / theta)
+                                      + special.exp1(1.0 / theta)))
