@@ -34,7 +34,6 @@ from .identities import (
     verify_tilting_identity,
 )
 from .levymeasure import (
-    LevyConditionReport,
     LevyEstimate,
     laplace_exponent_check,
     levy_functional_mc,
@@ -70,7 +69,6 @@ __all__ = [
     "JumpLaw",
     "JumpLawSpec",
     "Kernel",
-    "LevyConditionReport",
     "LevyEstimate",
     "LevyFunctionalPanel",
     "LimitReport",

@@ -23,6 +23,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -378,8 +379,9 @@ def _identity_command(cfg, seed, identity):
     return resolved, report.to_dict(), report.overall_pass, _report_csv(report)
 
 
-# the Laplace exponent and the splits integrate many of the same pieces;
-# within one job each is integrated once
+# the Laplace exponent, the conditions (the exponent at alpha = 1 at each grid
+# point) and the splits integrate many of the same pieces; within one job
+# each is integrated once
 @quadrature_pieces()
 def _cmd_levy_check(cfg, seed):
     spec, grid, _, panel, n, z_crit, resolved = _grid_job(cfg, pinned=False)
@@ -411,7 +413,7 @@ def _cmd_levy_check(cfg, seed):
 
     results = {
         "laplace_exponent": lap.to_dict(),
-        "conditions": conds.to_dict(),
+        "conditions": conds,
         "representation": reprs.to_dict(),
         "split_additivity": {"cases": splits, "tolerance": SPLIT_TOL,
                              "pass": all(c["pass"] for c in splits)},
@@ -586,9 +588,20 @@ def _diff(path_a, path_b) -> int:
         r.pop("timestamp", None)
     a, b = ({p: json.dumps(v) for p, v in _leaves(r)} for r in (a, b))
     changed = [p for p in {**a, **b} if a.get(p) != b.get(p)]
-    for p in changed:
-        print(f"{p}: {a.get(p, '(absent)')} -> {b.get(p, '(absent)')}")
+    _write_stdout(f"{p}: {a.get(p, '(absent)')} -> {b.get(p, '(absent)')}\n" for p in changed)
     return 1 if changed else 0
+
+
+def _write_stdout(chunks):
+    """Write each chunk to stdout. A reader that closes the pipe early, as
+    `| head` does, ends the output but not the command."""
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _write_csv(path, payload):
@@ -677,7 +690,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
-            sys.stdout.write(text)
+            _write_stdout([text])
         if args.csv:
             _write_csv(args.csv, csv_payload)
     except OSError as exc:

@@ -183,31 +183,6 @@ class JumpLaw:
         xs, ps = zip(*self.params)
         return _matvec(-np.expm1(-np.multiply.outer(c, xs)), ps)
 
-    def expect_min_cx_one(self, c) -> np.ndarray:
-        """E[min(c X, 1)] for X with this law, at each c >= 0 of an array."""
-        c = np.asarray(c, dtype=float)
-        if self.kind == "exponential":
-            # int_0^1 P(c X > t) dt
-            m = self.params[0]
-            with np.errstate(divide="ignore"):
-                return c * m * -np.expm1(-1.0 / (c * m))
-        if self.kind == "gamma":
-            from .levymeasure import _incomplete_gamma
-
-            k, r = self.params
-            out = np.zeros(c.shape)
-            pos = c > 0
-            x = r / c[pos]  # r u, u = 1 / c
-            # c E[X; X <= u] + P(X > u), E[X; X <= u] = (k/r) P(Gamma(k+1) <= r u)
-            head = _incomplete_gamma(k + 1.0, x)[0] / math.gamma(k + 1.0)
-            tail = _incomplete_gamma(k, x)[1] / math.gamma(k)
-            out[pos] = c[pos] * (k / r) * head + tail
-            return out
-        if self.kind == "constant":
-            return np.minimum(c * self.params[0], 1.0)
-        xs, ps = zip(*self.params)
-        return _matvec(np.minimum(np.multiply.outer(c, xs), 1.0), ps)
-
 
 @dataclass(frozen=True)
 class JumpLawSpec:

@@ -10,11 +10,11 @@ optionally restricted to {y(a) = 0} or {y(a) > 0}. The restricted pieces
 add up to the unrestricted value exactly, which the test-suite exploits.
 
 Every integral here goes through one adaptive Gauss-Legendre integrator on
-numpy arrays, _integrate. Infinite ranges and endpoint singularities are
-removed by exact substitutions, never by truncation: u = e^{-s} for the Sato
-pieces and conditions, and t = x w^{1/s} or t = x + w / (1 - w) for the
-incomplete gamma integrals behind the gamma-law, tempered-stable and
-permanental integrability conditions.
+numpy arrays, _integrate. The infinite range of the Sato pieces is removed
+by the exact substitution u = e^{-s}, never by truncation. The
+integrability condition nu(y(x) ^ 1) < inf is checked through the Laplace
+exponent nu(1 - e^{-y(x)}) of the one-point entry alpha = 1 at x, which is
+finite exactly when the condition holds.
 """
 
 from __future__ import annotations
@@ -157,10 +157,9 @@ def _quad(key, f, lo, hi) -> float:
     """int_lo^hi f by _integrate, for an array-valued integrand f.
 
     key names the integrand f, so that equal keys mean equal integrands; a
-    keyed piece is integrated once per quadrature_pieces() scope. None
-    integrates every time.
+    keyed piece is integrated once per quadrature_pieces() scope.
     """
-    pieces = None if key is None else _PIECES.get()
+    pieces = _PIECES.get()
     if pieces is not None and (key, lo, hi) in pieces:
         return pieces[key, lo, hi]
     value = float(_integrate(f, lo, hi))
@@ -446,120 +445,27 @@ def laplace_exponent_check(
     )
 
 
-@dataclass
-class LevyConditionReport:
-    """Integrability of y(x) ^ 1 under nu at each checkpoint."""
+def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) -> dict:
+    """The Laplace exponent kappa_x(1) = nu(1 - e^{-y(x)}) at each grid point
+    (each state for permanental specs), and whether each is finite.
 
-    points: list[float]
-    values: list[float]
-    finite: list[bool]
-    ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "points": self.points,
-            "values": self.values,
-            "finite": self.finite,
-            "pass": self.ok,
-        }
-
-
-def _lower_gamma(s, x):
-    """int_0^x t^{s-1} e^{-t} dt at each x of a 1-d array, s > 0."""
-    # t = x w^{1/s} takes [0, x] to w in [0, 1] and t^{s-1} dt to x^s / s dw
-    return x**s / s * _integrate(lambda w: np.exp(-np.multiply.outer(x, w ** (1.0 / s))),
-                                 0.0, 1.0)
-
-
-def _upper_gamma(s, x):
-    """int_x^inf t^{s-1} e^{-t} dt at each x > 0 of a 1-d array, s >= 0."""
-
-    # t = x + w / (1 - w) takes [x, inf) to w in [0, 1), where the integrand
-    # x^{s-1} e^{-x} (1 + y/x)^{s-1} e^{-y} dy, y = w / (1 - w), vanishes
-    # to every order as w -> 1
-    def f(w):
-        y = w / (1.0 - w)
-        return (1.0 + np.multiply.outer(1.0 / x, y)) ** (s - 1.0) * (np.exp(-y) / (1.0 - w) ** 2)
-
-    return np.exp((s - 1.0) * np.log(x) - x) * _integrate(f, 0.0, 1.0)
-
-
-def _incomplete_gamma(s, x):
-    """(int_0^x, int_x^inf) of t^{s-1} e^{-t} dt at each x > 0 of a 1-d
-    array, s > 0. The side that holds at most about half of Gamma(s) is
-    integrated and the other is Gamma(s) minus it, so no difference loses
-    more than a bit."""
-    small = x <= s
-    lower, upper = np.empty_like(x), np.empty_like(x)
-    if small.any():
-        lower[small] = _lower_gamma(s, x[small])
-        upper[small] = math.gamma(s) - lower[small]
-    if not small.all():
-        upper[~small] = _upper_gamma(s, x[~small])
-        lower[~small] = math.gamma(s) - upper[~small]
-    return lower, upper
-
-
-def _ts_expect_min(alpha: float, c):
-    """int min(c v, 1) v^{-alpha-1} e^{-v} dv / |Gamma(-alpha)| at each c of
-    an array; 0 where c <= 0."""
-    c = np.asarray(c, dtype=float)
-    out = np.zeros(c.shape)
-    pos = c > 0
-    u = 1.0 / c[pos]
-    head, upper = _incomplete_gamma(1.0 - alpha, u)  # of v^{-alpha} e^{-v}
-    # by parts, int_u^inf v^{-alpha-1} e^{-v} dv = (u^{-alpha} e^{-u} - upper) / alpha
-    tail = (u**-alpha * np.exp(-u) - upper) / alpha
-    out[pos] = (c[pos] * head + tail) * (alpha / math.gamma(1.0 - alpha))
-    return out
-
-
-def _driver_expect_min(z, c):
-    if isinstance(z, JumpLawSpec):
-        return z.rate * z.law.expect_min_cx_one(c)
-    return _ts_expect_min(z.alpha, c)
-
-
-def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) -> LevyConditionReport:
-    """Check int (y(x) ^ 1) nu(dy) < inf at each grid point (each state for
-    permanental specs)."""
+    Since (1 - 1/e)(y ^ 1) <= 1 - e^{-y} <= y ^ 1 for y >= 0, kappa_x(1) is
+    finite exactly when the Levy-Khintchine condition nu(y(x) ^ 1) < inf
+    holds. Inside a quadrature_pieces() scope the integrals are shared with
+    the job's other quadratures."""
     if isinstance(spec, PermanentalSpec):
-        from .permanental import green_matrix
+        from .permanental import green_matrix, marginal_levy_functional
 
-        g = green_matrix(spec).matrix
-        points = list(range(spec.n)) if grid is None else [int(p) for p in grid.points]
-        # marginal is Gamma(beta, scale theta); its jump density is
-        # beta v^{-1} e^{-v/theta}, and E1(z) = int_z^inf e^{-t} / t dt
-        theta = 2.0 * np.array([g[x, x] for x in points])
-        values = spec.beta * (theta * -np.expm1(-1.0 / theta) + _upper_gamma(0.0, 1.0 / theta))
-        points = [float(p) for p in points]
+        green = green_matrix(spec)
+        states = range(spec.n) if grid is None else [int(p) for p in grid.points]
+        # psi(x) is Gamma(beta, scale 2 g(x, x)): kappa_x(1) = beta log(1 + 2 g(x, x))
+        values = [spec.beta * marginal_levy_functional(green, 2.0, x) for x in states]
+        points = [float(x) for x in states]
     else:
         if grid is None:
             raise ValueError("time-indexed families need a grid of checkpoints")
         points = [float(t) for t in grid.points]
-        if isinstance(spec, TemperedStableSpec):
-            # nu(y(x) ^ 1) = x * nu(y(1) ^ 1): one integral serves the whole grid
-            ts_unit = float(_ts_expect_min(spec.alpha, [1.0])[0])
-        values = []
-        for x in points:
-            if x == 0:
-                values.append(0.0)
-                continue
-            if isinstance(spec, PoissonSpec):
-                values.append(spec.rate * x)
-            elif isinstance(spec, TemperedStableSpec):
-                values.append(x * ts_unit)
-            elif isinstance(spec, SatoSpec):
-                # u = e^{-s} takes [-H log x, inf) to [0, x^H]
-                law = spec.bdlp.law
-                v = _quad(None, lambda u: law.expect_min_cx_one(u) / u, 0.0, x**spec.H)
-                values.append(spec.bdlp.rate * v)
-            elif isinstance(spec, ConvSpec):
-                lo = max(0.0, x - spec.kernel.support_end)
-                values.append(_quad(
-                    None, lambda s: _driver_expect_min(spec.z, spec.kernel(x - s)), lo, x
-                ))
-            else:
-                raise TypeError(f"unsupported spec {type(spec).__name__}")
-    finite = [bool(math.isfinite(v)) for v in values]
-    return LevyConditionReport(points, [float(v) for v in values], finite, all(finite))
+        values = [levy_functional_quadrature(spec, PanelEntry((1.0,), (x,))).value
+                  for x in points]
+    finite = [math.isfinite(v) for v in values]
+    return {"points": points, "values": values, "finite": finite, "pass": all(finite)}

@@ -872,6 +872,39 @@ class TestDiff:
             assert err.startswith("levyid: diff:")
 
 
+class TestClosedStdout:
+    """A reader that closes the pipe early, as `| head` does, ends the
+    output but not the command: no traceback, and the usual exit code."""
+
+    @staticmethod
+    def _closed_stdout(tmp_path, args, lines):
+        """Run levyid in a child whose reader reads `lines` lines, then closes
+        the pipe; return the exit code and what went to stderr."""
+        err = tmp_path / "stderr.txt"
+        with open(err, "wb") as fh:
+            proc = subprocess.Popen([sys.executable, "-m", "levyid", *args],
+                                    stdout=subprocess.PIPE, stderr=fh, env=_src_env())
+            head = [proc.stdout.readline() for _ in range(lines)]
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        return code, head, err.read_text()
+
+    def test_diff_ends_quietly(self, tmp_path):
+        # far more diff lines than a pipe buffer holds, so the writer meets
+        # the closed pipe in the middle of its output
+        a, b = ({"results": {f"k{i}": v for i in range(10_000)}} for v in (0, 1))
+        code, head, err = self._closed_stdout(
+            tmp_path, ["diff", _write(tmp_path, "a.json", a), _write(tmp_path, "b.json", b)], 1)
+        assert head == [b"$.results.k0: 0 -> 1\n"]
+        assert (code, err) == (1, "")
+
+    def test_report_ends_quietly(self, tmp_path):
+        # the reader is gone before the report is written
+        cfg = _write(tmp_path, "cfg.json", dict(BASE, mc={"N": 500}))
+        code, _, err = self._closed_stdout(tmp_path, ["verify-isonat", "--config", cfg], 0)
+        assert (code, err) == (0, "")
+
+
 class TestApproximateFlag:
     """A moving average driven by a tempered stable subordinator is sampled
     from grid increments, and its report says so."""
@@ -975,8 +1008,8 @@ class TestScipyOffImportPath:
             "conv": {"family": "conv", "kernel": {"kind": "indicator", "length": 1.0},
                      "driver": {"rate": 1.0, "law": {"kind": "exponential", "mean": 1.0}}},
             "conv-ts": CONV_TS,
-            # the gamma law's integrability condition, through the incomplete
-            # gamma integrals
+            # a gamma-law driver's one_minus_exp_moment, in the quadrature and
+            # in the integrability conditions
             "sato-gamma": {"family": "sato", "H": 0.8, "bdlp": gamma},
         }
         jobs = [("levy-check", _write(tmp_path, f"{name}.json", {
@@ -989,6 +1022,6 @@ class TestScipyOffImportPath:
             "from levyid.core import PermanentalSpec\n"
             "from levyid.levymeasure import validate_levy_conditions\n"
             "spec = PermanentalSpec(rates=((0.0, 1.0), (1.0, 0.0)), kill=(0.5, 0.25))\n"
-            "assert validate_levy_conditions(spec).ok\n"
+            "assert validate_levy_conditions(spec)['pass']\n"
         )
         assert self._run(then=then) == "[] []"

@@ -109,18 +109,6 @@ class TestJumpLaw:
         with pytest.raises(ValueError):
             JumpLaw.constant(-1.0)
 
-    def test_expect_min_cx_one_exponential(self):
-        # E[min(cX, 1)] for X ~ Exp(1): c(1 - e^{-1/c}) by direct integration
-        law = JumpLaw.exponential(1.0)
-        for c in (0.3, 1.0, 4.0):
-            want = c * (1 - math.exp(-1 / c))
-            assert law.expect_min_cx_one(c) == pytest.approx(want, rel=1e-10)
-
-    def test_expect_min_cx_one_constant(self):
-        law = JumpLaw.constant(2.0)
-        assert law.expect_min_cx_one(0.25) == pytest.approx(0.5)
-        assert law.expect_min_cx_one(3.0) == pytest.approx(1.0)
-
     @given(st.floats(0.01, 20.0))
     def test_one_minus_exp_moment_in_unit_interval(self, c):
         for law in (JumpLaw.exponential(1.3), JumpLaw.gamma(0.5, 2.0),

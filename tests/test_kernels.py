@@ -558,10 +558,13 @@ def test_quadrature_pieces_keep_every_bit(name):
     assert values() == outside
 
 
-# integrations per job, counted on the integrator: one per piece and one
-# per nonzero condition point; one per piece, before pieces were shared,
-# made 48 (Sato) and 59 (conv)
-@pytest.mark.parametrize("name,calls", [("sato-levy", 23), ("conv-levy", 23)])
+# integrations per job, counted on the integrator: one per piece. The
+# Laplace exponent and the splits take 20 (Sato) and 19 (conv); the
+# conditions' one-point entries at alpha = 1 add the pieces the panel does
+# not share, 1 (Sato) and 5 (conv). One per piece, before pieces were
+# shared, made 48 (Sato) and 59 (conv)
+@pytest.mark.parametrize("name,calls", [("sato-levy", 21), ("conv-levy", 24)],
+                         ids=["sato-levy", "conv-levy"])
 def test_levy_check_integrates_each_piece_once_per_job(monkeypatch, name, calls):
     cfg, _, _ = _desk_levy_job(name)
     cfg = dict(cfg, mc={"N": 2000}, levy={"n": 500})
