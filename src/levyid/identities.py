@@ -37,6 +37,8 @@ from .randkit import RngStream, sample_size_biased_jump
 from .statlab import (
     Check,
     build_identity_report,
+    control_variate_panel,
+    effective_sample_size,
     weighted_laplace_panel,
 )
 
@@ -185,10 +187,11 @@ def tilted_ensemble(
     return tilt(sample_paths(rng, spec, grid, n))
 
 
-def _verdict(name, grid, panel, lhs_ens, rhs_vals, z_crit, n) -> Check:
-    lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel)
+def _verdict(name, grid, panel, lhs, rhs_vals, z_crit, n, notes=None) -> Check:
+    """The identity's Check: `lhs` holds the LHS estimates and SEs, and the
+    RHS paths are averaged with unit weights."""
     rhs, rhs_se = weighted_laplace_panel(WeightedEnsemble(grid, rhs_vals), panel)
-    return build_identity_report(name, panel, lhs, rhs, lhs_se, rhs_se, z_crit, n)
+    return build_identity_report(name, panel, lhs[0], rhs, lhs[1], rhs_se, z_crit, n, notes)
 
 
 def verify_tilting_identity(
@@ -203,7 +206,10 @@ def verify_tilting_identity(
     """Size-biased psi against psi + companion, on independent streams.
 
     Both sides are drawn in one sample_ensemble call; an RHS chunk adds its
-    companion to its base paths in place.
+    companion to its base paths in place. The tilting weights have mean
+    exactly one, so the LHS is the control-variate estimate
+    (`statlab.control_variate_panel`), which uses that known normalizer; the
+    notes give the weights' effective sample size and largest share.
     """
     tilt = _tilt(spec, a, grid)
 
@@ -219,7 +225,12 @@ def verify_tilting_identity(
         rng.substream(_TAG_LHS),
         (rng.substream(_TAG_RHS_BASE), rng.substream(_TAG_RHS_ADD)),
     ), n)
-    return _verdict("tilting", grid, panel, tilt(lhs_vals), rhs_vals, z_crit, n)
+    lhs_ens = tilt(lhs_vals)
+    lhs = control_variate_panel(lhs_ens, panel)
+    w = lhs_ens.weights
+    notes = {"lhs_estimator": "control-variate", "lhs_ess": effective_sample_size(w),
+             "lhs_max_weight_share": float(w.max() / w.sum())}
+    return _verdict("tilting", grid, panel, lhs, rhs_vals, z_crit, n, notes)
 
 
 def verify_decomposition_identity(
@@ -250,5 +261,5 @@ def verify_decomposition_identity(
         rng.substream(_TAG_LHS),
         (rng.substream(_TAG_RHS_BASE), rng.substream(_TAG_RHS_ADD)),
     ), n)
-    return _verdict("decomposition", grid, panel, WeightedEnsemble(grid, lhs_vals),
-                    rhs_vals, z_crit, n)
+    lhs = weighted_laplace_panel(WeightedEnsemble(grid, lhs_vals), panel)
+    return _verdict("decomposition", grid, panel, lhs, rhs_vals, z_crit, n)

@@ -143,7 +143,8 @@ def _ts_values(rng: RngStream, alpha: float, points, n: int) -> np.ndarray:
 
 def _jump_set(rng: RngStream, driver: JumpLawSpec, lo: float, hi: float, n: int):
     """The driver's jumps on locations [lo, hi) for n independent paths, as
-    (path index, location, size) arrays; None when no path has a jump."""
+    (jump count per path, location, size) arrays, the jumps grouped by path
+    in path order; None when no path has a jump."""
     mean = _poisson_mean(driver.rate * (hi - lo))
     if not mean * n <= _MAX_JUMPS:
         raise ValueError(
@@ -153,9 +154,8 @@ def _jump_set(rng: RngStream, driver: JumpLawSpec, lo: float, hi: float, n: int)
     m = int(counts.sum())
     if m == 0:
         return None
-    rep = np.repeat(np.arange(n), counts)
     s = rng.generator.uniform(lo, hi, m)
-    return rep, s, sample_jump(rng, driver.law, m)
+    return counts, s, sample_jump(rng, driver.law, m)
 
 
 def _sato_values(
@@ -178,14 +178,27 @@ def _sato_values(
     jumps = _jump_set(rng, spec.bdlp, float(thresholds[pos].min()), hi, n)
     if jumps is None:
         return out
-    rep, s, x = jumps
-    v = x * np.exp(-s)
-    # a jump below a point's threshold adds +0.0 to its row's nonnegative
+    counts, s, x = jumps
+    del jumps
+    # how many of the distinct thresholds, in increasing order, each jump
+    # clears: it is seen at a point of threshold levels[r] when cleared > r
+    levels = np.unique(thresholds[pos])
+    cleared = np.zeros(s.size, np.min_scalar_type(levels.size))
+    for level in levels:
+        cleared += s >= level
+    # x * exp(-s) in the location buffer; multiplication commutes, so these
+    # are the bits of x * np.exp(-s)
+    v = np.exp(np.negative(s, out=s), out=s)
+    v *= x
+    del x
+    rep = np.repeat(np.arange(n), counts)
+    # going by increasing threshold, the jumps a point does not see are
+    # zeroed before its sum; a zeroed jump adds +0.0 to its row's nonnegative
     # running sum, which is exact: the same bits as summing only the kept jumps
-    kept = np.empty_like(v)
-    for j in np.flatnonzero(pos):
-        np.multiply(v, s >= thresholds[j], out=kept)
-        out[:, j] = np.bincount(rep, weights=kept, minlength=n)
+    rank = np.searchsorted(levels, thresholds)
+    for j in sorted(np.flatnonzero(pos), key=lambda j: rank[j]):
+        v[cleared <= rank[j]] = 0.0
+        out[:, j] = np.bincount(rep, weights=v, minlength=n)
     return out
 
 
@@ -203,7 +216,8 @@ def _conv_values(
         jumps = _jump_set(rng, spec.z, 0.0, t_max, n)
         if jumps is None:
             return out
-        rep, s, x = jumps
+        counts, s, x = jumps
+        rep = np.repeat(np.arange(n), counts)
         if jump_filter is not None:
             keep = jump_filter(s)
             rep, s, x = rep[keep], s[keep], x[keep]

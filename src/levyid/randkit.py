@@ -116,7 +116,9 @@ def sample_jump(rng: RngStream, law: JumpLaw, size: int) -> np.ndarray:
     """Draw jump sizes from a JumpLaw."""
     gen = rng.generator
     if law.kind == "exponential":
-        return law.params[0] * gen.standard_exponential(size)
+        x = gen.standard_exponential(size)
+        x *= law.params[0]
+        return x
     if law.kind == "gamma":
         k, r = law.params
         return gen.gamma(k, 1.0 / r, size)

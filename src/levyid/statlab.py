@@ -1,10 +1,17 @@
 """Weighted empirical Laplace functionals, linearized errors, and the one
 z-gated Check every statistical verdict goes through.
 
-Standard errors are the delta-method (linearized) errors of the
-self-normalized ratio estimator sum(w v) / sum(w) (Owen, Monte Carlo
-theory, methods and examples, ch. 9); a plain mean is the unit-weight case.
-They are closed-form, so they consume no random draws.
+Two estimators cover weighted ensembles (Owen, Monte Carlo theory, methods
+and examples, chs. 8 and 9); a plain mean is the unit-weight case of either.
+
+* `control_variate_panel`, for weights whose mean is exactly one, such as
+  the tilting weights psi(a) / E psi(a): the mean of the terms w v, with
+  the control variate w - 1, whose mean is known to be 0, regressed out.
+* `weighted_laplace_panel`, for any nonnegative weights: the
+  self-normalized ratio sum(w v) / sum(w) with its delta-method
+  (linearized) error.
+
+Their standard errors are closed-form, so they consume no random draws.
 
 A Check holds one report block: each row's estimate and target with their
 SEs, z-scored by `compare`, and one gate on every |z|. Identity blocks gate
@@ -62,6 +69,50 @@ def weighted_laplace_panel(
             np.subtract(v, est[k], out=v)
             r = np.multiply(w, v, out=v)
             se[k] = math.sqrt(np.sum(np.multiply(r, r, out=tmp))) / sw
+    return est, se
+
+
+def _center(x: np.ndarray, out: np.ndarray) -> float:
+    """Mean of x, with x - mean written to `out` (which may be x).
+
+    The values are shifted by x[0] before they are summed, so equal values
+    have deviations of exactly 0.
+    """
+    first = float(x[0])
+    np.subtract(x, first, out=out)
+    shift = float(np.sum(out)) / out.size
+    np.subtract(out, shift, out=out)
+    return first + shift
+
+
+def control_variate_panel(ensemble: WeightedEnsemble, panel: LevyFunctionalPanel):
+    """Control-variate estimates and SEs for every entry, for weights of
+    mean exactly one.
+
+    With terms t_i = w_i v_i, the slope b = sum (t - mean t)(w - mean w) /
+    sum (w - mean w)^2 (0 for constant weights), the estimate is
+    mean t - b (mean w - 1) and se = sqrt(sum (t - mean t - b (w - mean w))^2) / n.
+    Fewer than two paths, and an entry whose terms are all equal, give se 0.
+    """
+    w = ensemble.weights
+    if w.sum() <= 0:
+        raise ValueError("all ensemble weights are zero")
+    n = w.size
+    est = np.empty(len(panel))
+    se = np.empty(len(panel))
+    # every entry is evaluated into the same two n-buffers
+    t, tmp = np.empty(n), np.empty(n)
+    wc = np.empty(n)
+    w_mean = _center(w, wc)
+    sww = np.sum(np.multiply(wc, wc, out=tmp))
+    for k, entry in enumerate(panel):
+        laplace_values(ensemble, entry, out=t, work=tmp)
+        np.multiply(w, t, out=t)
+        t_mean = _center(t, t)
+        beta = np.sum(np.multiply(t, wc, out=tmp)) / sww if sww > 0 else 0.0
+        est[k] = t_mean - beta * (w_mean - 1.0)
+        np.subtract(t, np.multiply(wc, beta, out=tmp), out=t)
+        se[k] = math.sqrt(np.sum(np.multiply(t, t, out=tmp))) / n
     return est, se
 
 

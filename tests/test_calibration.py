@@ -1,15 +1,19 @@
 """Calibration of the linearized standard errors across seeds.
 
 When an identity holds, its z-scores must behave like standard normals.
-Over SEEDS independent seeds at N = 20k, for tilting, decomposition and the
-final rung of the thinning ladder, and at DECOMP_N = 5k for the decomposition
-on the tempered-stable and self-similar families:
+Over SEEDS independent seeds at N = 20k, for tilting (tempered-stable),
+decomposition (Poisson) and the final rung of the thinning ladder, and at
+DECOMP_N = 5k for tilting on the Poisson, self-similar and moving-average
+families and for the decomposition on the tempered-stable and self-similar
+families:
 
 - each entry's |z| > 3 rate and the family-wise (Bonferroni) fail rate stay
   within binomial error of their nominal levels;
 - each entry's z variance stays within chi-square error of 1;
-- on the first BOOT_SEEDS seeds the SEs agree with a reference percentile
-  bootstrap computed on the same ensembles.
+- on the first BOOT_SEEDS seeds the SEs of every estimate agree with a
+  reference percentile bootstrap of the same estimator, computed on the same
+  ensembles: the ratio estimator's, or, for the tilting LHS, the
+  control-variate estimator's with its slope refitted in every resample.
 
 The permanental job's Levy marginals, which share one draw across states,
 are scanned over the same seeds at their own small size, PERM_N rows, on the
@@ -29,6 +33,8 @@ import pytest
 import levyid.identities as identities
 from levyid.cli import default_panel, parse_process
 from levyid.core import (
+    ConvSpec,
+    IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
     LevyFunctionalPanel,
@@ -64,21 +70,49 @@ LEVY_N = 5_000
 DECOMP_N = 5_000
 
 
-def reference_bootstrap_se(ens, panel, b=500, seed=0, chunk=50):
-    """Half-width of the central 68.27% of b resampled ratio estimates, the
-    standard error the package used before the linearized formula."""
+def _resampled_sums(x, b, seed, chunk=50):
+    """Column sums of the rows of x over b resamples of its rows, drawn with
+    replacement: a (b, columns) array."""
     gen = np.random.default_rng(seed)
-    w, n = ens.weights, ens.weights.size
-    x = np.column_stack([w] + [w * laplace_values(ens, e) for e in panel])
+    n = len(x)
     sums = []
     for _ in range(b // chunk):
         idx = gen.integers(0, n, (chunk, n)) + n * np.arange(chunk)[:, None]
         counts = np.bincount(idx.ravel(), minlength=chunk * n).reshape(chunk, n)
         sums.append(counts @ x)
-    sums = np.concatenate(sums)
-    lo, hi = np.percentile(sums[:, 1:] / sums[:, :1], [15.865525393145708, 84.13447460685429],
-                           axis=0)
+    return np.concatenate(sums)
+
+
+def _half_width(estimates):
+    """Half-width of the central 68.27% of resampled estimates, per column."""
+    lo, hi = np.percentile(estimates, [15.865525393145708, 84.13447460685429], axis=0)
     return 0.5 * (hi - lo)
+
+
+def reference_bootstrap_se(ens, panel, b=500, seed=0):
+    """Percentile bootstrap SE of the ratio estimates, the standard error
+    the package used before the linearized formula."""
+    w = ens.weights
+    sums = _resampled_sums(np.column_stack([w] + [w * laplace_values(ens, e) for e in panel]),
+                           b, seed)
+    return _half_width(sums[:, 1:] / sums[:, :1])
+
+
+def reference_cv_bootstrap_se(ens, panel, b=500, seed=0):
+    """Percentile bootstrap SE of the control-variate estimates, whose slope
+    is refitted in every resample from its moments."""
+    w, k = ens.weights, len(panel)
+    t = np.column_stack([w * laplace_values(ens, e) for e in panel])
+    m = _resampled_sums(np.column_stack([w, w * w, t, t * w[:, None]]), b, seed) / w.size
+    w_mean, ww = m[:, :1], m[:, 1:2]
+    t_mean, tw = m[:, 2:2 + k], m[:, 2 + k:]
+    beta = (tw - t_mean * w_mean) / (ww - w_mean**2)
+    return _half_width(t_mean - beta * (w_mean - 1.0))
+
+
+# each estimator an identity check calls, with its reference bootstrap
+REFERENCES = {"weighted_laplace_panel": reference_bootstrap_se,
+              "control_variate_panel": reference_cv_bootstrap_se}
 
 
 def _exposure_integral(entry, hi, g):
@@ -99,22 +133,29 @@ def _tilted_thinned_poisson(entry, rate, a):
     return path * jump
 
 
-def _identity_scan(verifier, spec, n=N):
-    zs, fails, ensembles = [], 0, []
-    real = identities.weighted_laplace_panel
-
+def _capture(real, reference, captured):
     def capture(ens, panel, *args, **kwargs):
-        ensembles.append(ens)
+        captured.append((real, reference, ens))
         return real(ens, panel, *args, **kwargs)
 
+    return capture
+
+
+def _identity_scan(verifier, spec, n=N):
+    # on the first BOOT_SEEDS seeds, each side's ensemble is kept with the
+    # estimator the verifier gave it and that estimator's reference bootstrap
+    zs, fails, captured = [], 0, []
     for s in range(SEEDS):
         with pytest.MonkeyPatch.context() as mp:
             if s < BOOT_SEEDS:
-                mp.setattr(identities, "weighted_laplace_panel", capture)
+                for name, reference in REFERENCES.items():
+                    mp.setattr(identities, name,
+                               _capture(getattr(identities, name), reference, captured))
             report = verifier(RngStream(s), spec, A, GRID, PANEL, n, z_crit=Z_CRIT)
         zs.append(report.z)
         fails += not report.overall_pass
-    return np.array(zs), fails, ensembles
+    assert len(captured) == 2 * BOOT_SEEDS, "an identity side's estimator went uncaptured"
+    return np.array(zs), fails, captured
 
 
 def _rung_scan():
@@ -124,7 +165,7 @@ def _rung_scan():
     ia = int(GRID.index_of([A])[0])
     truth = np.array([_tilted_thinned_poisson(e, spec.rate * delta, A) for e in PANEL])
     bz = bonferroni_crit(Z_CRIT, len(PANEL))
-    zs, fails, ensembles = [], 0, []
+    zs, fails, captured = [], 0, []
     for s in range(SEEDS):
         vals = sample_ensemble(
             lambda stream, m: thinned_values(stream, spec, delta, GRID.points, m),
@@ -136,21 +177,29 @@ def _rung_scan():
         zs.append(z)
         fails += bool(np.any(np.abs(z) > bz))
         if s < BOOT_SEEDS:
-            ensembles.append(ens)
-    return np.array(zs), fails, ensembles
+            captured.append((weighted_laplace_panel, reference_bootstrap_se, ens))
+    return np.array(zs), fails, captured
 
+
+# the desk suite's self-similar and moving-average tilting processes
+DESK_SATO = SatoSpec(0.5, JumpLawSpec(1.0, JumpLaw.exponential(1.0)))
+DESK_CONV = ConvSpec(IndicatorKernel(1.0), JumpLawSpec(1.0, JumpLaw.exponential(1.0)))
 
 SCANS = {
     "tilting": lambda: _identity_scan(identities.verify_tilting_identity,
                                       TemperedStableSpec(0.5)),
+    "tilting-poisson": lambda: _identity_scan(identities.verify_tilting_identity,
+                                              PoissonSpec(1.0), DECOMP_N),
+    "tilting-sato": lambda: _identity_scan(identities.verify_tilting_identity,
+                                           DESK_SATO, DECOMP_N),
+    "tilting-conv": lambda: _identity_scan(identities.verify_tilting_identity,
+                                           DESK_CONV, DECOMP_N),
     "decomposition": lambda: _identity_scan(identities.verify_decomposition_identity,
                                             PoissonSpec(1.0)),
     "decomposition-tempered-stable": lambda: _identity_scan(
         identities.verify_decomposition_identity, TemperedStableSpec(0.5), DECOMP_N),
-    # the desk suite's self-similar process
     "decomposition-sato": lambda: _identity_scan(
-        identities.verify_decomposition_identity,
-        SatoSpec(0.5, JumpLawSpec(1.0, JumpLaw.exponential(1.0))), DECOMP_N),
+        identities.verify_decomposition_identity, DESK_SATO, DECOMP_N),
     "final-rung": _rung_scan,
 }
 
@@ -192,10 +241,10 @@ def test_z_variance_near_one(scan):
 def test_matches_reference_bootstrap(scan):
     # per entry within the B = 500 bootstrap's own noise (about 5%); the
     # geometric mean within the percentile-vs-SD gap on skewed ratios
-    _, _, ensembles = scan
+    _, _, captured = scan
     ratios = np.array([
-        weighted_laplace_panel(ens, PANEL)[1] / reference_bootstrap_se(ens, PANEL, seed=i)
-        for i, ens in enumerate(ensembles)
+        estimator(ens, PANEL)[1] / reference(ens, PANEL, seed=i)
+        for i, (estimator, reference, ens) in enumerate(captured)
     ])
     assert np.all((0.85 < ratios) & (ratios < 1.15)), ratios
     assert 0.95 < math.exp(np.log(ratios).mean()) < 1.05

@@ -920,8 +920,9 @@ class TestApproximateFlag:
         assert res["notes"]["approximate"] is True
 
     def test_exact_sampler_not_flagged(self, tmp_path):
+        # the tilting block always has notes: its LHS estimator and weights
         _, rep = _run(tmp_path, ["verify-isonat"], BASE)
-        assert "notes" not in rep["results"]
+        assert "approximate" not in rep["results"]["notes"]
 
 
 class TestResolvedMc:

@@ -233,6 +233,18 @@ class TestReportContents:
         assert len(rep.z) == len(PANEL)
         assert np.all(np.isfinite(rep.z))
 
+    def test_tilting_notes_describe_the_weights(self):
+        # the LHS is drawn on substream 1, as tilted_ensemble would draw it
+        spec, n = TemperedStableSpec(0.5), 4000
+        rep = verify_tilting_identity(RngStream(106), spec, 1.0, GRID, PANEL, n)
+        w = tilted_ensemble(RngStream(106).substream(1), spec, 1.0, GRID, n).weights
+        assert rep.notes == {"lhs_estimator": "control-variate",
+                             "lhs_ess": pytest.approx(w.sum() ** 2 / (w**2).sum(), rel=1e-12),
+                             "lhs_max_weight_share": pytest.approx(w.max() / w.sum(),
+                                                                   rel=1e-12)}
+        assert 0 < rep.notes["lhs_ess"] < n
+        assert rep.to_dict()["notes"] == rep.notes
+
     def test_decomposition_rejects_pin_off_grid(self):
         with pytest.raises(ValueError):
             verify_decomposition_identity(

@@ -1,7 +1,7 @@
 """Bitwise references for the in-place ensemble and chain kernels, the
 jump-law moments and the per-job quadrature pieces.
 
-The samplers and the SE panel write into reused buffers instead of
+The samplers and the SE panels write into reused buffers instead of
 allocating a copy per step, and the killed-chain loop steps compacted arrays
 of live chains instead of indexing the full matrices. A jump-law moment's
 value at a level does not depend on the array it comes in, and a levy-check
@@ -75,7 +75,12 @@ from levyid.randkit import (
     sample_size_biased_jump,
     sample_tempered_stable_increment,
 )
-from levyid.statlab import bootstrap_mean_se, laplace_values, weighted_laplace_panel
+from levyid.statlab import (
+    bootstrap_mean_se,
+    control_variate_panel,
+    laplace_values,
+    weighted_laplace_panel,
+)
 
 
 def _panel_ref(ensemble, panel):
@@ -92,6 +97,30 @@ def _panel_ref(ensemble, panel):
         if w.size >= 2:
             r = w * (v - est[k])
             se[k] = math.sqrt(np.sum(r * r)) / sw
+    return est, se
+
+
+def _centered_ref(x):
+    # the mean after a shift by the first value, and the deviations from it
+    shift = np.sum(x - x[0]) / x.size
+    return x[0] + shift, (x - x[0]) - shift
+
+
+def _cv_panel_ref(ensemble, panel):
+    w = ensemble.weights
+    w_mean, wc = _centered_ref(w)
+    sww = np.sum(wc * wc)
+    est, se = np.empty(len(panel)), np.empty(len(panel))
+    for k, entry in enumerate(panel):
+        m = ensemble.values[:, ensemble.grid.index_of(entry.times)]
+        acc = np.zeros(m.shape[0])
+        for j, c in enumerate(np.asarray(entry.alphas, dtype=float)):
+            acc += c * m[:, j]
+        t_mean, tc = _centered_ref(w * np.exp(-acc))
+        beta = np.sum(tc * wc) / sww if sww > 0 else 0.0
+        est[k] = t_mean - beta * (w_mean - 1.0)
+        r = tc - beta * wc
+        se[k] = math.sqrt(np.sum(r * r)) / w.size
     return est, se
 
 
@@ -200,7 +229,8 @@ def _sato_ref(rng, spec, points, n):
                       required_cutoff(spec, pts), n)
     if jumps is None:
         return out
-    rep, s, x = jumps
+    counts, s, x = jumps
+    rep = np.repeat(np.arange(n), counts)
     v = x * np.exp(-s)
     for j in np.flatnonzero(pos):
         mask = s >= thresholds[j]
@@ -255,6 +285,16 @@ class TestPanel:
         assert np.array_equal(est, ref_est)
         assert np.array_equal(se, np.zeros(len(PANEL)))
         assert np.array_equal(se, ref_se)
+
+    @pytest.mark.parametrize("kind", ["unit", "tilted"])
+    def test_control_variate_matches_reference(self, kind):
+        vals = _values(3001)
+        ens = WeightedEnsemble(GRID, vals, _weights(kind, vals))
+        est, se = control_variate_panel(ens, PANEL)
+        ref_est, ref_se = _cv_panel_ref(ens, PANEL)
+        assert np.array_equal(est, ref_est)
+        assert np.array_equal(se, ref_se)
+        assert np.all(se > 0)
 
     def test_laplace_values_match_reference_and_leave_the_ensemble(self):
         vals = _values(500)
@@ -357,7 +397,7 @@ def _tilting_reference(rng, spec, a, grid, panel, n):
                      rng.substream(3), n)
     base += add
     lhs_ens = WeightedEnsemble(grid, lhs, lhs[:, ia] / mean_function(spec, a))
-    return (*weighted_laplace_panel(lhs_ens, panel),
+    return (*control_variate_panel(lhs_ens, panel),
             *weighted_laplace_panel(WeightedEnsemble(grid, base), panel))
 
 
@@ -483,8 +523,9 @@ def test_job_state0_marginal_matches_per_state_reference(name):
 SATO_DESK = SatoSpec(H=0.5, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))
 
 
-@pytest.mark.parametrize("points", [(0.0, 0.5, 1.0, 1.5, 2.0), (1.5, 0.0, 2.0, 0.5, 1.0, 0.25)],
-                         ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("points", [(0.0, 0.5, 1.0, 1.5, 2.0), (1.5, 0.0, 2.0, 0.5, 1.0, 0.25),
+                                    (1.0, 2.0, 0.0, 1.0, 0.5, 2.0)],
+                         ids=["sorted", "unsorted", "repeated"])
 def test_sato_columns_match_masked_reference(points):
     got = _sato_values(RngStream(29), SATO_DESK, points, 4000)
     assert np.array_equal(got, _sato_ref(RngStream(29), SATO_DESK, points, 4000))

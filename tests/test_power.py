@@ -6,7 +6,9 @@ N. Unmutated, these configs pass with max |z| below 2.7 (seeds 1-3 and the
 one below); every mutation reads max |z| of 36 to 145 there, so MARGIN
 leaves room on both sides of the Bonferroni gate (3.4 to 3.5). The
 levy-check mutation, on the desk's Sato and conv processes at levy.n = N/2,
-reads max |z| of 19 and 30 against its REPR_Z = 4 gate.
+reads max |z| of 19 and 30 against its REPR_Z = 4 gate. Scaling E psi(a) in
+the tilting weights by 1.1 reads max |z| of 7.8 to 17.8 on seeds 1-4 and the
+one below, hence its own NORMALIZER_MARGIN.
 """
 
 import json
@@ -20,6 +22,7 @@ from levyid.cli import main
 N = 20_000
 SEED = 20260501
 MARGIN = 10.0
+NORMALIZER_MARGIN = 5.0
 
 EXP1 = {"kind": "exponential", "mean": 1.0}
 FAMILIES = {
@@ -71,6 +74,16 @@ def test_tilting_without_companion_fails(tmp_path, monkeypatch, family):
     monkeypatch.setattr(identities, "companion_values", _zeros)
     code, rep = _run(tmp_path, "verify-isonat", FAMILIES[family])
     assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_tilting_with_wrong_normalizer_fails(tmp_path, monkeypatch, family):
+    # weights psi(a) / (1.1 E psi(a)) have mean 1/1.1; a self-normalized
+    # ratio cancels any constant factor, the control-variate LHS does not
+    real = identities.mean_function
+    monkeypatch.setattr(identities, "mean_function", lambda spec, t: 1.1 * real(spec, t))
+    code, rep = _run(tmp_path, "verify-isonat", FAMILIES[family])
+    assert code == 1 and _max_abs_z(rep["results"]) > NORMALIZER_MARGIN
 
 
 @pytest.mark.parametrize("family", ["sato", "conv"])

@@ -12,6 +12,7 @@ from levyid.statlab import (
     bootstrap_mean_se,
     build_identity_report,
     compare,
+    control_variate_panel,
     effective_sample_size,
     laplace_values,
     weighted_laplace_panel,
@@ -93,6 +94,59 @@ class TestWeightedLaplace:
         want = vals.std() / math.sqrt(vals.size)
         _, se = _single_entry(ens, entry)
         assert 0.6 * want < se < 1.6 * want
+
+
+class TestControlVariate:
+    PANEL = LevyFunctionalPanel((PanelEntry((1.0,), (1.0,)), PanelEntry((0.5, 1.0), (0.5, 2.0))))
+
+    def test_rejects_zero_weights(self):
+        ens = _ensemble(n=10, weights=np.zeros(10))
+        with pytest.raises(ValueError, match="^all ensemble weights are zero$"):
+            control_variate_panel(ens, self.PANEL)
+
+    def test_single_path_has_zero_se(self):
+        ens = _ensemble(n=1, weights=np.array([1.7]))
+        est, se = control_variate_panel(ens, self.PANEL)
+        want = [1.7 * laplace_values(ens, e)[0] for e in self.PANEL]
+        assert np.array_equal(est, want)
+        assert np.array_equal(se, np.zeros(2))
+
+    @pytest.mark.parametrize("c", [1.0, 0.1, 3.0])
+    def test_constant_weights_fit_no_slope(self, c):
+        # the slope is 0, so the estimate is the plain mean of the terms and
+        # the SE their population SD over sqrt(n)
+        ens = _ensemble(weights=np.full(4000, c))
+        est, se = control_variate_panel(ens, self.PANEL)
+        for k, entry in enumerate(self.PANEL):
+            t = c * laplace_values(ens, entry)
+            assert est[k] == pytest.approx(t.mean(), rel=1e-13)
+            assert se[k] == pytest.approx(t.std() / math.sqrt(t.size), rel=1e-10)
+
+    def test_equal_terms_have_zero_se(self):
+        ens = _ensemble(n=999, weights=np.full(999, 0.1))
+        est, se = control_variate_panel(ens, LevyFunctionalPanel((PanelEntry((0.0,), (1.0,)),)))
+        assert est[0] == 0.1 and se[0] == 0.0
+
+    def test_control_variate_itself_is_exact(self):
+        # at alpha = 0 the terms are the weights, whose mean is known to be 1
+        w = np.random.default_rng(3).exponential(1.0, 5000)
+        ens = _ensemble(n=5000, weights=w)
+        est, se = control_variate_panel(ens, LevyFunctionalPanel((PanelEntry((0.0,), (1.0,)),)))
+        assert est[0] == pytest.approx(1.0, abs=1e-14) and se[0] == 0.0
+
+    def test_tilted_estimate_and_se(self):
+        # weights psi(1) / E psi(1) on exponential increments of mean 0.3:
+        # E[psi(1) e^{-psi(1)}] / E psi(1) = (1 + 0.3)^{-3}, as psi(1) is
+        # Gamma(2, 0.3); the SE follows the regression residual's SD
+        ens = _ensemble(n=40_000)
+        ens = WeightedEnsemble(ens.grid, ens.values, ens.values[:, 1] / 0.6)
+        entry = PanelEntry((1.0,), (1.0,))
+        est, se = control_variate_panel(ens, LevyFunctionalPanel((entry,)))
+        t, w = ens.weights * laplace_values(ens, entry), ens.weights
+        beta = np.cov(t, w, bias=True)[0, 1] / w.var()
+        resid = t - beta * w
+        assert se[0] == pytest.approx(resid.std() / math.sqrt(t.size), rel=1e-9)
+        assert abs(est[0] - 1.3**-3) < 4.0 * se[0]
 
 
 class TestBootstrapMeanSe:
