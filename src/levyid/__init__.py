@@ -34,7 +34,6 @@ from .identities import (
     verify_tilting_identity,
 )
 from .levymeasure import (
-    LevyEstimate,
     laplace_exponent_check,
     levy_functional_mc,
     levy_functional_quadrature,
@@ -69,7 +68,6 @@ __all__ = [
     "JumpLaw",
     "JumpLawSpec",
     "Kernel",
-    "LevyEstimate",
     "LevyFunctionalPanel",
     "LimitReport",
     "PanelEntry",

@@ -395,19 +395,19 @@ def _cmd_levy_check(cfg, seed):
 
     # lap.rhs holds the unrestricted quadrature of each entry, with SE 0; one
     # draw, on substream (10, 0), serves every entry's representation
-    mcs = levy_functional_mc(rng.substream(10, 0), spec, panel, n_mc,
-                             mixing_mean=MIXING_MEANS[0])
-    mc, mc_se = [m.value for m in mcs], [m.se for m in mcs]
+    mc, mc_se = levy_functional_mc(rng.substream(10, 0), spec, panel, n_mc,
+                                   mixing_mean=MIXING_MEANS[0])
     reprs = Check(mc, mc_se, lap.rhs, 0.0, REPR_Z, fields={"z_crit": REPR_Z, "n": n_mc},
-                  rows=[{**row, "mc": m.value, "mc_se": m.se, "quadrature": quad}
-                        for row, m, quad in zip(panel.rows(), mcs, lap.rhs.tolist())])
+                  rows=[{**row, "mc": m, "mc_se": se, "quadrature": quad}
+                        for row, m, se, quad in zip(panel.rows(), mc.tolist(), mc_se.tolist(),
+                                                    lap.rhs.tolist())])
 
     splits = []
     for a_s in SPLIT_POINTS:
         worst = 0.0
         for entry, full in zip(panel, lap.rhs):
-            zero = levy_functional_quadrature(spec, entry, restriction="zero", a=a_s).value
-            pos = levy_functional_quadrature(spec, entry, restriction="positive", a=a_s).value
+            zero = levy_functional_quadrature(spec, entry, restriction="zero", a=a_s)
+            pos = levy_functional_quadrature(spec, entry, restriction="positive", a=a_s)
             worst = max(worst, abs(zero + pos - full))
         splits.append({"a": a_s, "max_residual": worst, "pass": bool(worst <= SPLIT_TOL)})
 
@@ -421,12 +421,11 @@ def _cmd_levy_check(cfg, seed):
     if isinstance(spec, PoissonSpec):
         # the representation is invariant in the mixing law; the second
         # mean's draw, on substream (12, 0), also serves every entry
-        alts = levy_functional_mc(rng.substream(12, 0), spec, panel, n_mc,
-                                  mixing_mean=MIXING_MEANS[1])
-        mix = Check(mc, mc_se, [m.value for m in alts], [m.se for m in alts], REPR_Z,
-                    fields={"z_crit": REPR_Z},
-                    rows=[{**row, "means": list(MIXING_MEANS), "lhs": m.value, "rhs": alt.value}
-                          for row, m, alt in zip(panel.rows(), mcs, alts)])
+        alt, alt_se = levy_functional_mc(rng.substream(12, 0), spec, panel, n_mc,
+                                         mixing_mean=MIXING_MEANS[1])
+        mix = Check(mc, mc_se, alt, alt_se, REPR_Z, fields={"z_crit": REPR_Z},
+                    rows=[{**row, "means": list(MIXING_MEANS), "lhs": m, "rhs": r}
+                          for row, m, r in zip(panel.rows(), mc.tolist(), alt.tolist())])
         results["mixing_invariance"] = mix.to_dict()
     ok = all(block["pass"] for block in results.values())
     resolved["levy"] = {"n": n_mc}
@@ -465,13 +464,13 @@ def _cmd_permanental(cfg, seed):
     n_nu = min(n, 50_000)
     singles = LevyFunctionalPanel(tuple(PanelEntry((1.0,), (float(x),))
                                         for x in range(spec.n)))
-    ests = levy_functional_permanental(rng.substream(2, 0), spec, np.ones(spec.n),
-                                       singles, n_nu)
+    est, se = levy_functional_permanental(rng.substream(2, 0), spec, np.ones(spec.n),
+                                          singles, n_nu)
     oracles = [float(marginal_levy_functional(green, 1.0, x)) for x in range(spec.n)]
-    marg = Check([e.value for e in ests], [e.se for e in ests], oracles, 0.0, REPR_Z,
+    marg = Check(est, se, oracles, 0.0, REPR_Z,
                  key="states", fields={"z_crit": REPR_Z, "n": n_nu},
-                 rows=[{"state": x, "mc": e.value, "mc_se": e.se, "oracle": o}
-                       for x, (e, o) in enumerate(zip(ests, oracles))])
+                 rows=[{"state": x, "mc": e, "mc_se": s, "oracle": o}
+                       for x, (e, s, o) in enumerate(zip(est.tolist(), se.tolist(), oracles))])
 
     checks = {"identity": report, "local_time_means": loc, "levy_marginals": marg}
     resolved = {"process": cfg["process"], "identity": {"a": a},

@@ -6,12 +6,19 @@ alpha_i at times t_i the functional evaluated everywhere here is
 
     nu(F),   F(y) = 1 - exp(-sum_i alpha_i y(t_i)),
 
-optionally restricted to {y(a) = 0} or {y(a) > 0}. The restricted pieces
-add up to the unrestricted value exactly, which the test-suite exploits.
+optionally restricted to {y(a) = 0} or {y(a) > 0}.
+
+Every family's nu(F) is a sum over one partition of the jump locations s
+in [0, t_max], walked by _pieces: a jump born at s has path shape
+x f(t - s), with f the step 1[0, inf) for Poisson, tempered-stable and
+Sato (s = e^{-theta/H} for the driver time theta) and the kernel for conv.
+A restriction keeps the pieces whose f(a - s) is positive at the midpoint,
+or the others, which is the rule the conv decomposition samplers filter
+jumps by; so the two restrictions add up to the unrestricted value.
 
 Every integral here goes through one adaptive Gauss-Legendre integrator on
-numpy arrays, _integrate. The infinite range of the Sato pieces is removed
-by the exact substitution u = e^{-s}, never by truncation. The
+numpy arrays, _integrate. A Sato piece is integrated in u = s^H = e^{-theta},
+which maps its infinite range in theta onto a finite one exactly. The
 integrability condition nu(y(x) ^ 1) < inf is checked through the Laplace
 exponent nu(1 - e^{-y(x)}) of the one-point entry alpha = 1 at x, which is
 finite exactly when the condition holds.
@@ -24,16 +31,15 @@ import functools
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     ConvSpec,
     JumpLawSpec,
+    Kernel,
     LevyFunctionalPanel,
     PanelEntry,
-    PermanentalSpec,
     PoissonSpec,
     ProcessSpec,
     SatoSpec,
@@ -61,21 +67,12 @@ _ESS_FRACTION = 0.01
 _RESTRICTIONS = (None, "zero", "positive")
 
 
-@dataclass(frozen=True)
-class LevyEstimate:
-    """A single nu(F) evaluation: value, standard error, and how it was obtained."""
-
-    value: float
-    se: float
-    method: str
-
-
 def _check_restriction(restriction, a):
     if restriction not in _RESTRICTIONS:
         raise ValueError(f"restriction must be one of {_RESTRICTIONS}")
-    if restriction is not None:
-        if a is None or a <= 0:
-            raise ValueError("a restriction needs a positive pin time a")
+    # NaN is not positive
+    if restriction is not None and not (a is not None and a > 0):
+        raise ValueError("a restriction needs a positive pin time a")
 
 
 # the pieces integrated so far in the current job, or None outside a job
@@ -168,31 +165,44 @@ def _quad(key, f, lo, hi) -> float:
     return value
 
 
-def _indicator_nu(entry: PanelEntry, mass_of_level, restriction, a) -> float:
-    """nu(F) for families whose jumps have path shape x * 1[s, inf), the
-    location s having unit density on [0, t_max].
+class _Step(Kernel):
+    """f = 1 on [0, inf): the path shape 1[s, inf) of a jump born at s, for
+    Poisson, tempered-stable and Sato (in s = e^{-theta/H})."""
 
-    mass_of_level(A) is the inner x-integral at exposure level A(s), which
-    is constant between consecutive panel times (and a).
+    def __call__(self, u):
+        return 1.0 if u >= 0 else 0.0
+
+    def positive_intervals(self):
+        return ((0.0, math.inf),)
+
+    def breakpoints(self):
+        return ()
+
+
+_STEP = _Step()
+
+
+def _pieces(times, kernel: Kernel, restriction, a):
+    """The pieces (lo, hi, mid) of jump locations s in [0, t_max], in
+    increasing s, that a restriction keeps.
+
+    The range is cut at 0, t_max, each panel time t, each t - b for b in
+    the kernel's breakpoints and, under a restriction, each a - e for an end
+    e of the kernel's positive intervals; only cuts strictly inside
+    (0, t_max) count. A piece is alive at a when the response f(a - mid) of a jump born
+    at its midpoint is positive, the rule the conv decomposition samplers
+    filter jumps by: "positive" keeps the alive pieces and "zero" the rest.
     """
-    times = np.asarray(entry.times)
-    alphas = np.asarray(entry.alphas)
-    t_max = float(times.max())
-    bounds = {0.0, *times}
-    if restriction is not None and 0.0 < a < t_max:
-        bounds.add(a)
-    bs = sorted(bounds)
-    total = 0.0
+    ts = times.tolist()
+    t_max = max(ts)
+    cuts = {*ts, *(t - b for t in ts for b in kernel.breakpoints())}
+    if restriction is not None:
+        cuts.update(a - e for iv in kernel.positive_intervals() for e in iv)
+    bs = sorted({0.0, t_max, *(c for c in cuts if 0.0 < c < t_max)})
     for lo, hi in zip(bs[:-1], bs[1:]):
-        if restriction == "positive" and lo >= a:
-            continue  # positive at a means the jump started at s <= a
-        if restriction == "zero" and hi <= a:
-            continue
         mid = 0.5 * (lo + hi)
-        level = float(alphas[times >= mid].sum())
-        if level > 0:
-            total += (hi - lo) * mass_of_level(level)
-    return total
+        if restriction is None or (kernel(a - mid) > 0) == (restriction == "positive"):
+            yield lo, hi, mid
 
 
 def _driver_one_minus_exp(z, c):
@@ -203,107 +213,9 @@ def _driver_one_minus_exp(z, c):
     return (1.0 + c) ** z.alpha - 1.0
 
 
-def _sato_nu(spec: SatoSpec, entry: PanelEntry, restriction, a) -> float:
-    H = spec.H
-    keep = [(t, al) for t, al in zip(entry.times, entry.alphas) if t > 0 and al > 0]
-    if not keep:
-        return 0.0
-    thetas = np.array([-H * math.log(t) for t, _ in keep])
-    alphas = np.array([al for _, al in keep])
-    bounds = sorted(set(thetas))
-    if restriction is not None:
-        theta_a = -H * math.log(a)
-        bounds = sorted(set(bounds) | {theta_a})
-    pieces = list(zip(bounds[:-1], bounds[1:])) + [(bounds[-1], math.inf)]
-    total = 0.0
-    for lo, hi in pieces:
-        if restriction == "positive" and hi <= theta_a:
-            continue  # positive at a means the jump lives on s >= -H log a
-        if restriction == "zero" and lo >= theta_a:
-            continue
-        ref = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        level = float(alphas[thetas <= ref].sum())
-        if level <= 0:
-            continue
-        # the integrand depends on the driver and the level only; u = e^{-s}
-        # takes the piece [lo, hi] in s to [e^{-hi}, e^{-lo}], and [lo, inf)
-        # to [0, e^{-lo}]
-        total += _quad(
-            (spec.bdlp, level),
-            lambda u: _driver_one_minus_exp(spec.bdlp, level * u) / u,
-            math.exp(-hi), math.exp(-lo),
-        )
-    return total
-
-
-def _intersect(intervals, lo, hi):
-    out = []
-    for l, r in intervals:
-        l2, r2 = max(l, lo), min(r, hi)
-        if r2 > l2:
-            out.append((l2, r2))
-    return out
-
-
-def _complement(intervals, lo, hi):
-    out = []
-    cur = lo
-    for l, r in sorted(intervals):
-        if l > cur:
-            out.append((cur, min(l, hi)))
-        cur = max(cur, r)
-        if cur >= hi:
-            break
-    if cur < hi:
-        out.append((cur, hi))
-    return [(l, r) for l, r in out if r > l]
-
-
-def conv_active_intervals(spec: ConvSpec, a: float) -> list[tuple[float, float]]:
-    """Intervals of jump locations s >= 0 whose kernel response is alive at a,
-    i.e. {s in [0, a] : f(a - s) > 0}."""
-    out = []
-    for lo, hi in spec.kernel.positive_intervals():
-        l = a - min(hi, a)
-        r = a - max(lo, 0.0)
-        if r > l and r > 0:
-            out.append((max(l, 0.0), r))
-    return sorted(out)
-
-
-def _conv_nu(spec: ConvSpec, entry: PanelEntry, restriction, a) -> float:
-    times = np.asarray(entry.times)
-    alphas = np.asarray(entry.alphas)
-    t_max = float(times.max())
-    if t_max == 0:
-        return 0.0
-    if restriction is None:
-        domain = [(0.0, t_max)]
-    else:
-        active = conv_active_intervals(spec, a)
-        if restriction == "positive":
-            domain = _intersect(active, 0.0, t_max)
-        else:
-            domain = _complement(active, 0.0, t_max)
-    cuts = {0.0, t_max}
-    for t in times:
-        for b in spec.kernel.breakpoints():
-            s = t - b
-            if 0.0 < s < t_max:
-                cuts.add(float(s))
-        if 0.0 < t < t_max:
-            cuts.add(float(t))
-    cut_arr = sorted(cuts)
-
-    def integrand(s):
-        return _driver_one_minus_exp(spec.z, _matvec(spec.kernel(times - s[:, None]), alphas))
-
-    total = 0.0
-    for dlo, dhi in domain:
-        bs = [dlo] + [c for c in cut_arr if dlo < c < dhi] + [dhi]
-        for lo, hi in zip(bs[:-1], bs[1:]):
-            total += _quad((spec, entry), integrand, lo, hi)
-    return total
+def _u(H, s):
+    # u = s^H = e^{-theta}, bit for bit, as theta = (-H) log s
+    return math.exp(H * math.log(s)) if s > 0 else 0.0
 
 
 def levy_functional_quadrature(
@@ -311,29 +223,53 @@ def levy_functional_quadrature(
     entry: PanelEntry,
     restriction: str | None = None,
     a: float | None = None,
-) -> LevyEstimate:
+) -> float:
     """Deterministic evaluation of nu(F) for one panel entry.
 
     restriction "zero" keeps paths with y(a) = 0, "positive" keeps paths
-    with y(a) > 0; None integrates the full measure.
+    with y(a) > 0; None integrates the full measure. Every family walks
+    the pieces of _pieces: Poisson and tempered-stable add each piece's
+    closed-form mass, Sato and conv integrate each piece.
     """
     _check_restriction(restriction, a)
-    if isinstance(spec, PoissonSpec):
-        v = spec.rate * _indicator_nu(entry, lambda A: -math.expm1(-A), restriction, a)
-    elif isinstance(spec, TemperedStableSpec):
-        # the inner jump-size integral is exact:
-        # int (1 - e^{-Ax}) x^{-alpha-1} e^{-x} dx / |Gamma(-alpha)| = (1+A)^alpha - 1
-        v = _indicator_nu(entry, lambda A: _driver_one_minus_exp(spec, A), restriction, a)
-    elif isinstance(spec, SatoSpec):
-        v = _sato_nu(spec, entry, restriction, a)
-    elif isinstance(spec, ConvSpec):
-        v = _conv_nu(spec, entry, restriction, a)
-    else:
+    if not isinstance(spec, (PoissonSpec, TemperedStableSpec, SatoSpec, ConvSpec)):
         raise ValueError(
             "quadrature covers the time-indexed families; permanental "
             "functionals are sampled in the permanental module"
         )
-    return LevyEstimate(float(v), 0.0, "quadrature")
+    times = np.asarray(entry.times)
+    alphas = np.asarray(entry.alphas)
+    total = 0.0
+    if isinstance(spec, ConvSpec):
+        def integrand(s):
+            return _driver_one_minus_exp(spec.z, _matvec(spec.kernel(times - s[:, None]), alphas))
+
+        for lo, hi, _ in _pieces(times, spec.kernel, restriction, a):
+            total += _quad((spec, entry), integrand, lo, hi)
+        return total
+    pieces = list(_pieces(times, _STEP, restriction, a))
+    if isinstance(spec, SatoSpec):
+        pieces.reverse()  # summed in decreasing s, the order its last bits depend on
+    for lo, hi, mid in pieces:
+        # the exposure level of a jump born in the piece
+        level = float(alphas[times >= mid].sum())
+        if level <= 0:
+            continue
+        if isinstance(spec, PoissonSpec):
+            total += (hi - lo) * -math.expm1(-level)
+        elif isinstance(spec, TemperedStableSpec):
+            # the inner jump-size integral is exact: int (1 - e^{-Ax})
+            # x^{-alpha-1} e^{-x} dx / |Gamma(-alpha)| = (1+A)^alpha - 1
+            total += (hi - lo) * _driver_one_minus_exp(spec, level)
+        else:
+            # a Sato jump at s scales by e^{-theta} = s^H; the integrand in u
+            # depends on the driver and the level only
+            total += _quad(
+                (spec.bdlp, level),
+                lambda u: _driver_one_minus_exp(spec.bdlp, level * u) / u,
+                _u(spec.H, lo), _u(spec.H, hi),
+            )
+    return spec.rate * total if isinstance(spec, PoissonSpec) else total
 
 
 # ---------- probabilistic representations ----------
@@ -393,9 +329,10 @@ def levy_functional_mc(
     n: int,
     mixing_mean: float = 1.0,
     theta: float = 1.0,
-) -> list[LevyEstimate]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo evaluation of nu(F) at every panel entry through the
-    size-biased single-jump representations, with the SE of the sample mean.
+    size-biased single-jump representations: the sample means and their
+    SEs, as arrays over the panel.
 
     All entries share one draw of n rows, so their estimates are correlated.
     mixing_mean parametrizes the exponential location mixer in the Poisson
@@ -407,16 +344,16 @@ def levy_functional_mc(
     if mixing_mean <= 0 or theta <= 0:
         raise ValueError("mixing_mean and theta must be positive")
     pref, f = _mc_draw(rng, spec, n, mixing_mean, theta)
-    out = []
-    for entry in panel:
+    est, se = np.empty(len(panel)), np.empty(len(panel))
+    for k, entry in enumerate(panel):
         x = pref * f(np.asarray(entry.times), np.asarray(entry.alphas))
         ess = effective_sample_size(x)
         if 0 < ess < _ESS_FRACTION * n:
             warnings.warn(f"effective sample size {ess:.1f} below {_ESS_FRACTION:.0%} of "
                           f"n={n}; the importance weights are heavy-tailed here",
                           RuntimeWarning, stacklevel=2)
-        out.append(LevyEstimate(float(x.mean()), bootstrap_mean_se(x), "probabilistic"))
-    return out
+        est[k], se[k] = x.mean(), bootstrap_mean_se(x)
+    return est, se
 
 
 # ---------- Laplace exponent and integrability ----------
@@ -438,7 +375,7 @@ def laplace_exponent_check(
     est, se = weighted_laplace_panel(ens, panel)
     lhs = -np.log(est)
     lhs_se = se / est  # delta method for -log
-    rhs = np.array([levy_functional_quadrature(spec, e).value for e in panel])
+    rhs = np.array([levy_functional_quadrature(spec, e) for e in panel])
     rhs_se = np.zeros_like(rhs)
     return build_identity_report(
         "laplace-exponent", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n
@@ -446,26 +383,16 @@ def laplace_exponent_check(
 
 
 def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) -> dict:
-    """The Laplace exponent kappa_x(1) = nu(1 - e^{-y(x)}) at each grid point
-    (each state for permanental specs), and whether each is finite.
+    """The Laplace exponent kappa_x(1) = nu(1 - e^{-y(x)}) at each grid point,
+    and whether each is finite.
 
     Since (1 - 1/e)(y ^ 1) <= 1 - e^{-y} <= y ^ 1 for y >= 0, kappa_x(1) is
     finite exactly when the Levy-Khintchine condition nu(y(x) ^ 1) < inf
     holds. Inside a quadrature_pieces() scope the integrals are shared with
     the job's other quadratures."""
-    if isinstance(spec, PermanentalSpec):
-        from .permanental import green_matrix, marginal_levy_functional
-
-        green = green_matrix(spec)
-        states = range(spec.n) if grid is None else [int(p) for p in grid.points]
-        # psi(x) is Gamma(beta, scale 2 g(x, x)): kappa_x(1) = beta log(1 + 2 g(x, x))
-        values = [spec.beta * marginal_levy_functional(green, 2.0, x) for x in states]
-        points = [float(x) for x in states]
-    else:
-        if grid is None:
-            raise ValueError("time-indexed families need a grid of checkpoints")
-        points = [float(t) for t in grid.points]
-        values = [levy_functional_quadrature(spec, PanelEntry((1.0,), (x,))).value
-                  for x in points]
+    if grid is None:
+        raise ValueError("time-indexed families need a grid of checkpoints")
+    points = [float(t) for t in grid.points]
+    values = [levy_functional_quadrature(spec, PanelEntry((1.0,), (x,))) for x in points]
     finite = [math.isfinite(v) for v in values]
     return {"points": points, "values": values, "finite": finite, "pass": all(finite)}

@@ -278,14 +278,13 @@ def levy_functional_permanental(
         nu(F) = int E[ F(2 L^a) / sum_x L^a(x) m(x) ] g(a, a) m(da)
 
     with F(y) = 1 - exp(-1/2 sum alpha_i y(x_i)) and m a positive weight
-    vector over states, at every panel entry: one LevyEstimate per entry.
+    vector over states: the sample means and their SEs, as arrays over the
+    panel.
     The entries share one draw, the n start states on substream 1 and one
     local-time ensemble per start state a on substream (2, a). Replicates
     with a vanishing denominator would be rejected and counted, but cannot
     occur because L^a(a) > 0.
     """
-    from .levymeasure import LevyEstimate
-
     m = np.asarray(m_weights, dtype=float)
     if m.shape != (chain.n,) or np.any(m < 0) or m.sum() <= 0:
         raise ValueError("m_weights must be nonnegative with positive total")
@@ -313,8 +312,8 @@ def levy_functional_permanental(
         for k, (alphas, states) in enumerate(entries):
             f = -np.expm1(-0.5 * (2.0 * _matvec(local[:, states], alphas)))
             x[k, rows] = np.where(bad, 0.0, m.sum() * g[a, a] * f / safe)
-    return [LevyEstimate(float(xk.mean()), bootstrap_mean_se(xk), "permanental-mc")
-            for xk in x]
+    return (np.array([xk.mean() for xk in x]),
+            np.array([bootstrap_mean_se(xk) for xk in x]))
 
 
 def marginal_levy_functional(green: GreenMatrix, alpha: float, x: int) -> float:

@@ -131,17 +131,17 @@ def test_04_sampled_representations_match_quadrature(capsys):
     panel = LevyFunctionalPanel((PanelEntry(alphas=(0.8, 1.0), times=(0.5, 1.5)),))
     ok = True
     for i, (name, spec) in enumerate(FAMILIES):
-        want = levy_functional_quadrature(spec, panel.entries[0]).value
-        (est,) = levy_functional_mc(RngStream(804, i), spec, panel, n=150_000)
-        ok = ok and abs(est.value - want) <= 4.0 * est.se
+        want = levy_functional_quadrature(spec, panel.entries[0])
+        (est,), (se,) = levy_functional_mc(RngStream(804, i), spec, panel, n=150_000)
+        ok = ok and abs(est - want) <= 4.0 * se
     # the location mixer is auxiliary: mean-1 and mean-5 mixing laws must agree
-    (e1,) = levy_functional_mc(
+    (e1,), (se1,) = levy_functional_mc(
         RngStream(805, 0), PoissonSpec(rate=1.0), panel, n=150_000, mixing_mean=1.0
     )
-    (e5,) = levy_functional_mc(
+    (e5,), (se5,) = levy_functional_mc(
         RngStream(805, 1), PoissonSpec(rate=1.0), panel, n=150_000, mixing_mean=5.0
     )
-    ok = ok and abs(e1.value - e5.value) <= 4.0 * math.hypot(e1.se, e5.se)
+    ok = ok and abs(e1 - e5) <= 4.0 * math.hypot(se1, se5)
     _stamp(capsys, "04 sampled jump-measure representations", ok)
     assert ok
 
@@ -150,10 +150,10 @@ def test_05_restriction_split_additivity(capsys):
     entry = PanelEntry(alphas=(0.8, 1.0), times=(0.5, 1.5))
     ok = True
     for name, spec in FAMILIES:
-        full = levy_functional_quadrature(spec, entry).value
+        full = levy_functional_quadrature(spec, entry)
         for a in (0.5, 1.0, 2.0):
-            zero = levy_functional_quadrature(spec, entry, restriction="zero", a=a).value
-            pos = levy_functional_quadrature(spec, entry, restriction="positive", a=a).value
+            zero = levy_functional_quadrature(spec, entry, restriction="zero", a=a)
+            pos = levy_functional_quadrature(spec, entry, restriction="positive", a=a)
             ok = ok and abs(zero + pos - full) <= 1e-8
     _stamp(capsys, "05 restriction split additivity", ok)
     assert ok

@@ -499,14 +499,14 @@ def test_marginal_panel_entries_match_one_entry_calls(name):
     chain = DESK_CHAINS[name]
     m = np.array([1.0, 0.5, 2.0][:chain.n])
     panel = _marginal_panel(chain.n)
-    got = levy_functional_permanental(RngStream(19), chain, m, panel, 3000)
-    assert len(got) == len(panel)
-    for est, entry in zip(got, panel):
-        (one,) = levy_functional_permanental(RngStream(19), chain, m,
-                                             LevyFunctionalPanel((entry,)), 3000)
-        assert (est.value, est.se) == (one.value, one.se)
-        assert (est.value, est.se) == _permanental_marginal_ref(RngStream(19), chain, m,
-                                                                entry, 3000)
+    est, se = levy_functional_permanental(RngStream(19), chain, m, panel, 3000)
+    assert est.shape == se.shape == (len(panel),)
+    for k, entry in enumerate(panel):
+        one = levy_functional_permanental(RngStream(19), chain, m,
+                                          LevyFunctionalPanel((entry,)), 3000)
+        assert (est[k], se[k]) == (one[0][0], one[1][0])
+        assert (est[k], se[k]) == _permanental_marginal_ref(RngStream(19), chain, m,
+                                                            entry, 3000)
 
 
 @pytest.mark.parametrize("name", DESK_CHAINS)
@@ -514,10 +514,10 @@ def test_job_state0_marginal_matches_per_state_reference(name):
     # the job draws every marginal on the stream state 0's own draw had
     chain = DESK_CHAINS[name]
     rng = RngStream(23).substream(2, 0)
-    got = levy_functional_permanental(rng, chain, np.ones(chain.n), _singles(chain.n), 5000)
+    est, se = levy_functional_permanental(rng, chain, np.ones(chain.n), _singles(chain.n), 5000)
     want = _permanental_marginal_ref(rng, chain, np.ones(chain.n),
                                      PanelEntry((1.0,), (0.0,)), 5000)
-    assert (got[0].value, got[0].se) == want
+    assert (est[0], se[0]) == want
 
 
 SATO_DESK = SatoSpec(H=0.5, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))
@@ -589,7 +589,7 @@ def test_quadrature_pieces_keep_every_bit(name):
     cases = [(None, None)] + [(r, a) for a in (0.5, 1.0, 2.0) for r in ("zero", "positive")]
 
     def values():
-        return [levy_functional_quadrature(spec, entry, r, a).value
+        return [levy_functional_quadrature(spec, entry, r, a)
                 for entry in panel for r, a in cases]
 
     outside = values()
@@ -687,13 +687,13 @@ def _levy_case(name):
                          ids=LEVY_IDS + list(ODD_LEVY))
 def test_levy_mc_panel_entries_match_one_entry_calls(name, kwargs):
     spec, panel = _levy_case(name)
-    got = levy_functional_mc(RngStream(37), spec, panel, 4000, **kwargs)
-    assert len(got) == len(panel)
-    for est, entry in zip(got, panel):
-        (one,) = levy_functional_mc(RngStream(37), spec, LevyFunctionalPanel((entry,)), 4000,
-                                    **kwargs)
-        assert (est.value, est.se) == (one.value, one.se)
-        assert (est.value, est.se) == _levy_mc_ref(RngStream(37), spec, entry, 4000, **kwargs)
+    est, se = levy_functional_mc(RngStream(37), spec, panel, 4000, **kwargs)
+    assert est.shape == se.shape == (len(panel),)
+    for k, entry in enumerate(panel):
+        one = levy_functional_mc(RngStream(37), spec, LevyFunctionalPanel((entry,)), 4000,
+                                 **kwargs)
+        assert (est[k], se[k]) == (one[0][0], one[1][0])
+        assert (est[k], se[k]) == _levy_mc_ref(RngStream(37), spec, entry, 4000, **kwargs)
 
 
 @pytest.mark.parametrize("name,kwargs", LEVY_CASES, ids=LEVY_IDS)
@@ -701,6 +701,5 @@ def test_levy_job_entry0_matches_per_entry_reference(name, kwargs):
     # the job draws every entry on the stream entry 0's own draw had
     _, spec, panel = _desk_levy_job(name)
     rng = RngStream(41).substream(10, 0)
-    got = levy_functional_mc(rng, spec, panel, 5000, **kwargs)
-    assert (got[0].value, got[0].se) == _levy_mc_ref(rng, spec, panel.entries[0], 5000,
-                                                     **kwargs)
+    est, se = levy_functional_mc(rng, spec, panel, 5000, **kwargs)
+    assert (est[0], se[0]) == _levy_mc_ref(rng, spec, panel.entries[0], 5000, **kwargs)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,21 +219,22 @@ class TestLevyFunctional:
         # single-coordinate functionals vs log(1 + alpha g(x, x)), one draw
         chain = CHAIN2
         g = green_matrix(chain)
-        ests = levy_functional_permanental(RngStream(401), chain, np.ones(chain.n),
-                                           _singles(chain.n), n=150_000)
-        assert len(ests) == chain.n
-        for x, est in enumerate(ests):
+        est, se = levy_functional_permanental(RngStream(401), chain, np.ones(chain.n),
+                                              _singles(chain.n), n=150_000)
+        assert est.shape == se.shape == (chain.n,)
+        for x in range(chain.n):
             want = marginal_levy_functional(g, 1.0, x)
-            assert abs(est.value - want) <= 4 * est.se, (x, est.value, want)
+            assert abs(est[x] - want) <= 4 * se[x], (x, est[x], want)
 
     def test_three_state_pair_entry(self):
         # no closed form; check against an independent weight vector run
         chain = CHAIN3
         panel = LevyFunctionalPanel((PanelEntry(alphas=(0.7, 1.1), times=(0.0, 2.0)),))
-        (e1,) = levy_functional_permanental(RngStream(402), chain, np.ones(3), panel, n=150_000)
-        (e2,) = levy_functional_permanental(RngStream(403), chain, np.array([0.2, 1.0, 2.0]),
-                                            panel, n=150_000)
-        assert abs(e1.value - e2.value) <= 4 * math.hypot(e1.se, e2.se)
+        (e1,), (se1,) = levy_functional_permanental(RngStream(402), chain, np.ones(3), panel,
+                                                    n=150_000)
+        (e2,), (se2,) = levy_functional_permanental(RngStream(403), chain,
+                                                    np.array([0.2, 1.0, 2.0]), panel, n=150_000)
+        assert abs(e1 - e2) <= 4 * math.hypot(se1, se2)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="m_weights"):
@@ -261,6 +263,16 @@ class TestLevyFunctional:
         g = green_matrix(CHAIN1)
         # -log E exp(-alpha psi(0)/2) with psi(0) ~ 2 beta=1 exponential modes
         assert marginal_levy_functional(g, 2.0, 0) == pytest.approx(math.log(2.0))
+
+    def test_marginal_nearly_recurrent_chain(self):
+        # g(0, 0) = 1e300: log(1 + 2 g(0, 0)) = log(1 + 2e300), exactly and
+        # with no warning, however close to recurrent the chain is
+        spec = PermanentalSpec(rates=((0.0,),), kill=(1e-300,), beta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = marginal_levy_functional(green_matrix(spec), 2.0, 0)
+        want = math.log1p(2e300)
+        assert abs(got - want) <= 1e-12 * want
 
 
 # the desk suite's permanental jobs: 1, 2 and 3 states

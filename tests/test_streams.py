@@ -180,13 +180,13 @@ PINNED = {
 
 def _draws(index, spec):
     rng = RngStream(777).substream(index)
-    (mc,) = levy_functional_mc(rng.substream(4), spec, LevyFunctionalPanel((ENTRY,)), 200)
+    est, se = levy_functional_mc(rng.substream(4), spec, LevyFunctionalPanel((ENTRY,)), 200)
     return {
         "values_at": values_at(rng.substream(0), spec, POINTS, ROWS),
         "companion_values": companion_values(rng.substream(1), spec, A, POINTS, ROWS),
         "hidden_values": hidden_values(rng.substream(2), spec, A, POINTS, ROWS),
         "visible_values": visible_values(rng.substream(3), spec, A, POINTS, ROWS),
-        "levy_functional_mc": [mc.value, mc.se],
+        "levy_functional_mc": [est[0], se[0]],
     }
 
 
