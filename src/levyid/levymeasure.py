@@ -193,9 +193,8 @@ def _pieces(times, kernel: Kernel, restriction, a):
     at its midpoint is positive, the rule the conv decomposition samplers
     filter jumps by: "positive" keeps the alive pieces and "zero" the rest.
     """
-    ts = times.tolist()
-    t_max = max(ts)
-    cuts = {*ts, *(t - b for t in ts for b in kernel.breakpoints())}
+    t_max = max(times)
+    cuts = {*times, *(t - b for t in times for b in kernel.breakpoints())}
     if restriction is not None:
         cuts.update(a - e for iv in kernel.positive_intervals() for e in iv)
     bs = sorted({0.0, t_max, *(c for c in cuts if 0.0 < c < t_max)})
@@ -244,10 +243,10 @@ def levy_functional_quadrature(
         def integrand(s):
             return _driver_one_minus_exp(spec.z, _matvec(spec.kernel(times - s[:, None]), alphas))
 
-        for lo, hi, _ in _pieces(times, spec.kernel, restriction, a):
+        for lo, hi, _ in _pieces(entry.times, spec.kernel, restriction, a):
             total += _quad((spec, entry), integrand, lo, hi)
         return total
-    pieces = list(_pieces(times, _STEP, restriction, a))
+    pieces = list(_pieces(entry.times, _STEP, restriction, a))
     if isinstance(spec, SatoSpec):
         pieces.reverse()  # summed in decreasing s, the order its last bits depend on
     for lo, hi, mid in pieces:
