@@ -12,9 +12,11 @@ Every family's nu(F) is a sum over one partition of the jump locations s
 in [0, t_max], walked by _pieces: a jump born at s has path shape
 x f(t - s), with f the step 1[0, inf) for Poisson, tempered-stable and
 Sato (s = e^{-theta/H} for the driver time theta) and the kernel for conv.
-A restriction keeps the pieces whose f(a - s) is positive at the midpoint,
-or the others, which is the rule the conv decomposition samplers filter
-jumps by; so the two restrictions add up to the unrestricted value.
+A restriction keeps the pieces on which f(a - s) > 0, read from f's
+positive intervals rather than from its floating-point values (an interior
+zero knot or an underflowing tail does not kill a piece), or the others;
+this is the rule the conv decomposition samplers filter jumps by, and the
+two restrictions add up to the unrestricted value.
 
 Every integral here goes through one adaptive Gauss-Legendre integrator on
 numpy arrays, _integrate. A Sato piece is integrated in u = s^H = e^{-theta},
@@ -37,7 +39,6 @@ import numpy as np
 from .core import (
     ConvSpec,
     JumpLawSpec,
-    Kernel,
     LevyFunctionalPanel,
     PanelEntry,
     PoissonSpec,
@@ -165,42 +166,34 @@ def _quad(key, f, lo, hi) -> float:
     return value
 
 
-class _Step(Kernel):
-    """f = 1 on [0, inf): the path shape 1[s, inf) of a jump born at s, for
-    Poisson, tempered-stable and Sato (in s = e^{-theta/H})."""
-
-    def __call__(self, u):
-        return 1.0 if u >= 0 else 0.0
-
-    def positive_intervals(self):
-        return ((0.0, math.inf),)
-
-    def breakpoints(self):
-        return ()
+# the breakpoints and positive intervals of the step f = 1[0, inf), the
+# path shape 1[s, inf) of a jump born at s for Poisson, tempered-stable and
+# Sato (in s = e^{-theta/H})
+_STEP = ((), ((0.0, math.inf),))
 
 
-_STEP = _Step()
-
-
-def _pieces(times, kernel: Kernel, restriction, a):
+def _pieces(times, breakpoints, positive, restriction, a):
     """The pieces (lo, hi, mid) of jump locations s in [0, t_max], in
-    increasing s, that a restriction keeps.
+    increasing s, that a restriction keeps, for a jump shape f with the
+    given breakpoints and maximal positive intervals.
 
     The range is cut at 0, t_max, each panel time t, each t - b for b in
-    the kernel's breakpoints and, under a restriction, each a - e for an end
-    e of the kernel's positive intervals; only cuts strictly inside
-    (0, t_max) count. A piece is alive at a when the response f(a - mid) of a jump born
-    at its midpoint is positive, the rule the conv decomposition samplers
-    filter jumps by: "positive" keeps the alive pieces and "zero" the rest.
+    the breakpoints and, under a restriction, each a - e for an end e of
+    the positive intervals; only cuts strictly inside (0, t_max) count. A
+    piece is alive at a when a - mid lies in a positive interval, that is
+    f(a - s) > 0 across it, the rule the conv decomposition samplers filter
+    jumps by: "positive" keeps the alive pieces and "zero" the rest. Each
+    a - e is a cut, so the rule is constant on every piece.
     """
     t_max = max(times)
-    cuts = {*times, *(t - b for t in times for b in kernel.breakpoints())}
+    cuts = {*times, *(t - b for t in times for b in breakpoints)}
     if restriction is not None:
-        cuts.update(a - e for iv in kernel.positive_intervals() for e in iv)
+        cuts.update(a - e for iv in positive for e in iv)
     bs = sorted({0.0, t_max, *(c for c in cuts if 0.0 < c < t_max)})
+    keep_alive = restriction == "positive"
     for lo, hi in zip(bs[:-1], bs[1:]):
         mid = 0.5 * (lo + hi)
-        if restriction is None or (kernel(a - mid) > 0) == (restriction == "positive"):
+        if restriction is None or any(l <= a - mid <= h for l, h in positive) == keep_alive:
             yield lo, hi, mid
 
 
@@ -231,44 +224,48 @@ def levy_functional_quadrature(
     closed-form mass, Sato and conv integrate each piece.
     """
     _check_restriction(restriction, a)
-    if not isinstance(spec, (PoissonSpec, TemperedStableSpec, SatoSpec, ConvSpec)):
-        raise ValueError(
-            "quadrature covers the time-indexed families; permanental "
-            "functionals are sampled in the permanental module"
-        )
     times = np.asarray(entry.times)
     alphas = np.asarray(entry.alphas)
-    total = 0.0
     if isinstance(spec, ConvSpec):
         def integrand(s):
             return _driver_one_minus_exp(spec.z, _matvec(spec.kernel(times - s[:, None]), alphas))
 
-        for lo, hi, _ in _pieces(entry.times, spec.kernel, restriction, a):
-            total += _quad((spec, entry), integrand, lo, hi)
-        return total
-    pieces = list(_pieces(entry.times, _STEP, restriction, a))
-    if isinstance(spec, SatoSpec):
-        pieces.reverse()  # summed in decreasing s, the order its last bits depend on
-    for lo, hi, mid in pieces:
-        # the exposure level of a jump born in the piece
-        level = float(alphas[times >= mid].sum())
-        if level <= 0:
-            continue
-        if isinstance(spec, PoissonSpec):
-            total += (hi - lo) * -math.expm1(-level)
-        elif isinstance(spec, TemperedStableSpec):
+        k = spec.kernel
+        pieces = _pieces(entry.times, k.breakpoints(), k.positive_intervals(), restriction, a)
+        return sum((_quad((spec, entry), integrand, lo, hi) for lo, hi, _ in pieces), 0.0)
+    # mass(lo, hi, level): the piece's mass at the exposure level of a jump
+    # born in it; Poisson's rate multiplies the sum, for the same last bits
+    scale, decreasing = 1.0, False
+    if isinstance(spec, PoissonSpec):
+        scale = spec.rate
+
+        def mass(lo, hi, level):
+            return (hi - lo) * -math.expm1(-level)
+    elif isinstance(spec, TemperedStableSpec):
+        def mass(lo, hi, level):
             # the inner jump-size integral is exact: int (1 - e^{-Ax})
             # x^{-alpha-1} e^{-x} dx / |Gamma(-alpha)| = (1+A)^alpha - 1
-            total += (hi - lo) * _driver_one_minus_exp(spec, level)
-        else:
+            return (hi - lo) * _driver_one_minus_exp(spec, level)
+    elif isinstance(spec, SatoSpec):
+        decreasing = True  # summed in decreasing s, the order its last bits depend on
+
+        def mass(lo, hi, level):
             # a Sato jump at s scales by e^{-theta} = s^H; the integrand in u
             # depends on the driver and the level only
-            total += _quad(
-                (spec.bdlp, level),
-                lambda u: _driver_one_minus_exp(spec.bdlp, level * u) / u,
-                _u(spec.H, lo), _u(spec.H, hi),
-            )
-    return spec.rate * total if isinstance(spec, PoissonSpec) else total
+            return _quad((spec.bdlp, level),
+                         lambda u: _driver_one_minus_exp(spec.bdlp, level * u) / u,
+                         _u(spec.H, lo), _u(spec.H, hi))
+    else:
+        raise ValueError(
+            "quadrature covers the time-indexed families; permanental "
+            "functionals are sampled in the permanental module"
+        )
+    total = 0.0
+    for lo, hi, mid in sorted(_pieces(entry.times, *_STEP, restriction, a), reverse=decreasing):
+        level = float(alphas[times >= mid].sum())
+        if level > 0:
+            total += mass(lo, hi, level)
+    return scale * total
 
 
 # ---------- probabilistic representations ----------

@@ -317,8 +317,13 @@ def _nu_reference(spec, entry, restriction=None, a=None):
         lo, hi = min(points), math.inf
     elif isinstance(spec, ConvSpec):
         kern = spec.kernel
-        keep.update(positive=lambda s: s <= a and kern(a - s) > 0,
-                    zero=lambda s: not (s <= a and kern(a - s) > 0))
+        # alive: a - s in the set {f > 0}, which float f(a - s) misreads
+        # where it underflows
+
+        def alive(s):
+            return any(lo <= a - s <= hi for lo, hi in kern.positive_intervals())
+
+        keep.update(positive=alive, zero=lambda s: not alive(s))
 
         def f(s):
             return _driver(spec.z, float(alphas @ kern(times - s)), _one_minus_exp_closed)
@@ -370,6 +375,9 @@ OTHER_SPECS = {
                                               (1.0, 0.0, 0.0, 1.0, 0.0)), EXP1),
     "conv-starts-dead": ConvSpec(TabulatedKernel((0.2, 0.7, 1.9), (0.0, 2.0, 0.5)),
                                  JumpLawSpec(0.7, JumpLaw.gamma(0.5, 2.0))),
+    # an interior zero knot: at a = 1.5 the single time 2 makes a piece
+    # [0, 1] whose midpoint has f(a - s) = f(1) = 0, though f > 0 on the rest
+    "conv-zero-knot": ConvSpec(TabulatedKernel((0.0, 1.0, 2.0), (1.0, 0.0, 1.0)), EXP1),
     "sato-gamma-0.5": SatoSpec(0.8, JumpLawSpec(1.3, JumpLaw.gamma(0.5, 1.5))),
     "sato-gamma-2": SatoSpec(1.4, JumpLawSpec(0.6, JumpLaw.gamma(2.0, 0.7))),
     "sato-constant": SatoSpec(0.7, JumpLawSpec(1.0, JumpLaw.constant(1.7))),
@@ -409,6 +417,15 @@ class TestQuadratureAccuracy:
             for r in ((None,) if a is None else ("zero", "positive")):
                 _assert_close(levy_functional_quadrature(spec, entry, r, a),
                               _nu_reference(spec, entry, r, a))
+
+    @pytest.mark.parametrize("restriction", ("zero", "positive"))
+    def test_underflowing_kernel_stays_alive(self, restriction):
+        # f(a - s) = e^{-400 (2.5 - s)} reads 0.0 for s < 0.64, where f > 0:
+        # those jumps are alive at a, and they carry the mass near each t
+        spec = ConvSpec(ExpDecayKernel(400.0), EXP1)
+        for entry in cli.default_panel(GRID):
+            _assert_close(levy_functional_quadrature(spec, entry, restriction, 2.5),
+                          _nu_reference(spec, entry, restriction, 2.5))
 
     @pytest.mark.parametrize("H", (0.5, 1.0, 1.7))
     def test_sato_exponential_closed_form(self, H):
