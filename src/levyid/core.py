@@ -226,6 +226,19 @@ class Kernel:
         raise NotImplementedError
 
 
+def in_intervals(u, intervals):
+    """Whether u, a float or an array, lies in one of the closed `intervals`.
+
+    With a kernel's positive_intervals this is f(u) > 0, the rule every
+    alive-at-a test uses, decided without f's float value, which underflows
+    in an exp-decay tail.
+    """
+    inside = np.zeros(np.shape(u), bool)
+    for lo, hi in intervals:
+        inside |= (lo <= u) & (u <= hi)
+    return inside
+
+
 @dataclass(frozen=True)
 class IndicatorKernel(Kernel):
     """f = 1 on [0, length], 0 elsewhere."""
@@ -403,7 +416,8 @@ class TemperedStableSpec:
 @dataclass(frozen=True)
 class SatoSpec:
     """Self-similar additive process of exponent H built from a compound Poisson
-    background driver; the sampler truncates the driver's domain at
+    background driver. With an exponential jump law the sampler's paths are
+    exact; with any other it truncates the driver's domain at
     processes.required_cutoff of the sampled times."""
 
     H: float
@@ -516,8 +530,8 @@ class PanelEntry:
             raise ValueError("alphas and times must be nonempty and of equal length")
         if any(a < 0 or not math.isfinite(a) for a in self.alphas):
             raise ValueError("alphas must be nonnegative and finite")
-        if any(t < 0 for t in self.times):
-            raise ValueError("times must be nonnegative")
+        if not all(0 <= t < math.inf for t in self.times):  # also rejects NaN
+            raise ValueError("times must be nonnegative and finite")
 
     def scaled(self, factor: float) -> "PanelEntry":
         return PanelEntry(tuple(a * factor for a in self.alphas), self.times)

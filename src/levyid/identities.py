@@ -30,6 +30,7 @@ from .core import (
     TemperedStableSpec,
     TimeGrid,
     WeightedEnsemble,
+    in_intervals,
     mean_function,
 )
 from .processes import _conv_values, _sato_values, sample_ensemble, sample_paths, values_at
@@ -139,7 +140,9 @@ def visible_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) 
     if isinstance(spec, (PoissonSpec, TemperedStableSpec, SatoSpec)):
         return values_at(rng, spec, np.minimum(pts, a), n)
     if isinstance(spec, ConvSpec):
-        return _conv_values(rng, spec, pts, n, jump_filter=lambda s: spec.kernel(a - s) > 0)
+        # alive at a: a - s in a positive interval, not f(a - s) > 0 in floats
+        alive = spec.kernel.positive_intervals()
+        return _conv_values(rng, spec, pts, n, jump_filter=lambda s: in_intervals(a - s, alive))
     raise TypeError(f"no decomposition for {type(spec).__name__}")
 
 
@@ -164,7 +167,8 @@ def hidden_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) -
         return _sato_values(rng, spec, np.where(pts > a, pts, 0.0), n,
                             hi=-spec.H * float(np.log(a)))
     if isinstance(spec, ConvSpec):
-        return _conv_values(rng, spec, pts, n, jump_filter=lambda s: spec.kernel(a - s) <= 0)
+        alive = spec.kernel.positive_intervals()
+        return _conv_values(rng, spec, pts, n, jump_filter=lambda s: ~in_intervals(a - s, alive))
     raise TypeError(f"no decomposition for {type(spec).__name__}")
 
 

@@ -48,6 +48,7 @@ from .core import (
     TimeGrid,
     WeightedEnsemble,
     _matvec,
+    in_intervals,
     make_grid,
 )
 from .processes import sample_paths
@@ -193,7 +194,7 @@ def _pieces(times, breakpoints, positive, restriction, a):
     keep_alive = restriction == "positive"
     for lo, hi in zip(bs[:-1], bs[1:]):
         mid = 0.5 * (lo + hi)
-        if restriction is None or any(l <= a - mid <= h for l, h in positive) == keep_alive:
+        if restriction is None or in_intervals(a - mid, positive) == keep_alive:
             yield lo, hi, mid
 
 

@@ -4,8 +4,10 @@ Every sampler evaluates a fresh realization at an arbitrary finite set of
 nonnegative times. Values at t = 0 are exactly 0 for all families. Poisson
 and tempered stable paths are built from independent increments; the
 self-similar and moving-average families are built from the explicit jump
-set of their compound Poisson driver, which makes the path exact (up to the
-documented tail truncation for the self-similar family).
+set of their compound Poisson driver, which makes the path exact. The one
+exception is a self-similar family whose driver's jump law is not
+exponential: its driver is truncated at required_cutoff, which neglects a
+tail below _TAIL_FRACTION of the mean at the smallest positive time.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .randkit import DT_MAX, RngStream, sample_jump, sample_tempered_stable_incr
 # the thread count
 CHUNK = 50_000
 
-# neglected driver tail must stay below this fraction of E psi(t_max)
+# a truncated Sato driver's neglected tail stays below this fraction of
+# E psi(t_min)
 _TAIL_FRACTION = 1e-6
 
 # sub-steps for the approximate tempered-stable-driver moving average
@@ -56,19 +59,17 @@ _MAX_JUMPS = 4e7
 def required_cutoff(spec: SatoSpec, points) -> float:
     """Truncation bound of the Sato driver's location domain for `points`.
 
-    The smallest bound that covers every requested time and keeps the
-    neglected tail mean kappa * exp(-cutoff) below _TAIL_FRACTION of
-    E psi(t_max); the sampler always truncates here.
+    The jumps past a bound c reach every positive time, with mean
+    kappa * exp(-c) in total; c = log(1/_TAIL_FRACTION) - H log t_min keeps
+    that below _TAIL_FRACTION of E psi(t_min) = kappa * t_min^H, and so of
+    E psi(t) at every sampled time. The sampler truncates here unless the
+    driver's jump law is exponential, whose tail it draws exactly.
     """
     pts = np.asarray(points, dtype=float)
     pos = pts[pts > 0]
     if pos.size == 0:
         return 0.0
-    t_min, t_max = float(pos.min()), float(pos.max())
-    return max(
-        -spec.H * math.log(t_min),
-        math.log(1.0 / _TAIL_FRACTION) - spec.H * math.log(t_max),
-    )
+    return math.log(1.0 / _TAIL_FRACTION) - spec.H * math.log(float(pos.min()))
 
 
 def _cumulative(points, increments) -> np.ndarray:
@@ -162,8 +163,16 @@ def _sato_values(
     rng: RngStream, spec: SatoSpec, points, n: int, hi: float | None = None
 ) -> np.ndarray:
     """Self-similar values from the driver's jumps on locations [-H log t_max,
-    hi); hi defaults to required_cutoff, and a smaller hi keeps exactly the
-    jumps born after exp(-hi / H)."""
+    hi); a given hi keeps exactly the jumps born after exp(-hi / H).
+
+    Without hi the path is the whole of psi. For an exponential jump law hi
+    is the largest threshold c = -H log t_min, and the jumps past it, which
+    reach every positive time, add exp(-c) * Y with Y = int_0^inf e^{-u}
+    dZ(u): Y has the Gamma(shape = rate, scale = mean) law, the Gamma-OU
+    stationary law (Barndorff-Nielsen and Shephard, 2001), and one variate
+    per path is drawn after the jump set. Any other law is drawn up to
+    required_cutoff.
+    """
     pts = np.asarray(points, dtype=float)
     out = np.zeros((n, pts.size))
     pos = pts > 0
@@ -173,16 +182,23 @@ def _sato_values(
     # psi(t) exactly when s >= -H log t
     thresholds = np.full(pts.size, np.inf)
     thresholds[pos] = -spec.H * np.log(pts[pos])
+    # the distinct thresholds, in increasing order
+    levels = np.unique(thresholds[pos])
+    law = spec.bdlp.law
+    exact_tail = hi is None and law.kind == "exponential"
     if hi is None:
-        hi = required_cutoff(spec, pts)
-    jumps = _jump_set(rng, spec.bdlp, float(thresholds[pos].min()), hi, n)
+        hi = float(levels[-1]) if exact_tail else required_cutoff(spec, pts)
+    jumps = _jump_set(rng, spec.bdlp, float(levels[0]), hi, n)
+    tail = None
+    if exact_tail:
+        tail = rng.generator.gamma(spec.bdlp.rate, law.params[0], n)
+        tail *= math.exp(-hi)
     if jumps is None:
-        return out
+        jumps = np.zeros(n, np.intp), np.empty(0), np.empty(0)
     counts, s, x = jumps
     del jumps
-    # how many of the distinct thresholds, in increasing order, each jump
-    # clears: it is seen at a point of threshold levels[r] when cleared > r
-    levels = np.unique(thresholds[pos])
+    # how many of the levels each jump clears: it is seen at a point of
+    # threshold levels[r] when cleared > r
     cleared = np.zeros(s.size, np.min_scalar_type(levels.size))
     for level in levels:
         cleared += s >= level
@@ -199,6 +215,8 @@ def _sato_values(
     for j in sorted(np.flatnonzero(pos), key=lambda j: rank[j]):
         v[cleared <= rank[j]] = 0.0
         out[:, j] = np.bincount(rep, weights=v, minlength=n)
+        if tail is not None:
+            out[:, j] += tail
     return out
 
 

@@ -258,6 +258,14 @@ class TestPanel:
         with pytest.raises(ValueError):
             PanelEntry((-1.0,), (1.0,))  # negative coefficient
 
+    @pytest.mark.parametrize("times", [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf),
+                                       (-0.5, 1.0)])
+    def test_entry_rejects_times_off_the_half_line(self, times):
+        # a NaN time passed `t < 0`, and quadrature then read 0.0 at (nan, 1)
+        # and 0.632 at (1, nan)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            PanelEntry((1.0, 1.0), times)
+
     def test_scaled(self):
         e = PanelEntry((1.0, 2.0), (0.5, 1.0)).scaled(0.5)
         assert e.alphas == (0.5, 1.0)

@@ -28,6 +28,7 @@ from levyid.identities import (
     verify_tilting_identity,
     visible_values,
 )
+from levyid.processes import values_at
 from levyid.randkit import RngStream
 
 GRID = TimeGrid((0.5, 1.0, 1.5, 2.0))
@@ -133,6 +134,21 @@ class TestComponentStructure:
         for fn in (companion_values, visible_values, hidden_values):
             p = fn(rng.substream(11), spec, 1.0, GRID.points, 1)
             assert p.shape == (1, len(GRID))
+
+
+@pytest.mark.parametrize("z", [JumpLawSpec(rate=2.0, law=JumpLaw.exponential(1.0)),
+                               TemperedStableSpec(0.5)], ids=["jump", "tempered-stable"])
+def test_conv_alive_where_kernel_underflows(z):
+    # e^{-400 u} reads 0.0 past u = 1.87, yet f > 0 on all of [0, inf): at
+    # a = 2.5 every jump born by a is alive, so the hidden part is exactly 0
+    # up to a and the two parts add up to the whole path
+    spec, a, pts = ConvSpec(ExpDecayKernel(400.0), z), 2.5, (0.5, 1.0, 2.5, 3.0)
+    assert spec.kernel(2.0) == 0.0
+    hid = hidden_values(RngStream(34), spec, a, pts, 2000)
+    vis = visible_values(RngStream(34), spec, a, pts, 2000)
+    assert np.all(hid[:, :3] == 0.0) and np.any(hid[:, 3] > 0)
+    np.testing.assert_allclose(hid + vis, values_at(RngStream(34), spec, pts, 2000),
+                               rtol=1e-12, atol=0)
 
 
 SATO_H08 = SatoSpec(H=0.8, bdlp=JumpLawSpec(rate=1.5, law=JumpLaw.gamma(2.0, 1.5)))

@@ -217,7 +217,10 @@ def _permanental_marginal_ref(rng, chain, m, entry, n):
 
 
 def _sato_ref(rng, spec, points, n):
-    # each point's column summed over the gathered jumps at or past its threshold
+    # each point's column summed over the gathered jumps at or past its
+    # threshold; an exponential law stops at the largest threshold c and adds
+    # exp(-c) times one Gamma(rate, mean) variate per path, drawn after the
+    # jumps, and any other law draws on to required_cutoff
     pts = np.asarray(points, dtype=float)
     out = np.zeros((n, pts.size))
     pos = pts > 0
@@ -225,16 +228,19 @@ def _sato_ref(rng, spec, points, n):
         return out
     thresholds = np.full(pts.size, np.inf)
     thresholds[pos] = -spec.H * np.log(pts[pos])
-    jumps = _jump_set(rng, spec.bdlp, float(thresholds[pos].min()),
-                      required_cutoff(spec, pts), n)
-    if jumps is None:
-        return out
-    counts, s, x = jumps
+    law = spec.bdlp.law
+    exact_tail = law.kind == "exponential"
+    hi = float(thresholds[pos].max()) if exact_tail else required_cutoff(spec, pts)
+    jumps = _jump_set(rng, spec.bdlp, float(thresholds[pos].min()), hi, n)
+    tail = np.zeros(n)
+    if exact_tail:
+        tail = rng.generator.gamma(spec.bdlp.rate, law.params[0], n) * math.exp(-hi)
+    counts, s, x = jumps if jumps is not None else (np.zeros(n, int), np.empty(0), np.empty(0))
     rep = np.repeat(np.arange(n), counts)
     v = x * np.exp(-s)
     for j in np.flatnonzero(pos):
         mask = s >= thresholds[j]
-        out[:, j] = np.bincount(rep[mask], weights=v[mask], minlength=n)
+        out[:, j] = np.bincount(rep[mask], weights=v[mask], minlength=n) + tail
     return out
 
 
@@ -521,14 +527,19 @@ def test_job_state0_marginal_matches_per_state_reference(name):
 
 
 SATO_DESK = SatoSpec(H=0.5, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))
+# a law the sampler truncates at required_cutoff
+SATO_GAMMA = SatoSpec(H=0.8, bdlp=JumpLawSpec(rate=1.5, law=JumpLaw.gamma(2.0, 1.5)))
+SATO_POINTS = {"sorted": (0.0, 0.5, 1.0, 1.5, 2.0), "unsorted": (1.5, 0.0, 2.0, 0.5, 1.0, 0.25),
+               "repeated": (1.0, 2.0, 0.0, 1.0, 0.5, 2.0)}
 
 
-@pytest.mark.parametrize("points", [(0.0, 0.5, 1.0, 1.5, 2.0), (1.5, 0.0, 2.0, 0.5, 1.0, 0.25),
-                                    (1.0, 2.0, 0.0, 1.0, 0.5, 2.0)],
-                         ids=["sorted", "unsorted", "repeated"])
-def test_sato_columns_match_masked_reference(points):
-    got = _sato_values(RngStream(29), SATO_DESK, points, 4000)
-    assert np.array_equal(got, _sato_ref(RngStream(29), SATO_DESK, points, 4000))
+@pytest.mark.parametrize("points, spec", [
+    *(pytest.param(p, SATO_DESK, id=k) for k, p in SATO_POINTS.items()),
+    *(pytest.param(p, SATO_GAMMA, id=f"{k}-gamma") for k, p in SATO_POINTS.items()),
+])
+def test_sato_columns_match_masked_reference(points, spec):
+    got = _sato_values(RngStream(29), spec, points, 4000)
+    assert np.array_equal(got, _sato_ref(RngStream(29), spec, points, 4000))
     assert np.all(got[:, list(points).index(0.0)] == 0.0)
 
 

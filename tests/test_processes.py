@@ -17,6 +17,7 @@ from levyid.core import (
     IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
+    PanelEntry,
     PoissonSpec,
     SatoSpec,
     TemperedStableSpec,
@@ -24,13 +25,16 @@ from levyid.core import (
     mean_function,
 )
 from levyid.identities import companion_values, hidden_values, visible_values
+from levyid.levymeasure import levy_functional_quadrature
 from levyid.processes import (
+    _TAIL_FRACTION,
     required_cutoff,
     sample_ensemble,
     sample_paths,
     values_at,
 )
 from levyid.randkit import RngStream
+from levyid.statlab import bonferroni_crit
 
 # one spec per sampler branch of values_at
 SAMPLERS = {
@@ -127,11 +131,36 @@ class TestSato:
         p = values_at(rng.substream(12), spec, grid.points, 1)[0]
         assert len(p) == len(grid) and np.all(np.diff(p) >= 0)
 
+    def test_exact_tail_law(self):
+        # exponential-law paths carry no truncation: at 1M rows the path
+        # means match mean_function and the Laplace values exp(-nu(F)) from
+        # quadrature, on times down to 0.05 where a truncated tail shows
+        # first, all z-scores under one Bonferroni gate
+        times = (0.05, 0.3, 1.0, 3.0)
+        alphas = [*np.eye(len(times)), np.full(len(times), 0.5)]
+        zs = []
+        for i, h in enumerate((0.5, 1.0, 1.7)):
+            spec = SatoSpec(H=h, bdlp=JumpLawSpec(rate=2.5, law=JumpLaw.exponential(0.4)))
+            vals = sample_ensemble(lambda stream, m: values_at(stream, spec, times, m),
+                                   RngStream(61).substream(i), 1_000_000)
+            for j, t in enumerate(times):
+                col = vals[:, j]
+                zs.append((col.mean() - mean_function(spec, t)) / (col.std() / math.sqrt(col.size)))
+            for alpha in alphas:
+                lap = np.exp(-(vals @ alpha))
+                want = math.exp(-levy_functional_quadrature(spec, PanelEntry(alpha, times)))
+                zs.append((lap.mean() - want) / (lap.std() / math.sqrt(lap.size)))
+        assert np.all(np.abs(zs) <= bonferroni_crit(3.0, len(zs))), zs
+
     def test_required_cutoff_covers_small_times(self):
         spec = SatoSpec(H=2.0, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.constant(1.0)))
         c = required_cutoff(spec, [0.01, 1.0])
         # jumps born at locations up to c reach back to time exp(-c/H)
         assert math.exp(-c / 2.0) <= 0.01 + 1e-12
+        # the neglected tail, kappa e^{-c}, against E psi(t_min) = kappa t_min^H
+        assert math.exp(-c) == pytest.approx(_TAIL_FRACTION * 0.01**2.0, rel=1e-12)
+        assert required_cutoff(spec, [0.0, 1.0]) == pytest.approx(math.log(1.0 / _TAIL_FRACTION))
+        assert required_cutoff(spec, [0.0]) == 0.0
 
 
 class TestConv:
