@@ -10,7 +10,6 @@ those identities statistically against quadrature and closed-form oracles.
 from .core import (
     ConvSpec,
     ExpDecayKernel,
-    IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
     Kernel,
@@ -64,7 +63,6 @@ __all__ = [
     "ConvSpec",
     "ExpDecayKernel",
     "GreenMatrix",
-    "IndicatorKernel",
     "JumpLaw",
     "JumpLawSpec",
     "Kernel",

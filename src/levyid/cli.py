@@ -35,7 +35,6 @@ from . import permanental
 from .core import (
     ConvSpec,
     ExpDecayKernel,
-    IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
     Kernel,
@@ -171,7 +170,6 @@ _LAWS = {
     "constant": (JumpLaw.constant, ("value",)),
 }
 _KERNELS = {
-    "indicator": (IndicatorKernel, ("length",)),
     "exp-decay": (ExpDecayKernel, ("decay",)),
     "power-cutoff": (PowerCutoffKernel, ("power", "length")),
 }
@@ -200,6 +198,9 @@ def parse_kernel(obj) -> Kernel:
         if kind == "tabulated":
             return TabulatedKernel(_nums(_get(obj, "knots", required=True), "knots"),
                                    _nums(_get(obj, "values", required=True), "values"))
+        if kind == "indicator":  # f = 1 on [0, length]: the flat two-knot table
+            length = _positive(_get(obj, "length", required=True), "length")
+            return TabulatedKernel((0.0, length), (1.0, 1.0))
         return _from_table(obj, kind, _KERNELS, "kernel")
 
 

@@ -240,31 +240,6 @@ def in_intervals(u, intervals):
 
 
 @dataclass(frozen=True)
-class IndicatorKernel(Kernel):
-    """f = 1 on [0, length], 0 elsewhere."""
-
-    length: float
-
-    def __post_init__(self):
-        _positive("kernel length", self.length)
-        object.__setattr__(self, "support_end", float(self.length))
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.where((u >= 0) & (u <= self.length), 1.0, 0.0)
-        return out if out.shape else float(out)
-
-    def integral(self, a: float) -> float:
-        return float(min(max(a, 0.0), self.length))
-
-    def positive_intervals(self):
-        return ((0.0, self.length),)
-
-    def breakpoints(self):
-        return (0.0, self.length)
-
-
-@dataclass(frozen=True)
 class ExpDecayKernel(Kernel):
     """f(u) = exp(-decay * u) on [0, inf)."""
 
@@ -345,9 +320,8 @@ class TabulatedKernel(Kernel):
         object.__setattr__(self, "support_end", float(self.knots[-1]))
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
+        # knots[0] >= 0, so every u < 0 falls left of the table and reads 0
         out = np.interp(u, self.knots, self.values, left=0.0, right=0.0)
-        out = np.where(u < 0, 0.0, out)
         return out if out.shape else float(out)
 
     def _cum(self) -> np.ndarray:

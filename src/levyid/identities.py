@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     ConvSpec,
     ExpDecayKernel,
-    IndicatorKernel,
     JumpLawSpec,
     LevyFunctionalPanel,
     PoissonSpec,
@@ -55,8 +54,6 @@ def _kernel_reach(gen, kernel, a: float, n: int) -> np.ndarray:
     total = kernel.integral(a)
     if total <= 0:
         raise ValueError("kernel mass I(a) vanishes; no jump is visible at a")
-    if isinstance(kernel, IndicatorKernel):
-        return gen.uniform(0.0, min(a, kernel.length), n)
     if isinstance(kernel, ExpDecayKernel):
         c = kernel.decay
         u = gen.random(n)
@@ -230,8 +227,11 @@ def verify_tilting_identity(
         (rng.substream(_TAG_RHS_BASE), rng.substream(_TAG_RHS_ADD)),
     ), n)
     lhs_ens = tilt(lhs_vals)
-    lhs = control_variate_panel(lhs_ens, panel)
     w = lhs_ens.weights
+    if not w.any():
+        raise ValueError(f"no drawn path has psi(a) > 0 at a={a:g}, so none can be "
+                         "tilted; raise 'mc.N'")
+    lhs = control_variate_panel(lhs_ens, panel)
     notes = {"lhs_estimator": "control-variate", "lhs_ess": effective_sample_size(w),
              "lhs_max_weight_share": float(w.max() / w.sum())}
     return _verdict("tilting", grid, panel, lhs, rhs_vals, z_crit, n, notes)

@@ -151,6 +151,9 @@ def verify_thinning_limit(
             n_k,
         )
         weights = vals[:, ia] / (delta * mean_a)
+        if not weights.any():
+            raise ValueError(f"no path on the rung delta={delta:g} has psi(a) > 0 at "
+                             f"a={a:g}, so none can be tilted; raise 'limit.n'")
         ens = WeightedEnsemble(grid, vals, weights)
         est, se = weighted_laplace_panel(ens, panel)
         gaps = np.abs(est - t_est)

@@ -141,9 +141,9 @@ def _step_budget_error(start: int) -> ValueError:
 def _simulate_local_times(rng: RngStream, chain: PermanentalSpec, start: int, n: int):
     """Lockstep simulation of n independent chains from `start`.
 
-    Returns (full, pinned): total sojourn times over the whole lifetime, and
-    the snapshot taken at the final departure from `start` (sojourns strictly
-    after the last visit are discarded; the last sojourn at `start` counts).
+    Returns the pinned field: the running sojourn totals as they stood at the
+    final departure from `start` (sojourns strictly after the last visit are
+    discarded; the last sojourn at `start` counts).
     Raises ValueError, naming 'kill', when the chain is expected to jump more
     than _MAX_STEPS times, or when some chain outlives that budget.
     """
@@ -169,7 +169,7 @@ def _simulate_local_times(rng: RngStream, chain: PermanentalSpec, start: int, n:
     base = np.arange(0, n * ns, ns, dtype=np.intp)
     for _ in range(_MAX_STEPS):
         if s.size == 0:
-            return full, pinned
+            return pinned
         dt = gen.standard_exponential(s.size) / total[s]
         flat[base + s] += dt  # one cell per live row, so no index repeats
         at_start = s == start
@@ -191,18 +191,11 @@ def _simulate_local_times(rng: RngStream, chain: PermanentalSpec, start: int, n:
     raise _step_budget_error(start)
 
 
-def sample_total_sojourns(rng: RngStream, chain: PermanentalSpec, start: int, size: int) -> np.ndarray:
-    """Sojourn times over the full lifetime; E equals the Green row of `start`."""
-    full, _ = _simulate_local_times(rng, chain, start, size)
-    return full
-
-
 def sample_local_times(rng: RngStream, chain: PermanentalSpec, a: int, size: int) -> np.ndarray:
     """Local time field of the chain from a killed at its last visit to a."""
     if not 0 <= a < chain.n:
         raise ValueError("a must be a state index")
-    _, pinned = _simulate_local_times(rng, chain, a, size)
-    return pinned
+    return _simulate_local_times(rng, chain, a, size)
 
 
 def permanental_mean(green: GreenMatrix, beta: float) -> np.ndarray:

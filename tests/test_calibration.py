@@ -34,7 +34,6 @@ import levyid.identities as identities
 from levyid.cli import default_panel, parse_process
 from levyid.core import (
     ConvSpec,
-    IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
     LevyFunctionalPanel,
@@ -42,6 +41,7 @@ from levyid.core import (
     PermanentalSpec,
     PoissonSpec,
     SatoSpec,
+    TabulatedKernel,
     TemperedStableSpec,
     WeightedEnsemble,
     make_grid,
@@ -183,7 +183,8 @@ def _rung_scan():
 
 # the desk suite's self-similar and moving-average tilting processes
 DESK_SATO = SatoSpec(0.5, JumpLawSpec(1.0, JumpLaw.exponential(1.0)))
-DESK_CONV = ConvSpec(IndicatorKernel(1.0), JumpLawSpec(1.0, JumpLaw.exponential(1.0)))
+DESK_CONV = ConvSpec(TabulatedKernel((0.0, 1.0), (1.0, 1.0)),
+                     JumpLawSpec(1.0, JumpLaw.exponential(1.0)))
 
 SCANS = {
     "tilting": lambda: _identity_scan(identities.verify_tilting_identity,

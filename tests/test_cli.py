@@ -220,6 +220,22 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert report_diff(tmp_path / "r1.json", tmp_path / "r2.json") == ""
 
+    # the indicator kind is parsed as the flat two-knot table, so the two
+    # reports differ only where they echo the kernel's config
+    @pytest.mark.parametrize("command", ["simulate", "verify-isonat", "verify-condition",
+                                         "levy-check", "limit"])
+    def test_indicator_report_is_the_two_knot_table(self, tmp_path, command):
+        outs = []
+        for name, kernel in (("ind.json", {"kind": "indicator", "length": 1.5}),
+                             ("tab.json", {"kind": "tabulated", "knots": [0, 1.5],
+                                           "values": [1, 1]})):
+            cfg = dict(BASE, process=_conv_kernel(**kernel), grid=[0.5, 1.0, 2.0],
+                       mc={"N": 2000}, levy={"n": 500}, limit={"n": 50})
+            assert _run(tmp_path, [command], cfg, name)[1] is not None
+            outs.append(tmp_path / name)
+        paths = [line.split(":")[0] for line in report_diff(*outs).splitlines()]
+        assert paths and all(p.startswith("$.config.") for p in paths), paths
+
     def test_worker_flag_does_not_change_results(self, tmp_path):
         cfgp = _write(tmp_path, "cfg.json", BASE)
         o1, o2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -446,7 +462,8 @@ NEAR_RECURRENT = {"process": dict(PERM, kill=[1e-6, 0.0], beta=1.0), "identity":
 # key its diagnostic names: a Poisson jump-count mean past numpy's limit
 # (lambda * t, or the Sato driver's rate over a span set by H and the grid),
 # a tempered-stable span needing too many sub-steps, a driver jump set past
-# the jump budget, or a killed chain past the step budget
+# the jump budget, a killed chain past the step budget, or a draw too small
+# for any path to have psi(a) > 0, which leaves nothing to tilt
 SAMPLER_LIMITS = {
     "lambda-overflow-simulate": (["simulate"], dict(BASE, process={"family": "poisson",
                                                                    "lambda": 1e300},
@@ -471,6 +488,11 @@ SAMPLER_LIMITS = {
                                           "mc": {"N": 60_000}}, "'rate'")
        for argv in ("verify-isonat", "verify-condition")},
     "chain-near-recurrent": (["permanental"], NEAR_RECURRENT, "'kill'"),
+    "no-tilted-path-isonat": (["verify-isonat"], {"process": {"family": "poisson", "lambda": 1.0},
+                                                  "identity": {"a": 0.5}, "mc": {"N": 1},
+                                                  "seed": 1}, "'mc.N'"),
+    "no-tilted-path-limit": (["limit"], {"process": {"family": "poisson", "lambda": 0.01},
+                                         "identity": {"a": 0.5}, "seed": 3}, "'limit.n'"),
 }
 
 

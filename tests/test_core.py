@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from levyid.core import (
     ConvSpec,
     ExpDecayKernel,
-    IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
     LevyFunctionalPanel,
@@ -24,6 +23,8 @@ from levyid.core import (
     make_grid,
     mean_function,
 )
+from levyid.identities import _kernel_reach
+from levyid.randkit import RngStream
 
 
 class TestTimeGrid:
@@ -145,11 +146,32 @@ class TestMatvec:
 
 class TestKernels:
     def test_indicator(self):
-        k = IndicatorKernel(1.5)
+        k = TabulatedKernel((0.0, 1.5), (1.0, 1.0))
         assert k(np.array([0.0, 1.0, 1.6])).tolist() == [1.0, 1.0, 0.0]
         assert k.integral(1.0) == 1.0
         assert k.integral(4.0) == 1.5
         assert k.positive_intervals() == ((0.0, 1.5),)
+
+    # the indicator of [0, L] is the flat two-knot table: held bit for bit
+    # to the indicator's closed forms and to its uniform reach draw
+    @pytest.mark.parametrize("length", [0.3, 2.0 / 3.0, 1.0, 1.5, 7.25])
+    def test_flat_two_knot_table_is_the_indicator(self, length):
+        k = TabulatedKernel((0.0, length), (1.0, 1.0))
+        inside = [0.0, np.nextafter(0.0, 1.0), 0.5 * length, np.nextafter(length, 0.0), length]
+        outside = [-np.inf, -1.0, np.nextafter(0.0, -1.0), np.nextafter(length, np.inf),
+                   length + 1.0, np.inf]
+        assert k(np.array(inside)).tolist() == [1.0] * len(inside)
+        assert k(np.array(outside)).tolist() == [0.0] * len(outside)
+        assert [k(u) for u in inside + outside] == [1.0] * len(inside) + [0.0] * len(outside)
+        for a in (-1.0, 0.0, 0.25 * length, np.nextafter(length, 0.0), length, 3.0 * length):
+            assert k.integral(a) == min(max(a, 0.0), length)
+        assert k.positive_intervals() == ((0.0, length),)
+        assert k.breakpoints() == (0.0, length) and k.support_end == length
+        for a in (0.5 * length, length, 2.5 * length):
+            got, want = RngStream(3).generator, RngStream(3).generator
+            assert (_kernel_reach(got, k, a, 1000).tobytes()
+                    == want.uniform(0.0, min(a, length), 1000).tobytes())
+            assert got.random() == want.random()  # the same draws were used
 
     def test_exp_decay(self):
         k = ExpDecayKernel(2.0)
@@ -180,7 +202,7 @@ class TestKernels:
     @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0))
     def test_integral_additive(self, t1, t2):
         lo, hi = sorted((t1, t2))
-        for k in (IndicatorKernel(1.0), ExpDecayKernel(0.7),
+        for k in (TabulatedKernel((0.0, 1.0), (1.0, 1.0)), ExpDecayKernel(0.7),
                   PowerCutoffKernel(1.5, 2.0)):
             whole = k.integral(hi)
             assert whole == pytest.approx(k.integral(lo) + (whole - k.integral(lo)))
@@ -207,12 +229,13 @@ class TestSpecs:
         assert z.kappa == pytest.approx(3.0)
 
     def test_conv_kappa_for_ts_driver(self):
-        spec = ConvSpec(IndicatorKernel(1.0), TemperedStableSpec(0.5))
+        spec = ConvSpec(TabulatedKernel((0.0, 1.0), (1.0, 1.0)), TemperedStableSpec(0.5))
         assert spec.kappa == pytest.approx(0.5)
         assert spec.approximate
 
     def test_conv_exact_for_compound_driver(self):
-        spec = ConvSpec(IndicatorKernel(1.0), JumpLawSpec(1.0, JumpLaw.exponential(1.0)))
+        spec = ConvSpec(TabulatedKernel((0.0, 1.0), (1.0, 1.0)),
+                        JumpLawSpec(1.0, JumpLaw.exponential(1.0)))
         assert not spec.approximate
 
     def test_permanental_validation(self):
@@ -234,7 +257,8 @@ class TestMeanFunction:
         assert mean_function(spec, 2.0) == pytest.approx(2.0)
 
     def test_conv(self):
-        spec = ConvSpec(IndicatorKernel(1.0), JumpLawSpec(1.0, JumpLaw.exponential(1.0)))
+        spec = ConvSpec(TabulatedKernel((0.0, 1.0), (1.0, 1.0)),
+                        JumpLawSpec(1.0, JumpLaw.exponential(1.0)))
         assert mean_function(spec, 2.0) == pytest.approx(1.0)
         assert mean_function(spec, 0.5) == pytest.approx(0.5)
 

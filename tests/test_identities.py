@@ -7,7 +7,6 @@ from levyid import processes
 from levyid.core import (
     ConvSpec,
     ExpDecayKernel,
-    IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
     LevyFunctionalPanel,
@@ -92,7 +91,7 @@ class TestCompanionStructure:
 
     def test_conv_companion_single_bump(self, rng):
         spec = ConvSpec(
-            kernel=IndicatorKernel(length=0.75),
+            kernel=TabulatedKernel((0.0, 0.75), (1.0, 1.0)),
             z=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)),
         )
         vals = companion_values(rng.substream(6), spec, 1.0, GRID.points, 20_000)
@@ -213,7 +212,8 @@ def _spec_cases():
         ("ts", TemperedStableSpec(alpha=0.5)),
         ("sato-h1", SatoSpec(H=1.0, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))),
         ("sato-h05", SatoSpec(H=0.5, bdlp=JumpLawSpec(rate=2.0, law=JumpLaw.gamma(1.5, 2.0)))),
-        ("conv-ind", ConvSpec(kernel=IndicatorKernel(2.0), z=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))),
+        ("conv-ind", ConvSpec(kernel=TabulatedKernel((0.0, 2.0), (1.0, 1.0)),
+                              z=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))),
         ("conv-exp", ConvSpec(kernel=ExpDecayKernel(1.0), z=JumpLawSpec(rate=1.5, law=JumpLaw.gamma(0.7, 1.0)))),
         ("conv-pow", ConvSpec(kernel=PowerCutoffKernel(power=0.5, length=3.0), z=JumpLawSpec(rate=1.0, law=JumpLaw.constant(0.8)))),
         ("conv-tab", ConvSpec(

@@ -14,7 +14,6 @@ from levyid import cli
 from levyid.core import (
     ConvSpec,
     ExpDecayKernel,
-    IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
     LevyFunctionalPanel,
@@ -68,7 +67,8 @@ class TestQuadratureOracles:
     def test_conv_indicator_unit_jumps(self):
         # f = 1_[0,2], constant jumps of size 1 at unit rate, t = 1:
         # every jump born in [0, 1] contributes 1 - e^{-1}
-        spec = ConvSpec(kernel=IndicatorKernel(2.0), z=JumpLawSpec(rate=1.0, law=JumpLaw.constant(1.0)))
+        spec = ConvSpec(kernel=TabulatedKernel((0.0, 2.0), (1.0, 1.0)),
+                        z=JumpLawSpec(rate=1.0, law=JumpLaw.constant(1.0)))
         est = levy_functional_quadrature(spec, E1)
         assert est == pytest.approx(1.0 - math.exp(-1.0), rel=1e-8)
 
@@ -119,7 +119,8 @@ class TestRestrictions:
         PoissonSpec(rate=1.0),
         TemperedStableSpec(alpha=0.5),
         SatoSpec(H=1.0, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0))),
-        ConvSpec(kernel=IndicatorKernel(2.0), z=JumpLawSpec(rate=1.0, law=JumpLaw.constant(1.0))),
+        ConvSpec(kernel=TabulatedKernel((0.0, 2.0), (1.0, 1.0)),
+                 z=JumpLawSpec(rate=1.0, law=JumpLaw.constant(1.0))),
     ], ids=["poisson", "ts", "sato", "conv"])
     def test_nan_pin_rejected(self, spec):
         # NaN <= 0 is false, so a NaN pin once read as a split whose two
@@ -145,7 +146,8 @@ class TestMonteCarloRepresentations:
         ("poisson", PoissonSpec(rate=1.0)),
         ("ts", TemperedStableSpec(alpha=0.5)),
         ("sato", SatoSpec(H=1.0, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))),
-        ("conv", ConvSpec(kernel=IndicatorKernel(2.0), z=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))),
+        ("conv", ConvSpec(kernel=TabulatedKernel((0.0, 2.0), (1.0, 1.0)),
+                          z=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0)))),
     ]
 
     @pytest.mark.parametrize("idx,name,spec", [(i, n, s) for i, (n, s) in enumerate(CASES)],
@@ -366,7 +368,7 @@ OTHER_SPECS = {
     "conv-power-cutoff": ConvSpec(PowerCutoffKernel(1.5, 1.2), EXP1),
     "conv-tabulated": ConvSpec(TabulatedKernel((0.0, 0.4, 0.9, 1.6), (1.0, 0.2, 0.6, 0.0)),
                                JumpLawSpec(0.7, JumpLaw.gamma(0.5, 2.0))),
-    "conv-indicator-ts": ConvSpec(IndicatorKernel(1.2), TemperedStableSpec(0.3)),
+    "conv-indicator-ts": ConvSpec(TabulatedKernel((0.0, 1.2), (1.0, 1.0)), TemperedStableSpec(0.3)),
     "conv-exp-decay-ts": ConvSpec(ExpDecayKernel(0.6), TemperedStableSpec(0.7)),
     "conv-constant": ConvSpec(ExpDecayKernel(0.9), JumpLawSpec(1.0, JumpLaw.constant(1.7))),
     # a kernel alive on two separate runs, which a pin past 1.5 sees as two

@@ -5,13 +5,13 @@ import pytest
 
 from levyid.core import (
     ConvSpec,
-    IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
     LevyFunctionalPanel,
     PanelEntry,
     PoissonSpec,
     SatoSpec,
+    TabulatedKernel,
     TemperedStableSpec,
     make_grid,
     mean_function,
@@ -45,7 +45,8 @@ class TestThinnedSpec:
         assert thin.H == spec.H
 
     def test_conv_driver_rate_scales(self):
-        spec = ConvSpec(kernel=IndicatorKernel(2.0), z=JumpLawSpec(rate=1.0, law=JumpLaw.constant(1.0)))
+        spec = ConvSpec(kernel=TabulatedKernel((0.0, 2.0), (1.0, 1.0)),
+                        z=JumpLawSpec(rate=1.0, law=JumpLaw.constant(1.0)))
         thin = thinned_spec(spec, 0.5)
         assert thin.z.rate == pytest.approx(0.5)
 

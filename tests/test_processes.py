@@ -14,12 +14,12 @@ from levyid import processes
 from levyid.core import (
     ConvSpec,
     ExpDecayKernel,
-    IndicatorKernel,
     JumpLaw,
     JumpLawSpec,
     PanelEntry,
     PoissonSpec,
     SatoSpec,
+    TabulatedKernel,
     TemperedStableSpec,
     TimeGrid,
     mean_function,
@@ -43,7 +43,8 @@ SAMPLERS = {
     "sato": SatoSpec(H=0.8, bdlp=JumpLawSpec(rate=2.0, law=JumpLaw.gamma(1.5, 2.0))),
     "conv-jump": ConvSpec(kernel=ExpDecayKernel(decay=0.7),
                           z=JumpLawSpec(rate=1.5, law=JumpLaw.exponential(1.0))),
-    "conv-ts": ConvSpec(kernel=IndicatorKernel(length=1.0), z=TemperedStableSpec(alpha=0.6)),
+    "conv-ts": ConvSpec(kernel=TabulatedKernel((0.0, 1.0), (1.0, 1.0)),
+                        z=TemperedStableSpec(alpha=0.6)),
 }
 
 # (family, construction) pairs drawn through sample_ensemble; no construction
@@ -176,7 +177,7 @@ class TestConv:
     def test_indicator_kernel_laplace(self, rng):
         # f = 1_[0, L] with L >= t makes psi(t) a compound Poisson sum at time t
         spec = ConvSpec(
-            kernel=IndicatorKernel(length=5.0),
+            kernel=TabulatedKernel((0.0, 5.0), (1.0, 1.0)),
             z=JumpLawSpec(rate=1.0, law=JumpLaw.constant(1.0)),
         )
         vals = values_at(rng.substream(15), spec, [1.0], 100_000)[:, 0]
@@ -193,7 +194,8 @@ class TestConv:
         assert len(p) == len(grid) and np.all(np.isfinite(p) & (p >= 0))
 
     def test_ts_driver_mean(self, rng):
-        spec = ConvSpec(kernel=IndicatorKernel(length=2.0), z=TemperedStableSpec(alpha=0.6))
+        spec = ConvSpec(kernel=TabulatedKernel((0.0, 2.0), (1.0, 1.0)),
+                        z=TemperedStableSpec(alpha=0.6))
         assert spec.approximate
         vals = values_at(rng.substream(18), spec, [1.0], 50_000)[:, 0]
         se = vals.std() / math.sqrt(vals.size)
@@ -370,7 +372,8 @@ class TestMeanFunction:
             PoissonSpec(rate=1.2),
             TemperedStableSpec(alpha=0.5),
             SatoSpec(H=1.0, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0))),
-            ConvSpec(kernel=IndicatorKernel(2.0), z=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0))),
+            ConvSpec(kernel=TabulatedKernel((0.0, 2.0), (1.0, 1.0)),
+                     z=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0))),
         ]
         t = 1.5
         for i, spec in enumerate(specs):
