@@ -73,27 +73,33 @@ def _kernel_reach(gen, kernel, a: float, n: int) -> np.ndarray:
 
 
 def _tabulated_reach(gen, kernel: TabulatedKernel, a: float, n: int) -> np.ndarray:
-    # exact inverse CDF of the piecewise-linear density truncated to [0, a]
+    # exact inverse CDF of the piecewise-linear density truncated to [0, a]:
+    # linear on a flat segment, the quadratic root on a sloped one, each
+    # evaluated only on the draws that land on its kind of segment
     ks = np.asarray(kernel.knots)
     vs = np.asarray(kernel.values)
     b = min(a, kernel.support_end)
     keep = ks < b
     ks = np.concatenate([ks[keep], [b]])
     vs = np.concatenate([vs[keep], [float(kernel(b))]])
-    seg = 0.5 * (vs[1:] + vs[:-1]) * np.diff(ks)
+    widths = np.diff(ks)
+    seg = 0.5 * (vs[1:] + vs[:-1]) * widths
+    slope = np.diff(vs) / widths
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     q = gen.random(n) * cum[-1]
     i = np.clip(np.searchsorted(cum, q, side="right") - 1, 0, len(seg) - 1)
     r = q - cum[i]
-    d = np.diff(ks)[i]
     f0 = vs[i]
-    slope = (vs[i + 1] - f0) / d
-    flat = np.abs(slope) < 1e-14
-    safe_slope = np.where(flat, 1.0, slope)
-    h_lin = r / np.maximum(f0, 1e-300)
-    h_quad = (-f0 + np.sqrt(np.maximum(f0**2 + 2.0 * safe_slope * r, 0.0))) / safe_slope
-    h = np.where(flat, h_lin, h_quad)
-    return ks[i] + np.minimum(h, d)
+    flat = (np.abs(slope) < 1e-14)[i]
+    if flat.all():  # an indicator, or any table with no slope below b
+        h = r / np.maximum(f0, 1e-300)
+    else:
+        h = np.empty(n)
+        lin, quad = np.flatnonzero(flat), np.flatnonzero(~flat)
+        h[lin] = r[lin] / np.maximum(f0[lin], 1e-300)
+        s, f, rq = slope[i[quad]], f0[quad], r[quad]
+        h[quad] = (-f + np.sqrt(np.maximum(f**2 + 2.0 * s * rq, 0.0))) / s
+    return ks[i] + np.minimum(h, widths[i])
 
 
 def companion_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) -> np.ndarray:

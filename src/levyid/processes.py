@@ -44,8 +44,8 @@ _TAIL_FRACTION = 1e-6
 _CONV_TS_STEPS = 256
 
 # most sub-steps of at most DT_MAX a tempered-stable sampler takes over one
-# span (a grid step, or a conv driver's [0, t_max]): spans up to 512; the
-# shipped configs reach 2
+# span (a grid step, or a conv driver's [0, t_max]) at alpha != 1/2: spans up
+# to 512. The exact alpha = 1/2 sampler takes any span in one draw
 _MAX_SUBSTEPS = 1024
 
 # numpy's Poisson sampler rejects means above about 9.22e18
@@ -101,12 +101,26 @@ def _poisson_mean(mean):
 
 
 def _substeps(span: float) -> int:
-    """How many tempered-stable sub-steps of at most DT_MAX cover `span`."""
+    """How many tempered-stable sub-steps of at most DT_MAX cover `span`
+    at alpha != 1/2."""
     if not span / DT_MAX <= _MAX_SUBSTEPS:
         raise ValueError(
             f"tempered-stable sampling over a span of {span:g} needs more than "
             f"{_MAX_SUBSTEPS} sub-steps of {DT_MAX}; lower the largest 'grid' time")
     return math.ceil(span / DT_MAX)
+
+
+def _squarable(draw: np.ndarray, span: float) -> np.ndarray:
+    """`draw`, tempered-stable increments over `span`, unless one is not
+    finite or has no finite square: every standard error squares deviations
+    of path values, and near 1e300 even a rounding deviation overflows. Only
+    the alpha = 1/2 sampler, which has no step bound, can get there."""
+    top = float(draw.max(initial=0.0))
+    if not top * top < math.inf:  # also rejects NaN
+        raise ValueError(
+            f"a tempered-stable step of {span:g} draws an increment of {top:.3g}, "
+            "too large to square; lower the largest 'grid' time")
+    return draw
 
 
 def _poisson_values(rng: RngStream, rate: float, points, n: int) -> np.ndarray:
@@ -132,8 +146,14 @@ def _poisson_values(rng: RngStream, rate: float, points, n: int) -> np.ndarray:
 
 def _ts_values(rng: RngStream, alpha: float, points, n: int) -> np.ndarray:
     def increments(steps):
-        subs = [_substeps(dt) for dt in steps]
         inc = np.zeros((n, steps.size))
+        if alpha == 0.5:
+            # one exact draw per positive step, whatever its length
+            for j in np.flatnonzero(steps):
+                dt = float(steps[j])
+                inc[:, j] = _squarable(sample_tempered_stable_increment(rng, alpha, dt, n), dt)
+            return inc
+        subs = [_substeps(dt) for dt in steps]
         for j, (dt, m) in enumerate(zip(steps, subs)):
             for _ in range(m):
                 inc[:, j] += sample_tempered_stable_increment(rng, alpha, dt / m, n)
@@ -243,14 +263,18 @@ def _conv_values(
             contrib = x * spec.kernel(pts[j] - s)
             out[:, j] = np.bincount(rep, weights=contrib, minlength=n)
         return out
-    # tempered stable driver: approximate by increments on a fine sub-grid
-    need = _substeps(t_max)
+    # tempered stable driver: approximate by increments on a fine sub-grid;
+    # at alpha != 1/2 its cells must also stay within DT_MAX
+    alpha = spec.z.alpha
     steps = _CONV_TS_STEPS
-    while steps < need:
-        steps *= 2
+    if alpha != 0.5:
+        need = _substeps(t_max)
+        while steps < need:
+            steps *= 2
     h = t_max / steps
     mids = (np.arange(steps) + 0.5) * h
-    dz = sample_tempered_stable_increment(rng, spec.z.alpha, h, n * steps).reshape(n, steps)
+    dz = _squarable(sample_tempered_stable_increment(rng, alpha, h, n * steps), h)
+    dz = dz.reshape(n, steps)
     fmat = spec.kernel(pts[None, :] - mids[:, None])
     if jump_filter is not None:
         fmat = fmat * jump_filter(mids)[:, None]

@@ -3,6 +3,11 @@
 Streams are counter-based (Philox) and fully determined by
 (seed, stream_id, substream path), so ensembles can be generated in
 independent chunks and merged without synchronization.
+
+A tempered-stable increment at alpha = 1/2 is inverse Gaussian and is drawn
+exactly at any step, from one normal and one uniform per variate (Michael,
+Schucany and Haas, Amer. Statist. 1976). At any other alpha it tilts a
+Kanter stable draw by rejection, so its step is bounded by DT_MAX.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ import numpy as np
 
 from .core import JumpLaw, TemperedStableSpec
 
-# largest time step the tempered stable rejection sampler accepts; the
-# acceptance rate is exp(-dt), so callers subdivide rather than let it decay
+# largest time step the tempered stable rejection sampler accepts at
+# alpha != 1/2; the acceptance rate is exp(-dt), so callers subdivide rather
+# than let it decay. The exact alpha = 1/2 sampler takes any finite step
 DT_MAX = 0.5
 
 _THETA_EPS = 1e-12
@@ -53,8 +59,8 @@ def sample_positive_stable(rng: RngStream, alpha: float, t: float, size: int) ->
     """Positive stable law with E exp(-u X) = exp(-t u^alpha), 0 < alpha < 1."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (t > 0 and np.isfinite(t)):
+        raise ValueError("t must be positive and finite")
     # Kanter's representation, evaluated in log space for stability near the
     # endpoints of theta.
     gen = rng.generator
@@ -94,8 +100,13 @@ def sample_tempered_stable_increment(
 ) -> np.ndarray:
     """Increment with E exp(-u X) = exp(dt (1 - (1+u)^alpha)).
 
-    dt must not exceed DT_MAX; subdivide longer steps and sum.
+    At alpha = 1/2 any positive finite dt is drawn exactly; at any other
+    alpha dt must not exceed DT_MAX: subdivide longer steps and sum.
     """
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ValueError(f"dt={dt} must be positive and finite")
+    if alpha == 0.5:
+        return _inverse_gaussian_increment(rng.generator, dt, size)
     if dt > DT_MAX:
         raise ValueError(f"dt={dt} exceeds DT_MAX={DT_MAX}; subdivide the step")
     # exponential tilting by rejection: accept a stable draw S with prob e^{-S};
@@ -110,6 +121,31 @@ def sample_tempered_stable_increment(
         out[pending[acc]] = cand[acc]
         pending = pending[~acc]
     return out
+
+
+def _inverse_gaussian_increment(gen: np.random.Generator, dt: float, size: int) -> np.ndarray:
+    """dt * Z with Z ~ IG(mean 1/2, shape dt/2): the alpha = 1/2 increment,
+    whose exponent dt((1 + u)^{1/2} - 1) is that of IG(dt/2, dt^2/2).
+
+    Michael-Schucany-Haas: with Y = N^2 / 2, the smaller root of the IG
+    quadratic is Z = (dt/2) / (dt + Y + sqrt(Y) sqrt(Y + 2 dt)), kept with
+    probability (1/2) / (1/2 + Z) and otherwise replaced by the larger root
+    1/(4Z). This form of the root neither cancels at small dt nor squares dt.
+    """
+    y = gen.standard_normal(size)
+    y *= y
+    y *= 0.5
+    s = y + 2.0 * dt
+    np.sqrt(s, out=s)
+    s *= np.sqrt(y)
+    y += dt
+    y += s  # the denominator, (dt + Y) + sqrt(Y) sqrt(Y + 2 dt)
+    z = np.divide(0.5 * dt, y, out=y)
+    u = gen.random(size)
+    u *= 0.5 + z
+    np.divide(0.25, z, out=z, where=u > 0.5)
+    z *= dt
+    return z
 
 
 def sample_jump(rng: RngStream, law: JumpLaw, size: int) -> np.ndarray:

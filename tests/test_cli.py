@@ -461,7 +461,8 @@ NEAR_RECURRENT = {"process": dict(PERM, kill=[1e-6, 0.0], beta=1.0), "identity":
 # inputs the samplers cannot draw, caught before drawing, each with the config
 # key its diagnostic names: a Poisson jump-count mean past numpy's limit
 # (lambda * t, or the Sato driver's rate over a span set by H and the grid),
-# a tempered-stable span needing too many sub-steps, a driver jump set past
+# a tempered-stable span needing too many sub-steps (alpha != 1/2) or drawing
+# increments too large to square (alpha = 1/2), a driver jump set past
 # the jump budget, a killed chain past the step budget, or a draw too small
 # for any path to have psi(a) > 0, which leaves nothing to tilt
 SAMPLER_LIMITS = {
@@ -477,7 +478,7 @@ SAMPLER_LIMITS = {
                                                            "alpha": 0.5},
                                             grid=[1e300], mc={"N": 10}), "'grid'"),
     "ts-grid-1e6": (["simulate"], dict(BASE, process={"family": "tempered-stable",
-                                                      "alpha": 0.5},
+                                                      "alpha": 0.6},
                                        grid=[1e6], mc={"N": 10}), "'grid'"),
     "ts-conv-grid-overflow": (["simulate"], dict(BASE, process=CONV_TS, grid=[1e300],
                                                  mc={"N": 10}), "'grid'"),
@@ -678,6 +679,16 @@ class TestBadInputExitsTwo:
         cfg_path = _write(tmp_path, "cfg.json", cfg)
         assert main([*argv, "--config", cfg_path, "--out", os.devnull]) == 2
         assert key in capsys.readouterr().err
+
+    def test_half_ts_long_step_runs_to_a_verdict(self, tmp_path):
+        # the exact alpha = 1/2 sampler draws a step of any length at once;
+        # only alpha != 1/2 has the sub-step bound of ts-grid-1e6
+        cfg = dict(BASE, process={"family": "tempered-stable", "alpha": 0.5},
+                   grid=[1e6], mc={"N": 10})
+        code, rep = _run(tmp_path, ["simulate"], cfg)
+        assert code in (0, 1)
+        assert rep["verdict"] == ("pass" if code == 0 else "fail")
+        assert rep["config"]["grid"] == [1e6]
 
     def test_near_recurrent_chain_fails_fast(self, tmp_path):
         # rejected before drawing, not after the step budget runs out

@@ -13,7 +13,9 @@ Levy-measure representations are evaluated on one shared draw instead of
 one draw per entry, and the Sato sampler sums
 each point's kept jumps with the others zeroed instead of gathered. The
 tempered-stable rejection sampler keeps its first round's candidates as the
-output instead of scattering them, and the Poisson sampler leaves zero steps
+output instead of scattering them, the alpha = 1/2 inverse-Gaussian step
+works in place, the tabulated reach sampler inverts each draw by its own
+segment's rule only, and the Poisson sampler leaves zero steps
 out of its draw. They must still perform the same
 floating-point operations, in the same order, on the same draws, so that
 every report keeps its bytes. Each kernel is compared with np.array_equal
@@ -46,6 +48,7 @@ from levyid.core import (
     mean_function,
 )
 from levyid.identities import (
+    _tabulated_reach,
     companion_values,
     hidden_values,
     verify_decomposition_identity,
@@ -152,6 +155,13 @@ def _kanter_ref(rng, alpha, t, size):
 
 
 def _ts_increment_ref(rng, alpha, dt, size):
+    if alpha == 0.5:
+        # the Michael-Schucany-Haas inverse-Gaussian step, written out plainly
+        gen = rng.generator
+        y = 0.5 * gen.standard_normal(size) ** 2
+        z = (dt / 2) / (dt + y + np.sqrt(y) * np.sqrt(y + 2 * dt))
+        u = gen.random(size)
+        return dt * np.where(u * (0.5 + z) > 0.5, 1 / (4 * z), z)
     # every round, the first included, scatters its accepted candidates
     out = np.empty(size)
     pending = np.arange(size)
@@ -161,6 +171,30 @@ def _ts_increment_ref(rng, alpha, dt, size):
         out[pending[acc]] = cand[acc]
         pending = pending[~acc]
     return out
+
+
+def _tabulated_reach_ref(gen, kernel, a, n):
+    # both inverses on every draw, then a choice by the segment's slope
+    ks = np.asarray(kernel.knots)
+    vs = np.asarray(kernel.values)
+    b = min(a, kernel.support_end)
+    keep = ks < b
+    ks = np.concatenate([ks[keep], [b]])
+    vs = np.concatenate([vs[keep], [float(kernel(b))]])
+    seg = 0.5 * (vs[1:] + vs[:-1]) * np.diff(ks)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    q = gen.random(n) * cum[-1]
+    i = np.clip(np.searchsorted(cum, q, side="right") - 1, 0, len(seg) - 1)
+    r = q - cum[i]
+    d = np.diff(ks)[i]
+    f0 = vs[i]
+    slope = (vs[i + 1] - f0) / d
+    flat = np.abs(slope) < 1e-14
+    safe_slope = np.where(flat, 1.0, slope)
+    h_lin = r / np.maximum(f0, 1e-300)
+    h_quad = (-f0 + np.sqrt(np.maximum(f0**2 + 2.0 * safe_slope * r, 0.0))) / safe_slope
+    h = np.where(flat, h_lin, h_quad)
+    return ks[i] + np.minimum(h, d)
 
 
 def _local_times_ref(rng, chain, start, n):
@@ -374,6 +408,17 @@ def test_tempered_stable_increment_matches_reference(alpha, size):
 def test_kanter_matches_reference(alpha):
     got = sample_positive_stable(RngStream(21), alpha, 0.4, 5000)
     assert np.array_equal(got, _kanter_ref(RngStream(21), alpha, 0.4, 5000))
+
+
+@pytest.mark.parametrize("knots,values,a", [
+    ((0.0, 1.0), (1.0, 1.0), 2.0),                       # flat: an indicator
+    ((0.0, 0.5, 2.0), (1.0, 0.2, 0.8), 1.5),             # sloped, cut at a
+    ((0.0, 0.5, 1.0, 1.5, 3.0), (0.7, 0.7, 0.0, 0.0, 1.2), 2.5),  # mixed, zero stretch
+], ids=["flat", "sloped", "mixed"])
+def test_tabulated_reach_matches_reference(knots, values, a):
+    kernel = TabulatedKernel(knots, values)
+    got = _tabulated_reach(np.random.default_rng(23), kernel, a, 20_000)
+    assert np.array_equal(got, _tabulated_reach_ref(np.random.default_rng(23), kernel, a, 20_000))
 
 
 def test_one_chunk_ensemble_is_the_chunk_itself():

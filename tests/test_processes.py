@@ -101,6 +101,22 @@ class TestTemperedStable:
             se = math.hypot(l1.std() / math.sqrt(l1.size), l2.std() / math.sqrt(l2.size))
             assert abs(l1.mean() - l2.mean()) <= 3.5 * se
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_paths_match_quadrature_laplace(self, rng, alpha):
+        # E exp(-sum_i u_i psi(t_i)) = exp(-nu(F)) on 1M paths; the 1.5 step
+        # takes three rejection sub-steps at alpha != 1/2 and one exact
+        # inverse-Gaussian draw at alpha = 1/2
+        spec = TemperedStableSpec(alpha)
+        times = (0.5, 1.0, 2.5)
+        vals = sample_paths(rng.substream(40), spec, TimeGrid(times), 1_000_000)
+        for entry in (PanelEntry((1.0,), (0.5,)), PanelEntry((0.5, 1.0), (1.0, 2.5)),
+                      PanelEntry((2.0, 0.3, 0.7), times)):
+            cols = [times.index(t) for t in entry.times]
+            lap = np.exp(-(vals[:, cols] @ np.array(entry.alphas)))
+            want = math.exp(-levy_functional_quadrature(spec, entry))
+            se = lap.std() / math.sqrt(lap.size)
+            assert abs(lap.mean() - want) <= 4 * se, (entry, lap.mean(), want)
+
     def test_monotone(self, rng, grid):
         vals = values_at(rng.substream(6), TemperedStableSpec(alpha=0.4), grid.points, 3000)
         assert np.all(np.diff(vals, axis=1) >= 0)

@@ -92,12 +92,55 @@ class TestTemperedStableIncrement:
         assert abs(x.mean() - al * dt) <= 3 * se
 
     def test_rejects_large_step(self, rng):
+        # the rejection sampler's bound; alpha = 1/2 takes any finite step
         with pytest.raises(ValueError):
-            sample_tempered_stable_increment(rng, 0.5, DT_MAX * 1.5, 10)
+            sample_tempered_stable_increment(rng, 0.6, DT_MAX * 1.5, 10)
 
     def test_rejects_nonpositive_step(self, rng):
         with pytest.raises(ValueError):
             sample_tempered_stable_increment(rng, 0.5, 0.0, 10)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_rejects_step_not_positive_and_finite(self, alpha, dt):
+        # exp(-NaN) and exp(-inf) accept no candidate: the rejection loop
+        # would never end, and the stable draw would be NaN
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_tempered_stable_increment(RngStream(1), alpha, dt, 3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_positive_stable(RngStream(1), alpha, dt, 3)
+
+
+class TestHalfIncrement:
+    """At alpha = 1/2 the increment over dt is inverse Gaussian with mean
+    dt/2 and shape dt^2/2, scipy's invgauss(1/dt, scale=dt^2/2)."""
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.015, 0.5, 4.0, 1e3])
+    def test_cdf_is_inverse_gaussian(self, rng, dt):
+        x = sample_tempered_stable_increment(rng.substream(10), 0.5, dt, 200_000)
+        law = stats.invgauss(1.0 / dt, scale=dt * dt / 2.0)
+        for p in (0.05, 0.25, 0.5, 0.75, 0.95):
+            q = law.ppf(p)
+            want = law.cdf(q)
+            got = (x <= q).mean()
+            se = math.sqrt(want * (1 - want) / x.size)
+            assert abs(got - want) <= 4 * se, (p, got, want)
+
+    @pytest.mark.parametrize("dt", [1e-300, 1e6])
+    def test_extreme_steps_stay_finite(self, rng, dt):
+        x = sample_tempered_stable_increment(rng.substream(11), 0.5, dt, 100_000)
+        assert np.all(np.isfinite(x) & (x >= 0))
+
+    def test_draws_one_normal_then_one_uniform_per_variate(self):
+        n = 1000
+        rng = RngStream(5)
+        sample_tempered_stable_increment(rng, 0.5, 0.5, n)
+        gen = RngStream(5).generator
+        gen.standard_normal(n)
+        gen.random(n)
+        assert np.array_equal(rng.generator.bit_generator.random_raw(8),
+                              gen.bit_generator.random_raw(8))
 
 
 class TestJumpSampling:
