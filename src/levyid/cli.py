@@ -4,13 +4,13 @@ Subcommands
     simulate          sample an ensemble and check first moments
     verify-isonat     size-biased tilting identity, weighted vs companion sum
     verify-condition  hidden + visible decomposition identity
-    levy-check        Laplace exponent, jump-measure representations, splits
+    levy-check        Laplace exponent and jump-measure representations
     permanental       finite-state permanental identity battery
     limit             thinning ladder converging to the tilt companion
     suite             run a list of the above as one batch
     diff              compare two reports outside their timestamp blocks
 
-Reports are JSON tagged "schema": "levy-id/1" and embed the resolved config.
+Reports are JSON tagged "schema": "levy-id/2" and embed the resolved config.
 Identical config + seed give byte-identical reports apart from the timestamp
 block. Exit codes: 0 all verdicts pass, 1 a verification failed, 2 config or
 usage error.
@@ -52,13 +52,7 @@ from .core import (
     mean_function,
 )
 from .identities import verify_decomposition_identity, verify_tilting_identity
-from .levymeasure import (
-    laplace_exponent_check,
-    levy_functional_mc,
-    levy_functional_quadrature,
-    quadrature_pieces,
-    validate_levy_conditions,
-)
+from .levymeasure import laplace_exponent_check, levy_functional_mc
 from .limits import verify_thinning_limit
 from .permanental import (
     default_state_panel,
@@ -74,14 +68,12 @@ from .processes import sample_paths
 from .randkit import RngStream
 from .statlab import Check
 
-SCHEMA = "levy-id/1"
+SCHEMA = "levy-id/2"
 DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_N = 200_000
 DEFAULT_B = 500
 DEFAULT_Z = 3.0
 REPR_Z = 4.0          # looser gate for the probabilistic nu representations
-SPLIT_TOL = 1e-8      # quadrature additivity of the y(a) split
-SPLIT_POINTS = (0.5, 1.0, 2.0)
 # the representation block draws at the first mean; Poisson's mixing check
 # compares that draw with one at the second
 MIXING_MEANS = (1.0, 5.0)
@@ -380,19 +372,15 @@ def _identity_command(cfg, seed, identity):
     return resolved, report.to_dict(), report.overall_pass, _report_csv(report)
 
 
-# the Laplace exponent, the conditions (the exponent at alpha = 1 at each grid
-# point) and the splits integrate many of the same pieces; within one job
-# each is integrated once
-@quadrature_pieces()
 def _cmd_levy_check(cfg, seed):
-    spec, grid, _, panel, n, z_crit, resolved = _grid_job(cfg, pinned=False)
+    spec, _, _, panel, n, z_crit, resolved = _grid_job(cfg, pinned=False)
+    # split_a is rejected too: levy-check runs no restriction split
     levy = _section(cfg, "levy", ("mixing_mean", "theta", "split_a"))
     n_mc = _count(_get(levy, "n", max(1, n // 2)), "n")
     rng = RngStream(seed)
 
     lap = laplace_exponent_check(rng.substream(0), spec, panel, n, z_crit=z_crit)
     lap.notes.update(_sampler_notes(spec))
-    conds = validate_levy_conditions(spec, grid)
 
     # lap.rhs holds the unrestricted quadrature of each entry, with SE 0; one
     # draw, on substream (10, 0), serves every entry's representation
@@ -403,22 +391,7 @@ def _cmd_levy_check(cfg, seed):
                         for row, m, se, quad in zip(panel.rows(), mc.tolist(), mc_se.tolist(),
                                                     lap.rhs.tolist())])
 
-    splits = []
-    for a_s in SPLIT_POINTS:
-        worst = 0.0
-        for entry, full in zip(panel, lap.rhs):
-            zero = levy_functional_quadrature(spec, entry, restriction="zero", a=a_s)
-            pos = levy_functional_quadrature(spec, entry, restriction="positive", a=a_s)
-            worst = max(worst, abs(zero + pos - full))
-        splits.append({"a": a_s, "max_residual": worst, "pass": bool(worst <= SPLIT_TOL)})
-
-    results = {
-        "laplace_exponent": lap.to_dict(),
-        "conditions": conds,
-        "representation": reprs.to_dict(),
-        "split_additivity": {"cases": splits, "tolerance": SPLIT_TOL,
-                             "pass": all(c["pass"] for c in splits)},
-    }
+    results = {"laplace_exponent": lap.to_dict(), "representation": reprs.to_dict()}
     if isinstance(spec, PoissonSpec):
         # the representation is invariant in the mixing law; the second
         # mean's draw, on substream (12, 0), also serves every entry

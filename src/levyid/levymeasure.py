@@ -1,5 +1,5 @@
 """Levy-measure functionals: deterministic quadrature, importance-sampled
-Monte Carlo representations, Laplace-exponent checks, integrability checks.
+Monte Carlo representations and the Laplace-exponent check.
 
 The measure nu acts on nonnegative paths. For a panel entry with weights
 alpha_i at times t_i the functional evaluated everywhere here is
@@ -20,19 +20,14 @@ two restrictions add up to the unrestricted value.
 
 Every integral here goes through one adaptive Gauss-Legendre integrator on
 numpy arrays, _integrate. A Sato piece is integrated in u = s^H = e^{-theta},
-which maps its infinite range in theta onto a finite one exactly. The
-integrability condition nu(y(x) ^ 1) < inf is checked through the Laplace
-exponent nu(1 - e^{-y(x)}) of the one-point entry alpha = 1 at x, which is
-finite exactly when the condition holds.
+which maps its infinite range in theta onto a finite one exactly.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -75,27 +70,6 @@ def _check_restriction(restriction, a):
     # NaN is not positive
     if restriction is not None and not (a is not None and a > 0):
         raise ValueError("a restriction needs a positive pin time a")
-
-
-# the pieces integrated so far in the current job, or None outside a job
-_PIECES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "quadrature_pieces", default=None
-)
-
-
-@contextmanager
-def quadrature_pieces():
-    """Scope in which each keyed quadrature piece is integrated once.
-
-    A job enters this block; inside it, _quad returns the stored value of
-    a (key, lo, hi) piece it has integrated before. The scope is per job,
-    not per process, so every job does the same work.
-    """
-    token = _PIECES.set({})
-    try:
-        yield
-    finally:
-        _PIECES.reset(token)
 
 
 @functools.cache
@@ -150,21 +124,6 @@ def _integrate(f, lo, hi):
         mid = 0.5 * (a + b)
         a, b = np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel()
         halves = _gauss_legendre(f, a, b)
-
-
-def _quad(key, f, lo, hi) -> float:
-    """int_lo^hi f by _integrate, for an array-valued integrand f.
-
-    key names the integrand f, so that equal keys mean equal integrands; a
-    keyed piece is integrated once per quadrature_pieces() scope.
-    """
-    pieces = _PIECES.get()
-    if pieces is not None and (key, lo, hi) in pieces:
-        return pieces[key, lo, hi]
-    value = float(_integrate(f, lo, hi))
-    if pieces is not None:
-        pieces[key, lo, hi] = value
-    return value
 
 
 # the breakpoints and positive intervals of the step f = 1[0, inf), the
@@ -233,7 +192,7 @@ def levy_functional_quadrature(
 
         k = spec.kernel
         pieces = _pieces(entry.times, k.breakpoints(), k.positive_intervals(), restriction, a)
-        return sum((_quad((spec, entry), integrand, lo, hi) for lo, hi, _ in pieces), 0.0)
+        return sum((float(_integrate(integrand, lo, hi)) for lo, hi, _ in pieces), 0.0)
     # mass(lo, hi, level): the piece's mass at the exposure level of a jump
     # born in it; Poisson's rate multiplies the sum, for the same last bits
     scale, decreasing = 1.0, False
@@ -253,9 +212,8 @@ def levy_functional_quadrature(
         def mass(lo, hi, level):
             # a Sato jump at s scales by e^{-theta} = s^H; the integrand in u
             # depends on the driver and the level only
-            return _quad((spec.bdlp, level),
-                         lambda u: _driver_one_minus_exp(spec.bdlp, level * u) / u,
-                         _u(spec.H, lo), _u(spec.H, hi))
+            return float(_integrate(lambda u: _driver_one_minus_exp(spec.bdlp, level * u) / u,
+                                    _u(spec.H, lo), _u(spec.H, hi)))
     else:
         raise ValueError(
             "quadrature covers the time-indexed families; permanental "
@@ -385,8 +343,8 @@ def validate_levy_conditions(spec: ProcessSpec, grid: TimeGrid | None = None) ->
 
     Since (1 - 1/e)(y ^ 1) <= 1 - e^{-y} <= y ^ 1 for y >= 0, kappa_x(1) is
     finite exactly when the Levy-Khintchine condition nu(y(x) ^ 1) < inf
-    holds. Inside a quadrature_pieces() scope the integrals are shared with
-    the job's other quadratures."""
+    holds. Every spec the config parser accepts passes, so no job reports
+    this check."""
     if grid is None:
         raise ValueError("time-indexed families need a grid of checkpoints")
     points = [float(t) for t in grid.points]

@@ -72,13 +72,8 @@ def sample_positive_stable(rng: RngStream, alpha: float, t: float, size: int) ->
     frac = alpha / beta
     log_a = _log_sin(alpha * theta)
     # log_a <- frac * log_a + log_b - (1 + frac) * log_c
-    if beta == alpha:
-        # at alpha = 1/2 both sines take the same argument and frac is 1, so
-        # frac * log_a + log_b is log_a + log_a, exact in place
-        log_a += log_a
-    else:
-        log_a *= frac
-        log_a += _log_sin(beta * theta)
+    log_a *= frac
+    log_a += _log_sin(beta * theta)
     log_c = _log_sin(theta)  # theta is not needed after this
     log_c *= 1.0 + frac
     log_a -= log_c

@@ -185,7 +185,7 @@ class TestReportShape:
     def test_schema_and_fields(self, tmp_path):
         code, rep = _run(tmp_path, ["verify-isonat"], BASE)
         assert code == 0
-        assert rep["schema"] == "levy-id/1"
+        assert rep["schema"] == "levy-id/2"
         assert rep["command"] == "verify-isonat"
         assert rep["seed"] == 11
         assert "config" in rep and "results" in rep
@@ -205,7 +205,7 @@ class TestReportShape:
         code = main(["verify-isonat", "--config", cfg_path])
         assert code == 0
         rep = json.loads(capsys.readouterr().out)
-        assert rep["schema"] == "levy-id/1"
+        assert rep["schema"] == "levy-id/2"
 
 
 class TestDeterminism:
@@ -783,6 +783,17 @@ def _gated_blocks(node, path="$"):
             yield from _gated_blocks(value, sub)
 
 
+def _pass_blocks(results, path="$.results"):
+    """(path, block) for the results object, or each object under it, that
+    carries pass; rows inside a block's lists are not blocks."""
+    if "pass" in results:
+        yield path, results
+        return
+    for key, value in results.items():
+        if isinstance(value, dict):
+            yield from _pass_blocks(value, f"{path}.{key}")
+
+
 class TestOneVerdictRule:
     """Every z-gated block of a report follows one rule. A row passes when
     |z| is at most the block's z_crit, or the job's mc.z_crit where the block
@@ -826,6 +837,23 @@ class TestOneVerdictRule:
         _, rep = _run(tmp_path, [command, "--seed", "3"], cfg)
         paths = self._check(rep["results"], rep["config"]["mc"]["z_crit"])
         assert len(paths) == (1 if command == "simulate" else 3), paths
+
+    # every block that carries pass is a Check, with z on each row; the
+    # thinning limit's LimitReport is the one exception, so limit is not run
+    @pytest.mark.parametrize("command,cfg", [
+        ("simulate", dict(BASE, mc={"N": 2000})),
+        ("verify-isonat", dict(BASE, mc={"N": 2000})),
+        ("verify-condition", dict(BASE, mc={"N": 2000})),
+        ("levy-check", dict(BASE, mc={"N": 2000}, levy={"n": 500})),
+        ("permanental", {"process": PERM, "mc": {"N": 2000}}),
+    ])
+    def test_every_pass_block_is_a_check(self, tmp_path, command, cfg):
+        _, rep = _run(tmp_path, [command, "--seed", "3"], cfg)
+        gated = [block for _, block, _ in _gated_blocks(rep["results"])]
+        blocks = list(_pass_blocks(rep["results"]))
+        assert blocks
+        for path, block in blocks:
+            assert any(block is g for g in gated), path
 
 
 def _desk_job(name):

@@ -1,9 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levyid import processes
+from levyid import cli, core, identities, processes
 from levyid.core import (
     ConvSpec,
     ExpDecayKernel,
@@ -17,6 +19,7 @@ from levyid.core import (
     TabulatedKernel,
     TemperedStableSpec,
     TimeGrid,
+    WeightedEnsemble,
 )
 from levyid.identities import (
     _kernel_reach,
@@ -27,8 +30,10 @@ from levyid.identities import (
     verify_tilting_identity,
     visible_values,
 )
+from levyid.levymeasure import levy_functional_quadrature
 from levyid.processes import values_at
 from levyid.randkit import RngStream
+from levyid.statlab import Check, weighted_laplace_panel
 
 GRID = TimeGrid((0.5, 1.0, 1.5, 2.0))
 PANEL = LevyFunctionalPanel(
@@ -276,3 +281,52 @@ class TestReportContents:
         )
         assert np.array_equal(r1.lhs, r2.lhs)
         assert np.array_equal(r1.z, r2.z)
+
+
+def _desk_decompositions():
+    suite = json.loads((Path(__file__).resolve().parents[1]
+                        / "configs" / "suite_desk.json").read_text())
+    return {job["name"]: job["config"] for job in suite["jobs"]
+            if job["name"].endswith("-decomposition")}
+
+
+DESK_DECOMPOSITIONS = _desk_decompositions()
+
+
+def _restricted_check(idx, name, n=200_000):
+    """The hidden and visible parts' sample Laplace functionals against
+    exp(-nu_zero(F)) and exp(-nu_positive(F)) from the restricted quadrature,
+    for every entry of the default panel: 12 rows under one Bonferroni gate."""
+    cfg = DESK_DECOMPOSITIONS[name]
+    spec, grid = cli.parse_process(cfg["process"]), core.make_grid(cfg["grid"])
+    a = cfg["identity"]["a"]
+    panel = cli.default_panel(grid.points)
+    est, se, exact = [], [], []
+    for tag, (draw, restriction) in enumerate(
+            [(hidden_values, "zero"), (visible_values, "positive")]):
+        values = draw(RngStream(107, idx).substream(tag), spec, a, grid.points, n)
+        m, s = weighted_laplace_panel(WeightedEnsemble(grid, values), panel)
+        est += m.tolist()
+        se += s.tolist()
+        exact += [math.exp(-levy_functional_quadrature(spec, e, restriction, a))
+                  for e in panel]
+    return Check(est, se, exact, 0.0, 3.0, family_wise=True)
+
+
+@pytest.mark.parametrize("idx,name", enumerate(DESK_DECOMPOSITIONS),
+                         ids=list(DESK_DECOMPOSITIONS))
+def test_hidden_and_visible_match_the_restricted_quadrature(idx, name):
+    check = _restricted_check(idx, name)
+    assert len(check.z) == 12 and check.crit == pytest.approx(3.69, abs=0.01)
+    assert check.overall_pass, check.z
+
+
+def test_swapped_conv_jump_filters_fail_the_restricted_quadrature(monkeypatch):
+    # the hidden part keeps the jumps alive at a and the visible part the
+    # others; their sum keeps its law, so only the restricted values see it
+    monkeypatch.setattr(identities, "in_intervals",
+                        lambda x, intervals: ~core.in_intervals(x, intervals))
+    idx = list(DESK_DECOMPOSITIONS).index("conv-decomposition")
+    check = _restricted_check(idx, "conv-decomposition")
+    assert not check.overall_pass
+    assert np.abs(check.z).max() > 10.0

@@ -55,7 +55,7 @@ from levyid.identities import (
     verify_tilting_identity,
     visible_values,
 )
-from levyid.levymeasure import levy_functional_mc, levy_functional_quadrature, quadrature_pieces
+from levyid.levymeasure import levy_functional_mc, levy_functional_quadrature
 from levyid.permanental import (
     _MAX_STEPS,
     _simulate_local_times,
@@ -637,28 +637,10 @@ def _desk_levy_job(name):
     return cfg, cli.parse_process(cfg["process"]), cli.default_panel(cfg["grid"])
 
 
-@pytest.mark.parametrize("name", ["sato-levy", "conv-levy"])
-def test_quadrature_pieces_keep_every_bit(name):
-    _, spec, panel = _desk_levy_job(name)
-    cases = [(None, None)] + [(r, a) for a in (0.5, 1.0, 2.0) for r in ("zero", "positive")]
-
-    def values():
-        return [levy_functional_quadrature(spec, entry, r, a)
-                for entry in panel for r, a in cases]
-
-    outside = values()
-    with quadrature_pieces():
-        inside = values()
-    assert inside == outside
-    assert values() == outside
-
-
-# integrations per job, counted on the integrator: one per piece. The
-# Laplace exponent and the splits take 20 (Sato) and 19 (conv); the
-# conditions' one-point entries at alpha = 1 add the pieces the panel does
-# not share, 1 (Sato) and 5 (conv). One per piece, before pieces were
-# shared, made 48 (Sato) and 59 (conv)
-@pytest.mark.parametrize("name,calls", [("sato-levy", 21), ("conv-levy", 24)],
+# integrations per job, counted on the integrator: one per piece of the
+# Laplace exponent's panel entries, none of which shares a piece with
+# another, 10 (Sato) and 13 (conv)
+@pytest.mark.parametrize("name,calls", [("sato-levy", 10), ("conv-levy", 13)],
                          ids=["sato-levy", "conv-levy"])
 def test_levy_check_integrates_each_piece_once_per_job(monkeypatch, name, calls):
     cfg, _, _ = _desk_levy_job(name)

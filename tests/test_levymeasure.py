@@ -403,7 +403,7 @@ def _assert_sandwich(kappa, nu_min):
 
 class TestQuadratureAccuracy:
     @pytest.mark.parametrize("name", LEVY_SPECS)
-    @pytest.mark.parametrize("a", (None, *cli.SPLIT_POINTS))
+    @pytest.mark.parametrize("a", (None, 0.5, 1.0, 2.0))
     def test_levy_check_entries(self, name, a):
         spec, grid = LEVY_SPECS[name]
         for entry in cli.default_panel(grid):
