@@ -12,8 +12,11 @@ Subcommands
 
 Reports are JSON tagged "schema": "levy-id/2" and embed the resolved config.
 Identical config + seed give byte-identical reports apart from the timestamp
-block. Exit codes: 0 all verdicts pass, 1 a verification failed, 2 config or
-usage error.
+block. The text has a two-space indent, keys sorted as strings, ASCII
+escapes, and non-finite floats as the strings "inf", "-inf" and "nan"; it is
+byte-equal to json.dumps(..., indent=2, sort_keys=True) of the report so
+converted, plus a final newline. Exit codes: 0 all verdicts pass, 1 a
+verification failed, 2 config or usage error.
 """
 
 from __future__ import annotations
@@ -511,18 +514,82 @@ _JOB_HANDLERS = {
 _HANDLERS = {**_JOB_HANDLERS, "suite": _cmd_suite}
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)  # strict JSON has no inf/nan
-    return obj
+_NUMPY_SCALARS = (np.floating, np.integer, np.bool_)
+_escape = json.encoder.encode_basestring_ascii
+_STR = {str}
+
+
+def _scalar(x):
+    """x with a numpy scalar unwrapped, and a non-finite float as its repr
+    string ('inf', '-inf', 'nan'): strict JSON has no inf/nan."""
+    if isinstance(x, _NUMPY_SCALARS):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return repr(x)
+    return x
+
+
+def _json_text(obj) -> str:
+    """obj as report text in one pass: two-space indent, keys sorted as
+    strings, ASCII escapes, numpy scalars and arrays unwrapped, non-finite
+    floats written as the strings "inf", "-inf" and "nan". Byte-equal to
+    json.dumps(..., indent=2, sort_keys=True) of obj so converted. Beside
+    numpy values, only the exact types dict, list, tuple, str, int, float,
+    bool and None are written; any other type, a subclass of one of them
+    included, raises TypeError."""
+    chunks = []
+    add = chunks.append
+    isfinite = math.isfinite
+    frepr = float.__repr__
+
+    def write(o, pad):
+        t = type(o)
+        if t is float:
+            add(frepr(o) if isfinite(o) else _escape(repr(o)))
+        elif t is str:
+            add(_escape(o))
+        elif t is dict:
+            if not o:
+                add("{}")
+                return
+            if not _STR.issuperset(map(type, o)):  # some key is no plain str
+                o = {str(k): v for k, v in o.items()}
+            inner = pad + "  "
+            sep = "{" + inner
+            for k in sorted(o):
+                add(sep + _escape(k) + ": ")
+                write(o[k], inner)
+                sep = "," + inner
+            add(pad + "}")
+        elif t is list or t is tuple:
+            if not o:
+                add("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for v in o:
+                if type(v) is float and isfinite(v):  # the common leaf, inline
+                    add(sep + frepr(v))
+                else:
+                    add(sep)
+                    write(v, inner)
+                sep = "," + inner
+            add(pad + "]")
+        elif t is int:
+            add(int.__repr__(o))
+        elif t is bool:
+            add("true" if o else "false")
+        elif o is None:
+            add("null")
+        elif isinstance(o, np.ndarray):
+            write(o.tolist(), pad)
+        elif isinstance(o, _NUMPY_SCALARS):
+            write(o.item(), pad)
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    write(obj, "\n")
+    return "".join(chunks)
 
 
 def load_config(path, what="config") -> dict:
@@ -583,9 +650,10 @@ def _write_csv(path, payload):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(_to_jsonable(list(row)))
+            writer.writerow([_scalar(x) for x in row])
 
 
+@functools.cache  # built on the first call; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levyid",
@@ -657,7 +725,7 @@ def main(argv=None) -> int:
         "verdict": "pass" if ok else "fail",
         "timestamp": timestamp,
     }
-    text = json.dumps(_to_jsonable(report), indent=2, sort_keys=True) + "\n"
+    text = _json_text(report) + "\n"
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

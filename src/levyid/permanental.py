@@ -188,7 +188,9 @@ def _simulate_local_times(rng: RngStream, chain: PermanentalSpec, start: int, n:
         for col in cum_cols:
             nxt += v > col[s]
         s = nxt
-    raise _step_budget_error(start)
+    if s.size:
+        raise _step_budget_error(start)
+    return pinned  # every chain died on the last allowed step
 
 
 def sample_local_times(rng: RngStream, chain: PermanentalSpec, a: int, size: int) -> np.ndarray:

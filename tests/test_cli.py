@@ -1084,3 +1084,131 @@ class TestScipyOffImportPath:
             "levy": {"n": 1000}, "seed": 4})) for name, process in processes.items()]
         assert self._run(*jobs) == "[0, 0, 0, 0, 0] []"
 
+
+
+def _to_jsonable_ref(obj):
+    """The report conversion json.dumps ran on before reports had their own
+    writer: numpy values unwrapped, keys turned to str, non-finite floats
+    to their repr strings."""
+    if isinstance(obj, dict):
+        return {str(k): _to_jsonable_ref(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_jsonable_ref(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_to_jsonable_ref(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def _stdlib_text(obj):
+    return json.dumps(_to_jsonable_ref(obj), indent=2, sort_keys=True)
+
+
+class TestReportWriter:
+    """cli._json_text writes the text json.dumps(indent=2, sort_keys=True)
+    writes for the converted report, byte for byte."""
+
+    CORPUS = [
+        math.inf, -math.inf, math.nan, [math.inf, -math.inf, math.nan],
+        {"z": math.nan, "lhs": -math.inf}, -0.0, [0.0, -0.0, 1e-300, 5e-324, 1e300],
+        2**64 - 1, {"seed": 18446744073709551615}, -(2**70), 0.1, 1 / 3, 1e16, 123.0,
+        np.float64(0.1), np.float64(-np.inf), np.float32(0.1), np.int64(-7), np.int32(3),
+        np.uint64(2**64 - 1), np.bool_(True), np.bool_(False), np.float64(np.nan),
+        np.array([1.5, -0.0, np.inf]), np.array([[1, 2], [3, 4]]), np.zeros((2, 0)),
+        np.array([True, False]), np.array([], dtype=float),
+        (1, 2.5, "x"), ((), []), {}, [], [{}], [[]], {"a": {}}, {"a": []},
+        {"a": [{}, [], {"b": [[]]}]}, [[[], {}], {"x": ()}],
+        {10: "ten", 2: "two", "1": "one"}, {2.5: 1, -1: 2, True: 3, None: 4},
+        {np.int64(3): "a", np.float64(0.5): "b"},
+        "café — ν(F) \U0001f600", "tab\tnew\nline\r\x00\x1f\x7f \"q\" \\ /",
+        {"é": 1, "e": 2, "\x01": 3, "": 4}, "", None, True, False,
+        [None, True, False, 0, 1, -1], {"nested": {"deep": [1, [2, [3, {"k": np.arange(3)}]]]}},
+    ]
+
+    @pytest.mark.parametrize("obj", CORPUS, ids=range(len(CORPUS)))
+    def test_corpus(self, obj):
+        assert cli._json_text(obj) == _stdlib_text(obj)
+
+    def test_whole_corpus_as_one_report(self):
+        obj = {str(k): v for k, v in enumerate(self.CORPUS)}
+        assert cli._json_text(obj) == _stdlib_text(obj)
+
+    def test_unknown_type_raises_as_json_dumps_does(self):
+        for obj in (object(), {"a": [1, {2, 3}]}, np.complex128(1j)):
+            with pytest.raises(TypeError):
+                _stdlib_text(obj)
+            with pytest.raises(TypeError):
+                cli._json_text(obj)
+
+    @staticmethod
+    def _written_reports(monkeypatch, argvs):
+        """(report object, text written) of each run of main."""
+        seen = []
+
+        def spy(obj):
+            seen.append((obj, writer(obj)))
+            return seen[-1][1]
+
+        writer = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", spy)
+        for argv in argvs:
+            assert main(argv + ["--out", os.devnull]) == 0
+        return seen
+
+    def test_smoke_suite_and_poisson_isonat_reports(self, tmp_path, monkeypatch):
+        root = Path(__file__).resolve().parents[1] / "configs"
+        smoke = json.loads((root / "suite_smoke.json").read_text())
+        for job in smoke["jobs"]:
+            cfg = job["config"]
+            if "N" in cfg.get("mc", {}):
+                cfg["mc"]["N"] = 1000
+            if "levy" in cfg:
+                cfg["levy"]["n"] = 1000
+        iso = dict(json.loads((root / "poisson_isonat.json").read_text()), mc={"N": 2000})
+        reports = self._written_reports(monkeypatch, [
+            ["suite", "--config", _write(tmp_path, "smoke.json", smoke)],
+            ["verify-isonat", "--config", _write(tmp_path, "iso.json", iso)],
+        ])
+        assert len(reports) == 2
+        for report, text in reports:
+            assert text == _stdlib_text(report)
+
+
+def _outside_timestamp(text):
+    """Report text with its timestamp block cut out."""
+    start = text.index('\n  "timestamp": {')
+    end = text.index("\n  }", start + 1)
+    return text[:start] + text[end + 4:]
+
+
+class TestCachedParser:
+    """main builds its parser once and reuses it; no run sees another's flags."""
+
+    def test_build_parser_is_cached(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_second_run_in_a_process_matches_a_fresh_one(self, tmp_path):
+        cfgp = _write(tmp_path, "cfg.json", dict(BASE, mc={"N": 2000}))
+
+        def argv(name, flags):
+            extra = ["--seed", "5", "--csv", str(tmp_path / f"{name}.csv")] if flags else []
+            return ["verify-isonat", "--config", cfgp, "--out", str(tmp_path / f"{name}.json"),
+                    *extra]
+
+        # each run alone in a fresh interpreter, then both in this one
+        for name, flags in (("fresh0", True), ("fresh1", False)):
+            subprocess.run([sys.executable, "-m", "levyid", *argv(name, flags)],
+                           env=_src_env(), check=True, timeout=120)
+        assert main(argv("same0", True)) == 0
+        assert main(argv("same1", False)) == 0
+        for k in range(2):
+            fresh, same = ((tmp_path / f"{side}{k}.json").read_text()
+                           for side in ("fresh", "same"))
+            assert _outside_timestamp(same) == _outside_timestamp(fresh)
+        assert json.loads((tmp_path / "same0.json").read_text())["seed"] == 5
+        assert json.loads((tmp_path / "same1.json").read_text())["seed"] == 11
+        assert (tmp_path / "same0.csv").read_bytes() == (tmp_path / "fresh0.csv").read_bytes()
+        assert not (tmp_path / "same1.csv").exists() and not (tmp_path / "fresh1.csv").exists()

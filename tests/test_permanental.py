@@ -176,6 +176,21 @@ class TestChainSimulation:
         with pytest.raises(ValueError, match="'kill'"):
             sample_local_times(rng.substream(7), CHAIN2, 0, 5000)
 
+    def test_chains_dying_on_the_last_allowed_step_return(self, monkeypatch):
+        # the one-state chain with kill probability 1 dies at its first
+        # sojourn, so a one-step budget holds every path; the draws are those
+        # of the full budget
+        chain = PermanentalSpec(rates=((0.0,),), kill=(1.0,))
+        want = sample_local_times(RngStream(8), chain, 0, 1000)
+        monkeypatch.setattr(permanental, "_MAX_STEPS", 1)
+        assert np.array_equal(sample_local_times(RngStream(8), chain, 0, 1000), want)
+        # 1.25 expected jumps, within a two-step budget, but of 1000 paths
+        # some jump twice without dying
+        jumper = PermanentalSpec(rates=((0.0, 1.0), (1.0, 0.0)), kill=(4.0, 4.0))
+        monkeypatch.setattr(permanental, "_MAX_STEPS", 2)
+        with pytest.raises(ValueError, match="'kill'"):
+            sample_local_times(RngStream(8), jumper, 0, 1000)
+
 
 class TestIdentity:
     @pytest.mark.parametrize("chain,a", [(CHAIN1, 0), (CHAIN2, 0), (CHAIN2, 1), (CHAIN3, 1)],
