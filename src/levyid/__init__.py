@@ -38,7 +38,7 @@ from .levymeasure import (
     levy_functional_quadrature,
     validate_levy_conditions,
 )
-from .limits import LimitReport, verify_thinning_limit
+from .limits import verify_thinning_limit
 from .permanental import (
     GreenMatrix,
     green_matrix,
@@ -67,7 +67,6 @@ __all__ = [
     "JumpLawSpec",
     "Kernel",
     "LevyFunctionalPanel",
-    "LimitReport",
     "PanelEntry",
     "PermanentalSpec",
     "PoissonSpec",

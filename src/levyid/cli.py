@@ -6,11 +6,11 @@ Subcommands
     verify-condition  hidden + visible decomposition identity
     levy-check        Laplace exponent and jump-measure representations
     permanental       finite-state permanental identity battery
-    limit             thinning ladder converging to the tilt companion
+    limit             thinning ladder, each rung against its exact law
     suite             run a list of the above as one batch
     diff              compare two reports outside their timestamp blocks
 
-Reports are JSON tagged "schema": "levy-id/2" and embed the resolved config.
+Reports are JSON tagged "schema": "levy-id/3" and embed the resolved config.
 Identical config + seed give byte-identical reports apart from the timestamp
 block. The text has a two-space indent, keys sorted as strings, ASCII
 escapes, and non-finite floats as the strings "inf", "-inf" and "nan"; it is
@@ -71,7 +71,7 @@ from .processes import sample_paths
 from .randkit import RngStream
 from .statlab import Check
 
-SCHEMA = "levy-id/2"
+SCHEMA = "levy-id/3"
 DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_N = 200_000
 DEFAULT_B = 500
@@ -81,8 +81,7 @@ REPR_Z = 4.0          # looser gate for the probabilistic nu representations
 # compares that draw with one at the second
 MIXING_MEANS = (1.0, 5.0)
 # base rung size for the thinning ladder; per-rung samples scale as n/delta,
-# and the base keeps the final comparison's resolution at the level of the
-# O(delta) thinning residual rather than far below it
+# so every rung's tilted effective sample size stays near n
 DEFAULT_LIMIT_N = 100
 
 
@@ -330,12 +329,15 @@ def _column_means(draws, expected, name, labels, z_crit, **check) -> Check:
                  **check)
 
 
-def _report_csv(check: Check):
-    header = ["entry", "alphas", "times", "lhs", "lhs_se", "rhs", "rhs_se", "z", "pass"]
-    rows = [[k, *(";".join(f"{x:g}" for x in row[c]) for c in header[1:3]),
-             *(row[c] for c in header[3:])]
+def _report_csv(check: Check, *lead):
+    """One CSV row per Check row: the row fields named in `lead`, the row's
+    index, its panel entry, both sides, z and pass."""
+    cols = ["alphas", "times", "lhs", "lhs_se", "rhs", "rhs_se", "z", "pass"]
+    rows = [[*(row[c] for c in lead), k,
+             *(";".join(f"{x:g}" for x in row[c]) for c in cols[:2]),
+             *(row[c] for c in cols[2:])]
             for k, row in enumerate(check.to_dict()["entries"])]
-    return header, rows
+    return [*lead, "entry", *cols], rows
 
 
 # one handler per subcommand; each returns (resolved_config, results, ok, csv)
@@ -458,20 +460,15 @@ def _cmd_permanental(cfg, seed):
 
 def _cmd_limit(cfg, seed):
     spec, grid, a, panel, _, z_crit, resolved = _grid_job(cfg, pinned=True)
-    # the ladder has its own base size: per-rung samples grow as n/delta, and
-    # mc.N (sized for direct identity checks) would swamp the O(delta)
-    # residual the final rung is allowed to carry; so N is not echoed
+    # the ladder has its own base size, limit.n: rung k draws about
+    # n/delta_k paths, so N is not echoed
     del resolved["mc"]["N"]
     # the ladder and its rung cap are the library's defaults
     lim = _section(cfg, "limit", ("deltas", "n_max"))
     n = _count(_get(lim, "n", DEFAULT_LIMIT_N), "n")
     report = verify_thinning_limit(RngStream(seed), spec, a, grid, panel, n, z_crit=z_crit)
     resolved["limit"] = {"n": n}
-    header = ["delta", "n_used", "distance", "distance_se", "ess"]
-    rows = [[report.deltas[k], report.n_used[k], report.distances[k],
-             report.distance_ses[k], report.ess[k]]
-            for k in range(len(report.deltas))]
-    return resolved, report.to_dict(), report.overall_pass, (header, rows)
+    return resolved, report.to_dict(), report.overall_pass, _report_csv(report, "delta")
 
 
 def _cmd_suite(cfg, seed):
@@ -667,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-condition": "hidden + visible decomposition identity",
         "levy-check": "Laplace exponent and jump-measure representation checks",
         "permanental": "finite-state permanental identity battery",
-        "limit": "thinning-limit convergence to the tilt companion",
+        "limit": "thinning ladder, each rung against its exact law",
         "suite": "run a batch of jobs from one config",
     }
     for name, text in helps.items():

@@ -1,23 +1,23 @@
-"""Weighted empirical Laplace functionals, linearized errors, and the one
+"""Weighted empirical Laplace functionals, closed-form errors, and the one
 z-gated Check every statistical verdict goes through.
 
-Two estimators cover weighted ensembles (Owen, Monte Carlo theory, methods
-and examples, chs. 8 and 9); a plain mean is the unit-weight case of either.
+Two estimators cover weighted ensembles whose weights have mean exactly
+one, such as the tilting weights psi(a) / E psi(a) (Owen, Monte Carlo
+theory, methods and examples, chs. 8 and 9); a plain mean is the
+unit-weight case of either.
 
-* `control_variate_panel`, for weights whose mean is exactly one, such as
-  the tilting weights psi(a) / E psi(a): the mean of the terms w v, with
-  the control variate w - 1, whose mean is known to be 0, regressed out.
-* `weighted_laplace_panel`, for any nonnegative weights: the
-  self-normalized ratio sum(w v) / sum(w) with its delta-method
-  (linearized) error.
+* `weighted_laplace_panel`: the mean of the terms w v over n, the known
+  normalizer.
+* `control_variate_panel`: the same mean with the control variate w - 1,
+  whose mean is known to be 0, regressed out.
 
 Their standard errors are closed-form, so they consume no random draws.
 
 A Check holds one report block: each row's estimate and target with their
-SEs, z-scored by `compare`, and one gate on every |z|. Identity blocks gate
-family-wise at the Bonferroni value over their entries; sampled
-representations, marginals and moment columns gate each row at the
-block's z_crit.
+SEs, z-scored by `compare`, and one gate on every |z|. Identity blocks and
+the thinning ladder gate family-wise at the Bonferroni value over their
+rows; sampled representations, marginals and moment columns gate each row
+at the block's z_crit.
 """
 
 from __future__ import annotations
@@ -47,28 +47,29 @@ def laplace_values(
 def weighted_laplace_panel(
     ensemble: WeightedEnsemble, panel: LevyFunctionalPanel, b: int = 500
 ):
-    """Self-normalized estimates and linearized SEs for every panel entry.
+    """Known-normalizer estimates and SEs for every panel entry, for weights
+    whose mean is known to be one.
 
-    se_k = sqrt(sum_i w_i^2 (v_ik - est_k)^2) / sum_i w_i; fewer than two
-    paths give se 0. The estimates are invariant under rescaling all
-    weights by a positive constant. `b` is kept from the former bootstrap
-    and has no effect.
+    With terms t_i = w_i v_i, est_k = sum_i t_i / n and se_k =
+    sqrt(sum_i (t_i - est_k)^2) / n; fewer than two paths give se 0. Unit
+    weights make this the plain mean with std / sqrt(n). `b` is kept from
+    the former bootstrap and has no effect.
     """
     w = ensemble.weights
-    sw = w.sum()
-    if sw <= 0:
+    if w.sum() <= 0:
         raise ValueError("all ensemble weights are zero")
+    n = w.size
     est = np.empty(len(panel))
     se = np.zeros(len(panel))
     # every entry is evaluated into the same two n-buffers
-    v, tmp = np.empty(w.size), np.empty(w.size)
+    t, tmp = np.empty(n), np.empty(n)
     for k, entry in enumerate(panel):
-        laplace_values(ensemble, entry, out=v, work=tmp)
-        est[k] = np.sum(np.multiply(w, v, out=tmp)) / sw
-        if w.size >= 2:
-            np.subtract(v, est[k], out=v)
-            r = np.multiply(w, v, out=v)
-            se[k] = math.sqrt(np.sum(np.multiply(r, r, out=tmp))) / sw
+        laplace_values(ensemble, entry, out=t, work=tmp)
+        np.multiply(w, t, out=t)
+        est[k] = np.sum(t) / n
+        if n >= 2:
+            np.subtract(t, est[k], out=t)
+            se[k] = math.sqrt(np.sum(np.multiply(t, t, out=tmp))) / n
     return est, se
 
 

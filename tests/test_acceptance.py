@@ -225,9 +225,12 @@ def test_09_thinning_limit(capsys):
         ("poisson", PoissonSpec(rate=1.0), 700),
         ("tempered-stable", TemperedStableSpec(alpha=0.5), 706),
     ):
+        # every rung against its exact law e^{-delta kappa} T, and the gap to
+        # the companion shrinking from the first rung to the last
         rep = verify_thinning_limit(RngStream(seed), spec, 1.0, grid, panel, n=100)
-        assert tuple(rep.deltas) == (1.0, 0.3, 0.1, 0.03)
-        ok = ok and rep.monotone_pass and rep.final_pass and rep.overall_pass
+        assert tuple(rep.fields["deltas"]) == (1.0, 0.3, 0.1, 0.03)
+        dist = rep.fields["distances"]
+        ok = ok and rep.overall_pass and dist[-1] < dist[0]
     _stamp(capsys, "09 thinning-limit convergence", ok)
     assert ok
 

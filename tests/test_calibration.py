@@ -12,8 +12,15 @@ families:
 - each entry's z variance stays within chi-square error of 1;
 - on the first BOOT_SEEDS seeds the SEs of every estimate agree with a
   reference percentile bootstrap of the same estimator, computed on the same
-  ensembles: the ratio estimator's, or, for the tilting LHS, the
-  control-variate estimator's with its slope refitted in every resample.
+  ensembles: the known-normalizer mean's (a plain mean for unit weights),
+  or, for the tilting LHS, the control-variate estimator's with its slope
+  refitted in every resample.
+
+The whole thinning ladder, every rung and entry against its exact law under
+one family-wise gate, is scanned over the same seeds on the desk limit jobs'
+panel, for Poisson and tempered-stable processes at limit.n = 100 (the
+default) and 1000: the family-wise fail rate and each row's z variance stay
+within binomial and chi-square error of their nominal values.
 
 The permanental job's Levy marginals, which share one draw across states,
 are scanned over the same seeds at their own small size, PERM_N rows, on the
@@ -47,7 +54,7 @@ from levyid.core import (
     make_grid,
 )
 from levyid.levymeasure import levy_functional_mc, levy_functional_quadrature
-from levyid.limits import DEFAULT_DELTAS, thinned_values
+from levyid.limits import DEFAULT_DELTAS, thinned_values, verify_thinning_limit
 from levyid.permanental import (
     green_matrix,
     levy_functional_permanental,
@@ -65,6 +72,11 @@ SEEDS = 200
 BOOT_SEEDS = 4
 Z_CRIT = 3.0
 P_ENTRY = math.erfc(Z_CRIT / math.sqrt(2.0))  # nominal P(|z| > 3)
+# Bonferroni keeps the family-wise level at or below the single-test one:
+# at most 3 binomial SDs above SEEDS * P_ENTRY, plus one for rounding
+MAX_FAILS = SEEDS * P_ENTRY + 3.0 * math.sqrt(SEEDS * P_ENTRY * (1.0 - P_ENTRY)) + 1.0
+# the sample variance of SEEDS standard normals has SD sqrt(2 / (SEEDS - 1))
+VAR_TOL = 3.0 * math.sqrt(2.0 / (SEEDS - 1))
 PERM_N = 2_000
 LEVY_N = 5_000
 DECOMP_N = 5_000
@@ -90,12 +102,9 @@ def _half_width(estimates):
 
 
 def reference_bootstrap_se(ens, panel, b=500, seed=0):
-    """Percentile bootstrap SE of the ratio estimates, the standard error
-    the package used before the linearized formula."""
-    w = ens.weights
-    sums = _resampled_sums(np.column_stack([w] + [w * laplace_values(ens, e) for e in panel]),
-                           b, seed)
-    return _half_width(sums[:, 1:] / sums[:, :1])
+    """Percentile bootstrap SE of the known-normalizer means sum(w v) / n."""
+    t = np.column_stack([ens.weights * laplace_values(ens, e) for e in panel])
+    return _half_width(_resampled_sums(t, b, seed) / len(t))
 
 
 def reference_cv_bootstrap_se(ens, panel, b=500, seed=0):
@@ -226,17 +235,14 @@ def test_entry_exceedance_rate(scan):
 
 
 def test_familywise_fail_rate(scan):
-    # Bonferroni keeps the family-wise level at or below the single-test one
     _, fails, _ = scan
-    assert fails <= SEEDS * P_ENTRY + 3.0 * math.sqrt(SEEDS * P_ENTRY * (1 - P_ENTRY)) + 1.0
+    assert fails <= MAX_FAILS
 
 
 def test_z_variance_near_one(scan):
-    # the sample variance of SEEDS standard normals has SD sqrt(2 / (SEEDS - 1))
     zs, _, _ = scan
-    tol = 3.0 * math.sqrt(2.0 / (SEEDS - 1))
     var = zs.var(axis=0, ddof=1)
-    assert np.all(np.abs(var - 1.0) <= tol), var
+    assert np.all(np.abs(var - 1.0) <= VAR_TOL), var
 
 
 def test_matches_reference_bootstrap(scan):
@@ -249,6 +255,35 @@ def test_matches_reference_bootstrap(scan):
     ])
     assert np.all((0.85 < ratios) & (ratios < 1.15)), ratios
     assert 0.95 < math.exp(np.log(ratios).mean()) < 1.05
+
+
+# the desk limit jobs' panel, at the default limit.n and ten times it
+LADDER_PANEL = LevyFunctionalPanel((PanelEntry((1.0,), (1.0,)),
+                                    PanelEntry((0.5, 0.5), (0.5, 2.0))))
+LADDERS = {f"{name}-{n}": (spec, n)
+           for name, spec in (("poisson", PoissonSpec(1.0)),
+                              ("tempered-stable", TemperedStableSpec(0.5)))
+           for n in (100, 1000)}
+
+
+@pytest.fixture(scope="module", params=list(LADDERS))
+def ladder_scan(request):
+    # rows are rungs x entries, each against e^{-delta kappa} T
+    spec, n = LADDERS[request.param]
+    reports = [verify_thinning_limit(RngStream(s), spec, A, GRID, LADDER_PANEL, n, z_crit=Z_CRIT)
+               for s in range(SEEDS)]
+    return np.array([r.z for r in reports]), sum(not r.overall_pass for r in reports)
+
+
+def test_ladder_familywise_fail_rate(ladder_scan):
+    _, fails = ladder_scan
+    assert fails <= MAX_FAILS
+
+
+def test_ladder_z_variance_near_one(ladder_scan):
+    zs, _ = ladder_scan
+    var = zs.var(axis=0, ddof=1)
+    assert np.all(np.abs(var - 1.0) <= VAR_TOL), var
 
 
 # the desk suite's 2- and 3-state permanental chains
@@ -283,7 +318,7 @@ def test_marginal_z_mean_near_zero(marginal_scan):
 
 def test_marginal_z_variance_near_one(marginal_scan):
     var = marginal_scan.var(axis=0, ddof=1)
-    assert np.all(np.abs(var - 1.0) <= 3.0 * math.sqrt(2.0 / (SEEDS - 1))), var
+    assert np.all(np.abs(var - 1.0) <= VAR_TOL), var
 
 
 # the desk suite's four levy-check jobs
@@ -313,4 +348,4 @@ def test_representation_z_mean_near_zero(representation_scan):
 
 def test_representation_z_variance_near_one(representation_scan):
     var = representation_scan.var(axis=0, ddof=1)
-    assert np.all(np.abs(var - 1.0) <= 3.0 * math.sqrt(2.0 / (SEEDS - 1))), var
+    assert np.all(np.abs(var - 1.0) <= VAR_TOL), var

@@ -185,7 +185,7 @@ class TestReportShape:
     def test_schema_and_fields(self, tmp_path):
         code, rep = _run(tmp_path, ["verify-isonat"], BASE)
         assert code == 0
-        assert rep["schema"] == "levy-id/2"
+        assert rep["schema"] == "levy-id/3"
         assert rep["command"] == "verify-isonat"
         assert rep["seed"] == 11
         assert "config" in rep and "results" in rep
@@ -205,7 +205,7 @@ class TestReportShape:
         code = main(["verify-isonat", "--config", cfg_path])
         assert code == 0
         rep = json.loads(capsys.readouterr().out)
-        assert rep["schema"] == "levy-id/2"
+        assert rep["schema"] == "levy-id/3"
 
 
 class TestDeterminism:
@@ -276,9 +276,13 @@ class TestCsv:
         code = main(["limit", "--config", cfgp, "--out", str(out), "--csv", str(table)])
         assert code == 0
         rows = list(csv.reader(table.read_text().splitlines()))
-        assert rows[0][0] == "delta"
-        assert len(rows) == 5
+        # the identity commands' columns, led by each row's rung
+        assert rows[0] == ["delta", "entry", "alphas", "times", "lhs", "lhs_se", "rhs",
+                           "rhs_se", "z", "pass"]
         rep = json.loads(out.read_text())
+        entries = rep["results"]["entries"]
+        assert len(rows) == 1 + len(entries) == 1 + 4 * 6  # rungs x default panel
+        assert [float(r[0]) for r in rows[1:]] == [e["delta"] for e in entries]
         assert rep["config"]["limit"]["n"] == 100
         assert rep["results"]["n_used"] == [100, 334, 1000, 3334]
 
@@ -819,9 +823,9 @@ class TestOneVerdictRule:
         for job, resolved in zip(rep["results"]["jobs"], rep["config"]["jobs"]):
             paths += self._check(job["results"], resolved["config"]["mc"]["z_crit"])
         # two tilting and one decomposition identity, levy-check's
-        # laplace_exponent and representation, and permanental's identity,
-        # local_time_means and levy_marginals
-        assert len(paths) == 8, paths
+        # laplace_exponent and representation, permanental's identity,
+        # local_time_means and levy_marginals, and the thinning ladder
+        assert len(paths) == 9, paths
 
     # N = 1 and a small z_crit make rows and blocks that fail; at seed 3 the
     # tight permanental identity passes its Bonferroni gate with failing rows
@@ -838,14 +842,14 @@ class TestOneVerdictRule:
         paths = self._check(rep["results"], rep["config"]["mc"]["z_crit"])
         assert len(paths) == (1 if command == "simulate" else 3), paths
 
-    # every block that carries pass is a Check, with z on each row; the
-    # thinning limit's LimitReport is the one exception, so limit is not run
+    # every block that carries pass is a Check, with z on each row
     @pytest.mark.parametrize("command,cfg", [
         ("simulate", dict(BASE, mc={"N": 2000})),
         ("verify-isonat", dict(BASE, mc={"N": 2000})),
         ("verify-condition", dict(BASE, mc={"N": 2000})),
         ("levy-check", dict(BASE, mc={"N": 2000}, levy={"n": 500})),
         ("permanental", {"process": PERM, "mc": {"N": 2000}}),
+        ("limit", dict(BASE, limit={"n": 100})),
     ])
     def test_every_pass_block_is_a_check(self, tmp_path, command, cfg):
         _, rep = _run(tmp_path, [command, "--seed", "3"], cfg)

@@ -86,16 +86,34 @@ from levyid.statlab import (
 )
 
 
+def _laplace_ref(ensemble, entry):
+    m = ensemble.values[:, ensemble.grid.index_of(entry.times)]
+    acc = np.zeros(m.shape[0])
+    for j, c in enumerate(np.asarray(entry.alphas, dtype=float)):
+        acc += c * m[:, j]
+    return np.exp(-acc)
+
+
 def _panel_ref(ensemble, panel):
+    w = ensemble.weights
+    n = w.size
+    est, se = np.empty(len(panel)), np.zeros(len(panel))
+    for k, entry in enumerate(panel):
+        t = w * _laplace_ref(ensemble, entry)
+        est[k] = np.sum(t) / n
+        if n >= 2:
+            r = t - est[k]
+            se[k] = math.sqrt(np.sum(r * r)) / n
+    return est, se
+
+
+def _ratio_panel_ref(ensemble, panel):
+    # the former self-normalized ratio and its linearized SE
     w = ensemble.weights
     sw = w.sum()
     est, se = np.empty(len(panel)), np.zeros(len(panel))
     for k, entry in enumerate(panel):
-        m = ensemble.values[:, ensemble.grid.index_of(entry.times)]
-        acc = np.zeros(m.shape[0])
-        for j, c in enumerate(np.asarray(entry.alphas, dtype=float)):
-            acc += c * m[:, j]
-        v = np.exp(-acc)
+        v = _laplace_ref(ensemble, entry)
         est[k] = np.sum(w * v) / sw
         if w.size >= 2:
             r = w * (v - est[k])
@@ -115,11 +133,7 @@ def _cv_panel_ref(ensemble, panel):
     sww = np.sum(wc * wc)
     est, se = np.empty(len(panel)), np.empty(len(panel))
     for k, entry in enumerate(panel):
-        m = ensemble.values[:, ensemble.grid.index_of(entry.times)]
-        acc = np.zeros(m.shape[0])
-        for j, c in enumerate(np.asarray(entry.alphas, dtype=float)):
-            acc += c * m[:, j]
-        t_mean, tc = _centered_ref(w * np.exp(-acc))
+        t_mean, tc = _centered_ref(w * _laplace_ref(ensemble, entry))
         beta = np.sum(tc * wc) / sww if sww > 0 else 0.0
         est[k] = t_mean - beta * (w_mean - 1.0)
         r = tc - beta * wc
@@ -324,6 +338,16 @@ class TestPanel:
         ref_est, ref_se = _panel_ref(ens, PANEL)
         assert np.array_equal(est, ref_est)
         assert np.array_equal(se, np.zeros(len(PANEL)))
+        assert np.array_equal(se, ref_se)
+
+    def test_unit_weights_keep_the_ratio_bits(self):
+        # sum(v) / n is the former ratio's sum(1 v) / sum(1), and its SE the
+        # same operations on v - est, so every unit-weight caller keeps its
+        # report bytes
+        ens = WeightedEnsemble(GRID, _values(3001))
+        est, se = weighted_laplace_panel(ens, PANEL)
+        ref_est, ref_se = _ratio_panel_ref(ens, PANEL)
+        assert np.array_equal(est, ref_est)
         assert np.array_equal(se, ref_se)
 
     @pytest.mark.parametrize("kind", ["unit", "tilted"])

@@ -22,7 +22,9 @@ from levyid.limits import (
     thinned_values,
     verify_thinning_limit,
 )
+from levyid.levymeasure import levy_functional_quadrature
 from levyid.randkit import RngStream
+from levyid.statlab import bonferroni_crit
 
 GRID = make_grid([0.5, 1.0, 2.0])
 PANEL = LevyFunctionalPanel(
@@ -58,6 +60,11 @@ class TestThinnedSpec:
         for d in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 thinned_spec(PoissonSpec(rate=1.0), d)
+
+    def test_rejects_nan_delta(self):
+        # NaN fails every comparison, so it must not slip past the range test
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\]$"):
+            thinned_spec(TemperedStableSpec(0.5), math.nan)
 
     def test_delta_one_identity(self):
         thin = thinned_spec(PoissonSpec(rate=2.0), 1.0)
@@ -95,13 +102,12 @@ class TestVerifyThinningLimit:
             RngStream(500), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=100
         )
         assert rep.overall_pass, rep.to_dict()
-        assert rep.final_pass and rep.monotone_pass
-        assert len(rep.distances) == len(DEFAULT_DELTAS)
-        # the first rung's gap is the full tilted-vs-companion discrepancy
-        # and must dominate the final one decisively
-        assert rep.distances[0] - rep.distances[-1] > 3 * math.hypot(
-            rep.distance_ses[0], rep.distance_ses[-1]
-        )
+        dist = rep.fields["distances"]
+        assert len(dist) == len(DEFAULT_DELTAS)
+        # the first rung's gap to the companion is the full tilted-vs-companion
+        # discrepancy and must dominate the final one decisively
+        k = len(PANEL)
+        assert dist[0] - dist[-1] > 3 * math.hypot(max(rep.lhs_se[:k]), max(rep.lhs_se[-k:]))
 
     def test_ts_converges(self):
         rep = verify_thinning_limit(
@@ -109,36 +115,51 @@ class TestVerifyThinningLimit:
         )
         assert rep.overall_pass, rep.to_dict()
 
+    def test_each_rung_targets_its_exact_law(self):
+        # rung delta's target is e^{-delta kappa} times one companion estimate
+        spec = PoissonSpec(rate=1.0)
+        rep = verify_thinning_limit(RngStream(500), spec, 1.0, GRID, PANEL, n=100)
+        kappa = np.array([levy_functional_quadrature(spec, e) for e in PANEL])
+        decay = np.exp(-np.outer(DEFAULT_DELTAS, kappa)).ravel()
+        for side in (rep.rhs, rep.rhs_se):
+            companion = (side / decay).reshape(len(DEFAULT_DELTAS), len(PANEL))
+            assert np.allclose(companion, companion[0], rtol=1e-14, atol=0)
+        assert [row["delta"] for row in rep.rows] == np.repeat(DEFAULT_DELTAS, 2).tolist()
+        # one family-wise gate over every rung and entry
+        assert rep.crit == bonferroni_crit(3.0, len(DEFAULT_DELTAS) * len(PANEL))
+
     def test_rung_sizes_autoscale(self):
         rep = verify_thinning_limit(
             RngStream(502), PoissonSpec(rate=1.0), 1.0, GRID, PANEL,
             n=100, deltas=(1.0, 0.25)
         )
-        assert rep.n_used == [100, 400]
+        assert rep.fields["n_used"] == [100, 400]
         # effective sample size stays near the base on both rungs
-        assert all(30 < e < 250 for e in rep.ess)
+        assert all(30 < e < 250 for e in rep.fields["ess"])
 
     def test_report_shapes(self):
         rep = verify_thinning_limit(
             RngStream(502), PoissonSpec(rate=1.0), 1.0, GRID, PANEL,
             n=100, deltas=(1.0, 0.5)
         )
-        assert rep.deltas == [1.0, 0.5]
-        assert len(rep.n_used) == 2 and len(rep.ess) == 2
-        assert all(e > 0 for e in rep.ess)
         d = rep.to_dict()
-        assert {"deltas", "n_used", "distances", "distance_ses", "final_z",
-                "final_pass", "monotone_pass", "pass", "ess"} <= set(d)
+        assert d["deltas"] == [1.0, 0.5]
+        assert len(d["n_used"]) == 2 and len(d["ess"]) == 2 and len(d["distances"]) == 2
+        assert all(e > 0 for e in d["ess"])
+        assert {"entries", "deltas", "n_used", "distances", "ess", "z_crit",
+                "bonferroni_z", "pass", "notes"} == set(d)
+        assert len(d["entries"]) == 2 * len(PANEL)
+        assert {"delta", "alphas", "times", "lhs", "lhs_se", "rhs", "rhs_se", "z",
+                "pass"} == set(d["entries"][0])
+        assert {"a", "n_target"} <= set(d["notes"])
 
-    # degenerate resamples (all-zero weight draws) are the point of this test
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cap_collapse_is_flagged(self):
         rep = verify_thinning_limit(
             RngStream(507), PoissonSpec(rate=1.0), 1.0, GRID, PANEL,
             n=100, deltas=(1.0, 0.02), n_max=200
         )
         # the cap squeezes the last rung to 200 draws, so its ESS collapses
-        assert rep.n_used == [100, 200]
+        assert rep.fields["n_used"] == [100, 200]
         assert 0.02 in rep.notes["ess_collapse_at"]
 
     def test_rejects_bad_ladder(self):
@@ -148,6 +169,13 @@ class TestVerifyThinningLimit:
                     RngStream(503), PoissonSpec(rate=1.0), 1.0, GRID, PANEL,
                     n=100, deltas=bad
                 )
+
+    def test_rejects_nan_delta(self):
+        with pytest.raises(ValueError, match=r"^deltas must lie in \(0, 1\]$"):
+            verify_thinning_limit(
+                RngStream(503), PoissonSpec(rate=1.0), 1.0, GRID, PANEL,
+                n=100, deltas=(1.0, math.nan)
+            )
 
     def test_rejects_tilt_off_grid(self):
         with pytest.raises(ValueError):
@@ -162,8 +190,8 @@ class TestVerifyThinningLimit:
         r2 = verify_thinning_limit(
             RngStream(506), PoissonSpec(rate=1.0), 1.0, GRID, PANEL, n=100
         )
-        assert r1.distances == r2.distances
-        assert r1.final_z == r2.final_z
+        assert r1.fields["distances"] == r2.fields["distances"]
+        assert np.array_equal(r1.z, r2.z)
 
     def test_companion_target_self_consistent(self):
         # two independent draws of the companion panel agree within noise

@@ -9,6 +9,13 @@ levy-check mutation, on the desk's Sato and conv processes at levy.n = N/2,
 reads max |z| of 19 and 30 against its REPR_Z = 4 gate. Scaling E psi(a) in
 the tilting weights by 1.1 reads max |z| of 7.8 to 17.8 on seeds 1-4 and the
 one below, hence its own NORMALIZER_MARGIN.
+
+The thinning ladder runs on the desk limit jobs' panel at limit.n = LIMIT_N.
+Drawing every rung from the unthinned process reads max |z| of 55 to 140
+(seeds 1-5 and the one below). Scaling E psi(a) in the rung weights by 1.1
+needs more rows: at limit.n = NORMALIZER_LIMIT_N it reads max |z| of 6.5 to
+15.4, and unmutated Poisson and tempered-stable ladders there read at most
+2.5.
 """
 
 import json
@@ -16,13 +23,17 @@ import json
 import numpy as np
 import pytest
 
-from levyid import identities, levymeasure, permanental, randkit
+from levyid import identities, levymeasure, limits, permanental, randkit
 from levyid.cli import main
+from levyid.processes import values_at
 
 N = 20_000
 SEED = 20260501
 MARGIN = 10.0
 NORMALIZER_MARGIN = 5.0
+LIMIT_N = 100
+NORMALIZER_LIMIT_N = 4000
+LIMIT_PANEL = [{"alphas": [1.0], "times": [1.0]}, {"alphas": [0.5, 0.5], "times": [0.5, 2.0]}]
 
 EXP1 = {"kind": "exponential", "mean": 1.0}
 FAMILIES = {
@@ -36,13 +47,15 @@ PERM = {"family": "permanental", "rates": [[0.0, 1.0], [1.0, 0.0]],
         "kill": [0.7, 0.4], "beta": 1.0}
 
 
-def _run(tmp_path, command, process):
+def _run(tmp_path, command, process, limit_n=LIMIT_N):
     if command == "levy-check":
         cfg = {"process": process, "grid": [0.5, 1.0, 1.5, 2.0]}
     elif command == "permanental":
         cfg = {"process": process, "identity": {"a": 0}}
     else:
         cfg = {"process": process, "grid": [0.5, 1.0, 1.5, 2.0], "identity": {"a": 1.0}}
+    if command == "limit":
+        cfg.update(panel=LIMIT_PANEL, limit={"n": limit_n})
     cfg.update(mc={"N": N}, seed=SEED)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -124,3 +137,28 @@ def test_permanental_local_times_once_fails(tmp_path, monkeypatch):
                         lambda *args, **kw: 0.5 * real(*args, **kw))
     code, rep = _run(tmp_path, "permanental", PERM)
     assert code == 1 and _max_abs_z(rep["results"]["identity"]) > MARGIN
+
+
+@pytest.mark.parametrize("limit_n", [LIMIT_N, NORMALIZER_LIMIT_N])
+@pytest.mark.parametrize("family", ["poisson", "tempered-stable"])
+def test_unmutated_limit_passes(tmp_path, family, limit_n):
+    assert _run(tmp_path, "limit", FAMILIES[family], limit_n)[0] == 0
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_limit_from_unthinned_paths_fails(tmp_path, monkeypatch, family):
+    # every rung's weights then have mean 1 / delta, not 1
+    monkeypatch.setattr(limits, "thinned_values",
+                        lambda rng, spec, delta, points, n: values_at(rng, spec, points, n))
+    code, rep = _run(tmp_path, "limit", FAMILIES[family])
+    assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_limit_with_wrong_normalizer_fails(tmp_path, monkeypatch, family):
+    # the former self-normalized ratio cancelled this factor; the known
+    # normalizer does not
+    real = limits.mean_function
+    monkeypatch.setattr(limits, "mean_function", lambda spec, t: 1.1 * real(spec, t))
+    code, rep = _run(tmp_path, "limit", FAMILIES[family], NORMALIZER_LIMIT_N)
+    assert code == 1 and _max_abs_z(rep["results"]) > NORMALIZER_MARGIN

@@ -56,16 +56,14 @@ class TestWeightedLaplace:
         assert est == pytest.approx(direct, abs=1e-14)
         assert 0 < se < 0.05
 
-    @given(st.floats(min_value=0.01, max_value=100.0))
-    def test_estimate_invariant_under_weight_scale(self, c):
-        ens = _ensemble()
-        scaled = WeightedEnsemble(
-            grid=ens.grid, values=ens.values, weights=c * ens.weights
-        )
+    def test_weighted_terms_over_n(self):
+        # the known normalizer: the mean of w v over n, not over sum(w)
+        ens = _ensemble(weights=np.linspace(0.0, 2.0, 4000))
         entry = PanelEntry(alphas=(1.0,), times=(2.0,))
-        e1, _ = _single_entry(ens, entry)
-        e2, _ = _single_entry(scaled, entry)
-        assert e1 == pytest.approx(e2, rel=1e-12)
+        t = ens.weights * laplace_values(ens, entry)
+        est, se = _single_entry(ens, entry)
+        assert est == pytest.approx(t.mean(), rel=1e-12)
+        assert se == pytest.approx(t.std() / math.sqrt(t.size), rel=1e-12)
 
     def test_rejects_zero_weights(self):
         ens = _ensemble(n=10, weights=np.zeros(10))

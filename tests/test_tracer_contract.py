@@ -5,7 +5,8 @@ module and reads the work each call was handed from its bound arguments
 (`WORK`). A deleted function or a renamed parameter would break `--trace 1`
 runs without touching any other test, so this checks the names here. It
 also adopts sample_ensemble's chunk function, so that spans opened in pool
-threads keep sample_ensemble as their parent.
+threads keep sample_ensemble as their parent. `perfbench/run.py` also reads
+report keys: a limit job's per-rung `ess` and `n_used` lists.
 """
 
 import importlib
@@ -18,6 +19,7 @@ import pytest
 
 from levyid import cli, identities
 from levyid.core import LevyFunctionalPanel, PanelEntry, PoissonSpec, make_grid
+from levyid.limits import DEFAULT_DELTAS
 from levyid.randkit import RngStream
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -90,6 +92,16 @@ def test_target_exists_with_bound_arguments(layer, name):
 
 def test_every_work_entry_is_a_target():
     assert set(tracer.WORK) <= {name for _, name in TARGETS}
+
+
+def test_limit_results_carry_per_rung_lists():
+    # perfbench/run.py sums each limit job's ess and n_used lists into
+    # limits.ess_ratio, so both stay top-level lists with one entry per rung
+    cfg = {"process": {"family": "poisson", "lambda": 1.0}, "identity": {"a": 1.0},
+           "limit": {"n": 100}}
+    _, results, _, _ = cli._cmd_limit(cfg, 3)
+    for key in ("ess", "n_used"):
+        assert isinstance(results[key], list) and len(results[key]) == len(DEFAULT_DELTAS)
 
 
 def test_job_handlers_table():
