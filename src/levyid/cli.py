@@ -69,7 +69,7 @@ from .permanental import (
 )
 from .processes import sample_paths
 from .randkit import RngStream
-from .statlab import Check
+from .statlab import Check, mean_se
 
 SCHEMA = "levy-id/3"
 DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0)
@@ -316,13 +316,9 @@ def _sampler_notes(spec: ProcessSpec) -> dict:
 
 
 def _column_means(draws, expected, name, labels, z_crit, **check) -> Check:
-    """Column means of draws against exact expectations, gated per column;
-    row k is labelled {name: labels[k]}."""
-    mean = draws.mean(axis=0)
-    if len(draws) >= 2:
-        se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
-    else:
-        se = np.zeros_like(mean)
+    """Column means of draws (`mean_se` of each column) against exact
+    expectations, gated per column; row k is labelled {name: labels[k]}."""
+    mean, se = np.array([mean_se(col) for col in draws.T]).T
     rows = [{name: label, "sample_mean": m, "se": s, "expected": e} for label, m, s, e
             in zip(labels, mean.tolist(), se.tolist(), expected.tolist())]
     return Check(mean, se, expected, 0.0, z_crit, rows=rows, fields={"n": len(draws)},

@@ -37,7 +37,6 @@ from .randkit import RngStream, sample_size_biased_jump
 from .statlab import (
     Check,
     build_identity_report,
-    control_variate_panel,
     effective_sample_size,
     weighted_laplace_panel,
 )
@@ -214,9 +213,9 @@ def verify_tilting_identity(
 
     Both sides are drawn in one sample_ensemble call; an RHS chunk adds its
     companion to its base paths in place. The tilting weights have mean
-    exactly one, so the LHS is the control-variate estimate
-    (`statlab.control_variate_panel`), which uses that known normalizer; the
-    notes give the weights' effective sample size and largest share.
+    exactly one, so the LHS uses that known normalizer and regresses out the
+    weights as a control of mean one (`statlab.mean_se`); the notes give the
+    weights' effective sample size and largest share.
     """
     tilt = _tilt(spec, a, grid)
 
@@ -237,7 +236,7 @@ def verify_tilting_identity(
     if not w.any():
         raise ValueError(f"no drawn path has psi(a) > 0 at a={a:g}, so none can be "
                          "tilted; raise 'mc.N'")
-    lhs = control_variate_panel(lhs_ens, panel)
+    lhs = weighted_laplace_panel(lhs_ens, panel, control=(w, 1.0))
     notes = {"lhs_estimator": "control-variate", "lhs_ess": effective_sample_size(w),
              "lhs_max_weight_share": float(w.max() / w.sum())}
     return _verdict("tilting", grid, panel, lhs, rhs_vals, z_crit, n, notes)

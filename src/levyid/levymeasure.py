@@ -50,9 +50,9 @@ from .processes import sample_paths
 from .randkit import RngStream, sample_size_biased_jump
 from .statlab import (
     Check,
-    bootstrap_mean_se,
     build_identity_report,
     effective_sample_size,
+    mean_se,
     weighted_laplace_panel,
 )
 
@@ -286,8 +286,8 @@ def levy_functional_mc(
     theta: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo evaluation of nu(F) at every panel entry through the
-    size-biased single-jump representations: the sample means and their
-    SEs, as arrays over the panel.
+    size-biased single-jump representations: the means of the per-row
+    terms and their SEs (`statlab.mean_se`), as arrays over the panel.
 
     All entries share one draw of n rows, so their estimates are correlated.
     mixing_mean parametrizes the exponential location mixer in the Poisson
@@ -307,7 +307,7 @@ def levy_functional_mc(
             warnings.warn(f"effective sample size {ess:.1f} below {_ESS_FRACTION:.0%} of "
                           f"n={n}; the importance weights are heavy-tailed here",
                           RuntimeWarning, stacklevel=2)
-        est[k], se[k] = x.mean(), bootstrap_mean_se(x)
+        est[k], se[k] = mean_se(x)
     return est, se
 
 

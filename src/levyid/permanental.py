@@ -13,7 +13,6 @@ time field of the chain started at a and killed at its last visit to a.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,8 @@ from .core import (
 from .randkit import RngStream
 from .statlab import (
     Check,
-    bootstrap_mean_se,
     build_identity_report,
+    mean_se,
     weighted_laplace_panel,
 )
 
@@ -273,22 +272,22 @@ def levy_functional_permanental(
         nu(F) = int E[ F(2 L^a) / sum_x L^a(x) m(x) ] g(a, a) m(da)
 
     with F(y) = 1 - exp(-1/2 sum alpha_i y(x_i)) and m a positive weight
-    vector over states: the sample means and their SEs, as arrays over the
-    panel.
+    vector over states: the means of the per-row terms and their SEs
+    (`statlab.mean_se`), as arrays over the panel.
     The entries share one draw, the n start states on substream 1 and one
-    local-time ensemble per start state a on substream (2, a). Replicates
-    with a vanishing denominator would be rejected and counted, but cannot
-    occur because L^a(a) > 0.
+    local-time ensemble per start state a on substream (2, a). The
+    denominator is at least L^a(a) m(a) > 0, since start states are drawn
+    with probability proportional to m.
     """
     m = np.asarray(m_weights, dtype=float)
-    if m.shape != (chain.n,) or np.any(m < 0) or m.sum() <= 0:
-        raise ValueError("m_weights must be nonnegative with positive total")
+    if m.shape != (chain.n,) or not np.all(np.isfinite(m) & (m >= 0)) or m.sum() <= 0:
+        raise ValueError("m_weights must be finite and nonnegative with positive total")
     entries = []
     for entry in panel:
-        states = np.asarray(entry.times, dtype=int)
-        if np.any(states < 0) or np.any(states >= chain.n):
+        times = np.asarray(entry.times, dtype=float)
+        if not np.isin(times, np.arange(chain.n)).all():
             raise ValueError("entry times must be state indices")
-        entries.append((np.asarray(entry.alphas), states))
+        entries.append((np.asarray(entry.alphas), times.astype(int)))
     green = green_matrix(chain)
     g = green.matrix
     gen = rng.substream(1).generator
@@ -299,16 +298,11 @@ def levy_functional_permanental(
         rows = np.where(starts == a)[0]
         local = sample_local_times(rng.substream(2, int(a)), chain, int(a), rows.size)
         denom = _matvec(local, m)
-        bad = denom <= 0
-        if bad.any():
-            warnings.warn(f"rejected {int(bad.sum())} replicates with zero denominator",
-                          RuntimeWarning, stacklevel=2)
-        safe = np.where(bad, 1.0, denom)
         for k, (alphas, states) in enumerate(entries):
             f = -np.expm1(-0.5 * (2.0 * _matvec(local[:, states], alphas)))
-            x[k, rows] = np.where(bad, 0.0, m.sum() * g[a, a] * f / safe)
-    return (np.array([xk.mean() for xk in x]),
-            np.array([bootstrap_mean_se(xk) for xk in x]))
+            x[k, rows] = m.sum() * g[a, a] * f / denom
+    est, se = zip(*map(mean_se, x))
+    return np.array(est), np.array(se)
 
 
 def marginal_levy_functional(green: GreenMatrix, alpha: float, x: int) -> float:

@@ -1,17 +1,15 @@
-"""Weighted empirical Laplace functionals, closed-form errors, and the one
-z-gated Check every statistical verdict goes through.
+"""Weighted empirical Laplace functionals, the one mean-and-SE rule, and the
+one z-gated Check every statistical verdict goes through.
 
-Two estimators cover weighted ensembles whose weights have mean exactly
-one, such as the tilting weights psi(a) / E psi(a) (Owen, Monte Carlo
-theory, methods and examples, chs. 8 and 9); a plain mean is the
-unit-weight case of either.
-
-* `weighted_laplace_panel`: the mean of the terms w v over n, the known
-  normalizer.
-* `control_variate_panel`: the same mean with the control variate w - 1,
-  whose mean is known to be 0, regressed out.
-
-Their standard errors are closed-form, so they consume no random draws.
+Every identity is a statement about Laplace functionals, so every verdict is
+a z-test on the mean of per-row terms. `mean_se` is the one estimator of
+that mean and its SE: sum t / n with se = sqrt(sum (t - est)^2) / n, and
+optionally a control of known mean regressed out (Owen, Monte Carlo theory,
+methods and examples, chs. 8 and 9). `weighted_laplace_panel` applies it to
+the terms w v of every panel entry, for weights of mean exactly one such as
+the tilting weights psi(a) / E psi(a); the tilting LHS passes those weights
+as the control, with mean 1. The SEs are closed-form, so they consume no
+random draws.
 
 A Check holds one report block: each row's estimate and target with their
 SEs, z-scored by `compare`, and one gate on every |z|. Identity blocks and
@@ -44,35 +42,6 @@ def laplace_values(
     return np.exp(v, out=v)
 
 
-def weighted_laplace_panel(
-    ensemble: WeightedEnsemble, panel: LevyFunctionalPanel, b: int = 500
-):
-    """Known-normalizer estimates and SEs for every panel entry, for weights
-    whose mean is known to be one.
-
-    With terms t_i = w_i v_i, est_k = sum_i t_i / n and se_k =
-    sqrt(sum_i (t_i - est_k)^2) / n; fewer than two paths give se 0. Unit
-    weights make this the plain mean with std / sqrt(n). `b` is kept from
-    the former bootstrap and has no effect.
-    """
-    w = ensemble.weights
-    if w.sum() <= 0:
-        raise ValueError("all ensemble weights are zero")
-    n = w.size
-    est = np.empty(len(panel))
-    se = np.zeros(len(panel))
-    # every entry is evaluated into the same two n-buffers
-    t, tmp = np.empty(n), np.empty(n)
-    for k, entry in enumerate(panel):
-        laplace_values(ensemble, entry, out=t, work=tmp)
-        np.multiply(w, t, out=t)
-        est[k] = np.sum(t) / n
-        if n >= 2:
-            np.subtract(t, est[k], out=t)
-            se[k] = math.sqrt(np.sum(np.multiply(t, t, out=tmp))) / n
-    return est, se
-
-
 def _center(x: np.ndarray, out: np.ndarray) -> float:
     """Mean of x, with x - mean written to `out` (which may be x).
 
@@ -86,46 +55,82 @@ def _center(x: np.ndarray, out: np.ndarray) -> float:
     return first + shift
 
 
-def control_variate_panel(ensemble: WeightedEnsemble, panel: LevyFunctionalPanel):
-    """Control-variate estimates and SEs for every entry, for weights of
-    mean exactly one.
+def _centred_control(c, m: float):
+    """A control c of known mean m, centred once for every vector of terms on
+    its rows: (c - mean c, mean c - m, sum (c - mean c)^2)."""
+    c = np.asarray(c, float)
+    cc = np.empty(c.size)
+    offset = _center(c, cc) - m
+    return cc, offset, np.sum(cc * cc)
 
-    With terms t_i = w_i v_i, the slope b = sum (t - mean t)(w - mean w) /
-    sum (w - mean w)^2 (0 for constant weights), the estimate is
-    mean t - b (mean w - 1) and se = sqrt(sum (t - mean t - b (w - mean w))^2) / n.
-    Fewer than two paths, and an entry whose terms are all equal, give se 0.
+
+def _mean_se(t: np.ndarray, control, work: np.ndarray):
+    """`mean_se` of the float n-vector t, which is overwritten, with a control
+    from `_centred_control` (or None) and the scratch n-buffer `work`."""
+    n = t.size
+    if control is None:
+        est = np.sum(t) / n
+        if n < 2:
+            return est, 0.0
+        np.subtract(t, est, out=t)
+    else:
+        cc, offset, scc = control
+        t_mean = _center(t, t)
+        beta = np.sum(np.multiply(t, cc, out=work)) / scc if scc > 0 else 0.0
+        est = t_mean - beta * offset
+        np.subtract(t, np.multiply(cc, beta, out=work), out=t)
+    return est, math.sqrt(np.sum(np.multiply(t, t, out=work))) / n
+
+
+def mean_se(t, control=None):
+    """The estimate of E t from per-row terms t, and its SE: the one rule
+    behind every verdict.
+
+    Without a control, est = sum_i t_i / n and se = sqrt(sum_i (t_i - est)^2)
+    / n; fewer than two rows give se 0. With `control` (c, m), a per-row
+    vector c of known mean m, the slope b = sum (t - mean t)(c - mean c) /
+    sum (c - mean c)^2 (0 for a constant c) is regressed out: est = mean t -
+    b (mean c - m) and se = sqrt(sum (t - mean t - b (c - mean c))^2) / n.
+    The means with a control are taken after a shift by the first value, so
+    equal terms give se exactly 0.
+    """
+    t = np.array(t, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("mean_se needs a nonempty vector of terms")
+    ctl = None if control is None else _centred_control(*control)
+    return _mean_se(t, ctl, np.empty_like(t))
+
+
+def weighted_laplace_panel(
+    ensemble: WeightedEnsemble, panel: LevyFunctionalPanel, b: int = 500, *, control=None
+):
+    """`mean_se` of the terms t_i = w_i v_i for every panel entry, for weights
+    whose mean is known to be one, so the normalizer is n; unit weights give
+    the plain mean.
+
+    `control` (c, m) is regressed out of every entry's terms; the tilting LHS
+    passes its weights, (w, 1). `b` is kept from the former bootstrap and has
+    no effect.
     """
     w = ensemble.weights
     if w.sum() <= 0:
         raise ValueError("all ensemble weights are zero")
     n = w.size
-    est = np.empty(len(panel))
-    se = np.empty(len(panel))
+    ctl = None if control is None else _centred_control(*control)
+    est, se = np.empty(len(panel)), np.empty(len(panel))
     # every entry is evaluated into the same two n-buffers
     t, tmp = np.empty(n), np.empty(n)
-    wc = np.empty(n)
-    w_mean = _center(w, wc)
-    sww = np.sum(np.multiply(wc, wc, out=tmp))
     for k, entry in enumerate(panel):
         laplace_values(ensemble, entry, out=t, work=tmp)
         np.multiply(w, t, out=t)
-        t_mean = _center(t, t)
-        beta = np.sum(np.multiply(t, wc, out=tmp)) / sww if sww > 0 else 0.0
-        est[k] = t_mean - beta * (w_mean - 1.0)
-        np.subtract(t, np.multiply(wc, beta, out=tmp), out=t)
-        se[k] = math.sqrt(np.sum(np.multiply(t, t, out=tmp))) / n
+        est[k], se[k] = _mean_se(t, ctl, tmp)
     return est, se
 
 
 def bootstrap_mean_se(x: np.ndarray, b: int = 500) -> float:
-    """SE of a plain mean, std(x) / sqrt(n); fewer than two values give 0.
-
-    The name and the ignored `b` are kept from the former bootstrap.
-    """
-    x = np.asarray(x, float)
-    if x.size < 2:
-        return 0.0
-    return float(x.std() / math.sqrt(x.size))
+    """The SE of `mean_se`; the name and the ignored `b` are kept from the
+    former bootstrap."""
+    return mean_se(x)[1]
 
 
 def compare(lhs: tuple[float, float], rhs: tuple[float, float], z_crit: float = 3.0):

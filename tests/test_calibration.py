@@ -30,6 +30,7 @@ representations, which share one draw across panel entries, on the desk's
 four levy-check specs at LEVY_N rows, against quadrature.
 """
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -119,9 +120,9 @@ def reference_cv_bootstrap_se(ens, panel, b=500, seed=0):
     return _half_width(t_mean - beta * (w_mean - 1.0))
 
 
-# each estimator an identity check calls, with its reference bootstrap
-REFERENCES = {"weighted_laplace_panel": reference_bootstrap_se,
-              "control_variate_panel": reference_cv_bootstrap_se}
+# the reference bootstrap of each side an identity check estimates, by
+# whether it passes weighted_laplace_panel a control (the tilting LHS does)
+REFERENCES = {False: reference_bootstrap_se, True: reference_cv_bootstrap_se}
 
 
 def _exposure_integral(entry, hi, g):
@@ -142,10 +143,11 @@ def _tilted_thinned_poisson(entry, rate, a):
     return path * jump
 
 
-def _capture(real, reference, captured):
-    def capture(ens, panel, *args, **kwargs):
-        captured.append((real, reference, ens))
-        return real(ens, panel, *args, **kwargs)
+def _capture(real, captured):
+    def capture(ens, panel, *args, control=None, **kwargs):
+        estimator = functools.partial(real, control=control)
+        captured.append((estimator, REFERENCES[control is not None], ens))
+        return estimator(ens, panel, *args, **kwargs)
 
     return capture
 
@@ -157,13 +159,14 @@ def _identity_scan(verifier, spec, n=N):
     for s in range(SEEDS):
         with pytest.MonkeyPatch.context() as mp:
             if s < BOOT_SEEDS:
-                for name, reference in REFERENCES.items():
-                    mp.setattr(identities, name,
-                               _capture(getattr(identities, name), reference, captured))
+                mp.setattr(identities, "weighted_laplace_panel",
+                           _capture(identities.weighted_laplace_panel, captured))
             report = verifier(RngStream(s), spec, A, GRID, PANEL, n, z_crit=Z_CRIT)
         zs.append(report.z)
         fails += not report.overall_pass
     assert len(captured) == 2 * BOOT_SEEDS, "an identity side's estimator went uncaptured"
+    controlled = sum(ref is reference_cv_bootstrap_se for _, ref, _ in captured)
+    assert controlled == (BOOT_SEEDS if verifier is identities.verify_tilting_identity else 0)
     return np.array(zs), fails, captured
 
 

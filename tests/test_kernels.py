@@ -80,7 +80,6 @@ from levyid.randkit import (
 )
 from levyid.statlab import (
     bootstrap_mean_se,
-    control_variate_panel,
     laplace_values,
     weighted_laplace_panel,
 )
@@ -354,7 +353,7 @@ class TestPanel:
     def test_control_variate_matches_reference(self, kind):
         vals = _values(3001)
         ens = WeightedEnsemble(GRID, vals, _weights(kind, vals))
-        est, se = control_variate_panel(ens, PANEL)
+        est, se = weighted_laplace_panel(ens, PANEL, control=(ens.weights, 1.0))
         ref_est, ref_se = _cv_panel_ref(ens, PANEL)
         assert np.array_equal(est, ref_est)
         assert np.array_equal(se, ref_se)
@@ -472,7 +471,7 @@ def _tilting_reference(rng, spec, a, grid, panel, n):
                      rng.substream(3), n)
     base += add
     lhs_ens = WeightedEnsemble(grid, lhs, lhs[:, ia] / mean_function(spec, a))
-    return (*control_variate_panel(lhs_ens, panel),
+    return (*weighted_laplace_panel(lhs_ens, panel, control=(lhs_ens.weights, 1.0)),
             *weighted_laplace_panel(WeightedEnsemble(grid, base), panel))
 
 

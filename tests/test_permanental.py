@@ -252,6 +252,21 @@ class TestLevyFunctional:
                 RngStream(405), CHAIN2, np.ones(2),
                 LevyFunctionalPanel((PanelEntry((1.0,), (5.0,)),)), n=100)
 
+    @pytest.mark.parametrize("m", [[1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [-1.0, 1.0, 1.0]],
+                             ids=["nan", "inf", "negative"])
+    def test_rejects_weights_that_are_not_finite_and_nonnegative(self, m):
+        # a NaN passed the old check and failed later inside the start-state draw
+        with pytest.raises(ValueError, match="^m_weights must be finite"):
+            levy_functional_permanental(RngStream(406), CHAIN3, np.array(m), _singles(3), n=100)
+
+    @pytest.mark.parametrize("t", [0.25, 1.5, 1.999])
+    def test_rejects_fractional_state_entry(self, t):
+        # times 1.5 and 1.999 were cast to state 1 and gave its estimate and SE
+        with pytest.raises(ValueError, match="^entry times must be state indices$"):
+            levy_functional_permanental(
+                RngStream(407), CHAIN3, np.ones(3),
+                LevyFunctionalPanel((PanelEntry((1.0,), (t,)),)), n=100)
+
     def test_bad_last_entry_rejected_before_any_draw(self, monkeypatch):
         class NoDraw:
             def substream(self, *tags):

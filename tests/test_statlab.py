@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import levyid
 from levyid.core import LevyFunctionalPanel, PanelEntry, TimeGrid, WeightedEnsemble
 from levyid.statlab import (
     Check,
@@ -12,9 +15,9 @@ from levyid.statlab import (
     bootstrap_mean_se,
     build_identity_report,
     compare,
-    control_variate_panel,
     effective_sample_size,
     laplace_values,
+    mean_se,
     weighted_laplace_panel,
 )
 
@@ -94,17 +97,22 @@ class TestWeightedLaplace:
         assert 0.6 * want < se < 1.6 * want
 
 
+def _weight_control_panel(ens, panel):
+    # the tilting LHS: the weights regressed out as a control of mean one
+    return weighted_laplace_panel(ens, panel, control=(ens.weights, 1.0))
+
+
 class TestControlVariate:
     PANEL = LevyFunctionalPanel((PanelEntry((1.0,), (1.0,)), PanelEntry((0.5, 1.0), (0.5, 2.0))))
 
     def test_rejects_zero_weights(self):
         ens = _ensemble(n=10, weights=np.zeros(10))
         with pytest.raises(ValueError, match="^all ensemble weights are zero$"):
-            control_variate_panel(ens, self.PANEL)
+            _weight_control_panel(ens, self.PANEL)
 
     def test_single_path_has_zero_se(self):
         ens = _ensemble(n=1, weights=np.array([1.7]))
-        est, se = control_variate_panel(ens, self.PANEL)
+        est, se = _weight_control_panel(ens, self.PANEL)
         want = [1.7 * laplace_values(ens, e)[0] for e in self.PANEL]
         assert np.array_equal(est, want)
         assert np.array_equal(se, np.zeros(2))
@@ -114,7 +122,7 @@ class TestControlVariate:
         # the slope is 0, so the estimate is the plain mean of the terms and
         # the SE their population SD over sqrt(n)
         ens = _ensemble(weights=np.full(4000, c))
-        est, se = control_variate_panel(ens, self.PANEL)
+        est, se = _weight_control_panel(ens, self.PANEL)
         for k, entry in enumerate(self.PANEL):
             t = c * laplace_values(ens, entry)
             assert est[k] == pytest.approx(t.mean(), rel=1e-13)
@@ -122,14 +130,14 @@ class TestControlVariate:
 
     def test_equal_terms_have_zero_se(self):
         ens = _ensemble(n=999, weights=np.full(999, 0.1))
-        est, se = control_variate_panel(ens, LevyFunctionalPanel((PanelEntry((0.0,), (1.0,)),)))
+        est, se = _weight_control_panel(ens, LevyFunctionalPanel((PanelEntry((0.0,), (1.0,)),)))
         assert est[0] == 0.1 and se[0] == 0.0
 
     def test_control_variate_itself_is_exact(self):
         # at alpha = 0 the terms are the weights, whose mean is known to be 1
         w = np.random.default_rng(3).exponential(1.0, 5000)
         ens = _ensemble(n=5000, weights=w)
-        est, se = control_variate_panel(ens, LevyFunctionalPanel((PanelEntry((0.0,), (1.0,)),)))
+        est, se = _weight_control_panel(ens, LevyFunctionalPanel((PanelEntry((0.0,), (1.0,)),)))
         assert est[0] == pytest.approx(1.0, abs=1e-14) and se[0] == 0.0
 
     def test_tilted_estimate_and_se(self):
@@ -139,7 +147,7 @@ class TestControlVariate:
         ens = _ensemble(n=40_000)
         ens = WeightedEnsemble(ens.grid, ens.values, ens.values[:, 1] / 0.6)
         entry = PanelEntry((1.0,), (1.0,))
-        est, se = control_variate_panel(ens, LevyFunctionalPanel((entry,)))
+        est, se = _weight_control_panel(ens, LevyFunctionalPanel((entry,)))
         t, w = ens.weights * laplace_values(ens, entry), ens.weights
         beta = np.cov(t, w, bias=True)[0, 1] / w.var()
         resid = t - beta * w
@@ -158,6 +166,133 @@ class TestBootstrapMeanSe:
     def test_deterministic_with_default_stream(self):
         x = np.arange(100, dtype=float)
         assert bootstrap_mean_se(x) == bootstrap_mean_se(x)
+
+    def test_is_the_se_of_mean_se(self):
+        x = np.random.default_rng(12).exponential(1.0, 999)
+        assert bootstrap_mean_se(x) == mean_se(x)[1]
+
+
+def _plain_ref(t):
+    # the former known-normalizer panel's operations on one entry's terms
+    n = t.size
+    est = np.sum(t) / n
+    if n < 2:
+        return est, 0.0
+    r = t - est
+    return est, math.sqrt(np.sum(r * r)) / n
+
+
+def _centered_ref(x):
+    # the mean after a shift by the first value, and the deviations from it
+    shift = float(np.sum(x - float(x[0]))) / x.size
+    return float(x[0]) + shift, (x - float(x[0])) - shift
+
+
+def _cv_ref(t, w):
+    # the former control-variate panel's operations on one entry's terms,
+    # with the weights as the control of mean one
+    w_mean, wc = _centered_ref(w)
+    sww = np.sum(wc * wc)
+    t_mean, tc = _centered_ref(t)
+    beta = np.sum(tc * wc) / sww if sww > 0 else 0.0
+    r = tc - wc * beta
+    return t_mean - beta * (w_mean - 1.0), math.sqrt(np.sum(r * r)) / t.size
+
+
+WEIGHTS = {
+    "unit": lambda vals: np.ones(len(vals)),
+    "tilted": lambda vals: vals[:, 1] / 0.6,
+    "constant": lambda vals: np.full(len(vals), 0.7),
+}
+
+
+class TestMeanSe:
+    ENTRY = PanelEntry((0.5, 1.0), (0.5, 2.0))
+
+    def _terms(self, kind, n=4001):
+        ens = _ensemble(n=n)
+        w = WEIGHTS[kind](ens.values)
+        return w * laplace_values(ens, self.ENTRY), w
+
+    # several sizes, since one size can round a wrong formula to the same bits
+    SIZES = (3, 17, 1000, 4001)
+
+    @pytest.mark.parametrize("kind", list(WEIGHTS))
+    def test_plain_keeps_the_panel_bits(self, kind):
+        for n in self.SIZES:
+            t, _ = self._terms(kind, n)
+            est, se = mean_se(t)
+            ref_est, ref_se = _plain_ref(t)
+            assert est == ref_est and se == ref_se and se > 0, n
+
+    @pytest.mark.parametrize("kind", list(WEIGHTS))
+    def test_control_keeps_the_control_variate_bits(self, kind):
+        for n in self.SIZES:
+            t, w = self._terms(kind, n)
+            est, se = mean_se(t, (w, 1.0))
+            ref_est, ref_se = _cv_ref(t, w)
+            assert est == ref_est and se == ref_se and se > 0, n
+
+    @pytest.mark.parametrize("kind", list(WEIGHTS))
+    def test_panel_is_mean_se_per_entry(self, kind):
+        ens = _ensemble(n=3001)
+        ens = WeightedEnsemble(ens.grid, ens.values, WEIGHTS[kind](ens.values))
+        panel = LevyFunctionalPanel((PanelEntry((1.0,), (1.0,)), self.ENTRY))
+        for control in (None, (ens.weights, 1.0)):
+            est, se = weighted_laplace_panel(ens, panel, control=control)
+            want = [mean_se(ens.weights * laplace_values(ens, e), control) for e in panel]
+            assert np.array_equal(np.column_stack([est, se]), np.array(want))
+
+    @pytest.mark.parametrize("control", [None, (np.array([1.3]), 1.0)])
+    def test_one_row_has_zero_se(self, control):
+        est, se = mean_se(np.array([0.42]), control)
+        assert est == 0.42 and se == 0.0
+
+    def test_constant_terms_with_a_control_have_zero_se(self):
+        w = np.random.default_rng(4).exponential(1.0, 777)
+        est, se = mean_se(np.full(777, 0.1), (w, 1.0))
+        assert est == 0.1 and se == 0.0
+
+    def test_leaves_its_inputs(self):
+        t, w = self._terms("tilted", n=50)
+        t0, w0 = t.copy(), w.copy()
+        mean_se(t, (w, 1.0))
+        mean_se(t)
+        assert np.array_equal(t, t0) and np.array_equal(w, w0)
+
+    @pytest.mark.parametrize("t", [np.empty(0), np.ones((3, 2))], ids=["empty", "matrix"])
+    def test_rejects_anything_but_a_nonempty_vector(self, t):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            mean_se(t)
+
+
+PACKAGE = Path(levyid.__file__).resolve().parent
+SECOND_RULES = {"mean", "std", "var"}
+
+
+class _SecondRules(ast.NodeVisitor):
+    """Calls that would compute a mean or an SE beside `statlab.mean_se`:
+    x.mean(), np.std(x), x.var(), and any call passing ddof."""
+
+    def __init__(self, module):
+        self.module, self.found = module, []
+
+    def visit_Call(self, node):
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr in SECOND_RULES:
+            self.found.append((self.module, node.lineno, f.attr))
+        if any(k.arg == "ddof" for k in node.keywords):
+            self.found.append((self.module, node.lineno, "ddof"))
+        self.generic_visit(node)
+
+
+def test_every_mean_and_se_goes_through_mean_se():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _SecondRules(path.name)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        found += visitor.found
+    assert found == []
 
 
 class TestCompare:
