@@ -4,7 +4,10 @@ Every sampler evaluates a fresh realization at an arbitrary finite set of
 nonnegative times. Values at t = 0 are exactly 0 for all families. Poisson
 and tempered stable paths are built from independent increments; the
 self-similar and moving-average families are built from the explicit jump
-set of their compound Poisson driver, which makes the path exact. The one
+set of their compound Poisson driver, which makes the path exact. A Poisson
+increment of mean below 10 inverts one uniform through a guide table (Chen
+and Asau, 1974; Devroye, 1986, III.2), exact up to rounding of its atoms;
+larger means and driver jump counts keep numpy's sampler. The one
 exception is a self-similar family whose driver's jump law is not
 exponential: its driver is truncated at required_cutoff, which neglects a
 tail below _TAIL_FRACTION of the mean at the smallest positive time.
@@ -48,8 +51,10 @@ _CONV_TS_STEPS = 256
 # to 512. The exact alpha = 1/2 sampler takes any span in one draw
 _MAX_SUBSTEPS = 1024
 
-# numpy's Poisson sampler rejects means above about 9.22e18
+# numpy's Poisson sampler rejects means above about 9.22e18; it draws only
+# increments of mean >= 10 and the driver jump counts of _jump_set
 _POISSON_MEAN_MAX = 9.2e18
+_GUIDE = 256  # guide-table entries of the Poisson inversion
 
 # most expected driver jumps one _jump_set call may draw (about 1 GB of jump
 # arrays); the desk configs reach about 7e5
@@ -123,18 +128,50 @@ def _squarable(draw: np.ndarray, span: float) -> np.ndarray:
     return draw
 
 
+def _poisson_table(mean: float):
+    """(F, g) for inverting Poisson(mean), 0 < mean < 10: the float CDF by
+    the pmf recurrence p_k = p_{k-1} mean / k, cut where a term no longer
+    moves it, its last entry clamped to 1 so that it takes the tail mass past
+    the table; and the guide g[j] = min{k : F[k] > j / _GUIDE}."""
+    p = math.exp(-mean)
+    cdf = [p]
+    while cdf[-1] < 1.0:
+        p = p * mean / len(cdf)
+        if cdf[-1] + p == cdf[-1]:
+            break
+        cdf.append(cdf[-1] + p)
+    cdf[-1] = 1.0
+    cdf = np.array(cdf)
+    return cdf, np.searchsorted(cdf, np.arange(_GUIDE) / _GUIDE, side="right")
+
+
+def _invert(col, cdf, guide) -> None:
+    """Overwrites each uniform u in the column `col` with min{k : u < cdf[k]}:
+    the guide gives a first k, and the few rows where u >= cdf[k] step on."""
+    u = np.ascontiguousarray(col)  # a strided column is slower to read twice
+    x = guide[(u * _GUIDE).astype(np.intp)]
+    rows = np.flatnonzero(u >= cdf[x])
+    while rows.size:
+        x[rows] += 1
+        rows = rows[u[rows] >= cdf[x[rows]]]
+    col[:] = x
+
+
 def _poisson_values(rng: RngStream, rate: float, points, n: int) -> np.ndarray:
     def increments(steps):
         lam = _poisson_mean(rate * steps)
         # a zero mean consumes no variate, so zero steps stay out of the draw
         # without moving the other columns' draws
         drawn = np.flatnonzero(lam)
-        kept = lam[drawn]
-        # a scalar mean draws the same variates as an all-equal vector of
-        # means, without numpy's per-variate broadcast
-        if kept.size and np.all(kept == kept[0]):
-            kept = float(kept[0])
-        inc = rng.generator.poisson(kept, size=(n, drawn.size))
+        inc = rng.generator.random((n, drawn.size))
+        tables = {}
+        for j, mean in enumerate(lam[drawn]):
+            if mean >= 10:  # numpy's PTRS regime, where a table needs O(sqrt(mean)) entries
+                inc[:, j] = rng.generator.poisson(mean, n)
+                continue
+            if mean not in tables:
+                tables[mean] = _poisson_table(mean)
+            _invert(inc[:, j], *tables[mean])
         if drawn.size == lam.size:
             return inc
         out = np.zeros((n, lam.size))

@@ -16,7 +16,8 @@ tempered-stable rejection sampler keeps its first round's candidates as the
 output instead of scattering them, the alpha = 1/2 inverse-Gaussian step
 works in place, the tabulated reach sampler inverts each draw by its own
 segment's rule only, and the Poisson sampler leaves zero steps
-out of its draw. They must still perform the same
+out of its draw and inverts each uniform from a guide table in place of a
+full search. They must still perform the same
 floating-point operations, in the same order, on the same draws, so that
 every report keeps its bytes. Each kernel is compared with np.array_equal
 (or == on floats) against the expression it replaced, kept here as the
@@ -64,8 +65,11 @@ from levyid.permanental import (
     sample_local_times,
 )
 from levyid.processes import (
+    _GUIDE,
     _cumulative,
+    _invert,
     _jump_set,
+    _poisson_table,
     _poisson_values,
     _sato_values,
     required_cutoff,
@@ -146,10 +150,36 @@ def _cumulative_ref(points, increments):
     return np.cumsum(increments(steps), axis=1, dtype=float)[:, inv]
 
 
+def _poisson_cdf_ref(mean):
+    # the float CDF by the pmf recurrence, cut at the first entry that reaches
+    # 1 or that the next term leaves unmoved, its last entry clamped to 1
+    pmf = [math.exp(-mean)]
+    for k in range(1, 100):
+        pmf.append(pmf[-1] * mean / k)
+    cdf = np.cumsum(pmf)
+    m = next(i for i in range(1, cdf.size) if cdf[i - 1] >= 1.0 or cdf[i] == cdf[i - 1])
+    cdf = cdf[:m]
+    cdf[-1] = 1.0
+    return cdf
+
+
 def _poisson_ref(rng, rate, points, n):
-    return _cumulative_ref(
-        points, lambda steps: rng.generator.poisson(rate * steps, size=(n, steps.size))
-    )
+    # one uniform per nonzero-mean cell, in one row-major block, inverted
+    # column by column by a full search; means from 10 up redraw their
+    # column from numpy's sampler after the block, in column order
+    def increments(steps):
+        lam = rate * steps
+        drawn = np.flatnonzero(lam)
+        u = rng.generator.random((n, drawn.size))
+        out = np.zeros((n, steps.size))
+        for j, col in zip(drawn, u.T):
+            if lam[j] >= 10:
+                out[:, j] = rng.generator.poisson(lam[j], n)
+            else:
+                out[:, j] = np.searchsorted(_poisson_cdf_ref(lam[j]), col, side="right")
+        return out
+
+    return _cumulative_ref(points, increments)
 
 
 def _kanter_ref(rng, alpha, t, size):
@@ -408,6 +438,23 @@ class TestCumulative:
         got = _poisson_values(RngStream(3), 1.3, points, 2000)
         assert np.array_equal(got, _poisson_ref(RngStream(3), 1.3, points, 2000))
 
+    # steps of mean 6, 6 and 12: two table columns around one numpy column
+    def test_poisson_large_means_match_reference(self):
+        got = _poisson_values(RngStream(4), 12.0, (0.5, 1.0, 2.0), 2000)
+        assert np.array_equal(got, _poisson_ref(RngStream(4), 12.0, (0.5, 1.0, 2.0), 2000))
+
+    def test_poisson_zero_steps_draw_nothing(self):
+        a, b = RngStream(8), RngStream(8)
+        got = _poisson_values(a, 1.3, (0.0, 0.5, 0.5, 1.0, 0.0), 500)
+        want = _poisson_values(b, 1.3, (0.5, 1.0), 500)
+        assert np.array_equal(got[:, 1:4], want[:, [0, 0, 1]])
+        assert not got[:, [0, 4]].any()
+        # both streams stand at the same place: the next draws agree
+        assert np.array_equal(a.generator.random(4), b.generator.random(4))
+        c = RngStream(8)
+        assert not _poisson_values(c, 1.3, (0.0, 0.0), 500).any()
+        assert np.array_equal(c.generator.random(4), RngStream(8).generator.random(4))
+
     @pytest.mark.parametrize("spec", [PoissonSpec(1.3), TemperedStableSpec(0.6)],
                              ids=["poisson", "tempered-stable"])
     @pytest.mark.parametrize("part", [hidden_values, visible_values],
@@ -418,6 +465,28 @@ class TestCumulative:
         monkeypatch.setattr(processes, "_cumulative", _cumulative_ref)
         monkeypatch.setattr(processes, "_poisson_values", _poisson_ref)
         assert np.array_equal(got, part(RngStream(12), spec, a, points, 300))
+
+
+# tiny, desk-step and odd means across (0, 10), the last just under numpy's
+# switch to its own sampler
+INVERSION_MEANS = [1e-300, 1e-9, 0.05, 0.325, 0.5, 0.65, 1.3, 2.6, 7.0, 9.99]
+
+
+@pytest.mark.parametrize("mean", INVERSION_MEANS)
+def test_guide_table_matches_full_search(mean):
+    cdf, guide = _poisson_table(mean)
+    assert np.array_equal(cdf, _poisson_cdf_ref(mean))
+    assert np.array_equal(guide, np.searchsorted(cdf, np.arange(_GUIDE) / _GUIDE, side="right"))
+    # every knot, its neighbours, every guide boundary and the largest uniform
+    knots = cdf[cdf < 1.0]
+    u = np.concatenate([RngStream(5).generator.random(50_000), knots,
+                        np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
+                        np.arange(_GUIDE) / _GUIDE, [0.0, 1.0 - 2.0**-53]])
+    # a strided column of a two-column block, as the sampler passes it
+    block = np.stack([u, -u], axis=1)
+    _invert(block[:, 0], cdf, guide)
+    assert np.array_equal(block[:, 0], np.searchsorted(cdf, u, side="right"))
+    assert np.array_equal(block[:, 1], -u)
 
 
 @pytest.mark.parametrize("size", [1, 5_000, 50_000])

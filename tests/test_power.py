@@ -6,7 +6,12 @@ N. Unmutated, these configs pass with max |z| below 2.7 (seeds 1-3 and the
 one below); every mutation reads max |z| of 36 to 145 there, so MARGIN
 leaves room on both sides of the Bonferroni gate (3.4 to 3.5). The
 levy-check mutation, on the desk's Sato and conv processes at levy.n = N/2,
-reads max |z| of 19 and 30 against its REPR_Z = 4 gate. Scaling E psi(a) in
+reads max |z| of 19 and 30 against its REPR_Z = 4 gate. The Poisson
+sampler's inversion table built at 1.1 times each step's mean reads max |z|
+of 15.9 to 18.0 in levy-check's Laplace-exponent block (unmutated at most
+2.3) on seeds 1-5 and the one below, which MARGIN also clears; both sides
+of every other check share that sampler, so only an exact value catches it.
+Scaling E psi(a) in
 the tilting weights by 1.1 reads max |z| of 7.8 to 17.8 on seeds 1-4 and the
 one below, hence its own NORMALIZER_MARGIN.
 
@@ -23,7 +28,7 @@ import json
 import numpy as np
 import pytest
 
-from levyid import identities, levymeasure, limits, permanental, randkit
+from levyid import identities, levymeasure, limits, permanental, processes, randkit
 from levyid.cli import main
 from levyid.processes import values_at
 
@@ -106,9 +111,19 @@ def test_companion_from_plain_jump_law_fails(tmp_path, monkeypatch, family):
     assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
 
 
-@pytest.mark.parametrize("family", ["sato", "conv"])
+@pytest.mark.parametrize("family", ["poisson", "sato", "conv"])
 def test_unmutated_levy_check_passes(tmp_path, family):
     assert _run(tmp_path, "levy-check", FAMILIES[family])[0] == 0
+
+
+def test_poisson_table_at_wrong_mean_fails(tmp_path, monkeypatch):
+    real = processes._poisson_table
+    monkeypatch.setattr(processes, "_poisson_table", lambda mean: real(1.1 * mean))
+    code, rep = _run(tmp_path, "levy-check", FAMILIES["poisson"])
+    results = rep["results"]
+    assert code == 1 and not results["laplace_exponent"]["pass"]
+    assert results["representation"]["pass"]
+    assert _max_abs_z(results["laplace_exponent"]) > MARGIN
 
 
 @pytest.mark.parametrize("family", ["sato", "conv"])

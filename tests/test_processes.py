@@ -28,6 +28,7 @@ from levyid.identities import companion_values, hidden_values, visible_values
 from levyid.levymeasure import levy_functional_quadrature
 from levyid.processes import (
     _TAIL_FRACTION,
+    _poisson_table,
     required_cutoff,
     sample_ensemble,
     sample_paths,
@@ -82,6 +83,35 @@ class TestPoisson:
         p = values_at(rng.substream(2), PoissonSpec(rate=1.0), grid.points, 1)
         assert p.shape == (1, len(grid))
         assert np.all(np.diff(p[0]) >= 0)
+
+
+class TestPoissonInversion:
+    def test_table_atoms_are_exact_to_rounding(self):
+        means = np.append(np.random.default_rng(11).uniform(0.0, 10.0, 1000), 1e-300)
+        for mean in means:
+            cdf, guide = _poisson_table(mean)
+            assert cdf[-1] >= 1.0 and np.all(np.diff(cdf) >= 0), mean
+            # each atom, the last holding the tail past the table
+            k = np.arange(cdf.size)
+            exact = stats.poisson.pmf(k, mean)
+            exact[-1] = stats.poisson.sf(k[-1] - 1, mean)
+            assert np.allclose(np.diff(cdf, prepend=0.0), exact, rtol=0, atol=1e-15), mean
+
+    # the last two means draw through numpy's sampler
+    @pytest.mark.parametrize("mean", [0.05, 0.5, 1.3, 9.99, 10.0, 40.0])
+    def test_increments_match_the_exact_pmf(self, mean):
+        n = 10**6
+        vals = values_at(RngStream(29), PoissonSpec(rate=mean), [1.0], n)[:, 0]
+        counts = np.bincount(vals.astype(np.intp))
+        # cells of expected count at least 5, the tails pooled into the ends
+        k = np.arange(counts.size)
+        keep = np.flatnonzero(n * stats.poisson.pmf(k, mean) >= 5)
+        lo, hi = keep[0], keep[-1]
+        obs = np.concatenate([[counts[:lo + 1].sum()], counts[lo + 1:hi], [counts[hi:].sum()]])
+        probs = stats.poisson.pmf(np.arange(lo + 1, hi), mean)
+        probs = np.concatenate([[stats.poisson.cdf(lo, mean)], probs,
+                                [stats.poisson.sf(hi - 1, mean)]])
+        assert stats.chisquare(obs, n * probs).pvalue > 1e-4
 
 
 class TestTemperedStable:
