@@ -30,26 +30,19 @@ def _positive(name: str, *values) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
-def _matvec(matrix, coefs, cols=None, out=None, work=None) -> np.ndarray:
-    """matrix[..., cols] @ coefs over the last axis, summed one column at a
-    time in coefs order.
+def _matvec(matrix, coefs) -> np.ndarray:
+    """matrix @ coefs over the last axis, summed one column at a time in
+    coefs order.
 
     Per-path reductions go through this rather than BLAS: threaded BLAS
     splits a long sum by thread count, so its last bits depend on the
-    machine, and its idle workers spin after every call. `cols` picks the
-    columns in place of a gather (default: the first len(coefs)); `out` and
-    `work` are optional float buffers of the result's shape, so a caller
-    that runs many products allocates nothing per product.
+    machine, and its idle workers spin after every call.
     """
     matrix = np.asarray(matrix)
     coefs = np.asarray(coefs, dtype=float)
-    if out is None:
-        out = np.zeros(matrix.shape[:-1])
-    else:
-        out.fill(0.0)
-    if work is None:
-        work = np.empty_like(out)
-    for j, c in zip(range(coefs.size) if cols is None else cols, coefs):
+    out = np.zeros(matrix.shape[:-1])
+    work = np.empty_like(out)
+    for j, c in enumerate(coefs):
         np.multiply(c, matrix[..., j], out=work)
         out += work
     return out
@@ -66,6 +59,9 @@ class TimeGrid:
         if len(self.points) == 0:
             raise ValueError("grid must contain at least one point")
         arr = np.asarray(self.points)
+        arr.flags.writeable = False
+        # index_of searches this one array; it is not a dataclass field
+        object.__setattr__(self, "_points", arr)
         if not np.all(np.isfinite(arr)):
             raise ValueError("grid points must be finite")
         if arr[0] < 0:
@@ -86,7 +82,7 @@ class TimeGrid:
 
     def index_of(self, times) -> np.ndarray:
         """Map times to grid indices; raises if any time is not a grid point."""
-        pts = self.array
+        pts = self._points
         out = np.empty(len(times), dtype=int)
         for k, t in enumerate(times):
             if not math.isfinite(t):  # the tolerance scales with |t|
@@ -532,6 +528,12 @@ class LevyFunctionalPanel:
         return [{"alphas": list(e.alphas), "times": list(e.times)} for e in self.entries]
 
 
+def _nonnegative_finite(x: np.ndarray) -> bool:
+    """Every entry of the nonempty float array x is finite and >= 0 (-0.0
+    included)."""
+    return bool(x.min() >= 0.0 and x.max() < math.inf)
+
+
 @dataclass
 class WeightedEnsemble:
     """Paths on a common grid with nonnegative importance weights."""
@@ -544,16 +546,20 @@ class WeightedEnsemble:
         self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[1] != len(self.grid):
             raise ValueError("values must be (n, len(grid))")
-        if self.weights is None:
+        # weights made here are all one: consumers may skip multiplying by them
+        self._unit_weights = self.weights is None
+        if self._unit_weights:
             self.weights = np.ones(self.values.shape[0])
         self.weights = np.ascontiguousarray(self.weights, dtype=float)
         if self.weights.shape != (self.values.shape[0],):
             raise ValueError("weights must be one per path")
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-            raise ValueError("weights must be finite and nonnegative")
         if self.values.shape[0] == 0:
             raise ValueError("ensemble must contain at least one path")
-        if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
+        # min and max reductions build no boolean temporary; a NaN carries
+        # through both and fails the comparisons
+        if not self._unit_weights and not _nonnegative_finite(self.weights):
+            raise ValueError("weights must be finite and nonnegative")
+        if not _nonnegative_finite(self.values):
             raise ValueError("path values must be finite and nonnegative")
 
     @property

@@ -129,8 +129,11 @@ def companion_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int
     raise TypeError(f"no companion construction for {type(spec).__name__}")
 
 
-def visible_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) -> np.ndarray:
-    """The component of psi carried by jumps alive at a.
+def visible_values(
+    rng: RngStream, spec: ProcessSpec, a: float, points, n: int, out=None
+) -> np.ndarray:
+    """The component of psi carried by jumps alive at a, written into `out`
+    when it is given.
 
     For the cumulative families this is a fresh path frozen at a; for
     moving averages it keeps exactly the driver jumps whose kernel response
@@ -140,11 +143,12 @@ def visible_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) 
         raise ValueError("pin time a must be positive")
     pts = np.asarray(points, dtype=float)
     if isinstance(spec, (PoissonSpec, TemperedStableSpec, SatoSpec)):
-        return values_at(rng, spec, np.minimum(pts, a), n)
+        return values_at(rng, spec, np.minimum(pts, a), n, out)
     if isinstance(spec, ConvSpec):
         # alive at a: a - s in a positive interval, not f(a - s) > 0 in floats
         alive = spec.kernel.positive_intervals()
-        return _conv_values(rng, spec, pts, n, jump_filter=lambda s: in_intervals(a - s, alive))
+        return _conv_values(rng, spec, pts, n, jump_filter=lambda s: in_intervals(a - s, alive),
+                            out=out)
     raise TypeError(f"no decomposition for {type(spec).__name__}")
 
 
@@ -211,26 +215,27 @@ def verify_tilting_identity(
 ) -> Check:
     """Size-biased psi against psi + companion, on independent streams.
 
-    Both sides are drawn in one sample_ensemble call; an RHS chunk adds its
-    companion to its base paths in place. The tilting weights have mean
-    exactly one, so the LHS uses that known normalizer and regresses out the
-    weights as a control of mean one (`statlab.mean_se`); the notes give the
-    weights' effective sample size and largest share.
+    Both sides are drawn in one sample_ensemble call, each chunk into its
+    row block; an RHS chunk adds its companion onto its base paths. The
+    tilting weights have mean exactly one, so the LHS uses that known
+    normalizer and regresses out the weights as a control of mean one
+    (`statlab.mean_se`); the notes give the weights' effective sample size
+    and largest share.
     """
     tilt = _tilt(spec, a, grid)
 
-    def draw(side, stream, m):
+    def draw(side, stream, out):
         if side == 0:
-            return values_at(stream, spec, grid.points, m)
+            values_at(stream, spec, grid.points, len(out), out)
+            return
         base, add = stream
-        out = values_at(base, spec, grid.points, m)
-        out += companion_values(add, spec, a, grid.points, m)
-        return out
+        values_at(base, spec, grid.points, len(out), out)
+        out += companion_values(add, spec, a, grid.points, len(out))
 
     lhs_vals, rhs_vals = sample_ensemble(draw, (
         rng.substream(_TAG_LHS),
         (rng.substream(_TAG_RHS_BASE), rng.substream(_TAG_RHS_ADD)),
-    ), n)
+    ), n, len(grid))
     lhs_ens = tilt(lhs_vals)
     w = lhs_ens.weights
     if not w.any():
@@ -253,22 +258,25 @@ def verify_decomposition_identity(
 ) -> Check:
     """psi against hidden + visible components drawn independently.
 
-    Both sides are drawn in one sample_ensemble call; an RHS chunk adds its
-    visible part to its hidden part in place.
+    Both sides are drawn in one sample_ensemble call, each chunk into its
+    row block; an RHS chunk draws its hidden part, then its visible part into
+    the block, and adds the hidden part on (addition commutes, so these are
+    the bits of hidden + visible).
     """
     grid.index_of([a])  # the pin must sit on the working grid
 
-    def draw(side, stream, m):
+    def draw(side, stream, out):
         if side == 0:
-            return values_at(stream, spec, grid.points, m)
+            values_at(stream, spec, grid.points, len(out), out)
+            return
         hid, vis = stream
-        out = hidden_values(hid, spec, a, grid.points, m)
-        out += visible_values(vis, spec, a, grid.points, m)
-        return out
+        hidden = hidden_values(hid, spec, a, grid.points, len(out))
+        visible_values(vis, spec, a, grid.points, len(out), out)
+        out += hidden
 
     lhs_vals, rhs_vals = sample_ensemble(draw, (
         rng.substream(_TAG_LHS),
         (rng.substream(_TAG_RHS_BASE), rng.substream(_TAG_RHS_ADD)),
-    ), n)
+    ), n, len(grid))
     lhs = weighted_laplace_panel(WeightedEnsemble(grid, lhs_vals), panel)
     return _verdict("decomposition", grid, panel, lhs, rhs_vals, z_crit, n)

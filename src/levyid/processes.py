@@ -11,6 +11,14 @@ larger means and driver jump counts keep numpy's sampler. The one
 exception is a self-similar family whose driver's jump law is not
 exponential: its driver is truncated at required_cutoff, which neglects a
 tail below _TAIL_FRACTION of the mean at the smallest positive time.
+
+values_at and the family samplers take an optional `out`, a C-contiguous
+(n, len(points)) float block, and write the values into it. sample_ensemble
+allocates each ensemble's matrix once and hands every chunk task its own row
+block, so no ensemble is stacked from chunk copies. On sorted distinct
+points with every step positive, a Poisson path's uniforms are drawn
+straight into the block (Generator.random(out=...) fills it in the C order
+of random((n, k)), so the bits are the same) and inverted and summed there.
 """
 
 from __future__ import annotations
@@ -77,22 +85,40 @@ def required_cutoff(spec: SatoSpec, points) -> float:
     return math.log(1.0 / _TAIL_FRACTION) - spec.H * math.log(float(pos.min()))
 
 
-def _cumulative(points, increments) -> np.ndarray:
+def _cumulative(points, increments, out=None) -> np.ndarray:
     """Running sums of independent increments over the sorted distinct
-    points, read back at `points`; increments(steps) draws the (n, k)
-    increment matrix for the k step lengths."""
+    points, read back at `points`, into `out` when it is given.
+
+    increments(steps) returns the (n, k) increment matrix of the k step
+    lengths; increments(steps, buf) draws it into the (n, k) buffer buf,
+    which is `out` itself when the points are sorted and distinct.
+    """
     uniq, inv = np.unique(np.asarray(points, dtype=float), return_inverse=True)
     steps = np.diff(np.concatenate([[0.0], uniq]))
-    out = increments(steps).astype(float, copy=False)
+    direct = np.array_equal(inv, np.arange(inv.size))  # sorted and distinct
+    if out is not None and direct:
+        inc = increments(steps, out)
+    else:
+        inc = increments(steps).astype(float, copy=False)
     # column by column in place: the same additions, in the same order, as
     # np.cumsum along rows, without its copy
-    for j in range(1, out.shape[1]):
-        out[:, j] += out[:, j - 1]
-    if np.array_equal(inv, np.arange(inv.size)):
-        return out  # the points were already sorted and distinct
-    # column copies keep C order; out[:, inv] returns Fortran order, and
+    for j in range(1, inc.shape[1]):
+        inc[:, j] += inc[:, j - 1]
+    if direct:
+        return inc
+    # column copies keep C order; inc[:, inv] returns Fortran order, and
     # take along axis 1 is slower
-    return np.column_stack([out[:, i] for i in inv])
+    if out is None:
+        out = np.empty((inc.shape[0], inv.size))
+    for i, j in enumerate(inv):
+        out[:, i] = inc[:, j]
+    return out
+
+
+def _given(out) -> dict:
+    """The keyword arguments that pass `out` on only when it is given, so a
+    call without an output reaches a sampler in its (..., n) form."""
+    return {} if out is None else {"out": out}
 
 
 def _poisson_mean(mean):
@@ -157,33 +183,42 @@ def _invert(col, cdf, guide) -> None:
     col[:] = x
 
 
-def _poisson_values(rng: RngStream, rate: float, points, n: int) -> np.ndarray:
-    def increments(steps):
+def _poisson_values(rng: RngStream, rate: float, points, n: int, out=None) -> np.ndarray:
+    def increments(steps, inc=None):
         lam = _poisson_mean(rate * steps)
         # a zero mean consumes no variate, so zero steps stay out of the draw
         # without moving the other columns' draws
         drawn = np.flatnonzero(lam)
-        inc = rng.generator.random((n, drawn.size))
+        gen = rng.generator
+        if inc is not None and drawn.size == lam.size:
+            u = gen.random(out=inc)  # the same C-order fill as random((n, k))
+        else:
+            u = gen.random((n, drawn.size))
         tables = {}
         for j, mean in enumerate(lam[drawn]):
             if mean >= 10:  # numpy's PTRS regime, where a table needs O(sqrt(mean)) entries
-                inc[:, j] = rng.generator.poisson(mean, n)
+                u[:, j] = gen.poisson(mean, n)
                 continue
             if mean not in tables:
                 tables[mean] = _poisson_table(mean)
-            _invert(inc[:, j], *tables[mean])
+            _invert(u[:, j], *tables[mean])
         if drawn.size == lam.size:
-            return inc
-        out = np.zeros((n, lam.size))
-        out[:, drawn] = inc
-        return out
+            return u
+        if inc is None:
+            inc = np.empty((n, lam.size))
+        inc[:, lam == 0] = 0.0
+        inc[:, drawn] = u
+        return inc
 
-    return _cumulative(points, increments)
+    return _cumulative(points, increments, **_given(out))
 
 
-def _ts_values(rng: RngStream, alpha: float, points, n: int) -> np.ndarray:
-    def increments(steps):
-        inc = np.zeros((n, steps.size))
+def _ts_values(rng: RngStream, alpha: float, points, n: int, out=None) -> np.ndarray:
+    def increments(steps, inc=None):
+        if inc is None:
+            inc = np.zeros((n, steps.size))
+        else:
+            inc.fill(0.0)
         if alpha == 0.5:
             # one exact draw per positive step, whatever its length
             for j in np.flatnonzero(steps):
@@ -196,7 +231,7 @@ def _ts_values(rng: RngStream, alpha: float, points, n: int) -> np.ndarray:
                 inc[:, j] += sample_tempered_stable_increment(rng, alpha, dt / m, n)
         return inc
 
-    return _cumulative(points, increments)
+    return _cumulative(points, increments, **_given(out))
 
 
 def _jump_set(rng: RngStream, driver: JumpLawSpec, lo: float, hi: float, n: int):
@@ -217,7 +252,7 @@ def _jump_set(rng: RngStream, driver: JumpLawSpec, lo: float, hi: float, n: int)
 
 
 def _sato_values(
-    rng: RngStream, spec: SatoSpec, points, n: int, hi: float | None = None
+    rng: RngStream, spec: SatoSpec, points, n: int, hi: float | None = None, out=None
 ) -> np.ndarray:
     """Self-similar values from the driver's jumps on locations [-H log t_max,
     hi); a given hi keeps exactly the jumps born after exp(-hi / H).
@@ -231,8 +266,10 @@ def _sato_values(
     required_cutoff.
     """
     pts = np.asarray(points, dtype=float)
-    out = np.zeros((n, pts.size))
+    if out is None:
+        out = np.empty((n, pts.size))
     pos = pts > 0
+    out[:, ~pos] = 0.0
     if not pos.any():
         return out
     # a driver jump at location s with size x contributes x * exp(-s) to
@@ -278,18 +315,21 @@ def _sato_values(
 
 
 def _conv_values(
-    rng: RngStream, spec: ConvSpec, points, n: int, jump_filter=None
+    rng: RngStream, spec: ConvSpec, points, n: int, jump_filter=None, out=None
 ) -> np.ndarray:
     """Moving-average values; jump_filter optionally restricts which driver
     jumps contribute (given their time locations)."""
     pts = np.asarray(points, dtype=float)
-    out = np.zeros((n, pts.size))
+    if out is None:
+        out = np.empty((n, pts.size))
     t_max = float(pts.max(initial=0.0))
     if t_max <= 0:
+        out.fill(0.0)
         return out
     if isinstance(spec.z, JumpLawSpec):
         jumps = _jump_set(rng, spec.z, 0.0, t_max, n)
         if jumps is None:
+            out.fill(0.0)
             return out
         counts, s, x = jumps
         rep = np.repeat(np.arange(n), counts)
@@ -316,19 +356,22 @@ def _conv_values(
     if jump_filter is not None:
         fmat = fmat * jump_filter(mids)[:, None]
     # BLAS threads split this gemm's output, not its inner sums: thread-count-free
-    return dz @ fmat
+    return np.matmul(dz, fmat, out=out)
 
 
-def values_at(rng: RngStream, spec: ProcessSpec, points, n: int) -> np.ndarray:
-    """(n, len(points)) matrix of fresh realizations evaluated at `points`."""
+def values_at(rng: RngStream, spec: ProcessSpec, points, n: int, out=None) -> np.ndarray:
+    """(n, len(points)) matrix of fresh realizations evaluated at `points`;
+    with `out`, a C-contiguous float block of that shape, the values are
+    written into it and it is returned."""
+    kw = _given(out)
     if isinstance(spec, PoissonSpec):
-        return _poisson_values(rng, spec.rate, points, n)
+        return _poisson_values(rng, spec.rate, points, n, **kw)
     if isinstance(spec, TemperedStableSpec):
-        return _ts_values(rng, spec.alpha, points, n)
+        return _ts_values(rng, spec.alpha, points, n, **kw)
     if isinstance(spec, SatoSpec):
-        return _sato_values(rng, spec, points, n)
+        return _sato_values(rng, spec, points, n, **kw)
     if isinstance(spec, ConvSpec):
-        return _conv_values(rng, spec, points, n)
+        return _conv_values(rng, spec, points, n, **kw)
     raise TypeError(f"no path sampler for {type(spec).__name__}")
 
 
@@ -402,30 +445,37 @@ def _chunk_stream(stream, k: int):
     return tuple(s.substream(k) for s in stream)
 
 
-def sample_ensemble(fn, rng: RngStream | tuple, n: int):
-    """Stack fn's draws over fixed-size chunks with per-chunk substreams.
+def sample_ensemble(fn, rng: RngStream | tuple, n: int, width: int | None = None):
+    """Draw fn's chunks of fixed size, each from its own substream.
 
-    With one stream `rng`, chunk k of m rows is fn(rng.substream(k), m) and
-    the result is one array. With a tuple of streams, one per independent
-    ensemble, chunk k of ensemble s is fn(s, rng[s].substream(k), m) and the
-    result is a list of arrays; an entry of the tuple may itself be a tuple
-    of streams drawn together, and fn then gets the tuple of their chunk-k
-    substreams. Every chunk of every ensemble is one task on the shared
-    pool, and each result is stacked in chunk order: the chunking is fixed,
-    so the result depends only on the streams, not on the core count.
+    With `width`, each ensemble is one (n, width) matrix allocated here, and
+    its chunk k fills its own row block `out` in place: fn(stream, out) with
+    stream = rng.substream(k); what fn returns is ignored. Without `width`,
+    fn(stream, m) returns its chunk of m rows, and the chunks are stacked.
+    With one stream `rng` the result is one array. With a tuple of streams,
+    one per independent ensemble, fn(s, stream, out) (or fn(s, stream, m))
+    draws chunk k of ensemble s from rng[s].substream(k), and the result is a
+    list of arrays; an entry of the tuple may itself be a tuple of streams
+    drawn together, and fn then gets the tuple of their chunk-k substreams.
+    Every chunk of every ensemble is one task on the shared pool. The
+    chunking is fixed, so the result depends only on the streams, not on
+    the core count.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     single = isinstance(rng, RngStream)
     streams = (rng,) if single else rng
-    draw = (lambda s, stream, m: fn(stream, m)) if single else fn
-    sizes = [min(CHUNK, n - lo) for lo in range(0, n, CHUNK)]
-    chunks = _run([functools.partial(draw, s, _chunk_stream(stream, k), m)
-                   for s, stream in enumerate(streams) for k, m in enumerate(sizes)])
-    out = []
-    for _ in streams:
-        part, chunks = chunks[:len(sizes)], chunks[len(sizes):]
-        out.append(part[0] if len(part) == 1 else np.vstack(part))
+    draw = (lambda s, stream, rows: fn(stream, rows)) if single else fn
+    starts = range(0, n, CHUNK)
+    out = None if width is None else [np.empty((n, width)) for _ in streams]
+    chunks = _run([
+        functools.partial(draw, s, _chunk_stream(stream, k),
+                          min(CHUNK, n - lo) if out is None else out[s][lo:lo + CHUNK])
+        for s, stream in enumerate(streams) for k, lo in enumerate(starts)])
+    if out is None:  # each ensemble's chunks, stacked in chunk order
+        k = len(starts)
+        out = [part[0] if len(part) == 1 else np.vstack(part)
+               for part in (chunks[i:i + k] for i in range(0, len(chunks), k))]
     return out[0] if single else out
 
 
@@ -437,5 +487,6 @@ def sample_paths(
     `workers` is ignored; it stays for callers that still pass it.
     """
     return sample_ensemble(
-        lambda stream, m: values_at(stream, spec, grid.points, m), rng, n
+        lambda stream, out: values_at(stream, spec, grid.points, len(out), out),
+        rng, n, len(grid),
     )

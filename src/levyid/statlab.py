@@ -9,7 +9,9 @@ methods and examples, chs. 8 and 9). `weighted_laplace_panel` applies it to
 the terms w v of every panel entry, for weights of mean exactly one such as
 the tilting weights psi(a) / E psi(a); the tilting LHS passes those weights
 as the control, with mean 1. The SEs are closed-form, so they consume no
-random draws.
+random draws. The panel resolves every entry's grid columns once per call,
+reduces each entry in one product pass into one reused n-buffer, and
+multiplies by the weights only when the ensemble was given weights.
 
 A Check holds one report block: each row's estimate and target with their
 SEs, z-scored by `compare`, and one gate on every |z|. Identity blocks and
@@ -26,20 +28,33 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import LevyFunctionalPanel, PanelEntry, WeightedEnsemble, _matvec
+from .core import LevyFunctionalPanel, PanelEntry, WeightedEnsemble
 
 
-def laplace_values(
-    ensemble: WeightedEnsemble, entry: PanelEntry, out=None, work=None
-) -> np.ndarray:
-    """Per-path values of exp(-sum_i alphas[i] * path(times[i])).
+def _laplace_into(out, work, values, cols, alphas) -> np.ndarray:
+    """exp(-sum_i alphas[i] * values[:, cols[i]]) in the n-buffer `out`,
+    summed one column at a time in alphas order, with the n-buffer `work`.
 
-    `out` and `work` are optional n-buffers; the result is written to `out`.
+    Per-path sums stay off BLAS, whose threads split a long sum by thread
+    count (see core._matvec). The first product is written with its
+    coefficient negated and the rest are subtracted, so the sum needs neither
+    a zeroed buffer nor a negation pass. Path values and alphas are
+    nonnegative, so this is the negated sum bit for bit: rounding is
+    symmetric in sign, and a zero sum gives exp(-0.0) = exp(0.0) = 1.
     """
-    idx = ensemble.grid.index_of(entry.times)
-    v = _matvec(ensemble.values, entry.alphas, cols=idx, out=out, work=work)
-    np.negative(v, out=v)
-    return np.exp(v, out=v)
+    for k, (j, c) in enumerate(zip(cols, alphas)):
+        if k == 0:
+            np.multiply(values[:, j], -c, out=out)
+        else:
+            np.subtract(out, np.multiply(values[:, j], c, out=work), out=out)
+    return np.exp(out, out=out)
+
+
+def laplace_values(ensemble: WeightedEnsemble, entry: PanelEntry) -> np.ndarray:
+    """Per-path values of exp(-sum_i alphas[i] * path(times[i]))."""
+    n = ensemble.n
+    return _laplace_into(np.empty(n), np.empty(n), ensemble.values,
+                         ensemble.grid.index_of(entry.times), entry.alphas)
 
 
 def _center(x: np.ndarray, out: np.ndarray) -> float:
@@ -117,12 +132,15 @@ def weighted_laplace_panel(
         raise ValueError("all ensemble weights are zero")
     n = w.size
     ctl = None if control is None else _centred_control(*control)
+    cols = [ensemble.grid.index_of(entry.times) for entry in panel]
     est, se = np.empty(len(panel)), np.empty(len(panel))
-    # every entry is evaluated into the same two n-buffers
+    # every entry is evaluated into the same two n-buffers; unit weights,
+    # which the ensemble made itself, multiply nothing
     t, tmp = np.empty(n), np.empty(n)
     for k, entry in enumerate(panel):
-        laplace_values(ensemble, entry, out=t, work=tmp)
-        np.multiply(w, t, out=t)
+        _laplace_into(t, tmp, ensemble.values, cols[k], entry.alphas)
+        if not ensemble._unit_weights:
+            np.multiply(w, t, out=t)
         est[k], se[k] = _mean_se(t, ctl, tmp)
     return est, se
 

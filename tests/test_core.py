@@ -324,3 +324,29 @@ class TestWeightedEnsemble:
     def test_rejects_non_finite_weights(self, grid, bad):
         with pytest.raises(ValueError, match="finite"):
             WeightedEnsemble(grid, np.zeros((2, 4)), np.array([1.0, bad]))
+
+    # every cell of a 3 x 4 matrix, so a check that reads only some rows or
+    # columns, or a reduction that drops a NaN, shows
+    @pytest.mark.parametrize("cell", [(i, j) for i in range(3) for j in range(4)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -2.0])
+    def test_rejects_one_bad_value(self, grid, cell, bad):
+        vals = np.ones((3, 4))
+        vals[cell] = bad
+        with pytest.raises(ValueError, match="^path values must be finite and nonnegative$"):
+            WeightedEnsemble(grid, vals)
+        with pytest.raises(ValueError, match="^path values must be finite and nonnegative$"):
+            WeightedEnsemble(grid, vals, np.ones(3))
+
+    @pytest.mark.parametrize("row", range(3))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -2.0])
+    def test_rejects_one_bad_weight(self, grid, row, bad):
+        w = np.ones(3)
+        w[row] = bad
+        with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
+            WeightedEnsemble(grid, np.ones((3, 4)), w)
+
+    def test_accepts_negative_zero(self, grid):
+        vals = np.full((3, 4), -0.0)
+        ens = WeightedEnsemble(grid, vals, np.full(3, -0.0))
+        assert np.array_equal(ens.values, vals) and np.signbit(ens.values).all()
+        WeightedEnsemble(grid, vals)

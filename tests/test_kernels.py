@@ -8,7 +8,8 @@ value at a level does not depend on the array it comes in, and a levy-check
 job integrates each quadrature piece once. An identity check draws its two
 sides' chunks as one batch of tasks on the shared sampler pool, adding each
 right-hand-side chunk's two parts inside its task, instead of in three
-sequential ensemble calls. The permanental Levy marginals and the sampled
+sequential ensemble calls, and each chunk writes into its own row block of
+one preallocated ensemble matrix instead of being stacked. The permanental Levy marginals and the sampled
 Levy-measure representations are evaluated on one shared draw instead of
 one draw per entry, and the Sato sampler sums
 each point's kept jumps with the others zeroed instead of gathered. The
@@ -57,6 +58,7 @@ from levyid.identities import (
     visible_values,
 )
 from levyid.levymeasure import levy_functional_mc, levy_functional_quadrature
+from levyid.limits import thinned_spec, thinned_values
 from levyid.permanental import (
     _MAX_STEPS,
     _simulate_local_times,
@@ -74,6 +76,7 @@ from levyid.processes import (
     _sato_values,
     required_cutoff,
     sample_ensemble,
+    sample_paths,
     values_at,
 )
 from levyid.randkit import (
@@ -369,6 +372,22 @@ class TestPanel:
         assert np.array_equal(se, np.zeros(len(PANEL)))
         assert np.array_equal(se, ref_se)
 
+    @pytest.mark.parametrize("control", [False, True], ids=["plain", "control"])
+    def test_explicit_unit_weights_keep_the_bits(self, control):
+        # an ensemble built without weights skips the multiply by them; 1 w
+        # is w exactly, so explicit unit weights give the same bits. Zero
+        # path values make the negated first product -0.0
+        vals = _values(3001)
+        vals[::7, :2] = 0.0
+        implicit = WeightedEnsemble(GRID, vals)
+        explicit = WeightedEnsemble(GRID, vals, np.ones(vals.shape[0]))
+        ctl = {"control": (vals[:, 2] / vals[:, 2].mean(), 1.0)} if control else {}
+        got = weighted_laplace_panel(implicit, PANEL, **ctl)
+        want = weighted_laplace_panel(explicit, PANEL, **ctl)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(np.array_equal(g, w) for g, w in zip(want, _panel_ref(explicit, PANEL))) \
+            or control
+
     def test_unit_weights_keep_the_ratio_bits(self):
         # sum(v) / n is the former ratio's sum(1 v) / sum(1), and its SE the
         # same operations on v - est, so every unit-weight caller keeps its
@@ -514,16 +533,107 @@ def test_tabulated_reach_matches_reference(knots, values, a):
 
 
 def test_one_chunk_ensemble_is_the_chunk_itself():
-    made = []
+    # with a width, the one chunk's row block is the whole ensemble matrix,
+    # filled in place; fn's return value is ignored
+    blocks = []
 
-    def fn(stream, m):
-        made.append(stream.generator.random((m, 3)))
-        return made[-1]
+    def fn(stream, out):
+        blocks.append(out)
+        stream.generator.random(out=out)
+        return np.zeros((1, 1))
 
-    got = sample_ensemble(fn, RngStream(2), 1000)
-    assert got is made[0]
+    got = sample_ensemble(fn, RngStream(2), 1000, 3)
+    assert got.shape == (1000, 3) and got.flags.c_contiguous
+    assert len(blocks) == 1 and blocks[0].shape == got.shape
+    assert np.shares_memory(blocks[0], got)
     ref = np.vstack([RngStream(2).substream(0).generator.random((1000, 3))])
     assert np.array_equal(got, ref)
+
+
+# every sampler branch that writes into a row block: the cumulative families
+# on sorted distinct points (drawn straight into the rows) and on points with
+# zeros, repeats or no order (scattered into them), Sato with an exponential
+# law (exact tail) and a truncated gamma law, conv with a jump driver and
+# with a tempered-stable driver (a gemm into the rows)
+BLOCK_SPECS = {
+    "poisson": PoissonSpec(1.3),
+    "poisson-large-mean": PoissonSpec(14.0),
+    "ts-half": TemperedStableSpec(0.5),
+    "ts": TemperedStableSpec(0.6),
+    "sato-exp": SatoSpec(H=0.5, bdlp=JumpLawSpec(rate=1.0, law=JumpLaw.exponential(1.0))),
+    "sato-gamma": SatoSpec(H=0.8, bdlp=JumpLawSpec(rate=2.0, law=JumpLaw.gamma(1.5, 2.0))),
+    "conv-jump": ConvSpec(kernel=ExpDecayKernel(decay=0.7),
+                          z=JumpLawSpec(rate=1.5, law=JumpLaw.exponential(1.0))),
+    "conv-ts": ConvSpec(kernel=ExpDecayKernel(decay=0.7), z=TemperedStableSpec(0.6)),
+    # no path draws a jump
+    "conv-no-jumps": ConvSpec(kernel=ExpDecayKernel(decay=0.7),
+                              z=JumpLawSpec(rate=1e-12, law=JumpLaw.exponential(1.0))),
+}
+BLOCK_POINTS = {
+    "grid": GRID.points,
+    "zero-first": (0.0, 0.5, 1.0, 2.0),
+    "unsorted": (2.0, 0.5, 1.0, 0.25),
+    "repeated": (0.5, 0.5, 1.0, 1.0, 0.0),
+    "zeros": (0.0, 0.0),
+}
+
+
+def _blocks_and_stack(spec, points, draw, n):
+    # the in-place ensemble and its reference: fresh chunks, stacked
+    k = len(points)
+    got = sample_ensemble(lambda stream, out: draw(stream, spec, points, len(out), out),
+                          RngStream(17), n, k)
+    sizes = [min(processes.CHUNK, n - lo) for lo in range(0, n, processes.CHUNK)]
+    want = np.vstack([draw(RngStream(17).substream(j), spec, points, m)
+                      for j, m in enumerate(sizes)])
+    # a block that starts as NaN: every cell must be written, not left as
+    # the zero pages a fresh matrix often starts as
+    nan_block = np.full((sizes[0], k), np.nan)
+    assert draw(RngStream(17).substream(0), spec, points, sizes[0], nan_block) is nan_block
+    assert np.array_equal(nan_block, want[:sizes[0]])
+    return got, want
+
+
+@pytest.mark.parametrize("points", BLOCK_POINTS.values(), ids=BLOCK_POINTS.keys())
+@pytest.mark.parametrize("family", BLOCK_SPECS)
+def test_values_into_blocks_match_stacked_chunks(monkeypatch, pool_cores, family, points):
+    monkeypatch.setattr(processes, "CHUNK", 400)
+    n = 2 * processes.CHUNK + 7
+    got, want = _blocks_and_stack(BLOCK_SPECS[family], points, values_at, n)
+    assert np.array_equal(got, want)
+    if points == GRID.points:
+        grid_got = sample_paths(RngStream(17), BLOCK_SPECS[family], GRID, n)
+        assert np.array_equal(grid_got, want)
+
+
+@pytest.mark.parametrize("family", BLOCK_SPECS)
+def test_visible_values_into_blocks_match_stacked_chunks(monkeypatch, pool_cores, family):
+    monkeypatch.setattr(processes, "CHUNK", 400)
+
+    def visible(stream, spec, points, m, out=None):
+        return visible_values(stream, spec, 1.0, points, m, out)
+
+    got, want = _blocks_and_stack(BLOCK_SPECS[family], GRID.points, visible,
+                                  2 * processes.CHUNK + 7)
+    assert np.array_equal(got, want)
+
+
+# a tempered-stable-driven moving average has no thinning rule
+@pytest.mark.parametrize("family", [f for f in BLOCK_SPECS if f != "conv-ts"])
+def test_thinned_ensembles_match_stacked_chunks(monkeypatch, pool_cores, family):
+    # the ladder's rungs, thinned_values per chunk as verify_thinning_limit
+    # draws them, against the stacked chunks; the tempered-stable family
+    # thins by its clock, so its points are scaled and stay off the grid
+    monkeypatch.setattr(processes, "CHUNK", 400)
+    spec = BLOCK_SPECS[family]
+    n = 2 * processes.CHUNK + 7
+    sizes = (400, 400, 7)
+    got = sample_ensemble(lambda stream, m: thinned_values(stream, spec, 0.3, GRID.points, m),
+                          RngStream(19), n)
+    want = np.vstack([values_at(RngStream(19).substream(j), thinned_spec(spec, 0.3),
+                                0.3 * GRID.array if family.startswith("ts") else GRID.points, m)
+                      for j, m in enumerate(sizes)])
+    assert np.array_equal(got, want)
 
 
 def _stack_ref(fn, rng, n):
