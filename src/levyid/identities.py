@@ -101,32 +101,38 @@ def _tabulated_reach(gen, kernel: TabulatedKernel, a: float, n: int) -> np.ndarr
     return ks[i] + np.minimum(h, widths[i])
 
 
-def companion_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) -> np.ndarray:
-    """Realizations of the single-jump companion added under tilting at a."""
+def companion_values(
+    rng: RngStream, spec: ProcessSpec, a: float, points, n: int, out=None
+) -> np.ndarray:
+    """Realizations of the single-jump companion added under tilting at a,
+    written into `out` when it is given.
+
+    The jump's indicator (or its kernel response) is written into the rows,
+    then scaled by the jump size: the bits of size * indicator.
+    """
     if a <= 0:
         raise ValueError("pin time a must be positive")
     pts = np.asarray(points, dtype=float)
-    if isinstance(spec, PoissonSpec):
-        u = rng.substream(1).generator.random(n)
-        return (pts[None, :] >= (a * u)[:, None]).astype(float)
-    if isinstance(spec, TemperedStableSpec):
-        u = rng.substream(1).generator.random(n)
-        g = rng.substream(2).generator.gamma(1.0 - spec.alpha, 1.0, n)
-        return g[:, None] * (pts[None, :] >= (a * u)[:, None])
-    if isinstance(spec, SatoSpec):
-        u = rng.substream(1).generator.random(n)
-        v = sample_size_biased_jump(rng.substream(2), spec.bdlp.law, n)
-        birth = a * u ** (1.0 / spec.H)
-        scale = a**spec.H * u * v
-        return scale[:, None] * (pts[None, :] >= birth[:, None])
+    if out is None:
+        out = np.empty((n, pts.size))
     if isinstance(spec, ConvSpec):
-        gen = rng.substream(1).generator
-        reach = _kernel_reach(gen, spec.kernel, a, n)
-        loc = a - reach
+        reach = _kernel_reach(rng.substream(1).generator, spec.kernel, a, n)
         law = spec.z.law if isinstance(spec.z, JumpLawSpec) else spec.z
         v = sample_size_biased_jump(rng.substream(2), law, n)
-        return v[:, None] * spec.kernel(pts[None, :] - loc[:, None])
-    raise TypeError(f"no companion construction for {type(spec).__name__}")
+        return np.multiply(v[:, None], spec.kernel(pts[None, :] - (a - reach)[:, None]), out=out)
+    if not isinstance(spec, (PoissonSpec, TemperedStableSpec, SatoSpec)):
+        raise TypeError(f"no companion construction for {type(spec).__name__}")
+    # the jump is born at a uniform time (Sato: a * u^(1/H)) and has size 1
+    # (Poisson), Gamma(1 - alpha) (tempered stable) or a^H u v (Sato)
+    u = rng.substream(1).generator.random(n)
+    birth = a * u ** (1.0 / spec.H) if isinstance(spec, SatoSpec) else a * u
+    np.greater_equal(pts, birth[:, None], out=out)
+    if isinstance(spec, TemperedStableSpec):
+        out *= rng.substream(2).generator.gamma(1.0 - spec.alpha, 1.0, n)[:, None]
+    elif isinstance(spec, SatoSpec):
+        v = sample_size_biased_jump(rng.substream(2), spec.bdlp.law, n)
+        out *= (a**spec.H * u * v)[:, None]
+    return out
 
 
 def visible_values(
@@ -142,19 +148,23 @@ def visible_values(
     if a <= 0:
         raise ValueError("pin time a must be positive")
     pts = np.asarray(points, dtype=float)
+    if out is None:
+        out = np.empty((n, pts.size))
     if isinstance(spec, (PoissonSpec, TemperedStableSpec, SatoSpec)):
         return values_at(rng, spec, np.minimum(pts, a), n, out)
     if isinstance(spec, ConvSpec):
         # alive at a: a - s in a positive interval, not f(a - s) > 0 in floats
         alive = spec.kernel.positive_intervals()
-        return _conv_values(rng, spec, pts, n, jump_filter=lambda s: in_intervals(a - s, alive),
-                            out=out)
+        return _conv_values(rng, spec, pts, n, out,
+                            jump_filter=lambda s: in_intervals(a - s, alive))
     raise TypeError(f"no decomposition for {type(spec).__name__}")
 
 
-def hidden_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) -> np.ndarray:
-    """The law of psi conditioned to vanish at a: the component carried by
-    jumps invisible at a.
+def hidden_values(
+    rng: RngStream, spec: ProcessSpec, a: float, points, n: int, out=None
+) -> np.ndarray:
+    """The law of psi conditioned to vanish at a, written into `out` when it
+    is given: the component carried by jumps invisible at a.
 
     For the cumulative families these are the jumps born after a, so the
     values are exactly 0 at every t <= a. Poisson and tempered stable paths
@@ -166,15 +176,18 @@ def hidden_values(rng: RngStream, spec: ProcessSpec, a: float, points, n: int) -
     if a <= 0:
         raise ValueError("pin time a must be positive")
     pts = np.asarray(points, dtype=float)
+    if out is None:
+        out = np.empty((n, pts.size))
     if isinstance(spec, (PoissonSpec, TemperedStableSpec)):
-        return values_at(rng, spec, np.maximum(pts - a, 0.0), n)
+        return values_at(rng, spec, np.maximum(pts - a, 0.0), n, out)
     if isinstance(spec, SatoSpec):
         # a time t <= a reads as 0, which sees no jump
-        return _sato_values(rng, spec, np.where(pts > a, pts, 0.0), n,
+        return _sato_values(rng, spec, np.where(pts > a, pts, 0.0), n, out,
                             hi=-spec.H * float(np.log(a)))
     if isinstance(spec, ConvSpec):
         alive = spec.kernel.positive_intervals()
-        return _conv_values(rng, spec, pts, n, jump_filter=lambda s: ~in_intervals(a - s, alive))
+        return _conv_values(rng, spec, pts, n, out,
+                            jump_filter=lambda s: ~in_intervals(a - s, alive))
     raise TypeError(f"no decomposition for {type(spec).__name__}")
 
 

@@ -296,8 +296,8 @@ def levy_functional_mc(
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if mixing_mean <= 0 or theta <= 0:
-        raise ValueError("mixing_mean and theta must be positive")
+    if not (0 < mixing_mean < math.inf and 0 < theta < math.inf):  # also rejects NaN
+        raise ValueError("mixing_mean and theta must be positive and finite")
     pref, f = _mc_draw(rng, spec, n, mixing_mean, theta)
     est, se = np.empty(len(panel)), np.empty(len(panel))
     for k, entry in enumerate(panel):

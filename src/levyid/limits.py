@@ -56,12 +56,16 @@ def thinned_spec(spec: ProcessSpec, delta: float) -> ProcessSpec:
     raise TypeError(f"no thinning rule for {type(spec).__name__}")
 
 
-def thinned_values(rng: RngStream, spec: ProcessSpec, delta: float, points, n: int) -> np.ndarray:
+def thinned_values(
+    rng: RngStream, spec: ProcessSpec, delta: float, points, n: int, out=None
+) -> np.ndarray:
+    """Paths of the delta-thinned family at `points`, written into `out`
+    when it is given (values_at allocates the block otherwise)."""
     thin = thinned_spec(spec, delta)
     if isinstance(spec, TemperedStableSpec):
         # exponent scaling: the thinned law at t is the original law at delta*t
-        return values_at(rng, thin, delta * np.asarray(points, dtype=float), n)
-    return values_at(rng, thin, points, n)
+        return values_at(rng, thin, delta * np.asarray(points, dtype=float), n, out)
+    return values_at(rng, thin, points, n, out)
 
 
 def verify_thinning_limit(
@@ -84,13 +88,17 @@ def verify_thinning_limit(
     min(8n, n_max) companion paths on substream 0 (rung k draws on 1 + k).
     All rows share one family-wise gate.
 
-    Rung k draws n_k = min(n / delta_k, n_max) replicates: the tilting
-    weights vanish with probability about 1 - O(delta), so the 1/delta
-    scaling keeps the effective sample size near n on every rung. A rung
-    whose effective sample size collapses below n / 2 (the cap binding at
-    tiny delta) is flagged in the notes. `distances` holds each rung's
-    largest gap to the companion estimate, which shrinks as O(delta); it is
-    reported, not gated.
+    Rung k draws n_k = min(n / delta_k, n_max) replicates. Its weights have
+    mean one and second moment 1 + nu(y(a)^2) / (delta (E psi(a))^2), so
+    until the cap binds its effective sample size is about
+    n / (delta + nu(y(a)^2) / (E psi(a))^2): the 1/delta scaling keeps it of
+    order n, not near n. For Poisson at lambda a = 1 that is n / (1 + delta),
+    about n / 2 at delta = 1. A rung whose effective sample size falls below
+    n / 2 is flagged in the notes (`ess_collapse_at`); besides the cap
+    binding at tiny delta, this fires with no cap binding wherever
+    delta + nu(y(a)^2) / (E psi(a))^2 reaches about 2, as at delta = 1 above.
+    `distances` holds each rung's largest gap to the companion estimate,
+    which shrinks as O(delta); it is reported, not gated.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -105,9 +113,8 @@ def verify_thinning_limit(
         raise ValueError("E psi(a) must be positive")
     n_target = min(n_max, 8 * n)
     target_vals = sample_ensemble(
-        lambda stream, m: companion_values(stream, spec, a, grid.points, m),
-        rng.substream(0),
-        n_target,
+        lambda stream, out: companion_values(stream, spec, a, grid.points, len(out), out),
+        rng.substream(0), n_target, len(grid),
     )
     t_est, t_se = weighted_laplace_panel(WeightedEnsemble(grid, target_vals), panel)
     kappa = np.array([levy_functional_quadrature(spec, e) for e in panel])
@@ -115,9 +122,8 @@ def verify_thinning_limit(
     for k, delta in enumerate(deltas):
         n_k = min(n_max, math.ceil(n / delta))
         vals = sample_ensemble(
-            lambda stream, m: thinned_values(stream, spec, delta, grid.points, m),
-            rng.substream(1 + k),
-            n_k,
+            lambda stream, out: thinned_values(stream, spec, delta, grid.points, len(out), out),
+            rng.substream(1 + k), n_k, len(grid),
         )
         weights = vals[:, ia] / (delta * mean_a)
         if not weights.any():

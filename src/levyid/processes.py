@@ -12,13 +12,14 @@ exception is a self-similar family whose driver's jump law is not
 exponential: its driver is truncated at required_cutoff, which neglects a
 tail below _TAIL_FRACTION of the mean at the smallest positive time.
 
-values_at and the family samplers take an optional `out`, a C-contiguous
-(n, len(points)) float block, and write the values into it. sample_ensemble
-allocates each ensemble's matrix once and hands every chunk task its own row
-block, so no ensemble is stacked from chunk copies. On sorted distinct
-points with every step positive, a Poisson path's uniforms are drawn
-straight into the block (Generator.random(out=...) fills it in the C order
-of random((n, k)), so the bits are the same) and inverted and summed there.
+Every sampler writes its values into `out`, a C-contiguous (n, len(points))
+float block; the family samplers require it, and values_at allocates one
+when it is not given. sample_ensemble allocates each ensemble's matrix once
+and hands every chunk task its own row block to fill, so no ensemble is
+stacked from chunk copies. On sorted distinct points with every step
+positive, a Poisson path's uniforms are drawn straight into the block
+(Generator.random(out=...) fills it in the C order of random((n, k)), so the
+bits are the same) and inverted and summed there.
 """
 
 from __future__ import annotations
@@ -85,40 +86,29 @@ def required_cutoff(spec: SatoSpec, points) -> float:
     return math.log(1.0 / _TAIL_FRACTION) - spec.H * math.log(float(pos.min()))
 
 
-def _cumulative(points, increments, out=None) -> np.ndarray:
+def _cumulative(points, increments, out) -> np.ndarray:
     """Running sums of independent increments over the sorted distinct
-    points, read back at `points`, into `out` when it is given.
+    points, read back at `points` into `out`.
 
-    increments(steps) returns the (n, k) increment matrix of the k step
-    lengths; increments(steps, buf) draws it into the (n, k) buffer buf,
-    which is `out` itself when the points are sorted and distinct.
+    increments(steps, buf) draws the increments of the k step lengths into
+    the (n, k) float buffer buf: `out` itself when the points are sorted and
+    distinct, else a fresh block.
     """
     uniq, inv = np.unique(np.asarray(points, dtype=float), return_inverse=True)
     steps = np.diff(np.concatenate([[0.0], uniq]))
     direct = np.array_equal(inv, np.arange(inv.size))  # sorted and distinct
-    if out is not None and direct:
-        inc = increments(steps, out)
-    else:
-        inc = increments(steps).astype(float, copy=False)
+    inc = out if direct else np.empty((out.shape[0], steps.size))
+    increments(steps, inc)
     # column by column in place: the same additions, in the same order, as
     # np.cumsum along rows, without its copy
     for j in range(1, inc.shape[1]):
         inc[:, j] += inc[:, j - 1]
-    if direct:
-        return inc
-    # column copies keep C order; inc[:, inv] returns Fortran order, and
-    # take along axis 1 is slower
-    if out is None:
-        out = np.empty((inc.shape[0], inv.size))
-    for i, j in enumerate(inv):
-        out[:, i] = inc[:, j]
+    if not direct:
+        # column copies keep C order; inc[:, inv] returns Fortran order, and
+        # take along axis 1 is slower
+        for i, j in enumerate(inv):
+            out[:, i] = inc[:, j]
     return out
-
-
-def _given(out) -> dict:
-    """The keyword arguments that pass `out` on only when it is given, so a
-    call without an output reaches a sampler in its (..., n) form."""
-    return {} if out is None else {"out": out}
 
 
 def _poisson_mean(mean):
@@ -183,14 +173,14 @@ def _invert(col, cdf, guide) -> None:
     col[:] = x
 
 
-def _poisson_values(rng: RngStream, rate: float, points, n: int, out=None) -> np.ndarray:
-    def increments(steps, inc=None):
+def _poisson_values(rng: RngStream, rate: float, points, n: int, out) -> np.ndarray:
+    def increments(steps, inc):
         lam = _poisson_mean(rate * steps)
         # a zero mean consumes no variate, so zero steps stay out of the draw
         # without moving the other columns' draws
         drawn = np.flatnonzero(lam)
         gen = rng.generator
-        if inc is not None and drawn.size == lam.size:
+        if drawn.size == lam.size:
             u = gen.random(out=inc)  # the same C-order fill as random((n, k))
         else:
             u = gen.random((n, drawn.size))
@@ -202,36 +192,28 @@ def _poisson_values(rng: RngStream, rate: float, points, n: int, out=None) -> np
             if mean not in tables:
                 tables[mean] = _poisson_table(mean)
             _invert(u[:, j], *tables[mean])
-        if drawn.size == lam.size:
-            return u
-        if inc is None:
-            inc = np.empty((n, lam.size))
-        inc[:, lam == 0] = 0.0
-        inc[:, drawn] = u
-        return inc
+        if drawn.size < lam.size:
+            inc[:, lam == 0] = 0.0
+            inc[:, drawn] = u
 
-    return _cumulative(points, increments, **_given(out))
+    return _cumulative(points, increments, out)
 
 
-def _ts_values(rng: RngStream, alpha: float, points, n: int, out=None) -> np.ndarray:
-    def increments(steps, inc=None):
-        if inc is None:
-            inc = np.zeros((n, steps.size))
-        else:
-            inc.fill(0.0)
+def _ts_values(rng: RngStream, alpha: float, points, n: int, out) -> np.ndarray:
+    def increments(steps, inc):
+        inc.fill(0.0)
         if alpha == 0.5:
             # one exact draw per positive step, whatever its length
             for j in np.flatnonzero(steps):
                 dt = float(steps[j])
                 inc[:, j] = _squarable(sample_tempered_stable_increment(rng, alpha, dt, n), dt)
-            return inc
+            return
         subs = [_substeps(dt) for dt in steps]
         for j, (dt, m) in enumerate(zip(steps, subs)):
             for _ in range(m):
                 inc[:, j] += sample_tempered_stable_increment(rng, alpha, dt / m, n)
-        return inc
 
-    return _cumulative(points, increments, **_given(out))
+    return _cumulative(points, increments, out)
 
 
 def _jump_set(rng: RngStream, driver: JumpLawSpec, lo: float, hi: float, n: int):
@@ -252,7 +234,7 @@ def _jump_set(rng: RngStream, driver: JumpLawSpec, lo: float, hi: float, n: int)
 
 
 def _sato_values(
-    rng: RngStream, spec: SatoSpec, points, n: int, hi: float | None = None, out=None
+    rng: RngStream, spec: SatoSpec, points, n: int, out, hi: float | None = None
 ) -> np.ndarray:
     """Self-similar values from the driver's jumps on locations [-H log t_max,
     hi); a given hi keeps exactly the jumps born after exp(-hi / H).
@@ -266,8 +248,6 @@ def _sato_values(
     required_cutoff.
     """
     pts = np.asarray(points, dtype=float)
-    if out is None:
-        out = np.empty((n, pts.size))
     pos = pts > 0
     out[:, ~pos] = 0.0
     if not pos.any():
@@ -315,13 +295,11 @@ def _sato_values(
 
 
 def _conv_values(
-    rng: RngStream, spec: ConvSpec, points, n: int, jump_filter=None, out=None
+    rng: RngStream, spec: ConvSpec, points, n: int, out, jump_filter=None
 ) -> np.ndarray:
     """Moving-average values; jump_filter optionally restricts which driver
     jumps contribute (given their time locations)."""
     pts = np.asarray(points, dtype=float)
-    if out is None:
-        out = np.empty((n, pts.size))
     t_max = float(pts.max(initial=0.0))
     if t_max <= 0:
         out.fill(0.0)
@@ -360,18 +338,19 @@ def _conv_values(
 
 
 def values_at(rng: RngStream, spec: ProcessSpec, points, n: int, out=None) -> np.ndarray:
-    """(n, len(points)) matrix of fresh realizations evaluated at `points`;
-    with `out`, a C-contiguous float block of that shape, the values are
-    written into it and it is returned."""
-    kw = _given(out)
+    """(n, len(points)) matrix of fresh realizations evaluated at `points`,
+    written into `out`, a C-contiguous float block of that shape, and
+    returned; without `out` a fresh block is allocated."""
+    if out is None:
+        out = np.empty((n, len(points)))
     if isinstance(spec, PoissonSpec):
-        return _poisson_values(rng, spec.rate, points, n, **kw)
+        return _poisson_values(rng, spec.rate, points, n, out)
     if isinstance(spec, TemperedStableSpec):
-        return _ts_values(rng, spec.alpha, points, n, **kw)
+        return _ts_values(rng, spec.alpha, points, n, out)
     if isinstance(spec, SatoSpec):
-        return _sato_values(rng, spec, points, n, **kw)
+        return _sato_values(rng, spec, points, n, out)
     if isinstance(spec, ConvSpec):
-        return _conv_values(rng, spec, points, n, **kw)
+        return _conv_values(rng, spec, points, n, out)
     raise TypeError(f"no path sampler for {type(spec).__name__}")
 
 
@@ -404,8 +383,8 @@ def _helpers():
         return _pool
 
 
-def _run(tasks) -> list:
-    """Results of the zero-argument `tasks`, in task order.
+def _run(tasks) -> None:
+    """Run the zero-argument `tasks`.
 
     The calling thread and the pool's helpers take tasks from one counter.
     After a task raises, no new task starts; every earlier task has started
@@ -414,8 +393,10 @@ def _run(tasks) -> list:
     """
     pool = None if getattr(_helper, "inline", False) or len(tasks) < 2 else _helpers()
     if pool is None:
-        return [task() for task in tasks]
-    results, errors = [None] * len(tasks), {}
+        for task in tasks:
+            task()
+        return
+    errors = {}
     counter = itertools.count()
 
     def drain():
@@ -424,7 +405,7 @@ def _run(tasks) -> list:
             if i >= len(tasks):
                 return
             try:
-                results[i] = tasks[i]()
+                tasks[i]()
             except Exception as exc:  # re-raised by the caller below
                 errors[i] = exc
 
@@ -436,7 +417,6 @@ def _run(tasks) -> list:
             future.result()
     if errors:
         raise errors[min(errors)]
-    return results
 
 
 def _chunk_stream(stream, k: int):
@@ -445,37 +425,29 @@ def _chunk_stream(stream, k: int):
     return tuple(s.substream(k) for s in stream)
 
 
-def sample_ensemble(fn, rng: RngStream | tuple, n: int, width: int | None = None):
-    """Draw fn's chunks of fixed size, each from its own substream.
+def sample_ensemble(fn, rng: RngStream | tuple, n: int, width: int):
+    """Draw an (n, width) ensemble in chunks of fixed size, each from its own
+    substream.
 
-    With `width`, each ensemble is one (n, width) matrix allocated here, and
-    its chunk k fills its own row block `out` in place: fn(stream, out) with
-    stream = rng.substream(k); what fn returns is ignored. Without `width`,
-    fn(stream, m) returns its chunk of m rows, and the chunks are stacked.
-    With one stream `rng` the result is one array. With a tuple of streams,
-    one per independent ensemble, fn(s, stream, out) (or fn(s, stream, m))
-    draws chunk k of ensemble s from rng[s].substream(k), and the result is a
-    list of arrays; an entry of the tuple may itself be a tuple of streams
-    drawn together, and fn then gets the tuple of their chunk-k substreams.
-    Every chunk of every ensemble is one task on the shared pool. The
-    chunking is fixed, so the result depends only on the streams, not on
-    the core count.
+    Each ensemble is one (n, width) matrix allocated here, and its chunk k
+    fills its own row block `out` in place: fn(stream, out) with
+    stream = rng.substream(k); what fn returns is ignored. With one stream
+    `rng` the result is one array. With a tuple of streams, one per
+    independent ensemble, fn(s, stream, out) fills chunk k of ensemble s from
+    rng[s].substream(k), and the result is a list of arrays; an entry of the
+    tuple may itself be a tuple of streams drawn together, and fn then gets
+    the tuple of their chunk-k substreams. Every chunk of every ensemble is
+    one task on the shared pool. The chunking is fixed, so the result
+    depends only on the streams, not on the core count.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     single = isinstance(rng, RngStream)
     streams = (rng,) if single else rng
     draw = (lambda s, stream, rows: fn(stream, rows)) if single else fn
-    starts = range(0, n, CHUNK)
-    out = None if width is None else [np.empty((n, width)) for _ in streams]
-    chunks = _run([
-        functools.partial(draw, s, _chunk_stream(stream, k),
-                          min(CHUNK, n - lo) if out is None else out[s][lo:lo + CHUNK])
-        for s, stream in enumerate(streams) for k, lo in enumerate(starts)])
-    if out is None:  # each ensemble's chunks, stacked in chunk order
-        k = len(starts)
-        out = [part[0] if len(part) == 1 else np.vstack(part)
-               for part in (chunks[i:i + k] for i in range(0, len(chunks), k))]
+    out = [np.empty((n, width)) for _ in streams]
+    _run([functools.partial(draw, s, _chunk_stream(stream, k), out[s][lo:lo + CHUNK])
+          for s, stream in enumerate(streams) for k, lo in enumerate(range(0, n, CHUNK))])
     return out[0] if single else out
 
 

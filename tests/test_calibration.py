@@ -180,8 +180,8 @@ def _rung_scan():
     zs, fails, captured = [], 0, []
     for s in range(SEEDS):
         vals = sample_ensemble(
-            lambda stream, m: thinned_values(stream, spec, delta, GRID.points, m),
-            RngStream(s), N,
+            lambda stream, out: thinned_values(stream, spec, delta, GRID.points, len(out), out),
+            RngStream(s), N, len(GRID),
         )
         ens = WeightedEnsemble(GRID, vals, vals[:, ia] / (delta * spec.rate * A))
         est, se = weighted_laplace_panel(ens, PANEL)

@@ -9,7 +9,9 @@ job integrates each quadrature piece once. An identity check draws its two
 sides' chunks as one batch of tasks on the shared sampler pool, adding each
 right-hand-side chunk's two parts inside its task, instead of in three
 sequential ensemble calls, and each chunk writes into its own row block of
-one preallocated ensemble matrix instead of being stacked. The permanental Levy marginals and the sampled
+one preallocated ensemble matrix instead of being stacked; a companion
+writes its jump's indicator into its rows and scales it there by the jump
+size. The permanental Levy marginals and the sampled
 Levy-measure representations are evaluated on one shared draw instead of
 one draw per entry, and the Sato sampler sums
 each point's kept jumps with the others zeroed instead of gathered. The
@@ -147,10 +149,13 @@ def _cv_panel_ref(ensemble, panel):
     return est, se
 
 
-def _cumulative_ref(points, increments):
+def _cumulative_ref(points, increments, out):
     uniq, inv = np.unique(np.asarray(points, dtype=float), return_inverse=True)
     steps = np.diff(np.concatenate([[0.0], uniq]))
-    return np.cumsum(increments(steps), axis=1, dtype=float)[:, inv]
+    inc = np.empty((out.shape[0], steps.size))
+    increments(steps, inc)
+    out[...] = np.cumsum(inc, axis=1)[:, inv]
+    return out
 
 
 def _poisson_cdf_ref(mean):
@@ -166,23 +171,27 @@ def _poisson_cdf_ref(mean):
     return cdf
 
 
-def _poisson_ref(rng, rate, points, n):
+def _poisson_ref(rng, rate, points, n, out=None):
     # one uniform per nonzero-mean cell, in one row-major block, inverted
     # column by column by a full search; means from 10 up redraw their
     # column from numpy's sampler after the block, in column order
-    def increments(steps):
+    def increments(steps, inc):
         lam = rate * steps
         drawn = np.flatnonzero(lam)
         u = rng.generator.random((n, drawn.size))
-        out = np.zeros((n, steps.size))
+        inc.fill(0.0)
         for j, col in zip(drawn, u.T):
             if lam[j] >= 10:
-                out[:, j] = rng.generator.poisson(lam[j], n)
+                inc[:, j] = rng.generator.poisson(lam[j], n)
             else:
-                out[:, j] = np.searchsorted(_poisson_cdf_ref(lam[j]), col, side="right")
-        return out
+                inc[:, j] = np.searchsorted(_poisson_cdf_ref(lam[j]), col, side="right")
 
-    return _cumulative_ref(points, increments)
+    return _cumulative_ref(points, increments, np.empty((n, len(points))) if out is None else out)
+
+
+def _block(n, points):
+    # an output block whose every cell a sampler must write
+    return np.full((n, len(points)), np.nan)
 
 
 def _kanter_ref(rng, alpha, t, size):
@@ -420,12 +429,12 @@ class TestPanel:
         assert np.array_equal(ens.values, vals)
 
 
-def _float_increments(n):
-    return lambda steps: np.random.default_rng(6).exponential(1.0, (n, steps.size))
+def _float_increments(steps, buf):
+    buf[...] = np.random.default_rng(6).exponential(1.0, buf.shape)
 
 
-def _int_increments(n):
-    return lambda steps: np.random.default_rng(6).poisson(1.5, (n, steps.size))
+def _int_increments(steps, buf):
+    buf[...] = np.random.default_rng(6).poisson(1.5, buf.shape)
 
 
 POINT_SETS = {
@@ -440,9 +449,9 @@ class TestCumulative:
     @pytest.mark.parametrize("points", POINT_SETS.values(), ids=POINT_SETS.keys())
     @pytest.mark.parametrize("draw", [_float_increments, _int_increments], ids=["float", "int"])
     def test_matches_reference(self, points, draw):
-        got = _cumulative(points, draw(257))
-        assert np.array_equal(got, _cumulative_ref(points, draw(257)))
-        assert got.dtype == float and got.flags.c_contiguous
+        out = _block(257, points)
+        assert _cumulative(points, draw, out) is out
+        assert np.array_equal(out, _cumulative_ref(points, draw, _block(257, points)))
 
     # a zero step draws nothing: zero times, repeated or unsorted, and the
     # points the hidden part used to draw, ending in the pin a = 1
@@ -454,24 +463,26 @@ class TestCumulative:
                                   "zeros-then-equal", "zeros-unsorted", "only-zero",
                                   "repeated", "hidden-augmented"])
     def test_poisson_matches_reference(self, points):
-        got = _poisson_values(RngStream(3), 1.3, points, 2000)
+        got = _poisson_values(RngStream(3), 1.3, points, 2000, _block(2000, points))
         assert np.array_equal(got, _poisson_ref(RngStream(3), 1.3, points, 2000))
 
     # steps of mean 6, 6 and 12: two table columns around one numpy column
     def test_poisson_large_means_match_reference(self):
-        got = _poisson_values(RngStream(4), 12.0, (0.5, 1.0, 2.0), 2000)
-        assert np.array_equal(got, _poisson_ref(RngStream(4), 12.0, (0.5, 1.0, 2.0), 2000))
+        points = (0.5, 1.0, 2.0)
+        got = _poisson_values(RngStream(4), 12.0, points, 2000, _block(2000, points))
+        assert np.array_equal(got, _poisson_ref(RngStream(4), 12.0, points, 2000))
 
     def test_poisson_zero_steps_draw_nothing(self):
         a, b = RngStream(8), RngStream(8)
-        got = _poisson_values(a, 1.3, (0.0, 0.5, 0.5, 1.0, 0.0), 500)
-        want = _poisson_values(b, 1.3, (0.5, 1.0), 500)
+        with_zeros, points = (0.0, 0.5, 0.5, 1.0, 0.0), (0.5, 1.0)
+        got = _poisson_values(a, 1.3, with_zeros, 500, _block(500, with_zeros))
+        want = _poisson_values(b, 1.3, points, 500, _block(500, points))
         assert np.array_equal(got[:, 1:4], want[:, [0, 0, 1]])
         assert not got[:, [0, 4]].any()
         # both streams stand at the same place: the next draws agree
         assert np.array_equal(a.generator.random(4), b.generator.random(4))
         c = RngStream(8)
-        assert not _poisson_values(c, 1.3, (0.0, 0.0), 500).any()
+        assert not _poisson_values(c, 1.3, (0.0, 0.0), 500, _block(500, (0.0, 0.0))).any()
         assert np.array_equal(c.generator.random(4), RngStream(8).generator.random(4))
 
     @pytest.mark.parametrize("spec", [PoissonSpec(1.3), TemperedStableSpec(0.6)],
@@ -628,12 +639,59 @@ def test_thinned_ensembles_match_stacked_chunks(monkeypatch, pool_cores, family)
     spec = BLOCK_SPECS[family]
     n = 2 * processes.CHUNK + 7
     sizes = (400, 400, 7)
-    got = sample_ensemble(lambda stream, m: thinned_values(stream, spec, 0.3, GRID.points, m),
-                          RngStream(19), n)
+    got = sample_ensemble(
+        lambda stream, out: thinned_values(stream, spec, 0.3, GRID.points, len(out), out),
+        RngStream(19), n, len(GRID))
     want = np.vstack([values_at(RngStream(19).substream(j), thinned_spec(spec, 0.3),
                                 0.3 * GRID.array if family.startswith("ts") else GRID.points, m)
                       for j, m in enumerate(sizes)])
     assert np.array_equal(got, want)
+
+
+# the companion, the hidden part and the ladder's rungs, each on every
+# family it supports (a tempered-stable-driven moving average has no
+# thinning rule), filling row blocks and a NaN-filled block as their chunks
+PARTS = {
+    "companion": lambda stream, spec, points, m, out=None: companion_values(
+        stream, spec, 1.0, points, m, out),
+    "hidden": lambda stream, spec, points, m, out=None: hidden_values(
+        stream, spec, 1.0, points, m, out),
+    "thinned": lambda stream, spec, points, m, out=None: thinned_values(
+        stream, spec, 0.3, points, m, out),
+}
+PART_CASES = [(p, f) for p in PARTS for f in BLOCK_SPECS if (p, f) != ("thinned", "conv-ts")]
+
+
+@pytest.mark.parametrize("part,family", PART_CASES, ids=[f"{p}-{f}" for p, f in PART_CASES])
+def test_parts_into_blocks_match_stacked_chunks(monkeypatch, pool_cores, part, family):
+    monkeypatch.setattr(processes, "CHUNK", 400)
+    got, want = _blocks_and_stack(BLOCK_SPECS[family], GRID.points, PARTS[part],
+                                  2 * processes.CHUNK + 7)
+    assert np.array_equal(got, want)
+
+
+def _companion_ref(rng, spec, a, points, n):
+    # the jump-born families' companions: a fresh indicator matrix,
+    # multiplied by the jump size
+    pts = np.asarray(points, dtype=float)
+    u = rng.substream(1).generator.random(n)
+    if isinstance(spec, PoissonSpec):
+        return (pts[None, :] >= (a * u)[:, None]).astype(float)
+    if isinstance(spec, TemperedStableSpec):
+        g = rng.substream(2).generator.gamma(1.0 - spec.alpha, 1.0, n)
+        return g[:, None] * (pts[None, :] >= (a * u)[:, None])
+    v = sample_size_biased_jump(rng.substream(2), spec.bdlp.law, n)
+    birth = a * u ** (1.0 / spec.H)
+    scale = a**spec.H * u * v
+    return scale[:, None] * (pts[None, :] >= birth[:, None])
+
+
+@pytest.mark.parametrize("points", BLOCK_POINTS.values(), ids=BLOCK_POINTS.keys())
+@pytest.mark.parametrize("family", ["poisson", "ts-half", "ts", "sato-exp", "sato-gamma"])
+def test_companion_matches_reference(family, points):
+    spec = BLOCK_SPECS[family]
+    got = companion_values(RngStream(23), spec, 1.0, points, 3000, _block(3000, points))
+    assert np.array_equal(got, _companion_ref(RngStream(23), spec, 1.0, points, 3000))
 
 
 def _stack_ref(fn, rng, n):
@@ -783,7 +841,7 @@ SATO_POINTS = {"sorted": (0.0, 0.5, 1.0, 1.5, 2.0), "unsorted": (1.5, 0.0, 2.0, 
     *(pytest.param(p, SATO_GAMMA, id=f"{k}-gamma") for k, p in SATO_POINTS.items()),
 ])
 def test_sato_columns_match_masked_reference(points, spec):
-    got = _sato_values(RngStream(29), spec, points, 4000)
+    got = _sato_values(RngStream(29), spec, points, 4000, _block(4000, points))
     assert np.array_equal(got, _sato_ref(RngStream(29), spec, points, 4000))
     assert np.all(got[:, list(points).index(0.0)] == 0.0)
 

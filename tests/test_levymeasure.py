@@ -187,7 +187,9 @@ class TestMonteCarloRepresentations:
             def substream(self, *tags):
                 raise AssertionError("drew before checking its arguments")
 
-        for kwargs in ({"n": 0}, {"n": 10, "mixing_mean": 0.0}, {"n": 10, "theta": -1.0}):
+        for kwargs in ({"n": 0}, {"n": 10, "mixing_mean": 0.0}, {"n": 10, "theta": -1.0},
+                       {"n": 10, "mixing_mean": math.nan}, {"n": 10, "mixing_mean": math.inf},
+                       {"n": 10, "theta": math.nan}, {"n": 10, "theta": math.inf}):
             with pytest.raises(ValueError):
                 levy_functional_mc(NoDraws(306), PoissonSpec(rate=1.0), _one(E1), **kwargs)
 

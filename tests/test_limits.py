@@ -204,8 +204,9 @@ class TestVerifyThinningLimit:
         ests = []
         for seed in (508, 509):
             vals = sample_ensemble(
-                lambda stream, m: companion_values(stream, spec, 1.0, GRID.points, m),
-                RngStream(seed), 20_000,
+                lambda stream, out: companion_values(stream, spec, 1.0, GRID.points, len(out),
+                                                     out),
+                RngStream(seed), 20_000, len(GRID),
             )
             est, se = weighted_laplace_panel(WeightedEnsemble(GRID, vals), PANEL)
             ests.append((est, se))

@@ -164,7 +164,8 @@ def test_unmutated_limit_passes(tmp_path, family, limit_n):
 def test_limit_from_unthinned_paths_fails(tmp_path, monkeypatch, family):
     # every rung's weights then have mean 1 / delta, not 1
     monkeypatch.setattr(limits, "thinned_values",
-                        lambda rng, spec, delta, points, n: values_at(rng, spec, points, n))
+                        lambda rng, spec, delta, points, n, out=None:
+                        values_at(rng, spec, points, n, out))
     code, rep = _run(tmp_path, "limit", FAMILIES[family])
     assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
 

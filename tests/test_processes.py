@@ -188,8 +188,9 @@ class TestSato:
         zs = []
         for i, h in enumerate((0.5, 1.0, 1.7)):
             spec = SatoSpec(H=h, bdlp=JumpLawSpec(rate=2.5, law=JumpLaw.exponential(0.4)))
-            vals = sample_ensemble(lambda stream, m: values_at(stream, spec, times, m),
-                                   RngStream(61).substream(i), 1_000_000)
+            vals = sample_ensemble(
+                lambda stream, out: values_at(stream, spec, times, len(out), out),
+                RngStream(61).substream(i), 1_000_000, len(times))
             for j, t in enumerate(times):
                 col = vals[:, j]
                 zs.append((col.mean() - mean_function(spec, t)) / (col.std() / math.sqrt(col.size)))
@@ -262,19 +263,21 @@ class TestEnsembles:
                              ids=[f if c is None else f"{f}-{c.__name__.removesuffix('_values')}"
                                   for f, c in CHUNK_CASES])
     def test_chunk_contract(self, monkeypatch, grid, family, construct):
-        # fixed chunks, one substream each, stacked in order: the ensemble
-        # does not depend on how many threads draw the chunks
+        # fixed chunks, one substream each, each filling its row block: the
+        # ensemble is the chunks stacked in order, however many threads draw
+        # them
         spec = SAMPLERS[family]
 
-        def fn(stream, m):
+        def fn(stream, m, out=None):
             if construct is None:
-                return values_at(stream, spec, grid.points, m)
-            return construct(stream, spec, 1.0, grid.points, m)
+                return values_at(stream, spec, grid.points, m, out)
+            return construct(stream, spec, 1.0, grid.points, m, out)
 
         rng = RngStream(9).substream(1)
         monkeypatch.setattr(processes, "CHUNK", 1_000)
         got = (sample_paths(rng, spec, grid, 2_500) if construct is None
-               else sample_ensemble(fn, rng, 2_500))
+               else sample_ensemble(lambda stream, out: fn(stream, len(out), out), rng, 2_500,
+                                    len(grid)))
         want = np.vstack([fn(rng.substream(k), m) for k, m in enumerate((1_000, 1_000, 500))])
         assert np.array_equal(got, want)
 
@@ -283,10 +286,12 @@ class TestEnsembles:
             sample_paths(rng, PoissonSpec(rate=1.0), grid, 0)
 
     def test_sample_ensemble_chunks_cover_n(self, rng):
-        got = sample_ensemble(
-            lambda stream, m: np.full((m, 1), m, dtype=float), rng.substream(21), 130_000
-        )
+        # each chunk writes its own row count into its block
+        got = sample_ensemble(lambda stream, out: out.fill(len(out)), rng.substream(21),
+                              130_000, 1)
         assert got.shape == (130_000, 1)
+        sizes = [min(processes.CHUNK, 130_000 - lo) for lo in range(0, 130_000, processes.CHUNK)]
+        assert np.array_equal(got[:, 0], np.repeat(np.array(sizes, dtype=float), sizes))
 
     @given(n=st.integers(min_value=1, max_value=7))
     @settings(max_examples=10)
@@ -325,16 +330,17 @@ class TestPool:
         monkeypatch.setattr(processes, "CHUNK", 1_000)
         before = threading.active_count()
 
-        def fn(s, stream, m):
+        def fn(s, stream, m, out=None):
             if s == 0:
-                return values_at(stream, spec, grid.points, m)
-            out = values_at(stream[0], spec, grid.points, m)
+                return values_at(stream, spec, grid.points, m, out)
+            out = values_at(stream[0], spec, grid.points, m, out)
             out += companion_values(stream[1], spec, 1.0, grid.points, m)
             return out
 
         rng = RngStream(9)
-        got = sample_ensemble(fn, (rng.substream(1), (rng.substream(2), rng.substream(3))),
-                              2_500)
+        got = sample_ensemble(lambda s, stream, out: fn(s, stream, len(out), out),
+                              (rng.substream(1), (rng.substream(2), rng.substream(3))),
+                              2_500, len(grid))
         sizes = (1_000, 1_000, 500)
         want = [np.vstack([fn(0, rng.substream(1, k), m) for k, m in enumerate(sizes)]),
                 np.vstack([fn(1, (rng.substream(2, k), rng.substream(3, k)), m)
@@ -349,29 +355,29 @@ class TestPool:
 
     def test_first_error_in_task_order(self, pool_cores):
         # chunk 0 raises last in time; its error is the one raised
-        def fn(stream, m):
+        def fn(stream, out):
             k = stream.path[-1]
             if k == 0:
                 time.sleep(0.2)
             raise ValueError(f"chunk {k}")
 
         with pytest.raises(ValueError, match="^chunk 0$"):
-            sample_ensemble(fn, RngStream(4), 3 * processes.CHUNK)
+            sample_ensemble(fn, RngStream(4), 3 * processes.CHUNK, 1)
 
     def test_each_task_runs_once_under_contention(self, monkeypatch, pool_cores):
         # 500 one-row chunks with a short switch interval: a task taken twice
-        # or skipped, or a result stored in the wrong slot, shows
+        # or skipped, or a chunk written into the wrong rows, shows
         monkeypatch.setattr(processes, "CHUNK", 1)
         ran = []
 
-        def fn(stream, m):
+        def fn(stream, out):
             ran.append(stream.path[-1])
-            return np.full((m, 1), float(stream.path[-1]))
+            out.fill(float(stream.path[-1]))
 
         saved = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _within(60, lambda: sample_ensemble(fn, RngStream(1), 500))
+            got = _within(60, lambda: sample_ensemble(fn, RngStream(1), 500, 1))
         finally:
             sys.setswitchinterval(saved)
         assert sorted(ran) == list(range(500))
@@ -381,14 +387,14 @@ class TestPool:
         monkeypatch.setattr(processes, "CHUNK", 10)
         threads = []
 
-        def inner(stream, m):
+        def inner(stream, out):
             threads.append(threading.current_thread())
-            return stream.generator.random((m, 1))
+            stream.generator.random(out=out)
 
-        def outer(stream, m):
-            return sample_ensemble(inner, stream, 25)[:m]
+        def outer(stream, out):
+            out[:] = sample_ensemble(inner, stream, 25, 1)[:len(out)]
 
-        got = _within(60, lambda: sample_ensemble(outer, RngStream(6), 30))
+        got = _within(60, lambda: sample_ensemble(outer, RngStream(6), 30, 1))
         want = np.vstack([
             np.vstack([RngStream(6).substream(k, j).generator.random((m, 1))
                        for j, m in enumerate((10, 10, 5))])[:10]
@@ -399,7 +405,7 @@ class TestPool:
             # called in a helper, every chunk is drawn in that helper
             threads.clear()
             executor, _ = processes._helpers()
-            executor.submit(sample_ensemble, inner, RngStream(6), 25).result(timeout=60)
+            executor.submit(sample_ensemble, inner, RngStream(6), 25, 1).result(timeout=60)
             assert len(threads) == 3 and len(set(threads)) == 1
             assert threads[0] is not threading.current_thread()
 

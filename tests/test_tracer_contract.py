@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from levyid import cli, identities
+from levyid import cli, identities, limits, processes
 from levyid.core import LevyFunctionalPanel, PanelEntry, PoissonSpec, make_grid
 from levyid.limits import DEFAULT_DELTAS
 from levyid.randkit import RngStream
@@ -109,15 +109,12 @@ def test_job_handlers_table():
     assert all(callable(fn) for fn in cli._JOB_HANDLERS.values())
 
 
-@pytest.mark.parametrize("pool_cores", [3], indirect=True)
-def test_pooled_spans_have_a_sample_ensemble_ancestor(pool_cores):
-    # 60k rows: two chunks per side, drawn as four tasks on the caller and
-    # two helper threads
+def _drawn_spans(call, names):
+    """The spans of `names` that a traced call() opens, checking that each
+    has a sample_ensemble ancestor."""
     t = tracer.Tracer()
-    panel = LevyFunctionalPanel((PanelEntry((1.0,), (1.0,)),))
     with tracer.instrument(t):
-        identities.verify_decomposition_identity(
-            RngStream(3), PoissonSpec(1.0), 1.0, make_grid([0.5, 1.0, 2.0]), panel, 60_000)
+        call()
     by_id = {s.id: s for s in t.spans}
 
     def ancestors(span):
@@ -125,6 +122,32 @@ def test_pooled_spans_have_a_sample_ensemble_ancestor(pool_cores):
             span = by_id[span.parent]
             yield span.name
 
-    drawn = [s for s in t.spans if s.name in ("values_at", "hidden_values", "visible_values")]
-    assert sorted({s.name for s in drawn}) == ["hidden_values", "values_at", "visible_values"]
+    drawn = [s for s in t.spans if s.name in names]
+    assert sorted({s.name for s in drawn}) == sorted(names)
     assert all("sample_ensemble" in ancestors(s) for s in drawn)
+    return drawn
+
+
+@pytest.mark.parametrize("pool_cores", [3], indirect=True)
+def test_pooled_spans_have_a_sample_ensemble_ancestor(pool_cores):
+    # 60k rows: two chunks per side, drawn as four tasks on the caller and
+    # two helper threads
+    panel = LevyFunctionalPanel((PanelEntry((1.0,), (1.0,)),))
+    _drawn_spans(lambda: identities.verify_decomposition_identity(
+        RngStream(3), PoissonSpec(1.0), 1.0, make_grid([0.5, 1.0, 2.0]), panel, 60_000),
+        ("hidden_values", "values_at", "visible_values"))
+
+
+@pytest.mark.parametrize("pool_cores", [3], indirect=True)
+def test_ladder_spans_have_a_sample_ensemble_ancestor(monkeypatch, pool_cores):
+    # limit.n = 100 with 200-row chunks: the 800-row companion target and
+    # every rung but the first span several chunks, drawn on the caller and
+    # two helper threads
+    monkeypatch.setattr(processes, "CHUNK", 200)
+    panel = LevyFunctionalPanel((PanelEntry((1.0,), (1.0,)),))
+    drawn = _drawn_spans(lambda: limits.verify_thinning_limit(
+        RngStream(3), PoissonSpec(1.0), 1.0, make_grid([0.5, 1.0, 2.0]), panel, 100),
+        ("companion_values", "thinned_values"))
+    # one span per chunk: 4 for the target, then 1, 2, 5 and 17 for the rungs
+    assert sum(s.name == "companion_values" for s in drawn) == 4
+    assert sum(s.name == "thinned_values" for s in drawn) == 25
