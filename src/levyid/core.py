@@ -72,14 +72,6 @@ class TimeGrid:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
-
-    @property
-    def t_max(self) -> float:
-        return self.points[-1]
-
     def index_of(self, times) -> np.ndarray:
         """Map times to grid indices; raises if any time is not a grid point."""
         pts = self._points

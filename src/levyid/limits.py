@@ -93,10 +93,10 @@ def verify_thinning_limit(
     until the cap binds its effective sample size is about
     n / (delta + nu(y(a)^2) / (E psi(a))^2): the 1/delta scaling keeps it of
     order n, not near n. For Poisson at lambda a = 1 that is n / (1 + delta),
-    about n / 2 at delta = 1. A rung whose effective sample size falls below
-    n / 2 is flagged in the notes (`ess_collapse_at`); besides the cap
-    binding at tiny delta, this fires with no cap binding wherever
-    delta + nu(y(a)^2) / (E psi(a))^2 reaches about 2, as at delta = 1 above.
+    about n / 2 at delta = 1. A rung that the cap squeezed (n_k = n_max) and
+    whose effective sample size fell below n / 2 is flagged in the notes
+    (`ess_collapse_at`); an uncapped rung is not, since its expected ESS
+    can sit near n / 2 itself.
     `distances` holds each rung's largest gap to the companion estimate,
     which shrinks as O(delta); it is reported, not gated.
     """
@@ -137,7 +137,7 @@ def verify_thinning_limit(
         distances.append(float(np.max(np.abs(est - t_est))))
         n_used.append(n_k)
         esses.append(effective_sample_size(weights))
-        if esses[-1] < 0.5 * n:
+        if n_k == n_max and esses[-1] < 0.5 * n:
             collapsed.append(delta)
     notes = {"a": a, "n_target": n_target}
     if collapsed:

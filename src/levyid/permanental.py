@@ -8,6 +8,10 @@ so beta = 1/2 is the square of a centered Gaussian vector with covariance K.
 The kernel of interest is the Green matrix of a transient chain; then the
 decomposition and tilting companions at a state a are both twice the local
 time field of the chain started at a and killed at its last visit to a.
+With beta = 1 the field with kernel K is the conditional one (kernel K_a,
+killed at a) plus twice those local times L, so 2 L has the exact transform
+det(I + Lambda K_a) / det(I + Lambda K), Lambda = diag(alpha); the identity
+check gates 2 L against it.
 """
 
 from __future__ import annotations
@@ -233,29 +237,34 @@ def verify_permanental_identity(
     z_crit: float = 3.0,
     local: np.ndarray | None = None,
 ) -> Check:
-    """Index-1 permanental field with the Green kernel against the
-    conditional field (kernel killed at a) plus twice the pinned local times.
+    """Twice the pinned local times against the exact ratio
+    det(I + Lambda K_a) / det(I + Lambda K), which the index-1 field with
+    the Green kernel K and the conditional field (kernel K_a, killed at a)
+    leave for it.
 
-    Entries use the half convention: exp(-1/2 sum alpha_i psi(x_i)). The
+    Entries use the half convention: exp(-1/2 sum alpha_i psi(x_i)), and
+    Lambda is diag(alpha) with an entry's alphas summed per state. The
     (n, states) pinned local times are drawn on rng.substream(3) unless the
-    caller passes that draw as `local`.
+    caller passes that draw as `local`. The exact values have SE 0.
     """
     green = green_matrix(chain)
     if panel is None:
         panel = default_state_panel(chain.n, a)
     half = LevyFunctionalPanel(tuple(e.scaled(0.5) for e in panel))
     grid = _state_grid(chain.n)
-    lhs_vals = sample_permanental(rng.substream(1), green, 1.0, n)
-    cond = sample_permanental(rng.substream(2), conditional_kernel(green, a), 1.0, n)
     if local is None:
         local = sample_local_times(rng.substream(3), chain, a, n)
-    rhs_vals = cond + 2.0 * local
-    lhs_ens = WeightedEnsemble(grid, lhs_vals)
-    rhs_ens = WeightedEnsemble(grid, rhs_vals)
-    lhs, lhs_se = weighted_laplace_panel(lhs_ens, half)
-    rhs, rhs_se = weighted_laplace_panel(rhs_ens, half)
+    est, se = weighted_laplace_panel(WeightedEnsemble(grid, 2.0 * local), half)
+    k, k_a = green.matrix, conditional_kernel(green, a).matrix
+    eye = np.eye(chain.n)
+    exact = []
+    for entry in panel:
+        lam = np.zeros(chain.n)
+        np.add.at(lam, grid.index_of(entry.times), entry.alphas)
+        exact.append(np.linalg.det(eye + lam[:, None] * k_a)
+                     / np.linalg.det(eye + lam[:, None] * k))
     return build_identity_report(
-        "permanental", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n,
+        "permanental", panel, est, exact, se, np.zeros(len(panel)), z_crit, n,
         notes={"a": a},
     )
 

@@ -94,10 +94,11 @@ def test_02_decomposition_closed_form(capsys):
     )
     ok = rep.overall_pass
     for k, e in enumerate(panel):
-        # unit-rate counting marginal: E e^{-alpha N(t)} = exp(-t (1 - e^{-alpha}))
+        # unit-rate counting marginal: E e^{-alpha N(t)} = exp(-t (1 - e^{-alpha}));
+        # hidden + visible is sampled, and its target is this exact value
         want = math.exp(-e.times[0] * (1.0 - math.exp(-e.alphas[0])))
         ok = ok and abs(rep.lhs[k] - want) <= 3.0 * rep.lhs_se[k]
-        ok = ok and abs(rep.rhs[k] - want) <= 3.0 * rep.rhs_se[k]
+        ok = ok and math.isclose(rep.rhs[k], want, rel_tol=1e-12) and rep.rhs_se[k] == 0.0
     dt = time.perf_counter() - t0
     _stamp(capsys, "02 decomposition closed form", ok and dt < 20.0, dt)
     assert ok, rep.to_dict()

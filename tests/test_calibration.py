@@ -10,6 +10,8 @@ families:
 - each entry's |z| > 3 rate and the family-wise (Bonferroni) fail rate stay
   within binomial error of their nominal levels;
 - each entry's z variance stays within chi-square error of 1;
+- the decomposition's rows gate hidden + visible against the exact
+  e^{-kappa}, so its z is one sample's;
 - on the first BOOT_SEEDS seeds the SEs of every estimate agree with a
   reference percentile bootstrap of the same estimator, computed on the same
   ensembles: the known-normalizer mean's (a plain mean for unit weights),
@@ -25,7 +27,10 @@ within binomial and chi-square error of their nominal values.
 The permanental job's Levy marginals, which share one draw across states,
 are scanned over the same seeds at their own small size, PERM_N rows, on the
 desk's 2- and 3-state chains: each state's z mean and variance stay within
-normal and chi-square error of 0 and 1. So are the levy-check job's sampled
+normal and chi-square error of 0 and 1. So do the permanental identity's
+rows, twice the pinned local times against their exact determinant ratio,
+on the same chains at PERM_N rows, whose family-wise fail rate stays within
+the same binomial bound. So are the levy-check job's sampled
 representations, which share one draw across panel entries, on the desk's
 four levy-check specs at LEVY_N rows, against quadrature.
 """
@@ -60,6 +65,7 @@ from levyid.permanental import (
     green_matrix,
     levy_functional_permanental,
     marginal_levy_functional,
+    verify_permanental_identity,
 )
 from levyid.processes import sample_ensemble
 from levyid.randkit import RngStream
@@ -153,8 +159,11 @@ def _capture(real, captured):
 
 
 def _identity_scan(verifier, spec, n=N):
-    # on the first BOOT_SEEDS seeds, each side's ensemble is kept with the
-    # estimator the verifier gave it and that estimator's reference bootstrap
+    # on the first BOOT_SEEDS seeds, each sampled side's ensemble is kept with
+    # the estimator the verifier gave it and that estimator's reference
+    # bootstrap: tilting samples both sides, the decomposition only hidden +
+    # visible, whose target e^{-kappa} is exact
+    tilting = verifier is identities.verify_tilting_identity
     zs, fails, captured = [], 0, []
     for s in range(SEEDS):
         with pytest.MonkeyPatch.context() as mp:
@@ -164,9 +173,10 @@ def _identity_scan(verifier, spec, n=N):
             report = verifier(RngStream(s), spec, A, GRID, PANEL, n, z_crit=Z_CRIT)
         zs.append(report.z)
         fails += not report.overall_pass
-    assert len(captured) == 2 * BOOT_SEEDS, "an identity side's estimator went uncaptured"
+    sides = 2 if tilting else 1
+    assert len(captured) == sides * BOOT_SEEDS, "an identity side's estimator went uncaptured"
     controlled = sum(ref is reference_cv_bootstrap_se for _, ref, _ in captured)
-    assert controlled == (BOOT_SEEDS if verifier is identities.verify_tilting_identity else 0)
+    assert controlled == (BOOT_SEEDS if tilting else 0)
     return np.array(zs), fails, captured
 
 
@@ -311,6 +321,28 @@ def marginal_scan(request):
                                               np.ones(chain.n), panel, PERM_N)
         zs.append((est - truth) / se)
     return np.array(zs)
+
+
+@pytest.fixture(scope="module", params=list(PERM_CHAINS))
+def permanental_identity_scan(request):
+    # the identity's rows, twice the pinned local times against
+    # det(I + Lambda K_a) / det(I + Lambda K), on the default state panel
+    # pinned at state 0, as the permanental job runs it
+    chain = PERM_CHAINS[request.param]
+    reports = [verify_permanental_identity(RngStream(s).substream(0), chain, 0, n=PERM_N,
+                                           z_crit=Z_CRIT) for s in range(SEEDS)]
+    return np.array([r.z for r in reports]), sum(not r.overall_pass for r in reports)
+
+
+def test_permanental_identity_familywise_fail_rate(permanental_identity_scan):
+    _, fails = permanental_identity_scan
+    assert fails <= MAX_FAILS
+
+
+def test_permanental_identity_z_variance_near_one(permanental_identity_scan):
+    zs, _ = permanental_identity_scan
+    var = zs.var(axis=0, ddof=1)
+    assert np.all(np.abs(var - 1.0) <= VAR_TOL), var
 
 
 def test_marginal_z_mean_near_zero(marginal_scan):

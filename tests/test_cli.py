@@ -185,7 +185,7 @@ class TestReportShape:
     def test_schema_and_fields(self, tmp_path):
         code, rep = _run(tmp_path, ["verify-isonat"], BASE)
         assert code == 0
-        assert rep["schema"] == "levy-id/3"
+        assert rep["schema"] == "levy-id/4"
         assert rep["command"] == "verify-isonat"
         assert rep["seed"] == 11
         assert "config" in rep and "results" in rep
@@ -205,7 +205,7 @@ class TestReportShape:
         code = main(["verify-isonat", "--config", cfg_path])
         assert code == 0
         rep = json.loads(capsys.readouterr().out)
-        assert rep["schema"] == "levy-id/3"
+        assert rep["schema"] == "levy-id/4"
 
 
 class TestDeterminism:
@@ -741,24 +741,28 @@ class TestZeroSeVerdicts:
         assert reprs["pass"]
         assert all(e["z"] == 0.0 for e in reprs["entries"])
 
-    def test_mixing_invariance_unequal_exact_values_fail(self, tmp_path, monkeypatch):
+    def test_second_mixing_mean_unequal_exact_values_fail(self, tmp_path, monkeypatch):
+        # exact at the first mean, off at the second: the second mean's rows
+        # are gated against the quadrature as the first mean's are
         def exact(rng, spec, panel, n, mixing_mean=1.0, theta=1.0):
-            return np.full(len(panel), 0.1 * mixing_mean), np.zeros(len(panel))
+            est = np.array([levy_functional_quadrature(spec, e) for e in panel])
+            return est * (1.0 if mixing_mean == 1.0 else 1.1), np.zeros(len(panel))
 
         monkeypatch.setattr(cli, "levy_functional_mc", exact)
         code, rep = _run(tmp_path, ["levy-check"], self.LEVY)
-        mix = rep["results"]["mixing_invariance"]
-        assert code == 1 and not mix["pass"]
-        assert all(e["z"] == "inf" for e in mix["entries"])
+        reprs = rep["results"]["representation"]
+        assert code == 1 and not reprs["pass"]
+        assert [e["z"] for e in reprs["entries"]] == [0.0] * 6 + ["inf"] * 6
 
-    def test_mixing_invariance_reuses_the_representation_draw(self, tmp_path):
-        # the mean-1 side is the representation block's estimate, not a
-        # second draw of the same estimator
+    def test_poisson_representation_rows_name_their_mixing_mean(self, tmp_path):
+        # one block: each mean's draw against the same quadrature, and no
+        # two-draw comparison
         _, rep = _run(tmp_path, ["levy-check"], self.LEVY)
-        reprs = rep["results"]["representation"]["entries"]
-        mix = rep["results"]["mixing_invariance"]["entries"]
-        assert len(mix) == len(reprs) == 6
-        assert all(m["lhs"] == r["mc"] for m, r in zip(mix, reprs))
+        assert set(rep["results"]) == {"laplace_exponent", "representation"}
+        rows = rep["results"]["representation"]["entries"]
+        assert [r["mixing_mean"] for r in rows] == [1.0] * 6 + [5.0] * 6
+        assert [r["quadrature"] for r in rows[:6]] == [r["quadrature"] for r in rows[6:]]
+        assert [r["mc"] for r in rows[:6]] != [r["mc"] for r in rows[6:]]
 
     def test_permanental_marginal_equal_to_oracle_passes(self, tmp_path, monkeypatch):
         def exact(rng, chain, m_weights, panel, n):
@@ -868,7 +872,8 @@ def _desk_job(name):
 
 class TestLevyCheckDraws:
     """A levy-check job draws its sampled representations once for the whole
-    panel, and a Poisson job once more at the second mixing mean."""
+    panel, and a Poisson job once more at the second mixing mean; each draw
+    gives one representation row per panel entry."""
 
     @pytest.mark.parametrize("name,streams", [
         ("poisson-levy", [(10, 0), (12, 0)]), ("ts-levy", [(10, 0)]),
@@ -886,7 +891,7 @@ class TestLevyCheckDraws:
         cfg = dict(_desk_job(name), mc={"N": 2000}, levy={"n": 500})
         _, results, _, _ = cli._cmd_levy_check(cfg, 3)
         assert calls == streams
-        assert len(results["representation"]["entries"]) == 6
+        assert len(results["representation"]["entries"]) == 6 * len(streams)
 
 
 class TestDiff:

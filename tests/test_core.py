@@ -30,8 +30,7 @@ from levyid.randkit import RngStream
 class TestTimeGrid:
     def test_valid(self):
         g = make_grid([0.5, 1.0, 2.0])
-        assert len(g.points) == 3
-        assert g.t_max == 2.0
+        assert g.points == (0.5, 1.0, 2.0)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):

@@ -643,7 +643,7 @@ def test_thinned_ensembles_match_stacked_chunks(monkeypatch, pool_cores, family)
         lambda stream, out: thinned_values(stream, spec, 0.3, GRID.points, len(out), out),
         RngStream(19), n, len(GRID))
     want = np.vstack([values_at(RngStream(19).substream(j), thinned_spec(spec, 0.3),
-                                0.3 * GRID.array if family.startswith("ts") else GRID.points, m)
+                                0.3 * np.asarray(GRID.points) if family.startswith("ts") else GRID.points, m)
                       for j, m in enumerate(sizes)])
     assert np.array_equal(got, want)
 
@@ -713,15 +713,16 @@ def _tilting_reference(rng, spec, a, grid, panel, n):
 
 
 def _decomposition_reference(rng, spec, a, grid, panel, n):
-    # the three sequential ensembles: psi, the hidden part, the visible part
-    lhs = _stack_ref(lambda s, m: values_at(s, spec, grid.points, m), rng.substream(1), n)
+    # the two sequential ensembles, the hidden part then the visible part,
+    # against e^{-kappa} from quadrature with SE 0
     hid = _stack_ref(lambda s, m: hidden_values(s, spec, a, grid.points, m),
                      rng.substream(2), n)
     vis = _stack_ref(lambda s, m: visible_values(s, spec, a, grid.points, m),
                      rng.substream(3), n)
     hid += vis
-    return (*weighted_laplace_panel(WeightedEnsemble(grid, lhs), panel),
-            *weighted_laplace_panel(WeightedEnsemble(grid, hid), panel))
+    exact = np.exp(-np.array([levy_functional_quadrature(spec, e) for e in panel]))
+    return (*weighted_laplace_panel(WeightedEnsemble(grid, hid), panel),
+            exact, np.zeros(len(panel)))
 
 
 IDENTITY_SPECS = {

@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levyid import cli
 from levyid.core import (
     ConvSpec,
     JumpLaw,
@@ -161,6 +164,18 @@ class TestVerifyThinningLimit:
         # the cap squeezes the last rung to 200 draws, so its ESS collapses
         assert rep.fields["n_used"] == [100, 200]
         assert 0.02 in rep.notes["ess_collapse_at"]
+
+    def test_uncapped_rung_is_not_flagged(self):
+        # the desk ts-limit job's delta = 1 rung has an ESS near n / 2 by
+        # design (48 of 100 at its suite seed), with n_max far from binding
+        desk = json.loads((Path(__file__).resolve().parents[1]
+                           / "configs" / "suite_desk.json").read_text())
+        j, job = next((j, job) for j, job in enumerate(desk["jobs"])
+                      if job["name"] == "ts-limit")
+        _, results, ok, _ = cli._cmd_limit(job["config"], desk["seed"] + j + 1)
+        assert ok
+        assert results["ess"][0] < 0.5 * results["n_used"][0] < results["n_used"][-1]
+        assert "ess_collapse_at" not in results["notes"]
 
     def test_rejects_bad_ladder(self):
         for bad in [(0.5, 1.5), (), (0.3, 0.3), (0.1, 0.5)]:

@@ -9,8 +9,11 @@ levy-check mutation, on the desk's Sato and conv processes at levy.n = N/2,
 reads max |z| of 19 and 30 against its REPR_Z = 4 gate. The Poisson
 sampler's inversion table built at 1.1 times each step's mean reads max |z|
 of 15.9 to 18.0 in levy-check's Laplace-exponent block (unmutated at most
-2.3) on seeds 1-5 and the one below, which MARGIN also clears; both sides
-of every other check share that sampler, so only an exact value catches it.
+2.3) on seeds 1-5 and the one below, and of 17.7 to 19.0 in the
+decomposition, whose hidden + visible sum is gated against the exact
+e^{-kappa} (unmutated at most 1.9, same seeds). MARGIN clears both. The tilting
+check compares two sides that share the sampler, so an exact value is what
+catches it.
 Scaling E psi(a) in
 the tilting weights by 1.1 reads max |z| of 7.8 to 17.8 on seeds 1-4 and the
 one below, hence its own NORMALIZER_MARGIN.
@@ -124,6 +127,15 @@ def test_poisson_table_at_wrong_mean_fails(tmp_path, monkeypatch):
     assert code == 1 and not results["laplace_exponent"]["pass"]
     assert results["representation"]["pass"]
     assert _max_abs_z(results["laplace_exponent"]) > MARGIN
+
+
+def test_poisson_table_at_wrong_mean_fails_decomposition(tmp_path, monkeypatch):
+    # hidden + visible share the mutated sampler, and only their exact
+    # e^{-kappa} target does not
+    real = processes._poisson_table
+    monkeypatch.setattr(processes, "_poisson_table", lambda mean: real(1.1 * mean))
+    code, rep = _run(tmp_path, "verify-condition", FAMILIES["poisson"])
+    assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
 
 
 @pytest.mark.parametrize("family", ["sato", "conv"])
