@@ -528,14 +528,18 @@ def _nonnegative_finite(x: np.ndarray) -> bool:
 
 @dataclass
 class WeightedEnsemble:
-    """Paths on a common grid with nonnegative importance weights."""
+    """Paths on a common grid with nonnegative importance weights.
+
+    The values are kept column-major (Fortran order), as the samplers draw
+    them, so each grid column a Laplace functional reads is contiguous; a
+    C-ordered input is copied once."""
 
     grid: TimeGrid
     values: np.ndarray
     weights: np.ndarray = None
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=float)
+        self.values = np.asfortranarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[1] != len(self.grid):
             raise ValueError("values must be (n, len(grid))")
         # weights made here are all one: consumers may skip multiplying by them

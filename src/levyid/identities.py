@@ -118,7 +118,7 @@ def companion_values(
         raise ValueError("pin time a must be positive")
     pts = np.asarray(points, dtype=float)
     if out is None:
-        out = np.empty((n, pts.size))
+        out = np.empty((n, pts.size), order="F")
     if isinstance(spec, ConvSpec):
         reach = _kernel_reach(rng.substream(1).generator, spec.kernel, a, n)
         law = spec.z.law if isinstance(spec.z, JumpLawSpec) else spec.z
@@ -153,7 +153,7 @@ def visible_values(
         raise ValueError("pin time a must be positive")
     pts = np.asarray(points, dtype=float)
     if out is None:
-        out = np.empty((n, pts.size))
+        out = np.empty((n, pts.size), order="F")
     if isinstance(spec, (PoissonSpec, TemperedStableSpec, SatoSpec)):
         return values_at(rng, spec, np.minimum(pts, a), n, out)
     if isinstance(spec, ConvSpec):
@@ -181,7 +181,7 @@ def hidden_values(
         raise ValueError("pin time a must be positive")
     pts = np.asarray(points, dtype=float)
     if out is None:
-        out = np.empty((n, pts.size))
+        out = np.empty((n, pts.size), order="F")
     if isinstance(spec, (PoissonSpec, TemperedStableSpec)):
         return values_at(rng, spec, np.maximum(pts - a, 0.0), n, out)
     if isinstance(spec, SatoSpec):

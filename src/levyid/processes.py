@@ -5,21 +5,25 @@ nonnegative times. Values at t = 0 are exactly 0 for all families. Poisson
 and tempered stable paths are built from independent increments; the
 self-similar and moving-average families are built from the explicit jump
 set of their compound Poisson driver, which makes the path exact. A Poisson
-increment of mean below 10 inverts one uniform through a guide table (Chen
-and Asau, 1974; Devroye, 1986, III.2), exact up to rounding of its atoms;
-larger means and driver jump counts keep numpy's sampler. The one
+increment of mean below 10 inverts one uniform through a table of _CELLS
+equal cells of [0, 1), each holding its count or -1 where the CDF steps
+inside it, and a binary search for the rows in a -1 cell (a guide table:
+Chen and Asau, 1974; Devroye, 1986, III.2), exact up to rounding of its
+atoms; larger means and driver jump counts keep numpy's sampler. The one
 exception is a self-similar family whose driver's jump law is not
 exponential: its driver is truncated at required_cutoff, which neglects a
 tail below _TAIL_FRACTION of the mean at the smallest positive time.
 
-Every sampler writes its values into `out`, a C-contiguous (n, len(points))
-float block; the family samplers require it, and values_at allocates one
-when it is not given. sample_ensemble allocates each ensemble's matrix once
-and hands every chunk task its own row block to fill, so no ensemble is
-stacked from chunk copies. On sorted distinct points with every step
-positive, a Poisson path's uniforms are drawn straight into the block
-(Generator.random(out=...) fills it in the C order of random((n, k)), so the
-bits are the same) and inverted and summed there.
+Every sampler writes its values into `out`, an (n, len(points)) float
+block; the family samplers require it, and values_at allocates one when it
+is not given. Every block allocated here is column-major (Fortran order),
+so each time column a sampler writes and each column a Laplace functional
+reads is contiguous; a C-ordered block gets the same bits, more slowly.
+sample_ensemble allocates each ensemble's matrix once and hands every chunk
+task its own row block to fill, so no ensemble is stacked from chunk copies;
+a row block of a column-major matrix is one contiguous segment per column.
+A Poisson chunk draws its uniforms into a C-ordered (n, k) scratch, the
+same stream as random((n, k)), and inverts each column into the block.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ _MAX_SUBSTEPS = 1024
 # numpy's Poisson sampler rejects means above about 9.22e18; it draws only
 # increments of mean >= 10 and the driver jump counts of _jump_set
 _POISSON_MEAN_MAX = 9.2e18
-_GUIDE = 256  # guide-table entries of the Poisson inversion
+_CELLS = 4096  # equal cells of [0, 1) in the Poisson inversion's table
 
 # most expected driver jumps one _jump_set call may draw (about 1 GB of jump
 # arrays); the desk configs reach about 7e5
@@ -92,20 +96,18 @@ def _cumulative(points, increments, out) -> np.ndarray:
 
     increments(steps, buf) draws the increments of the k step lengths into
     the (n, k) float buffer buf: `out` itself when the points are sorted and
-    distinct, else a fresh block.
+    distinct, else a fresh column-major block.
     """
     uniq, inv = np.unique(np.asarray(points, dtype=float), return_inverse=True)
     steps = np.diff(np.concatenate([[0.0], uniq]))
     direct = np.array_equal(inv, np.arange(inv.size))  # sorted and distinct
-    inc = out if direct else np.empty((out.shape[0], steps.size))
+    inc = out if direct else np.empty((out.shape[0], steps.size), order="F")
     increments(steps, inc)
     # column by column in place: the same additions, in the same order, as
     # np.cumsum along rows, without its copy
     for j in range(1, inc.shape[1]):
         inc[:, j] += inc[:, j - 1]
     if not direct:
-        # column copies keep C order; inc[:, inv] returns Fortran order, and
-        # take along axis 1 is slower
         for i, j in enumerate(inv):
             out[:, i] = inc[:, j]
     return out
@@ -144,11 +146,14 @@ def _squarable(draw: np.ndarray, span: float) -> np.ndarray:
     return draw
 
 
+@functools.lru_cache(maxsize=256)  # bounded: a sweep over rates meets endless means
 def _poisson_table(mean: float):
-    """(F, g) for inverting Poisson(mean), 0 < mean < 10: the float CDF by
-    the pmf recurrence p_k = p_{k-1} mean / k, cut where a term no longer
-    moves it, its last entry clamped to 1 so that it takes the tail mass past
-    the table; and the guide g[j] = min{k : F[k] > j / _GUIDE}."""
+    """(F, c) for inverting Poisson(mean), 0 < mean < 10, both read-only:
+    the float CDF by the pmf recurrence p_k = p_{k-1} mean / k, cut where a
+    term no longer moves it, its last entry clamped to 1 so that it takes the
+    tail mass past the table; and the int8 cell table, c[j] = min{k : F[k] >
+    u} for every double u in [j, j + 1) / _CELLS when that count is the same
+    at the cell's first and last double, and -1 where F steps inside it."""
     p = math.exp(-mean)
     cdf = [p]
     while cdf[-1] < 1.0:
@@ -158,19 +163,23 @@ def _poisson_table(mean: float):
         cdf.append(cdf[-1] + p)
     cdf[-1] = 1.0
     cdf = np.array(cdf)
-    return cdf, np.searchsorted(cdf, np.arange(_GUIDE) / _GUIDE, side="right")
+    edges = np.arange(_CELLS + 1) / _CELLS
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    last = np.searchsorted(cdf, np.nextafter(edges[1:], 0.0), side="right")
+    cells = np.where(first == last, first, -1).astype(np.int8)
+    cdf.flags.writeable = cells.flags.writeable = False
+    return cdf, cells
 
 
-def _invert(col, cdf, guide) -> None:
-    """Overwrites each uniform u in the column `col` with min{k : u < cdf[k]}:
-    the guide gives a first k, and the few rows where u >= cdf[k] step on."""
-    u = np.ascontiguousarray(col)  # a strided column is slower to read twice
-    x = guide[(u * _GUIDE).astype(np.intp)]
-    rows = np.flatnonzero(u >= cdf[x])
-    while rows.size:
-        x[rows] += 1
-        rows = rows[u[rows] >= cdf[x[rows]]]
-    col[:] = x
+def _invert(u, cdf, cells, out) -> None:
+    """Writes min{k : u < cdf[k]} for each uniform u of the column `u` into
+    the column `out`: the cell table gives it, except in the cells where cdf
+    steps, whose rows (about 1%) take the full search."""
+    x = cells[(u * _CELLS).astype(np.intp)]
+    out[:] = x
+    rows = np.flatnonzero(x < 0)
+    if rows.size:
+        out[rows] = np.searchsorted(cdf, u[rows], side="right")
 
 
 def _poisson_values(rng: RngStream, rate: float, points, n: int, out) -> np.ndarray:
@@ -180,21 +189,15 @@ def _poisson_values(rng: RngStream, rate: float, points, n: int, out) -> np.ndar
         # without moving the other columns' draws
         drawn = np.flatnonzero(lam)
         gen = rng.generator
-        if drawn.size == lam.size:
-            u = gen.random(out=inc)  # the same C-order fill as random((n, k))
-        else:
-            u = gen.random((n, drawn.size))
-        tables = {}
-        for j, mean in enumerate(lam[drawn]):
+        u = gen.random((n, drawn.size))  # C order: one uniform per cell, row by row
+        inc[:, lam == 0] = 0.0
+        for i, j in enumerate(drawn):
+            mean = float(lam[j])
             if mean >= 10:  # numpy's PTRS regime, where a table needs O(sqrt(mean)) entries
-                u[:, j] = gen.poisson(mean, n)
-                continue
-            if mean not in tables:
-                tables[mean] = _poisson_table(mean)
-            _invert(u[:, j], *tables[mean])
-        if drawn.size < lam.size:
-            inc[:, lam == 0] = 0.0
-            inc[:, drawn] = u
+                inc[:, j] = gen.poisson(mean, n)
+            else:
+                # looked up per column, so a rebinding of the name takes effect
+                _invert(u[:, i], *_poisson_table(mean), inc[:, j])
 
     return _cumulative(points, increments, out)
 
@@ -333,16 +336,19 @@ def _conv_values(
     fmat = spec.kernel(pts[None, :] - mids[:, None])
     if jump_filter is not None:
         fmat = fmat * jump_filter(mids)[:, None]
-    # BLAS threads split this gemm's output, not its inner sums: thread-count-free
-    return np.matmul(dz, fmat, out=out)
+    # BLAS threads split this gemm's output, not its inner sums: thread-count-free.
+    # The product goes to a C-ordered temporary, whose bits do not follow the
+    # order of `out`
+    out[...] = dz @ fmat
+    return out
 
 
 def values_at(rng: RngStream, spec: ProcessSpec, points, n: int, out=None) -> np.ndarray:
     """(n, len(points)) matrix of fresh realizations evaluated at `points`,
-    written into `out`, a C-contiguous float block of that shape, and
-    returned; without `out` a fresh block is allocated."""
+    written into `out`, a float block of that shape, and returned; without
+    `out` a fresh column-major block is allocated."""
     if out is None:
-        out = np.empty((n, len(points)))
+        out = np.empty((n, len(points)), order="F")
     if isinstance(spec, PoissonSpec):
         return _poisson_values(rng, spec.rate, points, n, out)
     if isinstance(spec, TemperedStableSpec):
@@ -429,8 +435,8 @@ def sample_ensemble(fn, rng: RngStream | tuple, n: int, width: int):
     """Draw an (n, width) ensemble in chunks of fixed size, each from its own
     substream.
 
-    Each ensemble is one (n, width) matrix allocated here, and its chunk k
-    fills its own row block `out` in place: fn(stream, out) with
+    Each ensemble is one column-major (n, width) matrix allocated here, and
+    its chunk k fills its own row block `out` in place: fn(stream, out) with
     stream = rng.substream(k); what fn returns is ignored. With one stream
     `rng` the result is one array. With a tuple of streams, one per
     independent ensemble, fn(s, stream, out) fills chunk k of ensemble s from
@@ -445,7 +451,7 @@ def sample_ensemble(fn, rng: RngStream | tuple, n: int, width: int):
     single = isinstance(rng, RngStream)
     streams = (rng,) if single else rng
     draw = (lambda s, stream, rows: fn(stream, rows)) if single else fn
-    out = [np.empty((n, width)) for _ in streams]
+    out = [np.empty((n, width), order="F") for _ in streams]
     _run([functools.partial(draw, s, _chunk_stream(stream, k), out[s][lo:lo + CHUNK])
           for s, stream in enumerate(streams) for k, lo in enumerate(range(0, n, CHUNK))])
     return out[0] if single else out
@@ -454,7 +460,7 @@ def sample_ensemble(fn, rng: RngStream | tuple, n: int, width: int):
 def sample_paths(
     rng: RngStream, spec: ProcessSpec, grid: TimeGrid, n: int, workers: int = 1
 ) -> np.ndarray:
-    """(n, len(grid)) ensemble of independent paths.
+    """(n, len(grid)) ensemble of independent paths, in Fortran order.
 
     `workers` is ignored; it stays for callers that still pass it.
     """

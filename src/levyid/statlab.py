@@ -10,8 +10,10 @@ the terms w v of every panel entry, for weights of mean exactly one such as
 the tilting weights psi(a) / E psi(a); the tilting LHS passes those weights
 as the control, with mean 1. The SEs are closed-form, so they consume no
 random draws. The panel resolves every entry's grid columns once per call,
-reduces each entry in one product pass into one reused n-buffer, and
-multiplies by the weights only when the ensemble was given weights.
+reduces each entry in one product pass into one reused n-buffer, reading
+each grid column of the column-major ensemble values as one contiguous
+vector, and multiplies by the weights only when the ensemble was given
+weights.
 
 A Check holds one report block: each row's estimate and target with their
 SEs, z-scored by `compare`, and one gate on every |z|. Identity blocks and

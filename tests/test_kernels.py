@@ -19,8 +19,10 @@ tempered-stable rejection sampler keeps its first round's candidates as the
 output instead of scattering them, the alpha = 1/2 inverse-Gaussian step
 works in place, the tabulated reach sampler inverts each draw by its own
 segment's rule only, and the Poisson sampler leaves zero steps
-out of its draw and inverts each uniform from a guide table in place of a
-full search. They must still perform the same
+out of its draw and inverts each uniform from a cell table in place of a
+full search. Every ensemble is stored column-major, so a sampler writes
+the same bits into a Fortran-ordered block as into a C-ordered one. They
+must still perform the same
 floating-point operations, in the same order, on the same draws, so that
 every report keeps its bytes. Each kernel is compared with np.array_equal
 (or == on floats) against the expression it replaced, kept here as the
@@ -69,7 +71,7 @@ from levyid.permanental import (
     sample_local_times,
 )
 from levyid.processes import (
-    _GUIDE,
+    _CELLS,
     _cumulative,
     _invert,
     _jump_set,
@@ -504,19 +506,33 @@ INVERSION_MEANS = [1e-300, 1e-9, 0.05, 0.325, 0.5, 0.65, 1.3, 2.6, 7.0, 9.99]
 
 @pytest.mark.parametrize("mean", INVERSION_MEANS)
 def test_guide_table_matches_full_search(mean):
-    cdf, guide = _poisson_table(mean)
+    cdf, cells = _poisson_table(mean)
     assert np.array_equal(cdf, _poisson_cdf_ref(mean))
-    assert np.array_equal(guide, np.searchsorted(cdf, np.arange(_GUIDE) / _GUIDE, side="right"))
-    # every knot, its neighbours, every guide boundary and the largest uniform
+    assert cells.dtype == np.int8 and cells.shape == (_CELLS,)
+    # every knot, its neighbours, each cell's first and last double on the
+    # uniforms' 2^-53 lattice, and the largest uniform
     knots = cdf[cdf < 1.0]
+    j = np.arange(_CELLS)
     u = np.concatenate([RngStream(5).generator.random(50_000), knots,
                         np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
-                        np.arange(_GUIDE) / _GUIDE, [0.0, 1.0 - 2.0**-53]])
-    # a strided column of a two-column block, as the sampler passes it
-    block = np.stack([u, -u], axis=1)
-    _invert(block[:, 0], cdf, guide)
-    assert np.array_equal(block[:, 0], np.searchsorted(cdf, u, side="right"))
-    assert np.array_equal(block[:, 1], -u)
+                        j / _CELLS, (j + 1) / _CELLS - 2.0**-53, [0.0, 1.0 - 2.0**-53]])
+    # read from a strided column of a two-column C-ordered block, as the
+    # sampler reads its uniforms, into a column of a column-major block
+    src = np.stack([u, -u], axis=1)
+    out = np.full((u.size, 2), np.nan, order="F")
+    _invert(src[:, 0], cdf, cells, out[:, 0])
+    assert np.array_equal(out[:, 0], np.searchsorted(cdf, u, side="right"))
+    assert np.isnan(out[:, 1]).all() and np.array_equal(src[:, 1], -u)
+
+
+def test_poisson_table_is_cached_and_read_only():
+    cdf, cells = _poisson_table(1.3)
+    again = _poisson_table(1.3)
+    assert again[0] is cdf and again[1] is cells
+    for table in (cdf, cells):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    assert np.array_equal(cdf, _poisson_cdf_ref(1.3))
 
 
 @pytest.mark.parametrize("size", [1, 5_000, 50_000])
@@ -550,11 +566,11 @@ def test_one_chunk_ensemble_is_the_chunk_itself():
 
     def fn(stream, out):
         blocks.append(out)
-        stream.generator.random(out=out)
+        out[...] = stream.generator.random(out.shape)
         return np.zeros((1, 1))
 
     got = sample_ensemble(fn, RngStream(2), 1000, 3)
-    assert got.shape == (1000, 3) and got.flags.c_contiguous
+    assert got.shape == (1000, 3) and got.flags.f_contiguous
     assert len(blocks) == 1 and blocks[0].shape == got.shape
     assert np.shares_memory(blocks[0], got)
     ref = np.vstack([RngStream(2).substream(0).generator.random((1000, 3))])
@@ -668,6 +684,45 @@ def test_parts_into_blocks_match_stacked_chunks(monkeypatch, pool_cores, part, f
     got, want = _blocks_and_stack(BLOCK_SPECS[family], GRID.points, PARTS[part],
                                   2 * processes.CHUNK + 7)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("points", BLOCK_POINTS.values(), ids=BLOCK_POINTS.keys())
+@pytest.mark.parametrize("family", BLOCK_SPECS)
+def test_values_into_fortran_and_c_blocks_agree(family, points):
+    # every block the package allocates is column-major; a C-ordered block
+    # given by a caller gets the same bits
+    n = 1000
+    blocks = [np.full((n, len(points)), np.nan, order=order) for order in "FC"]
+    for block in blocks:
+        assert values_at(RngStream(31), BLOCK_SPECS[family], points, n, block) is block
+    assert np.array_equal(*blocks)
+
+
+def test_ensembles_are_column_major():
+    spec = BLOCK_SPECS["poisson"]
+    arrays = [
+        sample_ensemble(lambda stream, out: values_at(stream, spec, GRID.points, len(out), out),
+                        RngStream(3), 500, len(GRID)),
+        sample_paths(RngStream(3), spec, GRID, 500),
+        values_at(RngStream(3), spec, GRID.points, 500),
+        *(part(RngStream(3), spec, GRID.points, 500) for part in PARTS.values()),
+        visible_values(RngStream(3), spec, 1.0, GRID.points, 500),
+    ]
+    for values in arrays:
+        assert values.shape == (500, len(GRID)) and values.flags.f_contiguous
+
+
+def test_weighted_ensemble_keeps_column_major_values():
+    values = sample_paths(RngStream(8), BLOCK_SPECS["ts"], GRID, 3000)
+    weights = values[:, 2] / mean_function(BLOCK_SPECS["ts"], 1.0)
+    ens = WeightedEnsemble(GRID, values, weights)
+    assert np.shares_memory(ens.values, values)
+    c_ens = WeightedEnsemble(GRID, np.ascontiguousarray(values), weights)
+    assert c_ens.values.flags.f_contiguous
+    for control in (None, (weights, 1.0)):
+        got = weighted_laplace_panel(ens, PANEL, control=control)
+        want = weighted_laplace_panel(c_ens, PANEL, control=control)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def _companion_ref(rng, spec, a, points, n):
