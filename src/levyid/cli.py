@@ -2,7 +2,7 @@
 
 Subcommands
     simulate          sample an ensemble and check first moments
-    verify-isonat     size-biased tilting identity, weighted vs companion sum
+    verify-isonat     size-biased tilting identity, against e^{-kappa} times companion
     verify-condition  hidden + visible decomposition identity
     levy-check        Laplace exponent and jump-measure representations
     permanental       finite-state permanental identity battery
@@ -10,7 +10,7 @@ Subcommands
     suite             run a list of the above as one batch
     diff              compare two reports outside their timestamp blocks
 
-Reports are JSON tagged "schema": "levy-id/4" and embed the resolved config.
+Reports are JSON tagged "schema": "levy-id/5" and embed the resolved config.
 Identical config + seed give byte-identical reports apart from the timestamp
 block. The text has a two-space indent, keys sorted as strings, ASCII
 escapes, and non-finite floats as the strings "inf", "-inf" and "nan"; it is
@@ -71,7 +71,7 @@ from .processes import sample_paths
 from .randkit import RngStream
 from .statlab import Check, mean_se
 
-SCHEMA = "levy-id/4"
+SCHEMA = "levy-id/5"
 DEFAULT_GRID = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_N = 200_000
 DEFAULT_B = 500

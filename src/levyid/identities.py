@@ -9,10 +9,12 @@ pin time a > 0 on the working grid:
   from jumps invisible at a (the conditional law given psi(a) = 0) plus
   the part built from jumps alive at a.
 
-Tilting compares the weighted empirical Laplace functionals of its two
-sides over a panel. The decomposition's sum has the law of psi, whose
-Laplace functional e^{-kappa(alpha)} the quadrature gives exactly, so it is
-gated against that value: one sample, not two.
+Both are gated against the exact Laplace functional of psi,
+e^{-kappa(alpha)}, which the quadrature gives. The tilted psi has the law of
+psi plus the companion, so its weighted Laplace functional is gated against
+e^{-kappa} times the companion's, which alone is sampled. The
+decomposition's sum has the law of psi, so it is gated against e^{-kappa}
+itself: one sample, not two.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from .statlab import (
     weighted_laplace_panel,
 )
 
-# substream tags; fixed so reports are reproducible from one master stream
+# substream tags; fixed so reports are reproducible from one master stream.
+# Tilting draws LHS and companion on 1 and 3, the decomposition hidden and
+# visible parts on 2 and 3
 _TAG_LHS = 1
 _TAG_RHS_BASE = 2
 _TAG_RHS_ADD = 3
@@ -105,6 +109,11 @@ def _tabulated_reach(gen, kernel: TabulatedKernel, a: float, n: int) -> np.ndarr
     return ks[i] + np.minimum(h, widths[i])
 
 
+def _birth(spec: ProcessSpec, a: float, u: np.ndarray) -> np.ndarray:
+    """The companion jump's birth time from its uniform u: a u^(1/H) (Sato) or a u."""
+    return a * u ** (1.0 / spec.H) if isinstance(spec, SatoSpec) else a * u
+
+
 def companion_values(
     rng: RngStream, spec: ProcessSpec, a: float, points, n: int, out=None
 ) -> np.ndarray:
@@ -129,8 +138,7 @@ def companion_values(
     # the jump is born at a uniform time (Sato: a * u^(1/H)) and has size 1
     # (Poisson), Gamma(1 - alpha) (tempered stable) or a^H u v (Sato)
     u = rng.substream(1).generator.random(n)
-    birth = a * u ** (1.0 / spec.H) if isinstance(spec, SatoSpec) else a * u
-    np.greater_equal(pts, birth[:, None], out=out)
+    np.greater_equal(pts, _birth(spec, a, u)[:, None], out=out)
     if isinstance(spec, TemperedStableSpec):
         out *= rng.substream(2).generator.gamma(1.0 - spec.alpha, 1.0, n)[:, None]
     elif isinstance(spec, SatoSpec):
@@ -223,39 +231,41 @@ def verify_tilting_identity(
     n: int,
     z_crit: float = 3.0,
 ) -> Check:
-    """Size-biased psi against psi + companion, on independent streams.
+    """Size-biased psi against e^{-kappa(alpha)} T(alpha), T the Laplace
+    functional of the independent companion.
 
-    Both sides are drawn in one sample_ensemble call, each chunk into its
-    row block; an RHS chunk adds its companion onto its base paths. The
-    tilting weights have mean exactly one, so the LHS uses that known
-    normalizer and regresses out the weights as a control of mean one
-    (`statlab.mean_se`); the notes give the weights' effective sample size
-    and largest share.
+    rhs = e^{-kappa} T-hat and rhs_se = e^{-kappa} se(T-hat), kappa from
+    `levy_functional_quadrature`, as at the ladder's delta = 1 rung. The LHS
+    (substream 1) and the companion alone (substream 3) are drawn in one
+    sample_ensemble call, each chunk into its row block. The tilting weights
+    have mean exactly one, so the LHS uses that known normalizer and
+    regresses out the weights as a control of mean one (`statlab.mean_se`);
+    the notes name both estimators and give the weights' effective sample
+    size and largest share.
     """
     tilt = _tilt(spec, a, grid)
 
     def draw(side, stream, out):
         if side == 0:
             values_at(stream, spec, grid.points, len(out), out)
-            return
-        base, add = stream
-        values_at(base, spec, grid.points, len(out), out)
-        out += companion_values(add, spec, a, grid.points, len(out))
+        else:
+            out[...] = companion_values(stream, spec, a, grid.points, len(out))
 
-    lhs_vals, rhs_vals = sample_ensemble(draw, (
-        rng.substream(_TAG_LHS),
-        (rng.substream(_TAG_RHS_BASE), rng.substream(_TAG_RHS_ADD)),
-    ), n, len(grid))
+    lhs_vals, add_vals = sample_ensemble(
+        draw, (rng.substream(_TAG_LHS), rng.substream(_TAG_RHS_ADD)), n, len(grid))
     lhs_ens = tilt(lhs_vals)
     w = lhs_ens.weights
     if not w.any():
         raise ValueError(f"no drawn path has psi(a) > 0 at a={a:g}, so none can be "
                          "tilted; raise 'mc.N'")
     lhs, lhs_se = weighted_laplace_panel(lhs_ens, panel, control=(w, 1.0))
-    rhs, rhs_se = weighted_laplace_panel(WeightedEnsemble(grid, rhs_vals), panel)
+    t_est, t_se = weighted_laplace_panel(WeightedEnsemble(grid, add_vals), panel)
+    decay = np.exp(-np.array([levy_functional_quadrature(spec, e) for e in panel]))
     notes = {"lhs_estimator": "control-variate", "lhs_ess": effective_sample_size(w),
-             "lhs_max_weight_share": float(w.max() / w.sum())}
-    return build_identity_report("tilting", panel, lhs, rhs, lhs_se, rhs_se, z_crit, n, notes)
+             "lhs_max_weight_share": float(w.max() / w.sum()),
+             "rhs_estimator": "exact-kappa-times-companion"}
+    return build_identity_report("tilting", panel, lhs, decay * t_est, lhs_se, decay * t_se,
+                                 z_crit, n, notes)
 
 
 def verify_decomposition_identity(

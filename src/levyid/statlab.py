@@ -5,10 +5,11 @@ Every identity is a statement about Laplace functionals, so every verdict is
 a z-test on the mean of per-row terms. `mean_se` is the one estimator of
 that mean and its SE: sum t / n with se = sqrt(sum (t - est)^2) / n, and
 optionally a control of known mean regressed out (Owen, Monte Carlo theory,
-methods and examples, chs. 8 and 9). `weighted_laplace_panel` applies it to
-the terms w v of every panel entry, for weights of mean exactly one such as
-the tilting weights psi(a) / E psi(a); the tilting LHS passes those weights
-as the control, with mean 1. The SEs are closed-form, so they consume no
+methods and examples, chs. 8 and 9); terms that are all equal give their
+value with se 0. `weighted_laplace_panel` applies it to the terms w v of
+every panel entry, for weights of mean exactly one such as the tilting
+weights psi(a) / E psi(a); the tilting LHS passes those weights as the
+control, with mean 1. The SEs are closed-form, so they consume no
 random draws. The panel resolves every entry's grid columns once per call,
 reduces each entry in one product pass into one reused n-buffer, reading
 each grid column of the column-major ensemble values as one contiguous
@@ -86,6 +87,7 @@ def _mean_se(t: np.ndarray, control, work: np.ndarray):
     from `_centred_control` (or None) and the scratch n-buffer `work`."""
     n = t.size
     if control is None:
+        first = t[0]
         est = np.sum(t) / n
         if n < 2:
             return est, 0.0
@@ -96,7 +98,12 @@ def _mean_se(t: np.ndarray, control, work: np.ndarray):
         beta = np.sum(np.multiply(t, cc, out=work)) / scc if scc > 0 else 0.0
         est = t_mean - beta * offset
         np.subtract(t, np.multiply(cc, beta, out=work), out=t)
-    return est, math.sqrt(np.sum(np.multiply(t, t, out=work))) / n
+    se = math.sqrt(np.sum(np.multiply(t, t, out=work))) / n
+    # equal terms are exact: their value with se 0, not sum / n and its
+    # rounding noise (the deviations, exact at this se, are then all equal)
+    if control is None and se <= 1e-12 * abs(est) and (t == t[0]).all():
+        return first, 0.0
+    return est, se
 
 
 def mean_se(t, control=None):
@@ -109,7 +116,9 @@ def mean_se(t, control=None):
     sum (c - mean c)^2 (0 for a constant c) is regressed out: est = mean t -
     b (mean c - m) and se = sqrt(sum (t - mean t - b (c - mean c))^2) / n.
     The means with a control are taken after a shift by the first value, so
-    equal terms give se exactly 0.
+    equal terms give their value and se exactly 0; without one, terms that
+    are all equal give their value and se 0 in place of sum / n and an se
+    of rounding noise.
     """
     t = np.array(t, dtype=float)
     if t.ndim != 1 or t.size == 0:

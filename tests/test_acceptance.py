@@ -69,12 +69,14 @@ def test_01_tilting_exact_oracle(capsys):
         RngStream(801), PoissonSpec(rate=1.0), 1.0, make_grid([1.0]), panel,
         n=200_000,
     )
-    # size-biased unit Poisson at t = 1: E[N e^{-N}] / E[N] = e^{1/e - 2}
+    # size-biased unit Poisson at t = 1: E[N e^{-N}] / E[N] = e^{1/e - 2}.
+    # The companion is 1 at t = a on every path, so e^{-kappa} T is exact
     want = math.exp(math.exp(-1.0) - 2.0)
     ok = (
         rep.overall_pass
         and abs(rep.lhs[0] - want) <= 3.0 * rep.lhs_se[0]
-        and abs(rep.rhs[0] - want) <= 3.0 * rep.rhs_se[0]
+        and math.isclose(rep.rhs[0], want, rel_tol=1e-12)
+        and rep.rhs_se[0] == 0.0
     )
     dt = time.perf_counter() - t0
     _stamp(capsys, "01 tilting exact oracle", ok and dt < 10.0, dt)

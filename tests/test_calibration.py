@@ -12,11 +12,14 @@ families:
 - each entry's z variance stays within chi-square error of 1;
 - the decomposition's rows gate hidden + visible against the exact
   e^{-kappa}, so its z is one sample's;
+- the tilting rows gate the tilted LHS against e^{-kappa} times the
+  companion's sampled Laplace functional;
 - on the first BOOT_SEEDS seeds the SEs of every estimate agree with a
   reference percentile bootstrap of the same estimator, computed on the same
   ensembles: the known-normalizer mean's (a plain mean for unit weights),
   or, for the tilting LHS, the control-variate estimator's with its slope
-  refitted in every resample.
+  refitted in every resample. An entry whose terms are all equal has SE
+  exactly 0, and its bootstrap SE sits at rounding level.
 
 The whole thinning ladder, every rung and entry against its exact law under
 one family-wise gate, is scanned over the same seeds on the desk limit jobs'
@@ -159,10 +162,12 @@ def _capture(real, captured):
 
 
 def _identity_scan(verifier, spec, n=N):
-    # on the first BOOT_SEEDS seeds, each sampled side's ensemble is kept with
-    # the estimator the verifier gave it and that estimator's reference
-    # bootstrap: tilting samples both sides, the decomposition only hidden +
-    # visible, whose target e^{-kappa} is exact
+    # on the first BOOT_SEEDS seeds, each sampled ensemble is kept with the
+    # estimator the verifier gave it and that estimator's reference
+    # bootstrap: tilting samples its tilted LHS and the companion alone,
+    # whose panel times the exact e^{-kappa} is its target; the
+    # decomposition samples only hidden + visible, whose target e^{-kappa}
+    # is exact
     tilting = verifier is identities.verify_tilting_identity
     zs, fails, captured = [], 0, []
     for s in range(SEEDS):
@@ -260,12 +265,21 @@ def test_z_variance_near_one(scan):
 
 def test_matches_reference_bootstrap(scan):
     # per entry within the B = 500 bootstrap's own noise (about 5%); the
-    # geometric mean within the percentile-vs-SD gap on skewed ratios
+    # geometric mean within the percentile-vs-SD gap on skewed ratios. An
+    # entry whose terms are all equal (the Poisson companion at t >= a, the
+    # indicator conv companion past its reach) is exact: SE 0, against a
+    # bootstrap SE at rounding level
     _, _, captured = scan
-    ratios = np.array([
-        estimator(ens, PANEL)[1] / reference(ens, PANEL, seed=i)
-        for i, (estimator, reference, ens) in enumerate(captured)
-    ])
+    ratios = []
+    for i, (estimator, reference, ens) in enumerate(captured):
+        est, se = estimator(ens, PANEL)
+        ref = reference(ens, PANEL, seed=i)
+        terms = [ens.weights * laplace_values(ens, e) for e in PANEL]
+        equal = np.array([bool(np.all(t == t[0])) for t in terms])
+        assert np.all(se[equal] == 0.0), se[equal]
+        assert np.all(ref[equal] <= 1e-12 * np.abs(est[equal])), ref[equal]
+        ratios.append(se[~equal] / ref[~equal])
+    ratios = np.concatenate(ratios)
     assert np.all((0.85 < ratios) & (ratios < 1.15)), ratios
     assert 0.95 < math.exp(np.log(ratios).mean()) < 1.05
 

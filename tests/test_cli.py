@@ -185,7 +185,7 @@ class TestReportShape:
     def test_schema_and_fields(self, tmp_path):
         code, rep = _run(tmp_path, ["verify-isonat"], BASE)
         assert code == 0
-        assert rep["schema"] == "levy-id/4"
+        assert rep["schema"] == "levy-id/5"
         assert rep["command"] == "verify-isonat"
         assert rep["seed"] == 11
         assert "config" in rep and "results" in rep
@@ -205,7 +205,7 @@ class TestReportShape:
         code = main(["verify-isonat", "--config", cfg_path])
         assert code == 0
         rep = json.loads(capsys.readouterr().out)
-        assert rep["schema"] == "levy-id/4"
+        assert rep["schema"] == "levy-id/5"
 
 
 class TestDeterminism:

@@ -262,7 +262,8 @@ class TestReportContents:
         assert rep.notes == {"lhs_estimator": "control-variate",
                              "lhs_ess": pytest.approx(w.sum() ** 2 / (w**2).sum(), rel=1e-12),
                              "lhs_max_weight_share": pytest.approx(w.max() / w.sum(),
-                                                                   rel=1e-12)}
+                                                                   rel=1e-12),
+                             "rhs_estimator": "exact-kappa-times-companion"}
         assert 0 < rep.notes["lhs_ess"] < n
         assert rep.to_dict()["notes"] == rep.notes
 

@@ -6,8 +6,8 @@ allocating a copy per step, and the killed-chain loop steps compacted arrays
 of live chains instead of indexing the full matrices. A jump-law moment's
 value at a level does not depend on the array it comes in, and a levy-check
 job integrates each quadrature piece once. An identity check draws its two
-sides' chunks as one batch of tasks on the shared sampler pool, adding each
-right-hand-side chunk's two parts inside its task, instead of in three
+sides' chunks as one batch of tasks on the shared sampler pool (for the
+decomposition, adding a chunk's two parts inside its task) instead of in two
 sequential ensemble calls, and each chunk writes into its own row block of
 one preallocated ensemble matrix instead of being stacked; a companion
 writes its jump's indicator into its rows and scales it there by the jump
@@ -755,16 +755,17 @@ def _stack_ref(fn, rng, n):
 
 
 def _tilting_reference(rng, spec, a, grid, panel, n):
-    # the three sequential ensembles: tilted psi, psi, then the companion
+    # the two sequential ensembles, tilted psi then the companion alone,
+    # against e^{-kappa} from quadrature times the companion's panel
     ia = int(grid.index_of([a])[0])
     lhs = _stack_ref(lambda s, m: values_at(s, spec, grid.points, m), rng.substream(1), n)
-    base = _stack_ref(lambda s, m: values_at(s, spec, grid.points, m), rng.substream(2), n)
     add = _stack_ref(lambda s, m: companion_values(s, spec, a, grid.points, m),
                      rng.substream(3), n)
-    base += add
     lhs_ens = WeightedEnsemble(grid, lhs, lhs[:, ia] / mean_function(spec, a))
+    t_est, t_se = weighted_laplace_panel(WeightedEnsemble(grid, add), panel)
+    decay = np.exp(-np.array([levy_functional_quadrature(spec, e) for e in panel]))
     return (*weighted_laplace_panel(lhs_ens, panel, control=(lhs_ens.weights, 1.0)),
-            *weighted_laplace_panel(WeightedEnsemble(grid, base), panel))
+            decay * t_est, decay * t_se)
 
 
 def _decomposition_reference(rng, spec, a, grid, panel, n):

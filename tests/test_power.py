@@ -3,20 +3,26 @@
 Every mutation rebinds one module attribute that a verifier looks up at call
 time, then runs the command in-process through cli.main at the smoke suite's
 N. Unmutated, these configs pass with max |z| below 2.7 (seeds 1-3 and the
-one below); every mutation reads max |z| of 36 to 145 there, so MARGIN
-leaves room on both sides of the Bonferroni gate (3.4 to 3.5). The
-levy-check mutation, on the desk's Sato and conv processes at levy.n = N/2,
-reads max |z| of 19 and 30 against its REPR_Z = 4 gate. The Poisson
+one below), but for one chance fail: the H = 1 Sato tilting at seed 2 reads
+3.86, and 1.48 at ten times N. Every mutation not given its own numbers
+below reads max |z| of 36 to 451 there, so MARGIN leaves room on both sides
+of the Bonferroni gate (3.4 to 3.5). The levy-check mutation, on the desk's
+Sato and conv processes at levy.n = N/2, reads max |z| of 19 and 30 against
+its REPR_Z = 4 gate. The Poisson
 sampler's inversion table built at 1.1 times each step's mean reads max |z|
 of 15.9 to 18.0 in levy-check's Laplace-exponent block (unmutated at most
 2.3) on seeds 1-5 and the one below, and of 17.7 to 19.0 in the
 decomposition, whose hidden + visible sum is gated against the exact
-e^{-kappa} (unmutated at most 1.9, same seeds). MARGIN clears both. The tilting
-check compares two sides that share the sampler, so an exact value is what
-catches it.
-Scaling E psi(a) in
-the tilting weights by 1.1 reads max |z| of 7.8 to 17.8 on seeds 1-4 and the
-one below, hence its own NORMALIZER_MARGIN.
+e^{-kappa} (unmutated at most 1.9, same seeds). MARGIN clears both. The tilted
+psi is gated against the exact e^{-kappa} times the companion's Laplace
+functional, so tilting fails that table too, at max |z| of 6.0 to 8.7 (same
+seeds; unmutated at most 2.1), which NORMALIZER_MARGIN clears. Scaling
+E psi(a) in the tilting weights by 1.1 reads max |z| of 7.8 to 17.8 on
+seeds 1-4 and the one below, hence its own NORMALIZER_MARGIN.
+
+A Sato companion born at a u in place of a u^(1/H) is the same draw at the
+H = 1 Sato above, so it runs on the desk's H = 1/2 Sato: max |z| of 23.4 to
+27.3 on seeds 1-5 and the one below (unmutated at most 2.5).
 
 The thinning ladder runs on the desk limit jobs' panel at limit.n = LIMIT_N.
 Drawing every rung from the unthinned process reads max |z| of 55 to 140
@@ -51,6 +57,7 @@ FAMILIES = {
     "conv": {"family": "conv", "kernel": {"kind": "indicator", "length": 1.0},
              "driver": {"rate": 1.0, "law": EXP1}},
 }
+DESK_SATO = {"family": "sato", "H": 0.5, "bdlp": {"rate": 1.0, "law": EXP1}}
 PERM = {"family": "permanental", "rates": [[0.0, 1.0], [1.0, 0.0]],
         "kill": [0.7, 0.4], "beta": 1.0}
 
@@ -114,6 +121,17 @@ def test_companion_from_plain_jump_law_fails(tmp_path, monkeypatch, family):
     assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
 
 
+def test_unmutated_desk_sato_tilting_passes(tmp_path):
+    assert _run(tmp_path, "verify-isonat", DESK_SATO)[0] == 0
+
+
+def test_companion_with_uniform_sato_birth_fails(tmp_path, monkeypatch):
+    # a jump born at a u, not a u^(1/H): at H = 1/2 every birth moves later
+    monkeypatch.setattr(identities, "_birth", lambda spec, a, u: a * u)
+    code, rep = _run(tmp_path, "verify-isonat", DESK_SATO)
+    assert code == 1 and _max_abs_z(rep["results"]) > MARGIN
+
+
 @pytest.mark.parametrize("family", ["poisson", "sato", "conv"])
 def test_unmutated_levy_check_passes(tmp_path, family):
     assert _run(tmp_path, "levy-check", FAMILIES[family])[0] == 0
@@ -127,6 +145,14 @@ def test_poisson_table_at_wrong_mean_fails(tmp_path, monkeypatch):
     assert code == 1 and not results["laplace_exponent"]["pass"]
     assert results["representation"]["pass"]
     assert _max_abs_z(results["laplace_exponent"]) > MARGIN
+
+
+def test_poisson_table_at_wrong_mean_fails_tilting(tmp_path, monkeypatch):
+    # the tilted psi meets the exact e^{-kappa}; the companion draws no path
+    real = processes._poisson_table
+    monkeypatch.setattr(processes, "_poisson_table", lambda mean: real(1.1 * mean))
+    code, rep = _run(tmp_path, "verify-isonat", FAMILIES["poisson"])
+    assert code == 1 and _max_abs_z(rep["results"]) > NORMALIZER_MARGIN
 
 
 def test_poisson_table_at_wrong_mean_fails_decomposition(tmp_path, monkeypatch):

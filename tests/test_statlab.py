@@ -253,6 +253,30 @@ class TestMeanSe:
         est, se = mean_se(np.full(777, 0.1), (w, 1.0))
         assert est == 0.1 and se == 0.0
 
+    @pytest.mark.parametrize("control", [False, True], ids=["plain", "control"])
+    @pytest.mark.parametrize("n", [5_000, 60_000])
+    def test_equal_terms_are_exact(self, n, control):
+        # at n = 60k, sum / n of these terms misses their value in the last
+        # bit; the estimate is the value itself, with se exactly 0
+        v = math.exp(-1.0)
+        ctl = (np.random.default_rng(6).exponential(1.0, n), 1.0) if control else None
+        est, se = mean_se(np.full(n, v), ctl)
+        assert est == v and se == 0.0
+
+    def test_unequal_terms_keep_the_plain_bits(self):
+        # random terms, and equal terms but one, off by a visible gap, by a
+        # gap whose se is at rounding level, and by one ulp
+        v = math.exp(-1.0)
+        cases = [self._terms(kind)[0] for kind in WEIGHTS]
+        for odd in (v * (1 + 1e-3), v * (1 + 1e-9), np.nextafter(v, 1.0)):
+            t = np.full(60_000, v)
+            t[123] = odd
+            cases.append(t)
+        for t in cases:
+            est, se = mean_se(t)
+            assert est == np.sum(t) / t.size
+            assert se == math.sqrt(np.sum((t - est) ** 2)) / t.size and se > 0
+
     def test_leaves_its_inputs(self):
         t, w = self._terms("tilted", n=50)
         t0, w0 = t.copy(), w.copy()
