@@ -81,7 +81,9 @@ REPR_Z = 4.0          # looser gate for the probabilistic nu representations
 # more at the second: the representation does not depend on the mixing law
 MIXING_MEANS = (1.0, 5.0)
 # base rung size for the thinning ladder; per-rung samples scale as n/delta,
-# so every rung's tilted effective sample size stays near n
+# so every rung's tilted effective sample size is of order n, about
+# n / (delta + nu(y(a)^2) / (E psi(a))^2): n / 2 at delta = 1 for Poisson at
+# lambda a = 1
 DEFAULT_LIMIT_N = 100
 
 
@@ -667,8 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed; overrides the config's seed")
         q.add_argument("--out", metavar="PATH",
                        help="write the JSON report here instead of stdout")
-        # ignored, since sampler threads follow the core count; kept while
-        # perfbench/run.py still passes it
+        # ignored, since every ensemble is drawn on the calling thread; kept
+        # while perfbench/run.py still passes it
         q.add_argument("--workers", metavar="N", type=int, default=0,
                        help="ignored; kept for compatibility")
         q.add_argument("--csv", metavar="PATH", help="also write result rows as CSV")

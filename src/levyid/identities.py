@@ -236,8 +236,8 @@ def verify_tilting_identity(
 
     rhs = e^{-kappa} T-hat and rhs_se = e^{-kappa} se(T-hat), kappa from
     `levy_functional_quadrature`, as at the ladder's delta = 1 rung. The LHS
-    (substream 1) and the companion alone (substream 3) are drawn in one
-    sample_ensemble call, each chunk into its row block. The tilting weights
+    (substream 1) and then the companion alone (substream 3) are drawn, each
+    chunk into its row block. The tilting weights
     have mean exactly one, so the LHS uses that known normalizer and
     regresses out the weights as a control of mean one (`statlab.mean_se`);
     the notes name both estimators and give the weights' effective sample
@@ -245,15 +245,11 @@ def verify_tilting_identity(
     """
     tilt = _tilt(spec, a, grid)
 
-    def draw(side, stream, out):
-        if side == 0:
-            values_at(stream, spec, grid.points, len(out), out)
-        else:
-            out[...] = companion_values(stream, spec, a, grid.points, len(out))
+    def companion(stream, out):
+        out[...] = companion_values(stream, spec, a, grid.points, len(out))
 
-    lhs_vals, add_vals = sample_ensemble(
-        draw, (rng.substream(_TAG_LHS), rng.substream(_TAG_RHS_ADD)), n, len(grid))
-    lhs_ens = tilt(lhs_vals)
+    lhs_ens = tilt(sample_paths(rng.substream(_TAG_LHS), spec, grid, n))
+    add_vals = sample_ensemble(companion, rng.substream(_TAG_RHS_ADD), n, len(grid))
     w = lhs_ens.weights
     if not w.any():
         raise ValueError(f"no drawn path has psi(a) > 0 at a={a:g}, so none can be "
@@ -288,14 +284,14 @@ def verify_decomposition_identity(
     """
     grid.index_of([a])  # the pin must sit on the working grid
 
-    def draw(_, stream, out):
+    def draw(stream, out):
         hid, vis = stream
         hidden = hidden_values(hid, spec, a, grid.points, len(out))
         visible_values(vis, spec, a, grid.points, len(out), out)
         out += hidden
 
-    [vals] = sample_ensemble(draw, ((rng.substream(_TAG_RHS_BASE), rng.substream(_TAG_RHS_ADD)),),
-                             n, len(grid))
+    vals = sample_ensemble(draw, (rng.substream(_TAG_RHS_BASE), rng.substream(_TAG_RHS_ADD)),
+                           n, len(grid))
     est, se = weighted_laplace_panel(WeightedEnsemble(grid, vals), panel)
     exact = np.exp(-np.array([levy_functional_quadrature(spec, e) for e in panel]))
     return build_identity_report("decomposition", panel, est, exact, se, np.zeros_like(exact),

@@ -19,9 +19,10 @@ block; the family samplers require it, and values_at allocates one when it
 is not given. Every block allocated here is column-major (Fortran order),
 so each time column a sampler writes and each column a Laplace functional
 reads is contiguous; a C-ordered block gets the same bits, more slowly.
-sample_ensemble allocates each ensemble's matrix once and hands every chunk
-task its own row block to fill, so no ensemble is stacked from chunk copies;
-a row block of a column-major matrix is one contiguous segment per column.
+sample_ensemble allocates each ensemble's matrix once and draws its chunks
+in order on the calling thread, each into its own row block, so no ensemble
+is stacked from chunk copies and no sampler starts a thread; a row block of
+a column-major matrix is one contiguous segment per column.
 A Poisson chunk draws its uniforms into a C-ordered (n, k) scratch, the
 same stream as random((n, k)), and inverts each column into the block.
 """
@@ -29,11 +30,7 @@ same stream as random((n, k)), and inverts each column into the block.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,8 +45,8 @@ from .core import (
 )
 from .randkit import DT_MAX, RngStream, sample_jump, sample_tempered_stable_increment
 
-# replicates per independent stream chunk; fixed so results do not depend on
-# the thread count
+# replicates per independent stream chunk; fixed so results depend only on
+# the streams
 CHUNK = 50_000
 
 # a truncated Sato driver's neglected tail stays below this fraction of
@@ -360,101 +357,29 @@ def values_at(rng: RngStream, spec: ProcessSpec, points, n: int, out=None) -> np
     raise TypeError(f"no path sampler for {type(spec).__name__}")
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity, which taskset and
-    cpuset pins narrow, where the platform reports one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# helper threads shared by every sample_ensemble call in the process, made
-# on first use: (executor, thread count), or None on a single core
-_pool = None
-_pool_lock = threading.Lock()
-# set in the helper threads: a sample_ensemble call inside a task a helper
-# runs draws its chunks in that helper, whose peers hold the outer tasks
-_helper = threading.local()
-
-
-def _helpers():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            size = _usable_cores() - 1
-            if size < 1:
-                return None
-            _pool = (ThreadPoolExecutor(size, "levyid-sampler", initializer=setattr,
-                                        initargs=(_helper, "inline", True)), size)
-        return _pool
-
-
-def _run(tasks) -> None:
-    """Run the zero-argument `tasks`.
-
-    The calling thread and the pool's helpers take tasks from one counter.
-    After a task raises, no new task starts; every earlier task has started
-    by then, so the error raised is the first in task order, whatever the
-    scheduling.
-    """
-    pool = None if getattr(_helper, "inline", False) or len(tasks) < 2 else _helpers()
-    if pool is None:
-        for task in tasks:
-            task()
-        return
-    errors = {}
-    counter = itertools.count()
-
-    def drain():
-        while not errors:
-            i = next(counter)
-            if i >= len(tasks):
-                return
-            try:
-                tasks[i]()
-            except Exception as exc:  # re-raised by the caller below
-                errors[i] = exc
-
-    executor, size = pool
-    futures = [executor.submit(drain) for _ in range(min(size, len(tasks) - 1))]
-    drain()
-    for future in futures:
-        if not future.cancel():  # a helper that never started has nothing to do
-            future.result()
-    if errors:
-        raise errors[min(errors)]
-
-
 def _chunk_stream(stream, k: int):
     if isinstance(stream, RngStream):
         return stream.substream(k)
     return tuple(s.substream(k) for s in stream)
 
 
-def sample_ensemble(fn, rng: RngStream | tuple, n: int, width: int):
+def sample_ensemble(fn, rng: RngStream | tuple, n: int, width: int) -> np.ndarray:
     """Draw an (n, width) ensemble in chunks of fixed size, each from its own
-    substream.
+    substream, in chunk order on the calling thread.
 
-    Each ensemble is one column-major (n, width) matrix allocated here, and
+    The ensemble is one column-major (n, width) matrix allocated here, and
     its chunk k fills its own row block `out` in place: fn(stream, out) with
-    stream = rng.substream(k); what fn returns is ignored. With one stream
-    `rng` the result is one array. With a tuple of streams, one per
-    independent ensemble, fn(s, stream, out) fills chunk k of ensemble s from
-    rng[s].substream(k), and the result is a list of arrays; an entry of the
-    tuple may itself be a tuple of streams drawn together, and fn then gets
-    the tuple of their chunk-k substreams. Every chunk of every ensemble is
-    one task on the shared pool. The chunking is fixed, so the result
-    depends only on the streams, not on the core count.
+    stream = rng.substream(k); what fn returns is ignored. `rng` may be a
+    tuple of streams drawn together, and fn then gets the tuple of their
+    chunk-k substreams. The chunking is fixed, so the result depends only on
+    the streams.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    single = isinstance(rng, RngStream)
-    streams = (rng,) if single else rng
-    draw = (lambda s, stream, rows: fn(stream, rows)) if single else fn
-    out = [np.empty((n, width), order="F") for _ in streams]
-    _run([functools.partial(draw, s, _chunk_stream(stream, k), out[s][lo:lo + CHUNK])
-          for s, stream in enumerate(streams) for k, lo in enumerate(range(0, n, CHUNK))])
-    return out[0] if single else out
+    out = np.empty((n, width), order="F")
+    for k, lo in enumerate(range(0, n, CHUNK)):
+        fn(_chunk_stream(rng, k), out[lo:lo + CHUNK])
+    return out
 
 
 def sample_paths(
@@ -462,7 +387,8 @@ def sample_paths(
 ) -> np.ndarray:
     """(n, len(grid)) ensemble of independent paths, in Fortran order.
 
-    `workers` is ignored; it stays for callers that still pass it.
+    The chunks are drawn on the calling thread; `workers` is ignored and
+    stays for callers that still pass it.
     """
     return sample_ensemble(
         lambda stream, out: values_at(stream, spec, grid.points, len(out), out),

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 
 import numpy as np
 import pytest
@@ -51,13 +52,17 @@ def report_diff(path_a, path_b) -> str:
 
 
 @pytest.fixture(params=[1, 3], ids=["pool-1", "pool-3"])
-def pool_cores(request, monkeypatch):
-    """The usable core count sample_ensemble sizes its pool by, with a fresh
-    pool made for the test and shut down after it."""
-    from levyid import processes
-
-    monkeypatch.setattr(processes, "_usable_cores", lambda: request.param)
-    monkeypatch.setattr(processes, "_pool", None)
-    yield request.param
-    if processes._pool is not None:
-        processes._pool[0].shutdown()
+def cores(request):
+    """The test's thread runs pinned to the first 1, or up to 3, of the cores
+    it may use, its CPU affinity restored after the test; the ids name that
+    pool of cores. No sampler reads the core count, so every case must draw
+    the same bits. Where the platform cannot pin, nothing is pinned."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield request.param
+        return
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(saved)[:request.param])
+    try:
+        yield request.param
+    finally:
+        os.sched_setaffinity(0, saved)

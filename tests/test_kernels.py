@@ -5,9 +5,8 @@ The samplers and the SE panels write into reused buffers instead of
 allocating a copy per step, and the killed-chain loop steps compacted arrays
 of live chains instead of indexing the full matrices. A jump-law moment's
 value at a level does not depend on the array it comes in, and a levy-check
-job integrates each quadrature piece once. An identity check draws its two
-sides' chunks as one batch of tasks on the shared sampler pool (for the
-decomposition, adding a chunk's two parts inside its task) instead of in two
+job integrates each quadrature piece once. A decomposition check draws a
+chunk's two parts and adds them inside that chunk instead of in two
 sequential ensemble calls, and each chunk writes into its own row block of
 one preallocated ensemble matrix instead of being stacked; a companion
 writes its jump's indicator into its rows and scales it there by the jump
@@ -623,7 +622,7 @@ def _blocks_and_stack(spec, points, draw, n):
 
 @pytest.mark.parametrize("points", BLOCK_POINTS.values(), ids=BLOCK_POINTS.keys())
 @pytest.mark.parametrize("family", BLOCK_SPECS)
-def test_values_into_blocks_match_stacked_chunks(monkeypatch, pool_cores, family, points):
+def test_values_into_blocks_match_stacked_chunks(monkeypatch, cores, family, points):
     monkeypatch.setattr(processes, "CHUNK", 400)
     n = 2 * processes.CHUNK + 7
     got, want = _blocks_and_stack(BLOCK_SPECS[family], points, values_at, n)
@@ -634,7 +633,7 @@ def test_values_into_blocks_match_stacked_chunks(monkeypatch, pool_cores, family
 
 
 @pytest.mark.parametrize("family", BLOCK_SPECS)
-def test_visible_values_into_blocks_match_stacked_chunks(monkeypatch, pool_cores, family):
+def test_visible_values_into_blocks_match_stacked_chunks(monkeypatch, cores, family):
     monkeypatch.setattr(processes, "CHUNK", 400)
 
     def visible(stream, spec, points, m, out=None):
@@ -647,7 +646,7 @@ def test_visible_values_into_blocks_match_stacked_chunks(monkeypatch, pool_cores
 
 # a tempered-stable-driven moving average has no thinning rule
 @pytest.mark.parametrize("family", [f for f in BLOCK_SPECS if f != "conv-ts"])
-def test_thinned_ensembles_match_stacked_chunks(monkeypatch, pool_cores, family):
+def test_thinned_ensembles_match_stacked_chunks(monkeypatch, cores, family):
     # the ladder's rungs, thinned_values per chunk as verify_thinning_limit
     # draws them, against the stacked chunks; the tempered-stable family
     # thins by its clock, so its points are scaled and stay off the grid
@@ -679,7 +678,7 @@ PART_CASES = [(p, f) for p in PARTS for f in BLOCK_SPECS if (p, f) != ("thinned"
 
 
 @pytest.mark.parametrize("part,family", PART_CASES, ids=[f"{p}-{f}" for p, f in PART_CASES])
-def test_parts_into_blocks_match_stacked_chunks(monkeypatch, pool_cores, part, family):
+def test_parts_into_blocks_match_stacked_chunks(monkeypatch, cores, part, family):
     monkeypatch.setattr(processes, "CHUNK", 400)
     got, want = _blocks_and_stack(BLOCK_SPECS[family], GRID.points, PARTS[part],
                                   2 * processes.CHUNK + 7)
@@ -798,7 +797,7 @@ VERIFIERS = {
 @pytest.mark.parametrize("chunk", [50_000, 600], ids=["one-chunk", "two-chunks"])
 @pytest.mark.parametrize("identity", VERIFIERS)
 @pytest.mark.parametrize("family", IDENTITY_SPECS)
-def test_identity_sides_match_reference(monkeypatch, pool_cores, chunk, identity, family):
+def test_identity_sides_match_reference(monkeypatch, cores, chunk, identity, family):
     monkeypatch.setattr(processes, "CHUNK", chunk)
     verify, reference = VERIFIERS[identity]
     spec = IDENTITY_SPECS[family]
@@ -810,7 +809,7 @@ def test_identity_sides_match_reference(monkeypatch, pool_cores, chunk, identity
 
 @pytest.mark.parametrize("identity", VERIFIERS)
 @pytest.mark.parametrize("family", ["sato", "conv-indicator"])
-def test_jump_budget_error_matches_reference(pool_cores, identity, family):
+def test_jump_budget_error_matches_reference(cores, identity, family):
     # both chunks of every side exceed the driver-jump budget; the message
     # names the first chunk's 50,000 paths, as the sequential draws raised
     base = IDENTITY_SPECS[family]

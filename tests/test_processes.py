@@ -1,5 +1,4 @@
 import math
-import os
 import sys
 import threading
 import time
@@ -264,8 +263,7 @@ class TestEnsembles:
                                   for f, c in CHUNK_CASES])
     def test_chunk_contract(self, monkeypatch, grid, family, construct):
         # fixed chunks, one substream each, each filling its row block: the
-        # ensemble is the chunks stacked in order, however many threads draw
-        # them
+        # ensemble is the chunks stacked in order
         spec = SAMPLERS[family]
 
         def fn(stream, m, out=None):
@@ -313,48 +311,32 @@ def _within(seconds, call):
 
 
 class TestPool:
-    """Every chunk of every ensemble in one sample_ensemble call is one task
-    on a pool of (usable cores - 1) helper threads plus the caller."""
+    """sample_ensemble draws its chunks in order on the calling thread,
+    whatever the pool of cores that thread may run on."""
 
-    def test_usable_cores_follows_the_affinity(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        assert processes._usable_cores() == 1
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert processes._usable_cores() == 5
-
-    def test_streams_keep_the_bits(self, monkeypatch, grid, pool_cores):
-        # two ensembles, the second drawing two streams per chunk, over three
-        # chunks: each is stacked in chunk order from its own substreams
+    def test_streams_keep_the_bits(self, monkeypatch, grid, cores):
+        # one ensemble drawing two streams per chunk, over three chunks: it is
+        # stacked in chunk order from the streams' substreams, and no thread
+        # starts
         spec = SAMPLERS["sato"]
         monkeypatch.setattr(processes, "CHUNK", 1_000)
         before = threading.active_count()
 
-        def fn(s, stream, m, out=None):
-            if s == 0:
-                return values_at(stream, spec, grid.points, m, out)
+        def fn(stream, m, out=None):
             out = values_at(stream[0], spec, grid.points, m, out)
             out += companion_values(stream[1], spec, 1.0, grid.points, m)
             return out
 
         rng = RngStream(9)
-        got = sample_ensemble(lambda s, stream, out: fn(s, stream, len(out), out),
-                              (rng.substream(1), (rng.substream(2), rng.substream(3))),
-                              2_500, len(grid))
-        sizes = (1_000, 1_000, 500)
-        want = [np.vstack([fn(0, rng.substream(1, k), m) for k, m in enumerate(sizes)]),
-                np.vstack([fn(1, (rng.substream(2, k), rng.substream(3, k)), m)
-                           for k, m in enumerate(sizes)])]
-        assert len(got) == 2
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        if pool_cores == 1:
-            assert processes._pool is None  # no helper thread starts
-            assert threading.active_count() == before
-        else:
-            assert processes._pool[1] == pool_cores - 1
+        got = sample_ensemble(lambda stream, out: fn(stream, len(out), out),
+                              (rng.substream(2), rng.substream(3)), 2_500, len(grid))
+        assert threading.active_count() == before
+        want = np.vstack([fn((rng.substream(2, k), rng.substream(3, k)), m)
+                          for k, m in enumerate((1_000, 1_000, 500))])
+        assert np.array_equal(got, want)
 
-    def test_first_error_in_task_order(self, pool_cores):
-        # chunk 0 raises last in time; its error is the one raised
+    def test_first_error_in_task_order(self, cores):
+        # chunk 0 raises, however slowly; its error is the one raised
         def fn(stream, out):
             k = stream.path[-1]
             if k == 0:
@@ -364,7 +346,7 @@ class TestPool:
         with pytest.raises(ValueError, match="^chunk 0$"):
             sample_ensemble(fn, RngStream(4), 3 * processes.CHUNK, 1)
 
-    def test_each_task_runs_once_under_contention(self, monkeypatch, pool_cores):
+    def test_each_task_runs_once_under_contention(self, monkeypatch, cores):
         # 500 one-row chunks with a short switch interval: a task taken twice
         # or skipped, or a chunk written into the wrong rows, shows
         monkeypatch.setattr(processes, "CHUNK", 1)
@@ -383,7 +365,7 @@ class TestPool:
         assert sorted(ran) == list(range(500))
         assert np.array_equal(got[:, 0], np.arange(500.0))
 
-    def test_nested_call_in_a_helper_runs_inline(self, monkeypatch, pool_cores):
+    def test_nested_call_in_a_helper_runs_inline(self, monkeypatch, cores):
         monkeypatch.setattr(processes, "CHUNK", 10)
         threads = []
 
@@ -400,14 +382,8 @@ class TestPool:
                        for j, m in enumerate((10, 10, 5))])[:10]
             for k in range(3)])
         assert np.array_equal(got, want)
-        assert len(threads) == 9
-        if pool_cores > 1:
-            # called in a helper, every chunk is drawn in that helper
-            threads.clear()
-            executor, _ = processes._helpers()
-            executor.submit(sample_ensemble, inner, RngStream(6), 25, 1).result(timeout=60)
-            assert len(threads) == 3 and len(set(threads)) == 1
-            assert threads[0] is not threading.current_thread()
+        # every chunk, the nested ones too, is drawn on the one calling thread
+        assert len(threads) == 9 and len(set(threads)) == 1
 
 
 class TestMeanFunction:

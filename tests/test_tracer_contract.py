@@ -4,8 +4,8 @@
 module and reads the work each call was handed from its bound arguments
 (`WORK`). A deleted function or a renamed parameter would break `--trace 1`
 runs without touching any other test, so this checks the names here. It
-also adopts sample_ensemble's chunk function, so that spans opened in pool
-threads keep sample_ensemble as their parent. `perfbench/run.py` also reads
+also adopts sample_ensemble's chunk function, so that spans opened in a
+chunk keep sample_ensemble as their parent. `perfbench/run.py` also reads
 report keys: a limit job's per-rung `ess` and `n_used` lists.
 """
 
@@ -128,21 +128,19 @@ def _drawn_spans(call, names):
     return drawn
 
 
-@pytest.mark.parametrize("pool_cores", [3], indirect=True)
-def test_pooled_spans_have_a_sample_ensemble_ancestor(pool_cores):
-    # 60k rows: two chunks per side, drawn as four tasks on the caller and
-    # two helper threads
+@pytest.mark.parametrize("cores", [3], indirect=True)
+def test_pooled_spans_have_a_sample_ensemble_ancestor(cores):
+    # 60k rows: two chunks, each drawing both parts on the caller
     panel = LevyFunctionalPanel((PanelEntry((1.0,), (1.0,)),))
     _drawn_spans(lambda: identities.verify_decomposition_identity(
         RngStream(3), PoissonSpec(1.0), 1.0, make_grid([0.5, 1.0, 2.0]), panel, 60_000),
         ("hidden_values", "values_at", "visible_values"))
 
 
-@pytest.mark.parametrize("pool_cores", [3], indirect=True)
-def test_ladder_spans_have_a_sample_ensemble_ancestor(monkeypatch, pool_cores):
+@pytest.mark.parametrize("cores", [3], indirect=True)
+def test_ladder_spans_have_a_sample_ensemble_ancestor(monkeypatch, cores):
     # limit.n = 100 with 200-row chunks: the 800-row companion target and
-    # every rung but the first span several chunks, drawn on the caller and
-    # two helper threads
+    # every rung but the first span several chunks, drawn on the caller
     monkeypatch.setattr(processes, "CHUNK", 200)
     panel = LevyFunctionalPanel((PanelEntry((1.0,), (1.0,)),))
     drawn = _drawn_spans(lambda: limits.verify_thinning_limit(
